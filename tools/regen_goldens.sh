@@ -1,0 +1,16 @@
+#!/bin/sh
+# Regenerate the mcdla_sim golden outputs in tests/golden/ from a build
+# tree, then show what changed. Review the diff before committing it:
+# the goldens are the spec that refactors must reproduce byte for byte.
+#
+#   tools/regen_goldens.sh [build-dir]    (default: build)
+set -eu
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+build=$(cd "${1:-$root/build}" && pwd)
+
+cmake --build "$build" --target mcdla_sim
+cmake -DMCDLA_SIM="$build/mcdla_sim" -DWORK_DIR="$build/golden-regen" \
+    -DREGEN=ON -P "$root/tests/golden/run_goldens.cmake"
+git -C "$root" status --short -- tests/golden
+git -C "$root" diff --stat -- tests/golden
