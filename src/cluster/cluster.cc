@@ -86,38 +86,27 @@ Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
 }
 
 Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)
-    : _cfg(std::move(cfg)), _specs(std::move(jobs))
+    : _cfg(std::move(cfg))
 {
-    std::stable_sort(_specs.begin(), _specs.end(),
-                     [](const JobSpec &a, const JobSpec &b) {
-                         return a.arrivalSec < b.arrivalSec;
-                     });
-
     // Before any schedule: the member queue default-constructs as a
     // heap and may only be re-backed while pristine.
     _eq.setBackend(_cfg.base.base.eventQueueBackend);
     _system = std::make_unique<System>(_eq, _cfg.base.config());
-    _poolCapacity = computePoolCapacity();
+    _poolCapacity = sharedPoolCapacityBytes(*_system);
     _pool = makePoolAllocator(_cfg.allocator, _poolCapacity);
-    _scheduler = makeScheduler(_cfg.scheduler);
-
-    for (int d = 0; d < _system->numDevices(); ++d)
-        _freeDevices.insert(d);
 
     // The shared pool replaces the static per-device carve-out of the
     // standalone design: capacity is enforced here, so every device's
     // remote window is widened to the pool and the address space only
     // decides placement (the LOCAL/BW_AWARE traffic fractions).
-    for (int d = 0; d < _system->numDevices(); ++d)
+    std::vector<int> devices;
+    for (int d = 0; d < _system->numDevices(); ++d) {
         _system->addressSpace(d).uncapRemoteRegions(_poolCapacity);
-
-    _outcomes.resize(_specs.size());
-    for (std::size_t i = 0; i < _specs.size(); ++i) {
-        if (_specs[i].name.empty())
-            _specs[i].name = "job" + std::to_string(i);
-        _outcomes[i].spec = _specs[i];
-        _outcomes[i].arrivalSec = _specs[i].arrivalSec;
+        devices.push_back(d);
     }
+    _jobs = std::make_unique<JobLifecycle>(
+        _cfg, *_system, _networks, *_pool, _poolCapacity,
+        std::move(devices), /*pinned_bytes=*/0, std::move(jobs));
 }
 
 std::uint64_t
@@ -146,12 +135,6 @@ sharedPoolCapacityBytes(System &system)
     // Designs without a backing store (the oracle) never allocate;
     // give the allocator a token capacity so it can exist.
     return total > 0 ? total : 1;
-}
-
-std::uint64_t
-Cluster::computePoolCapacity() const
-{
-    return sharedPoolCapacityBytes(*_system);
 }
 
 std::vector<int>
@@ -210,15 +193,6 @@ placeJobDevices(const Fabric &fabric, const std::vector<int> &free,
     return best;
 }
 
-std::vector<int>
-Cluster::pickDevices(int count) const
-{
-    return placeJobDevices(
-        _system->fabric(),
-        std::vector<int>(_freeDevices.begin(), _freeDevices.end()),
-        count, _cfg.placement);
-}
-
 ClusterReport
 Cluster::run()
 {
@@ -241,43 +215,24 @@ Cluster::run()
         _cfg.metrics->add("pool.frag",
                           [this] { return _pool->fragmentation(); });
         _cfg.metrics->add("cluster.busy_devices", [this] {
-            return static_cast<double>(
-                _system->numDevices()
-                - static_cast<int>(_freeDevices.size()));
+            return static_cast<double>(_jobs->busyDevices());
         });
         _cfg.metrics->add("cluster.queued_jobs", [this] {
-            return static_cast<double>(_queue.size());
+            return static_cast<double>(_jobs->queuedJobs());
         });
         _cfg.metrics->add("cluster.running_jobs", [this] {
-            return static_cast<double>(_active.size());
+            return static_cast<double>(_jobs->runningJobs());
         });
         _cfg.metrics->start(_eq);
     }
 
-    {
-        // Arrivals are scheduler-wait edges: a job's first admission
-        // attempt causally hangs off its arrival event.
-        CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
-                                 CausalCtx::Cluster);
-        for (std::size_t i = 0; i < _specs.size(); ++i) {
-            _eq.schedule(secondsToTicks(_specs[i].arrivalSec),
-                         [this, i] { onArrival(i); }, "job_arrival");
-        }
-    }
+    _jobs->scheduleArrivals();
     _eq.run();
-
-    if (!_queue.empty()) {
-        panic("cluster drained with %zu jobs still queued (first: %s)",
-              _queue.size(),
-              _specs[_queue.front().jobIndex].label().c_str());
-    }
-    if (!_active.empty())
-        panic("cluster drained with %zu jobs still running",
-              _active.size());
+    _jobs->checkDrained();
 
     ClusterReport report;
-    report.jobs = _outcomes;
-    report.timeline = _timeline;
+    report.jobs = _jobs->outcomes();
+    report.timeline = _jobs->timeline();
     report.makespanSec = ticksToSeconds(_eq.now());
     report.scheduler = _cfg.scheduler;
     report.allocator = _cfg.allocator;
@@ -288,8 +243,67 @@ Cluster::run()
     return report;
 }
 
+// ------------------------------------------------------- job lifecycle
+
+JobLifecycle::JobLifecycle(const ClusterConfig &cfg, System &system,
+                           Simulator &networks,
+                           MemoryPoolAllocator &pool,
+                           std::uint64_t pool_capacity,
+                           std::vector<int> devices,
+                           std::uint64_t pinned_bytes,
+                           std::vector<JobSpec> jobs)
+    : _cfg(cfg), _system(system), _eq(system.eventQueue()),
+      _networks(networks), _pool(pool), _poolCapacity(pool_capacity),
+      _deviceCount(devices.size()), _pinnedBytes(pinned_bytes),
+      _specs(std::move(jobs)), _scheduler(makeScheduler(cfg.scheduler)),
+      _freeDevices(devices.begin(), devices.end())
+{
+    std::stable_sort(_specs.begin(), _specs.end(),
+                     [](const JobSpec &a, const JobSpec &b) {
+                         return a.arrivalSec < b.arrivalSec;
+                     });
+    _outcomes.resize(_specs.size());
+    for (std::size_t i = 0; i < _specs.size(); ++i) {
+        if (_specs[i].name.empty())
+            _specs[i].name = "job" + std::to_string(i);
+        _outcomes[i].spec = _specs[i];
+        _outcomes[i].arrivalSec = _specs[i].arrivalSec;
+    }
+}
+
 void
-Cluster::onArrival(std::size_t index)
+JobLifecycle::scheduleArrivals()
+{
+    // Arrivals are scheduler-wait edges: a job's first admission
+    // attempt causally hangs off its arrival event.
+    CausalScope causal_scope(_eq.causalRecorder(), WaitKind::Sched,
+                             CausalCtx::Cluster);
+    for (std::size_t i = 0; i < _specs.size(); ++i) {
+        _eq.schedule(secondsToTicks(_specs[i].arrivalSec),
+                     [this, i] { onArrival(i); }, "job_arrival");
+    }
+}
+
+void
+JobLifecycle::checkDrained() const
+{
+    if (!_queue.empty()) {
+        panic("drained with %zu jobs still queued (first: %s)",
+              _queue.size(),
+              _specs[_queue.front().jobIndex].label().c_str());
+    }
+    if (!_active.empty())
+        panic("drained with %zu jobs still running", _active.size());
+}
+
+int
+JobLifecycle::busyDevices() const
+{
+    return static_cast<int>(_deviceCount - _freeDevices.size());
+}
+
+void
+JobLifecycle::onArrival(std::size_t index)
 {
     const JobSpec &spec = _specs[index];
     JobOutcome &outcome = _outcomes[index];
@@ -298,10 +312,10 @@ Cluster::onArrival(std::size_t index)
 
     // Infeasible jobs can never start; reject them instead of wedging
     // the queue (or, worse, letting ParallelStrategy's constructor
-    // kill the whole cluster run mid-stream). The shape checks mirror
-    // the strategy's own fatal paths.
-    bool feasible =
-        spec.devices >= 1 && spec.devices <= _system->numDevices();
+    // kill the whole run mid-stream). The shape checks mirror the
+    // strategy's own fatal paths.
+    bool feasible = spec.devices >= 1
+        && static_cast<std::size_t>(spec.devices) <= _deviceCount;
     if (feasible && spec.mode == ParallelMode::Pipeline) {
         const int stages = spec.pipelineStages > 0 ? spec.pipelineStages
                                                    : spec.devices;
@@ -315,20 +329,25 @@ Cluster::onArrival(std::size_t index)
 
     std::uint64_t demand = 0;
     if (feasible) {
-        demand = jobPoolBytes(spec, net, _system->config(),
-                              _system->addressSpace(0).pageBytes());
+        demand = Cluster::jobPoolBytes(
+            spec, net, _system.config(),
+            _system.addressSpace(0).pageBytes());
+        // Bytes pinned for the whole run shrink the pool; a job that
+        // can never fit beside them is rejected.
         if (demand > 0) {
             const auto probe = makePoolAllocator(_cfg.allocator,
                                                  _poolCapacity);
-            feasible = probe->canAllocate(demand);
+            feasible = _pinnedBytes < _poolCapacity
+                && probe->canAllocate(demand + _pinnedBytes);
         }
     }
     if (!feasible) {
         outcome.rejected = true;
         warn("cluster rejects %s: its shape (%d devices, %s pool "
-             "demand) cannot ever run on this machine",
+             "demand) cannot ever run on its %zu devices",
              spec.label().c_str(), spec.devices,
-             formatBytes(static_cast<double>(demand)).c_str());
+             formatBytes(static_cast<double>(demand)).c_str(),
+             _deviceCount);
         if (_cfg.trace != nullptr)
             _cfg.trace->addInstant("cluster", "rejected",
                                    "reject " + spec.label(), _eq.now(),
@@ -338,7 +357,7 @@ Cluster::onArrival(std::size_t index)
 
     // The SJF oracle: the analytic estimator's no-overlap bound on the
     // job's solo iteration, scaled by its iteration count.
-    SystemConfig job_cfg = _system->config();
+    SystemConfig job_cfg = _system.config();
     job_cfg.fabric.numDevices = spec.devices;
     const AnalyticEstimate estimate = estimateIteration(
         job_cfg, net, spec.mode, spec.batch, spec.pipelineStages,
@@ -359,11 +378,11 @@ Cluster::onArrival(std::size_t index)
 }
 
 void
-Cluster::tryAdmit()
+JobLifecycle::tryAdmit()
 {
     while (!_queue.empty()) {
         const std::size_t pos = _scheduler->pick(
-            _queue, static_cast<int>(_freeDevices.size()), *_pool);
+            _queue, static_cast<int>(_freeDevices.size()), _pool);
         if (pos == JobScheduler::npos)
             break;
         startJob(pos);
@@ -374,12 +393,11 @@ Cluster::tryAdmit()
     // per blocked episode, not once per scheduling pass.
     const int free = static_cast<int>(_freeDevices.size());
     const std::size_t candidate =
-        _scheduler->blockedCandidate(_queue, free, *_pool);
+        _scheduler->blockedCandidate(_queue, free, _pool);
     if (candidate != JobScheduler::npos
-        && JobScheduler::memoryBlocked(_queue[candidate], free,
-                                       *_pool)) {
+        && JobScheduler::memoryBlocked(_queue[candidate], free, _pool)) {
         if (_memoryBlockedJob != _queue[candidate].jobIndex) {
-            _pool->noteFailure();
+            _pool.noteFailure();
             samplePool("fail",
                        _specs[_queue[candidate].jobIndex].name);
             _memoryBlockedJob = _queue[candidate].jobIndex;
@@ -390,7 +408,7 @@ Cluster::tryAdmit()
 }
 
 void
-Cluster::startJob(std::size_t queue_pos)
+JobLifecycle::startJob(std::size_t queue_pos)
 {
     const PendingJob pending = _queue[queue_pos];
     _queue.erase(_queue.begin()
@@ -402,7 +420,7 @@ Cluster::startJob(std::size_t queue_pos)
 
     ActiveJob active;
     if (pending.poolBytes > 0) {
-        auto block = _pool->allocate(pending.poolBytes);
+        auto block = _pool.allocate(pending.poolBytes);
         if (!block)
             panic("scheduler admitted %s but the pool cannot place %s",
                   spec.label().c_str(),
@@ -412,14 +430,17 @@ Cluster::startJob(std::size_t queue_pos)
         active.hasBlock = true;
     }
 
-    outcome.devices = pickDevices(pending.devices);
+    outcome.devices = placeJobDevices(
+        _system.fabric(),
+        std::vector<int>(_freeDevices.begin(), _freeDevices.end()),
+        pending.devices, _cfg.placement);
     for (int d : outcome.devices)
         _freeDevices.erase(d);
     outcome.startSec = ticksToSeconds(_eq.now());
 
     active.net = _networks.network(spec.workload);
     active.session = std::make_unique<TrainingSession>(
-        *_system, *active.net, spec.mode, spec.batch,
+        _system, *active.net, spec.mode, spec.batch,
         spec.pipelineStages, spec.microbatches, outcome.devices);
     active.remainingIterations = spec.iterations;
     active.startTick = _eq.now();
@@ -452,7 +473,7 @@ Cluster::startJob(std::size_t queue_pos)
 }
 
 void
-Cluster::stepJob(std::size_t index)
+JobLifecycle::stepJob(std::size_t index)
 {
     ActiveJob &active = _active.at(index);
     active.session->startIteration(
@@ -468,7 +489,7 @@ Cluster::stepJob(std::size_t index)
 }
 
 void
-Cluster::finishJob(std::size_t index)
+JobLifecycle::finishJob(std::size_t index)
 {
     JobOutcome &outcome = _outcomes[index];
     outcome.finishSec = ticksToSeconds(_eq.now());
@@ -496,7 +517,7 @@ Cluster::finishJob(std::size_t index)
 }
 
 void
-Cluster::cleanupJob(std::size_t index)
+JobLifecycle::cleanupJob(std::size_t index)
 {
     auto it = _active.find(index);
     if (it == _active.end())
@@ -505,25 +526,24 @@ Cluster::cleanupJob(std::size_t index)
     for (int d : _outcomes[index].devices)
         _freeDevices.insert(d);
     if (it->second.hasBlock)
-        _pool->release(it->second.block);
+        _pool.release(it->second.block);
     _active.erase(it);
     samplePool("free", _outcomes[index].spec.name);
     tryAdmit();
 }
 
 void
-Cluster::samplePool(const char *event, const std::string &job)
+JobLifecycle::samplePool(const char *event, const std::string &job)
 {
     PoolSample sample;
     sample.timeSec = ticksToSeconds(_eq.now());
     sample.event = event;
     sample.job = job;
-    sample.usedBytes = _pool->usedBytes();
-    sample.freeBytes = _pool->freeBytes();
-    sample.largestFreeBytes = _pool->largestFreeBlock();
-    sample.fragmentation = _pool->fragmentation();
-    sample.busyDevices = _system->numDevices()
-        - static_cast<int>(_freeDevices.size());
+    sample.usedBytes = _pool.usedBytes();
+    sample.freeBytes = _pool.freeBytes();
+    sample.largestFreeBytes = _pool.largestFreeBlock();
+    sample.fragmentation = _pool.fragmentation();
+    sample.busyDevices = busyDevices();
     _timeline.push_back(std::move(sample));
 }
 

@@ -13,6 +13,11 @@
  * ClusterReport: per-job completion/queueing/slowdown metrics plus a
  * pool-occupancy timeline, both emitted through the standard
  * ResultSet CSV/JSON pipeline.
+ *
+ * The job lifecycle itself — arrival, admission, the running session,
+ * teardown, and the job spans on the "cluster" trace process — is a
+ * JobLifecycle. Cluster runs one over every device; ServingCluster
+ * runs the same one over the devices its replicas leave free.
  */
 
 #ifndef MCDLA_CLUSTER_CLUSTER_HH
@@ -226,6 +231,95 @@ class ClusterReport
     /// @}
 };
 
+/**
+ * The lifecycle of a stream of training jobs on a subset of one
+ * System's devices. A job arrives, is rejected if its shape can never
+ * run, or queues for the scheduler. Admission carves its pool block,
+ * picks its devices, and runs its iterations as a TrainingSession.
+ * Teardown is a zero-delay "job_cleanup" event, which frees the job's
+ * resources and re-runs admission. Every alloc/free is sampled into a
+ * pool timeline, and with a trace sink each job gets queue and run
+ * spans on the "cluster" process.
+ */
+class JobLifecycle
+{
+  public:
+    /**
+     * @param cfg Scheduler, allocator kind, placement, trace, progress
+     *        (cfg.base is not read).
+     * @param system The machine the sessions run on.
+     * @param networks Workload network cache.
+     * @param pool The shared pool; job blocks are carved from it.
+     * @param pool_capacity Bytes @p pool was created with.
+     * @param devices The devices jobs may run on.
+     * @param pinned_bytes Pool bytes other users hold for the whole
+     *        run: a job that cannot fit beside them is rejected.
+     * @param jobs Submitted job stream (any order; sorted by arrival).
+     */
+    JobLifecycle(const ClusterConfig &cfg, System &system,
+                 Simulator &networks, MemoryPoolAllocator &pool,
+                 std::uint64_t pool_capacity, std::vector<int> devices,
+                 std::uint64_t pinned_bytes, std::vector<JobSpec> jobs);
+
+    /// Scheduled events capture `this`.
+    JobLifecycle(const JobLifecycle &) = delete;
+    JobLifecycle &operator=(const JobLifecycle &) = delete;
+
+    /** Schedule every job's arrival on the System's EventQueue. */
+    void scheduleArrivals();
+
+    /** Panic unless every job left the queue and finished. */
+    void checkDrained() const;
+
+    const std::vector<JobOutcome> &outcomes() const { return _outcomes; }
+    const std::vector<PoolSample> &timeline() const { return _timeline; }
+    int busyDevices() const;
+    std::size_t queuedJobs() const { return _queue.size(); }
+    std::size_t runningJobs() const { return _active.size(); }
+
+  private:
+    /** One admitted, running job. */
+    struct ActiveJob
+    {
+        std::unique_ptr<TrainingSession> session;
+        std::shared_ptr<const Network> net;
+        PoolBlock block;
+        bool hasBlock = false;
+        int remainingIterations = 0;
+        /** Admission tick (trace span anchor). */
+        Tick startTick = 0;
+        /** Per-job trace track on the "cluster" process. */
+        std::string traceTrack;
+    };
+
+    void onArrival(std::size_t index);
+    void tryAdmit();
+    void startJob(std::size_t queue_pos);
+    void stepJob(std::size_t index);
+    void finishJob(std::size_t index);
+    void cleanupJob(std::size_t index);
+    void samplePool(const char *event, const std::string &job);
+
+    ClusterConfig _cfg;
+    System &_system;
+    EventQueue &_eq;
+    Simulator &_networks;
+    MemoryPoolAllocator &_pool;
+    std::uint64_t _poolCapacity;
+    std::size_t _deviceCount;
+    std::uint64_t _pinnedBytes;
+    std::vector<JobSpec> _specs;
+    std::unique_ptr<JobScheduler> _scheduler;
+    std::set<int> _freeDevices;
+    std::vector<PendingJob> _queue;
+    std::map<std::size_t, ActiveJob> _active;
+    std::vector<JobOutcome> _outcomes;
+    std::vector<PoolSample> _timeline;
+    /// Job whose memory-induced head-of-line blocking was already
+    /// recorded (npos = none): one failure per blocked episode.
+    std::size_t _memoryBlockedJob = JobScheduler::npos;
+};
+
 /** One cluster simulation: a machine, a job stream, a policy pair. */
 class Cluster
 {
@@ -243,7 +337,6 @@ class Cluster
     /// @{
     System &system() { return *_system; }
     MemoryPoolAllocator &pool() { return *_pool; }
-    const JobScheduler &scheduler() const { return *_scheduler; }
     std::uint64_t poolCapacityBytes() const { return _poolCapacity; }
     /// @}
 
@@ -262,47 +355,13 @@ class Cluster
                                           = 2 * kMiB);
 
   private:
-    /** One admitted, running job. */
-    struct ActiveJob
-    {
-        std::unique_ptr<TrainingSession> session;
-        std::shared_ptr<const Network> net;
-        PoolBlock block;
-        bool hasBlock = false;
-        int remainingIterations = 0;
-        /** Admission tick (trace span anchor). */
-        Tick startTick = 0;
-        /** Per-job trace track on the "cluster" process. */
-        std::string traceTrack;
-    };
-
-    std::uint64_t computePoolCapacity() const;
-    /** Devices for a @p count -device job under the placement policy. */
-    std::vector<int> pickDevices(int count) const;
-    void onArrival(std::size_t index);
-    void tryAdmit();
-    void startJob(std::size_t queue_pos);
-    void stepJob(std::size_t index);
-    void finishJob(std::size_t index);
-    void cleanupJob(std::size_t index);
-    void samplePool(const char *event, const std::string &job);
-
     ClusterConfig _cfg;
-    std::vector<JobSpec> _specs;
     EventQueue _eq;
     std::unique_ptr<System> _system;
     Simulator _networks; ///< Workload network cache.
     std::uint64_t _poolCapacity = 0;
     std::unique_ptr<MemoryPoolAllocator> _pool;
-    std::unique_ptr<JobScheduler> _scheduler;
-    std::set<int> _freeDevices;
-    std::vector<PendingJob> _queue;
-    std::map<std::size_t, ActiveJob> _active;
-    std::vector<JobOutcome> _outcomes;
-    std::vector<PoolSample> _timeline;
-    /// Job whose memory-induced head-of-line blocking was already
-    /// recorded (npos = none): one failure per blocked episode.
-    std::size_t _memoryBlockedJob = JobScheduler::npos;
+    std::unique_ptr<JobLifecycle> _jobs;
     bool _ran = false;
 };
 

@@ -14,11 +14,14 @@
  * replica's queue becomes a batch; a ReplicaRouter decides which queue
  * an arriving request joins.
  *
- * The mixed mode co-locates training: JobSpecs admitted FIFO onto the
- * remaining devices, running as ordinary TrainingSessions on the same
- * EventQueue/System — their collectives and paging DMA contend with
- * the replicas' traffic on the shared ring segments and memory-node
- * DIMM buses, so serving-under-training interference is measured, not
+ * The mixed mode co-locates training: the cluster's JobLifecycle, the
+ * same one cluster/Cluster runs, admits JobSpecs FIFO onto the
+ * remaining devices beside the replicas' pinned pool blocks. The jobs
+ * run as ordinary TrainingSessions on the same EventQueue/System, with
+ * their job spans on the "cluster" trace process. Their collectives
+ * and paging DMA contend with the replicas' traffic on the shared ring
+ * segments and memory-node DIMM buses, so serving-under-training
+ * interference is measured, not
  * assumed. On the mc-b ring that contention is spatially asymmetric
  * (a replica neighboring the training gang shares its memory nodes;
  * one in the middle of the serving range does not), which is exactly
@@ -82,8 +85,10 @@ struct ServingConfig
     /**
      * Chrome-tracing sink: async request spans (arrival to reply) on
      * the "serving" process, per-replica batch spans, shed-request
-     * instants, batch->first-op dispatch flows, plus co-located
-     * training-job lifecycle spans mirroring cluster/Cluster.
+     * instants, batch->first-op dispatch flows. Co-located training
+     * jobs run the cluster's JobLifecycle, so their queue/run spans
+     * and rejected instants land on the "cluster" process, exactly as
+     * in a cluster/Cluster run.
      */
     TraceSink *trace = nullptr;
     /**
@@ -267,33 +272,12 @@ class ServingCluster
         int peakQueueSamples = 0;
     };
 
-    /** One admitted, running training job. */
-    struct ActiveJob
-    {
-        std::unique_ptr<TrainingSession> session;
-        std::shared_ptr<const Network> net;
-        PoolBlock block;
-        bool hasBlock = false;
-        int remainingIterations = 0;
-        /** Admission tick (trace span anchor). */
-        Tick startTick = 0;
-        /** Per-job trace track on the "serving" process. */
-        std::string traceTrack;
-    };
-
     ReplicaLoad loadView(const Replica &replica) const;
     void onRequestArrival(std::size_t index);
     void maybeLaunch(std::size_t r);
     void launchBatch(std::size_t r);
     void onBatchDone(std::size_t r, const IterationResult &result);
     void cleanupBatch(std::size_t r);
-
-    void onJobArrival(std::size_t index);
-    void tryAdmitJobs();
-    void startJob(std::size_t queue_pos);
-    void stepJob(std::size_t index);
-    void finishJob(std::size_t index);
-    void cleanupJob(std::size_t index);
 
     ServingConfig _cfg;
     std::vector<Request> _stream;
@@ -313,11 +297,8 @@ class ServingCluster
     /** Arrivals processed; the stream is drained when it hits size. */
     std::size_t _arrived = 0;
 
-    // Co-located training (mirrors cluster/Cluster, FIFO admission).
-    std::set<int> _freeTrainDevices;
-    std::deque<std::size_t> _jobQueue;
-    std::map<std::size_t, ActiveJob> _activeJobs;
-    std::vector<JobOutcome> _jobOutcomes;
+    /** Co-located training on the non-replica devices. */
+    std::unique_ptr<JobLifecycle> _jobs;
     bool _ran = false;
 };
 

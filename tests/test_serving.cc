@@ -534,6 +534,84 @@ TEST_F(ServingTest, AdmissionControlShedsWhenPredictionsBlowTheSlo)
               open.latencyPercentileMs(99.0));
 }
 
+// ------------------------------------------- co-located job admission
+
+/** Two AlexNet replicas on 8 devices leave devices 2..7 for @p jobs. */
+ServingReport
+runBesideTwoReplicas(const std::vector<JobSpec> &jobs)
+{
+    Scenario sc;
+    sc.design = SystemDesign::McDlaB;
+    sc.workload = "AlexNet";
+    sc.serve = true;
+    sc.replicas = 2;
+    sc.globalBatch = 8;
+    Random rng(4);
+    ServingConfig cfg;
+    cfg.base = sc;
+    cfg.trainingJobs = jobs;
+    ServingCluster serving(
+        cfg, synthesizeRequests(16, 400.0, ArrivalKind::Poisson, rng));
+    return serving.run();
+}
+
+JobSpec
+alexNetJob(const std::string &name, double arrival_sec, int devices)
+{
+    JobSpec job;
+    job.name = name;
+    job.workload = "AlexNet";
+    job.batch = 48;
+    job.devices = devices;
+    job.iterations = 2;
+    job.arrivalSec = arrival_sec;
+    return job;
+}
+
+TEST_F(ServingTest, CoLocatedJobWiderThanTheFreeDevicesIsRejected)
+{
+    // Seven devices fit the machine but not the six non-replica ones:
+    // the job is rejected on arrival, and the run goes on.
+    const ServingReport report = runBesideTwoReplicas(
+        {alexNetJob("wide", 0.0, 7), alexNetJob("fits", 0.0, 6)});
+    ASSERT_EQ(report.trainingJobs.size(), 2u);
+    EXPECT_TRUE(report.trainingJobs[0].rejected);
+    EXPECT_FALSE(report.trainingJobs[0].completed);
+    EXPECT_TRUE(report.trainingJobs[1].completed);
+    EXPECT_EQ(report.trainingJobs[1].devices,
+              (std::vector<int>{2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(report.completedRequests(), 16u);
+}
+
+TEST_F(ServingTest, CoLocatedJobQueuesUntilTheRunningJobFinishes)
+{
+    // Four plus four devices exceed the six free ones, so the second
+    // job waits FIFO and starts in the first job's cleanup, at the
+    // very tick the first one finished.
+    const ServingReport report = runBesideTwoReplicas(
+        {alexNetJob("first", 0.0, 4), alexNetJob("second", 0.001, 4)});
+    const JobOutcome &first = report.trainingJobs[0];
+    const JobOutcome &second = report.trainingJobs[1];
+    ASSERT_TRUE(first.completed);
+    ASSERT_TRUE(second.completed);
+    EXPECT_GT(first.finishSec, second.arrivalSec);
+    EXPECT_EQ(second.startSec, first.finishSec);
+    EXPECT_GT(second.queueSec(), 0.0);
+}
+
+TEST_F(ServingTest, EveryCoLocatedJobCompletesXorIsRejected)
+{
+    const ServingReport report = runBesideTwoReplicas(
+        {alexNetJob("a", 0.0, 4), alexNetJob("b", 0.001, 4),
+         alexNetJob("c", 0.002, 8), alexNetJob("d", 0.003, 2),
+         alexNetJob("e", 0.004, 9)});
+    ASSERT_EQ(report.trainingJobs.size(), 5u);
+    for (const JobOutcome &job : report.trainingJobs)
+        EXPECT_NE(job.completed, job.rejected) << job.spec.label();
+    EXPECT_TRUE(report.trainingJobs[2].rejected);
+    EXPECT_TRUE(report.trainingJobs[4].rejected);
+}
+
 // --------------------------------------- report tables and percentiles
 
 TEST_F(ServingTest, ReportTablesCarryTheRunsAccounting)
