@@ -1,8 +1,9 @@
 # Golden-output check for mcdla_sim. Runs each pinned scenario in
 # WORK_DIR and compares its stdout and CSV outputs byte for byte with
-# the files checked in next to this script. With -DREGEN=ON the fresh
-# outputs overwrite the checked-in files instead; tools/regen_goldens.sh
-# wraps that mode.
+# the files checked in next to this script; outputs too large to check
+# in (traces) are compared by SHA-256 instead. With -DREGEN=ON the fresh
+# outputs and digests overwrite the checked-in files instead;
+# tools/regen_goldens.sh wraps that mode.
 #
 #   cmake -DMCDLA_SIM=<mcdla_sim> -DWORK_DIR=<scratch dir> \
 #         [-DREGEN=ON] -P tests/golden/run_goldens.cmake
@@ -18,11 +19,13 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(mismatches "")
 
-# golden_case(<name> OUTPUTS <files written> ARGS <mcdla_sim args>):
+# golden_case(<name> OUTPUTS <files> HASHED <files> ARGS <mcdla_sim args>):
 # the run's stdout is compared as <name>.stdout, plus each OUTPUTS file.
-# Output paths stay relative so the "wrote <file>" lines are stable.
+# The HASHED files are compared by digest against <name>.sha256, one
+# "<sha256>  <file>" line each (the sha256sum format). Output paths stay
+# relative so the "wrote <file>" lines are stable.
 macro(golden_case name)
-  cmake_parse_arguments(case "" "" "OUTPUTS;ARGS" ${ARGN})
+  cmake_parse_arguments(case "" "" "OUTPUTS;HASHED;ARGS" ${ARGN})
   execute_process(COMMAND ${MCDLA_SIM} ${case_ARGS} --quiet
     WORKING_DIRECTORY ${WORK_DIR}
     OUTPUT_FILE ${WORK_DIR}/${name}.stdout
@@ -42,6 +45,26 @@ macro(golden_case name)
       endif()
     endif()
   endforeach()
+  if(case_HASHED)
+    set(digests "")
+    foreach(out ${case_HASHED})
+      file(SHA256 ${WORK_DIR}/${out} digest)
+      string(APPEND digests "${digest}  ${out}\n")
+    endforeach()
+    file(WRITE ${WORK_DIR}/${name}.sha256 "${digests}")
+    if(REGEN)
+      configure_file(${WORK_DIR}/${name}.sha256 ${golden_dir}/${name}.sha256
+        COPYONLY)
+    else()
+      set(expected "")
+      if(EXISTS ${golden_dir}/${name}.sha256)
+        file(READ ${golden_dir}/${name}.sha256 expected)
+      endif()
+      if(NOT expected STREQUAL digests)
+        list(APPEND mismatches ${name}.sha256)
+      endif()
+    endif()
+  endif()
 endmacro()
 
 golden_case(cluster
@@ -55,6 +78,36 @@ golden_case(serve
   ARGS --serve --workload AlexNet --replicas 2
        --job-trace ${golden_dir}/serve_jobs.trace
        --csv serve_requests.csv --replica-csv serve_replicas.csv)
+
+# The observers: trace, metrics and critical path of one iteration,
+# then trace and metrics of a cluster and a serve run.
+golden_case(dp_observed
+  OUTPUTS dp_metrics.csv dp_critical_path.csv
+  HASHED dp.trace.json
+  ARGS --workload AlexNet --design mc-b --trace dp.trace.json
+       --metrics-csv dp_metrics.csv
+       --critical-path-csv dp_critical_path.csv)
+
+golden_case(cluster_observed
+  OUTPUTS cluster_metrics.csv
+  HASHED cluster.trace.json
+  ARGS --cluster --jobs 3 --seed 3 --trace cluster.trace.json
+       --metrics-csv cluster_metrics.csv --metrics-period-us 1000)
+
+golden_case(serve_observed
+  OUTPUTS serve_metrics.csv
+  HASHED serve.trace.json
+  ARGS --serve --workload AlexNet --replicas 2 --requests 16
+       --job-trace ${golden_dir}/serve_jobs.trace
+       --trace serve.trace.json
+       --metrics-csv serve_metrics.csv --metrics-period-us 1000)
+
+# One unobserved iteration per parallelization.
+foreach(mode dp mp pp)
+  golden_case(${mode}
+    OUTPUTS ${mode}.csv
+    ARGS --workload AlexNet --mode ${mode} --csv ${mode}.csv)
+endforeach()
 
 if(mismatches)
   message(FATAL_ERROR
