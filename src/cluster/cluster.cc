@@ -200,14 +200,8 @@ Cluster::run()
         fatal("a Cluster can only run once");
     _ran = true;
 
-    if (_cfg.profiler != nullptr)
-        _eq.setProfiler(_cfg.profiler);
-    if (_cfg.causal != nullptr)
-        _eq.setCausalRecorder(_cfg.causal);
-    if (_cfg.trace != nullptr)
-        _system->collectives().setTraceSink(_cfg.trace);
+    attachObservers(_cfg, *_system);
     if (_cfg.metrics != nullptr) {
-        registerSystemMetrics(*_cfg.metrics, *_system);
         _cfg.metrics->add("pool.used_gib", [this] {
             return static_cast<double>(_pool->usedBytes())
                 / (1024.0 * 1024.0 * 1024.0);
@@ -348,10 +342,9 @@ JobLifecycle::onArrival(std::size_t index)
              spec.label().c_str(), spec.devices,
              formatBytes(static_cast<double>(demand)).c_str(),
              _deviceCount);
-        if (_cfg.trace != nullptr)
-            _cfg.trace->addInstant("cluster", "rejected",
-                                   "reject " + spec.label(), _eq.now(),
-                                   "job");
+        if (TraceSink *trace = _eq.trace())
+            trace->addInstant("cluster", "rejected",
+                              "reject " + spec.label(), _eq.now(), "job");
         return;
     }
 
@@ -444,7 +437,7 @@ JobLifecycle::startJob(std::size_t queue_pos)
         spec.pipelineStages, spec.microbatches, outcome.devices);
     active.remainingIterations = spec.iterations;
     active.startTick = _eq.now();
-    if (_cfg.trace != nullptr) {
+    if (TraceSink *trace = _eq.trace()) {
         // Per-job track on the "cluster" process: the queueing span
         // closes here, the running span closes at finishJob(), and a
         // flow arrow links admission to the job's first compute op.
@@ -452,13 +445,12 @@ JobLifecycle::startJob(std::size_t queue_pos)
             "job" + std::to_string(index) + " " + spec.name;
         const Tick arrival = secondsToTicks(spec.arrivalSec);
         if (_eq.now() > arrival)
-            _cfg.trace->addSpan("cluster", active.traceTrack,
-                                "queued " + spec.label(), arrival,
-                                _eq.now() - arrival, "queue");
-        active.session->setTraceSink(_cfg.trace);
-        const std::uint64_t flow = _cfg.trace->newFlow();
-        _cfg.trace->flowBegin("cluster", active.traceTrack, "dispatch",
-                              _eq.now(), flow, "job");
+            trace->addSpan("cluster", active.traceTrack,
+                           "queued " + spec.label(), arrival,
+                           _eq.now() - arrival, "queue");
+        const std::uint64_t flow = trace->newFlow();
+        trace->flowBegin("cluster", active.traceTrack, "dispatch",
+                         _eq.now(), flow, "job");
         active.session->setIterationFlow(flow);
     }
     _active.emplace(index, std::move(active));
@@ -494,12 +486,11 @@ JobLifecycle::finishJob(std::size_t index)
     JobOutcome &outcome = _outcomes[index];
     outcome.finishSec = ticksToSeconds(_eq.now());
     outcome.completed = true;
-    if (_cfg.trace != nullptr) {
+    if (TraceSink *trace = _eq.trace()) {
         const ActiveJob &job = _active.at(index);
-        _cfg.trace->addSpan("cluster", job.traceTrack,
-                            "run " + outcome.spec.label(),
-                            job.startTick, _eq.now() - job.startTick,
-                            "job");
+        trace->addSpan("cluster", job.traceTrack,
+                       "run " + outcome.spec.label(), job.startTick,
+                       _eq.now() - job.startTick, "job");
     }
     if (_cfg.progress)
         inform("t=%.3fs finish %s (JCT %.3fs, queued %.3fs)",

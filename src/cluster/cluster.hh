@@ -86,8 +86,8 @@ const char *jobPlacementToken(JobPlacement placement);
 /** Comma-separated accepted tokens (help text). */
 const std::string &jobPlacementTokenList();
 
-/** Cluster-level configuration. */
-struct ClusterConfig
+/** Cluster-level configuration, with the run's observers. */
+struct ClusterConfig : ObserverSet
 {
     /**
      * The machine: design point, device count, and every hardware /
@@ -103,32 +103,6 @@ struct ClusterConfig
     JobPlacement placement = JobPlacement::First;
     /** inform() on every admission/completion. */
     bool progress = false;
-
-    /// @name Observability (all optional; owned by the caller)
-    /// @{
-    /**
-     * Chrome-tracing sink: job lifecycle spans on the "cluster"
-     * process (one track per job: a "queue" span from arrival to
-     * start and a "job" span from start to finish), rejected-job
-     * instants, plus every admitted session's compute/DMA/collective
-     * spans and admit->first-op dispatch flows.
-     */
-    TraceSink *trace = nullptr;
-    /**
-     * Metric time-series: registerSystemMetrics() gauges plus pool
-     * occupancy/fragmentation and queued/running job-count gauges,
-     * sampled periodically for the whole run.
-     */
-    MetricRegistry *metrics = nullptr;
-    /** DES wall-clock profiler attached to the cluster's EventQueue. */
-    DesProfiler *profiler = nullptr;
-    /**
-     * Event-provenance recorder attached to the cluster's EventQueue.
-     * Job arrivals and scheduler passes tag sched-wait edges in the
-     * cluster context; admitted sessions tag their own subsystems.
-     */
-    CausalRecorder *causal = nullptr;
-    /// @}
 };
 
 /** Final state of one submitted job. */
@@ -238,15 +212,17 @@ class ClusterReport
  * picks its devices, and runs its iterations as a TrainingSession.
  * Teardown is a zero-delay "job_cleanup" event, which frees the job's
  * resources and re-runs admission. Every alloc/free is sampled into a
- * pool timeline, and with a trace sink each job gets queue and run
- * spans on the "cluster" process.
+ * pool timeline. With a trace sink on the EventQueue, each job gets a
+ * track on the "cluster" process: a "queue" span from arrival to
+ * start, a "job" span from start to finish, and a flow arrow from
+ * admission to its first compute op; rejected jobs get instants.
  */
 class JobLifecycle
 {
   public:
     /**
-     * @param cfg Scheduler, allocator kind, placement, trace, progress
-     *        (cfg.base is not read).
+     * @param cfg Scheduler, allocator kind, placement, progress
+     *        (cfg.base and the observers are not read).
      * @param system The machine the sessions run on.
      * @param networks Workload network cache.
      * @param pool The shared pool; job blocks are carved from it.
@@ -320,7 +296,15 @@ class JobLifecycle
     std::size_t _memoryBlockedJob = JobScheduler::npos;
 };
 
-/** One cluster simulation: a machine, a job stream, a policy pair. */
+/**
+ * One cluster simulation: a machine, a job stream, a policy pair.
+ *
+ * Its observers trace the job lifecycle spans plus every admitted
+ * session's compute/DMA/collective spans, and sample the system
+ * gauges plus pool occupancy/fragmentation and busy-device and
+ * queued/running job counts. Job arrivals and scheduler passes tag
+ * sched-wait edges in the cluster context of the causal recorder.
+ */
 class Cluster
 {
   public:

@@ -186,14 +186,14 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
     // When tracing, wrap the per-ring completion in a span emitter:
     // one "rings"-track span per logical ring per operation.
     std::shared_ptr<Handler> completion = ring_done;
-    if (_trace) {
+    if (TraceSink *trace = eventQueue().trace()) {
         const Tick launched = now();
         const std::string label = std::string(collectiveKindName(kind))
             + " ring x" + std::to_string(stages);
         completion = std::make_shared<Handler>(
-            [this, launched, label, ring_done] {
-                _trace->addSpan("collective", "rings", label, launched,
-                                now() - launched, "sync");
+            [this, trace, launched, label, ring_done] {
+                trace->addSpan("collective", "rings", label, launched,
+                               now() - launched, "sync");
                 (*ring_done)();
             });
     }
@@ -315,15 +315,15 @@ CollectiveEngine::runRounds(std::shared_ptr<std::vector<Round>> rounds,
                   launched] {
                      if (--*outstanding != 0)
                          return;
-                     if (_trace) {
+                     if (TraceSink *trace = eventQueue().trace()) {
                          const std::string label = "round "
                              + std::to_string(index + 1) + "/"
                              + std::to_string(rounds->size()) + " ("
                              + std::to_string((*rounds)[index].size())
                              + " xfer)";
-                         _trace->addSpan("collective", "rounds", label,
-                                         launched, now() - launched,
-                                         "sync");
+                         trace->addSpan("collective", "rounds", label,
+                                        launched, now() - launched,
+                                        "sync");
                      }
                      runRounds(rounds, index + 1, bytes, done);
                  });

@@ -32,8 +32,6 @@
 namespace mcdla
 {
 
-class TraceSink;
-
 /** Collective operation kinds used in DL training (Figure 4). */
 enum class CollectiveKind
 {
@@ -103,7 +101,12 @@ struct CollectiveConfig
     int boardDevices = 8;
 };
 
-/** Ring-collective executor bound to one fabric. */
+/**
+ * Ring-collective executor bound to one fabric. With a trace sink on
+ * its EventQueue, it emits per-ring spans (ring algorithm) and
+ * per-round spans (tree/hierarchical) on the "collective" process,
+ * category "sync".
+ */
 class CollectiveEngine : public SimObject
 {
   public:
@@ -146,13 +149,6 @@ class CollectiveEngine : public SimObject
 
     /** Selected algorithm family. */
     CollectiveAlgorithm algorithm() const { return _cfg.algorithm; }
-
-    /**
-     * Attach a Chrome-tracing sink (nullptr detaches): per-ring spans
-     * (ring algorithm) and per-round spans (tree/hierarchical) are
-     * emitted on the "collective" process, category "sync".
-     */
-    void setTraceSink(TraceSink *sink) { _trace = sink; }
 
   private:
     /** One barrier-synchronized transfer round: (src, dst) devices. */
@@ -203,7 +199,6 @@ class CollectiveEngine : public SimObject
     CollectiveConfig _cfg;
     double _bytesLaunched = 0.0;
     std::uint64_t _opsCompleted = 0;
-    TraceSink *_trace = nullptr;
 };
 
 /**

@@ -41,6 +41,20 @@ registerSystemMetrics(MetricRegistry &metrics, System &system)
                 [&eq] { return static_cast<double>(eq.pendingCount()); });
 }
 
+void
+attachObservers(const ObserverSet &observers, System &system)
+{
+    EventQueue &eq = system.eventQueue();
+    eq.setTrace(observers.trace);
+    eq.setProfiler(observers.profiler);
+    eq.setCausalRecorder(observers.causal);
+    if (observers.metrics != nullptr) {
+        registerSystemMetrics(*observers.metrics, system);
+        if (observers.trace != nullptr)
+            observers.metrics->attachTrace(observers.trace);
+    }
+}
+
 std::shared_ptr<const Network>
 Simulator::network(const std::string &workload)
 {
@@ -77,23 +91,13 @@ Simulator::run(const Scenario &scenario, const Network &net,
                const Hooks &hooks) const
 {
     EventQueue eq(scenario.base.eventQueueBackend);
-    // The recorder attaches before the System exists so that
-    // construction-time schedules land in the provenance DAG too.
-    if (hooks.causal != nullptr)
-        eq.setCausalRecorder(hooks.causal);
     System system(eq, scenario.config());
     TrainingSession session(system, net, scenario.mode,
                             scenario.globalBatch,
                             scenario.pipelineStages,
                             scenario.microbatches);
-    if (hooks.trace != nullptr) {
-        session.setTraceSink(hooks.trace);
-        system.collectives().setTraceSink(hooks.trace);
-    }
-    if (hooks.profiler != nullptr)
-        eq.setProfiler(hooks.profiler);
+    attachObservers(hooks, system);
     if (hooks.metrics != nullptr) {
-        registerSystemMetrics(*hooks.metrics, system);
         hooks.metrics->add("hbm.resident_gib", [&session] {
             return static_cast<double>(session.hbmResidentBytes())
                 / (1024.0 * 1024.0 * 1024.0);

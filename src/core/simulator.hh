@@ -34,6 +34,24 @@ namespace mcdla
 class CausalRecorder;
 
 /**
+ * The observers of one run, all optional and owned by the caller. None
+ * of them changes execution order or results. Simulator::Hooks,
+ * ClusterConfig and ServingConfig carry one each; attachObservers()
+ * wires it into a run.
+ */
+struct ObserverSet
+{
+    /** Chrome-tracing sink: spans, instants, flows and counters. */
+    TraceSink *trace = nullptr;
+    /** Metric time-series, sampled periodically for the whole run. */
+    MetricRegistry *metrics = nullptr;
+    /** DES wall-clock profiler. */
+    DesProfiler *profiler = nullptr;
+    /** Event-provenance recorder (critical path, what-if). */
+    CausalRecorder *causal = nullptr;
+};
+
+/**
  * Register the standard machine-level gauges on @p metrics: one
  * "chan.<name>.util" utilization gauge per fabric channel (fraction of
  * the sampling period the link was busy, via busy-tick deltas) and a
@@ -42,29 +60,30 @@ class CausalRecorder;
  */
 void registerSystemMetrics(MetricRegistry &metrics, System &system);
 
-/** One-call scenario execution with workload caching. */
+/**
+ * Attach @p observers to a run on @p system. The trace sink, profiler
+ * and causal recorder go on the System's EventQueue, where every
+ * component reads them. The metric registry gains the
+ * registerSystemMetrics() gauges and, with a trace sink, mirrors its
+ * samples into the trace as counters. The caller then adds its own
+ * gauges and starts sampling.
+ */
+void attachObservers(const ObserverSet &observers, System &system);
+
+/**
+ * One-call scenario execution with workload caching.
+ *
+ * With observers attached, a run traces the session's compute, DMA and
+ * collective spans, and samples the system gauges plus device 0's HBM
+ * residency ("hbm.resident_gib").
+ */
 class Simulator
 {
   public:
-    /** Optional per-run observers. */
-    struct Hooks
+    /** Optional per-run observers and inspection callbacks. */
+    struct Hooks : ObserverSet
     {
-        TraceSink *trace = nullptr;   ///< Chrome-tracing sink.
         std::ostream *stats = nullptr; ///< gem5-style stats dump.
-        /**
-         * Metric time-series: registerSystemMetrics() gauges are added
-         * and periodic sampling runs for the whole scenario.
-         */
-        MetricRegistry *metrics = nullptr;
-        /** DES wall-clock profiler attached to the run's EventQueue. */
-        DesProfiler *profiler = nullptr;
-        /**
-         * Event-provenance recorder attached to the run's EventQueue
-         * (attached before the System is built so construction-time
-         * schedules are captured). Observation-only: execution order
-         * and results are identical with or without it.
-         */
-        CausalRecorder *causal = nullptr;
         /** Inspect the live System after the last iteration. */
         std::function<void(System &, const IterationResult &)> postRun;
     };

@@ -140,7 +140,6 @@ ServingCluster::ServingCluster(ServingConfig cfg,
     train.allocator = _cfg.allocator;
     train.scheduler = SchedulerKind::Fifo;
     train.placement = JobPlacement::First;
-    train.trace = _cfg.trace;
     train.progress = _cfg.progress;
     std::vector<int> train_devices;
     for (int d = replicas; d < _system->numDevices(); ++d)
@@ -159,14 +158,8 @@ ServingCluster::run()
         fatal("a ServingCluster can only run once");
     _ran = true;
 
-    if (_cfg.profiler != nullptr)
-        _eq.setProfiler(_cfg.profiler);
-    if (_cfg.causal != nullptr)
-        _eq.setCausalRecorder(_cfg.causal);
-    if (_cfg.trace != nullptr)
-        _system->collectives().setTraceSink(_cfg.trace);
+    attachObservers(_cfg, *_system);
     if (_cfg.metrics != nullptr) {
-        registerSystemMetrics(*_cfg.metrics, *_system);
         _cfg.metrics->add("pool.used_gib", [this] {
             return static_cast<double>(_pool->usedBytes())
                 / (1024.0 * 1024.0 * 1024.0);
@@ -294,18 +287,16 @@ ServingCluster::onRequestArrival(std::size_t index)
                    outcome.request.name.c_str(),
                    views[r].predictedLatencySec(samples) * 1e3,
                    _sloSec * 1e3);
-        if (_cfg.trace != nullptr)
-            _cfg.trace->addInstant("serving", "shed",
-                                   "shed " + outcome.request.name,
-                                   _eq.now(), "request");
+        if (TraceSink *trace = _eq.trace())
+            trace->addInstant("serving", "shed",
+                              "shed " + outcome.request.name, _eq.now(),
+                              "request");
     } else {
         outcome.replica = static_cast<int>(r);
-        if (_cfg.trace != nullptr)
-            _cfg.trace->asyncBegin("serving", "requests",
-                                   outcome.request.name,
-                                   static_cast<std::uint64_t>(index)
-                                       + 1,
-                                   _eq.now(), "request");
+        if (TraceSink *trace = _eq.trace())
+            trace->asyncBegin("serving", "requests", outcome.request.name,
+                              static_cast<std::uint64_t>(index) + 1,
+                              _eq.now(), "request");
         Replica &replica = _replicas[r];
         replica.queue.push_back(index);
         replica.queuedSamples += samples;
@@ -400,14 +391,12 @@ ServingCluster::launchBatch(std::size_t r)
         *_system, *_net, ParallelMode::DataParallel, batch_samples,
         /*pipeline_stages=*/0, /*microbatches=*/1,
         std::vector<int>{replica.device}, /*forward_only=*/true);
-    if (_cfg.trace != nullptr) {
+    if (TraceSink *trace = _eq.trace()) {
         // A flow arrow links the batch span (emitted when it
         // completes) to the batch's first compute op on the device.
-        replica.session->setTraceSink(_cfg.trace);
-        const std::uint64_t flow = _cfg.trace->newFlow();
-        _cfg.trace->flowBegin("serving",
-                              "replica" + std::to_string(r),
-                              "dispatch", _eq.now(), flow, "batch");
+        const std::uint64_t flow = trace->newFlow();
+        trace->flowBegin("serving", "replica" + std::to_string(r),
+                         "dispatch", _eq.now(), flow, "batch");
         replica.session->setIterationFlow(flow);
     }
     if (_cfg.progress)
@@ -429,6 +418,7 @@ ServingCluster::onBatchDone(std::size_t r,
     const double now = ticksToSeconds(_eq.now());
     const double service = now - replica.batchStartSec;
     const int batch_samples = replica.inflightSamples;
+    TraceSink *trace = _eq.trace();
 
     for (std::size_t index : replica.inflight) {
         RequestOutcome &outcome = _outcomes[index];
@@ -443,21 +433,18 @@ ServingCluster::onBatchDone(std::size_t r,
         outcome.computeSec = result.breakdown.computeSec;
         outcome.pagingSec = result.breakdown.vmemSec;
         outcome.completed = true;
-        if (_cfg.trace != nullptr)
-            _cfg.trace->asyncEnd("serving", "requests",
-                                 outcome.request.name,
-                                 static_cast<std::uint64_t>(index) + 1,
-                                 _eq.now(), "request");
+        if (trace != nullptr)
+            trace->asyncEnd("serving", "requests", outcome.request.name,
+                            static_cast<std::uint64_t>(index) + 1,
+                            _eq.now(), "request");
     }
-    if (_cfg.trace != nullptr)
-        _cfg.trace->addSpan("serving", "replica" + std::to_string(r),
-                            "batch x" + std::to_string(batch_samples)
-                                + " (" + std::to_string(
-                                    replica.inflight.size())
-                                + " req)",
-                            replica.batchStartTick,
-                            _eq.now() - replica.batchStartTick,
-                            "batch");
+    if (trace != nullptr)
+        trace->addSpan("serving", "replica" + std::to_string(r),
+                       "batch x" + std::to_string(batch_samples) + " ("
+                           + std::to_string(replica.inflight.size())
+                           + " req)",
+                       replica.batchStartTick,
+                       _eq.now() - replica.batchStartTick, "batch");
 
     // Update the replica's observed service rate — the SLO-aware
     // router's whole signal. A short memory (alpha 0.5) tracks the

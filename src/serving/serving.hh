@@ -54,8 +54,8 @@
 namespace mcdla
 {
 
-/** Serving-cluster configuration. */
-struct ServingConfig
+/** Serving-cluster configuration, with the run's observers. */
+struct ServingConfig : ObserverSet
 {
     /**
      * The machine and the serving knobs, in the Scenario vocabulary:
@@ -79,33 +79,6 @@ struct ServingConfig
     std::vector<JobSpec> trainingJobs;
     /** inform() on every batch launch/completion. */
     bool progress = false;
-
-    /// @name Observability (all optional; owned by the caller)
-    /// @{
-    /**
-     * Chrome-tracing sink: async request spans (arrival to reply) on
-     * the "serving" process, per-replica batch spans, shed-request
-     * instants, batch->first-op dispatch flows. Co-located training
-     * jobs run the cluster's JobLifecycle, so their queue/run spans
-     * and rejected instants land on the "cluster" process, exactly as
-     * in a cluster/Cluster run.
-     */
-    TraceSink *trace = nullptr;
-    /**
-     * Metric time-series: registerSystemMetrics() gauges plus serving
-     * queue depth / in-flight samples / busy replicas and pool
-     * occupancy, sampled periodically for the whole run.
-     */
-    MetricRegistry *metrics = nullptr;
-    /** DES wall-clock profiler attached to the serving EventQueue. */
-    DesProfiler *profiler = nullptr;
-    /**
-     * Event-provenance recorder attached to the serving EventQueue.
-     * Request arrivals and batch timers tag batch-wait edges in the
-     * serving context; co-located jobs tag sched-wait edges.
-     */
-    CausalRecorder *causal = nullptr;
-    /// @}
 };
 
 /** Final state of one submitted request. */
@@ -223,7 +196,19 @@ class ServingReport
     /// @}
 };
 
-/** One serving simulation: a machine, a request stream, policies. */
+/**
+ * One serving simulation: a machine, a request stream, policies.
+ *
+ * Its observers trace async request spans (arrival to reply) on the
+ * "serving" process, per-replica batch spans, shed-request instants
+ * and batch->first-op dispatch flows. Co-located training jobs run the
+ * cluster's JobLifecycle, so their queue/run spans and rejected
+ * instants land on the "cluster" process, exactly as in a Cluster run.
+ * The metrics sample the system gauges plus pool occupancy, serving
+ * queue depth, in-flight samples and busy replicas. Request arrivals
+ * and batch timers tag batch-wait edges in the serving context of the
+ * causal recorder; co-located jobs tag sched-wait edges.
+ */
 class ServingCluster
 {
   public:

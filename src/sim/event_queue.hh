@@ -39,6 +39,7 @@ namespace mcdla
 
 class CausalRecorder;
 class DesProfiler;
+class TraceSink;
 
 /**
  * Opaque handle identifying a scheduled event (for cancellation).
@@ -197,6 +198,16 @@ class EventQueue
 
     CausalRecorder *causalRecorder() const { return _causal; }
 
+    /**
+     * Attach a Chrome-tracing sink (nullptr detaches). The queue only
+     * holds it: every component running on the queue (training
+     * sessions, collectives, the cluster and serving drivers) reads
+     * it here when it emits, so one attach traces the whole run.
+     */
+    void setTrace(TraceSink *trace) { _trace = trace; }
+
+    TraceSink *trace() const { return _trace; }
+
     /** Clear all pending events and rewind time to zero. */
     void reset();
 
@@ -277,6 +288,7 @@ class EventQueue
     std::string _execLabelScratch;
     DesProfiler *_profiler = nullptr;
     CausalRecorder *_causal = nullptr;
+    TraceSink *_trace = nullptr;
 };
 
 } // namespace mcdla

@@ -821,14 +821,14 @@ TrainingSession::issueP2p(int src, const P2pSend &send)
              [this, latch, launched, src, dst] {
                  const Tick now = _system.eventQueue().now();
                  _syncTracker.end(now);
-                 if (_trace) {
+                 if (TraceSink *trace = _system.eventQueue().trace()) {
                      if (launched > now)
                          panic("p2p trace span launched at tick %llu, "
                                "after its completion (%llu)",
                                static_cast<unsigned long long>(
                                    launched),
                                static_cast<unsigned long long>(now));
-                     _trace->addSpan(
+                     trace->addSpan(
                          "collective", "p2p",
                          "xfer d" + std::to_string(src) + "->d"
                              + std::to_string(dst),
@@ -860,7 +860,8 @@ TrainingSession::completeOp(int dev)
     ctx.running = false;
     ctx.readyAt = _system.eventQueue().now();
 
-    if (_trace && dev == 0 && op.duration > 0) {
+    TraceSink *trace = _system.eventQueue().trace();
+    if (trace && dev == 0 && op.duration > 0) {
         // Invariant guards: the span must not start before tick 0
         // (Tick is unsigned — "negative duration" is underflow) nor
         // extend past now().
@@ -881,13 +882,13 @@ TrainingSession::completeOp(int dev)
             ? "fwd "
             : (op.kind == OpSpec::Kind::Bwd ? "bwd " : "wup ");
         const Tick span_start = ctx.readyAt - op.duration;
-        _trace->addSpan("device", computeTrack(),
+        trace->addSpan("device", computeTrack(),
                         kind + _net.layer(op.layer).name(), span_start,
                         op.duration);
         if (_iterFlow != 0) {
             // Head of a dispatch arrow armed by the cluster/serving
             // driver: bind to this, the iteration's first traced op.
-            _trace->flowEnd("device", computeTrack(), "dispatch",
+            trace->flowEnd("device", computeTrack(), "dispatch",
                             span_start, _iterFlow);
             _iterFlow = 0;
         }
@@ -1035,7 +1036,7 @@ TrainingSession::setupIteration()
 
     for (int d = 0; d < n; ++d)
         _pagers[static_cast<std::size_t>(d)]->beginIteration(
-            d == 0 ? _trace : nullptr);
+            d == 0 ? eq.trace() : nullptr);
 
     _iterSyncBytes = 0.0;
     if (_strategy.isPipeline()) {
@@ -1058,9 +1059,10 @@ TrainingSession::setupIteration()
                     launchCollective(
                         sync,
                         [this, &latch, launched, sync_label] {
-                            const Tick now = _system.eventQueue().now();
+                            EventQueue &queue = _system.eventQueue();
+                            const Tick now = queue.now();
                             _syncTracker.end(now);
-                            if (_trace) {
+                            if (TraceSink *trace = queue.trace()) {
                                 if (launched > now)
                                     panic("collective trace span "
                                           "launched at tick %llu, "
@@ -1072,10 +1074,10 @@ TrainingSession::setupIteration()
                                           static_cast<
                                               unsigned long long>(
                                               now));
-                                _trace->addSpan("collective",
-                                                "collectives",
-                                                sync_label, launched,
-                                                now - launched, "sync");
+                                trace->addSpan("collective",
+                                               "collectives",
+                                               sync_label, launched,
+                                               now - launched, "sync");
                             }
                             latch.complete();
                         });

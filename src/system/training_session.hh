@@ -137,7 +137,11 @@ struct IterationResult
     }
 };
 
-/** Drives one System through training iterations of one workload. */
+/**
+ * Drives one System through training iterations of one workload. With
+ * a trace sink on the System's EventQueue, each iteration emits op,
+ * DMA, and collective/p2p spans (device-0 view plus the global tracks).
+ */
 class TrainingSession
 {
   public:
@@ -208,12 +212,6 @@ class TrainingSession
      * session can reuse the devices. Idempotent.
      */
     void releaseBuffers();
-
-    /**
-     * Attach a Chrome-tracing sink; subsequent iterations emit op, DMA,
-     * and collective/p2p spans (device-0 view plus the global tracks).
-     */
-    void setTraceSink(TraceSink *sink) { _trace = sink; }
 
     /**
      * Arm a flow arrow: the next traced compute-op span terminates
@@ -376,7 +374,6 @@ class TrainingSession
     std::map<LayerId, SyncPoint *> _dwSync;
     /// Pipeline boundary-transfer latches, indexed by token.
     std::vector<std::unique_ptr<Latch>> _p2pLatches;
-    TraceSink *_trace = nullptr;
     /// Pending dispatch-flow id (0 none); cleared by the first traced
     /// compute-op span.
     std::uint64_t _iterFlow = 0;

@@ -150,7 +150,7 @@ TEST(TraceSink, TrainingSessionEmitsSpans)
     TrainingSession session(system, net, ParallelMode::DataParallel,
                             128);
     TraceSink sink;
-    session.setTraceSink(&sink);
+    eq.setTrace(&sink);
     session.run();
     EXPECT_GT(sink.eventCount(), 20u);
     std::ostringstream os;

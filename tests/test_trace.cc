@@ -1,6 +1,7 @@
 /**
  * @file
- * TraceSink / MetricRegistry / DesProfiler / weak-event unit tests.
+ * TraceSink / MetricRegistry / DesProfiler / weak-event unit tests,
+ * plus the observer set attached to whole cluster and serving runs.
  *
  * The TraceSink tests round-trip the emitted Chrome-tracing JSON
  * through a strict recursive-descent parser (no tolerance for bare
@@ -20,11 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.hh"
 #include "core/report.hh"
+#include "serving/serving.hh"
+#include "sim/causal.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/metrics.hh"
 #include "sim/profiler.hh"
+#include "sim/random.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -285,6 +290,55 @@ parseTrace(const TraceSink &trace)
     StrictJsonParser parser(text);
     return parser.parse();
 }
+
+/** The "process/track" names of every span ("X") in @p trace. */
+std::set<std::string>
+spanTracks(const TraceSink &trace)
+{
+    const JsonValue root = parseTrace(trace);
+    std::map<double, std::string> procs;
+    std::map<std::pair<double, double>, std::string> tracks;
+    for (const JsonValue &event : root.at("traceEvents").items) {
+        if (event.at("ph").text != "M")
+            continue;
+        if (event.at("name").text == "process_name")
+            procs[event.at("pid").number] =
+                event.at("args").at("name").text;
+        else if (event.at("name").text == "thread_name")
+            tracks[{event.at("pid").number, event.at("tid").number}] =
+                event.at("args").at("name").text;
+    }
+    std::set<std::string> out;
+    for (const JsonValue &event : root.at("traceEvents").items) {
+        if (event.at("ph").text != "X")
+            continue;
+        const double pid = event.at("pid").number;
+        out.insert(procs[pid] + "/"
+                   + tracks[{pid, event.at("tid").number}]);
+    }
+    return out;
+}
+
+/** One of every observer, and the set that points at them. */
+struct AllObservers
+{
+    TraceSink trace;
+    MetricRegistry metrics;
+    DesProfiler profiler;
+    CausalRecorder causal;
+
+    ObserverSet set() { return {&trace, &metrics, &profiler, &causal}; }
+
+    /** Whether every observer saw the run. */
+    void
+    expectFed() const
+    {
+        EXPECT_GT(trace.eventCount(), 0u);
+        EXPECT_GT(metrics.sampleCount(), 0u);
+        EXPECT_GT(profiler.eventsExecuted(), 0u);
+        EXPECT_GT(causal.scheduled(), 0u);
+    }
+};
 
 // ------------------------------------------------------- TraceSink
 
@@ -568,3 +622,91 @@ TEST(JsonEscape, EscapesEverythingStrictJsonRejects)
 }
 
 } // namespace
+
+// ---------------------------------------- observers on a whole run
+
+TEST(ObserverSet, ClusterOutcomesAreUnchangedByObservers)
+{
+    auto run = [](const ObserverSet &observers) {
+        ClusterConfig cfg;
+        static_cast<ObserverSet &>(cfg) = observers;
+        cfg.base.design = SystemDesign::McDlaB;
+        cfg.base.seed = 5;
+        cfg.scheduler = SchedulerKind::Backfill;
+        Random rng(5);
+        return Cluster(cfg, synthesizeJobs(4, 60.0, 8, rng)).run();
+    };
+    AllObservers all;
+    const ClusterReport bare = run({});
+    const ClusterReport observed = run(all.set());
+    all.expectFed();
+
+    EXPECT_EQ(bare.makespanSec, observed.makespanSec);
+    ASSERT_EQ(bare.jobs.size(), observed.jobs.size());
+    for (std::size_t i = 0; i < bare.jobs.size(); ++i) {
+        const JobOutcome &a = bare.jobs[i];
+        const JobOutcome &b = observed.jobs[i];
+        EXPECT_EQ(a.completed, b.completed) << a.spec.name;
+        EXPECT_EQ(a.rejected, b.rejected) << a.spec.name;
+        EXPECT_EQ(a.devices, b.devices) << a.spec.name;
+        EXPECT_EQ(a.startSec, b.startSec) << a.spec.name;
+        EXPECT_EQ(a.finishSec, b.finishSec) << a.spec.name;
+    }
+    EXPECT_EQ(bare.completedJobs(), bare.jobs.size());
+}
+
+TEST(ObserverSet, ServingOutcomesAreUnchangedAndColocatedJobIsTraced)
+{
+    auto run = [](const ObserverSet &observers) {
+        ServingConfig cfg;
+        static_cast<ObserverSet &>(cfg) = observers;
+        cfg.base.design = SystemDesign::McDlaB;
+        cfg.base.workload = "AlexNet";
+        cfg.base.serve = true;
+        cfg.base.replicas = 2;
+        cfg.base.globalBatch = 8;
+        JobSpec job;
+        job.name = "train";
+        job.workload = "AlexNet";
+        job.batch = 64;
+        job.devices = 4;
+        job.iterations = 2;
+        cfg.trainingJobs = {job};
+        Random rng(2);
+        return ServingCluster(cfg, synthesizeRequests(
+                                       16, 400.0, ArrivalKind::Poisson,
+                                       rng))
+            .run();
+    };
+    AllObservers all;
+    const ServingReport bare = run({});
+    const ServingReport observed = run(all.set());
+    all.expectFed();
+
+    EXPECT_EQ(bare.makespanSec, observed.makespanSec);
+    ASSERT_EQ(bare.requests.size(), observed.requests.size());
+    for (std::size_t i = 0; i < bare.requests.size(); ++i) {
+        const RequestOutcome &a = bare.requests[i];
+        const RequestOutcome &b = observed.requests[i];
+        EXPECT_EQ(a.completed, b.completed) << i;
+        EXPECT_EQ(a.replica, b.replica) << i;
+        EXPECT_EQ(a.dispatchSec, b.dispatchSec) << i;
+        EXPECT_EQ(a.doneSec, b.doneSec) << i;
+    }
+    ASSERT_EQ(bare.trainingJobs.size(), 1u);
+    ASSERT_EQ(observed.trainingJobs.size(), 1u);
+    EXPECT_TRUE(bare.trainingJobs[0].completed);
+    EXPECT_EQ(bare.trainingJobs[0].devices,
+              observed.trainingJobs[0].devices);
+    EXPECT_EQ(bare.trainingJobs[0].finishSec,
+              observed.trainingJobs[0].finishSec);
+
+    // The job's session is built mid-run, after the observers were
+    // attached, and still finds the sink: its first device (2, the
+    // first one the replicas leave free) has compute spans.
+    const std::set<std::string> tracks = spanTracks(all.trace);
+    EXPECT_EQ(bare.trainingJobs[0].devices.front(), 2);
+    EXPECT_TRUE(tracks.count("device/dev2.compute"));
+    EXPECT_TRUE(tracks.count("device/dev0.compute"));
+    EXPECT_TRUE(tracks.count("cluster/job0 train"));
+}

@@ -64,43 +64,50 @@ namespace
 
 /**
  * The observer bundle resolved from --trace / --trace-categories /
- * --metrics-* / --profile. Tracing implies a metrics registry even
- * without a --metrics-* file so the timeline gains counter tracks.
+ * --metrics-* / --profile / the causal options. Tracing implies a
+ * metrics registry even without a --metrics-* file so the timeline
+ * gains counter tracks. `attached` points at the observers the options
+ * ask for; every mode runs with it.
  */
 struct Observers
 {
-    TraceSink trace;
-    MetricRegistry metrics;
-    DesProfiler profiler;
-    CausalRecorder causal;
-    bool wantTrace = false;
-    bool wantMetrics = false;
-    bool wantProfile = false;
-    bool wantCausal = false;
+    explicit Observers(const OptionParser &opts);
+    /// `attached` points into this bundle.
+    Observers(const Observers &) = delete;
+    Observers &operator=(const Observers &) = delete;
 
     bool
     any() const
     {
-        return wantTrace || wantMetrics || wantProfile || wantCausal;
+        return attached.trace != nullptr || attached.metrics != nullptr
+            || attached.profiler != nullptr || attached.causal != nullptr;
     }
+
+    TraceSink trace;
+    MetricRegistry metrics;
+    DesProfiler profiler;
+    CausalRecorder causal;
+    ObserverSet attached;
 };
 
-void
-setupObservers(const OptionParser &opts, Observers &obs)
+Observers::Observers(const OptionParser &opts)
 {
-    obs.wantTrace = !opts.getString("trace").empty();
-    obs.wantMetrics = obs.wantTrace
-        || !opts.getString("metrics-csv").empty()
-        || !opts.getString("metrics-json").empty();
-    obs.wantProfile = opts.getFlag("profile")
-        || !opts.getString("profile-json").empty();
-    obs.wantCausal = opts.getFlag("causal")
+    const bool want_trace = !opts.getString("trace").empty();
+    if (want_trace)
+        attached.trace = &trace;
+    if (want_trace || !opts.getString("metrics-csv").empty()
+        || !opts.getString("metrics-json").empty())
+        attached.metrics = &metrics;
+    if (opts.getFlag("profile") || !opts.getString("profile-json").empty())
+        attached.profiler = &profiler;
+    if (opts.getFlag("causal")
         || !opts.getString("critical-path-csv").empty()
         || !opts.getString("causal-json").empty()
         || !opts.getString("slack-csv").empty()
-        || !opts.getString("whatif").empty();
+        || !opts.getString("whatif").empty())
+        attached.causal = &causal;
 
-    if (obs.wantTrace && !opts.getString("trace-categories").empty()) {
+    if (want_trace && !opts.getString("trace-categories").empty()) {
         std::vector<std::string> cats;
         std::string cat;
         for (char c : opts.getString("trace-categories")) {
@@ -114,17 +121,14 @@ setupObservers(const OptionParser &opts, Observers &obs)
         }
         if (!cat.empty())
             cats.push_back(std::move(cat));
-        obs.trace.enableCategories(cats);
+        trace.enableCategories(cats);
     }
-    if (obs.wantMetrics) {
+    if (attached.metrics != nullptr) {
         const std::int64_t period_us = opts.getInt("metrics-period-us");
         if (period_us < 1)
             fatal("--metrics-period-us must be positive (got %lld)",
                   static_cast<long long>(period_us));
-        obs.metrics.setPeriod(static_cast<Tick>(period_us)
-                              * ticksPerUs);
-        if (obs.wantTrace)
-            obs.metrics.attachTrace(&obs.trace);
+        metrics.setPeriod(static_cast<Tick>(period_us) * ticksPerUs);
     }
 }
 
@@ -151,9 +155,9 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
 {
     // Causal analysis runs first so the critical path can be overlaid
     // on the timeline before the trace file is written below.
-    if (obs.wantCausal) {
+    if (obs.attached.causal != nullptr) {
         const CausalAnalysis analysis(obs.causal);
-        if (obs.wantTrace)
+        if (obs.attached.trace != nullptr)
             analysis.overlayTrace(obs.trace);
         analysis.report(std::cout);
         if (!opts.getString("critical-path-csv").empty()) {
@@ -196,7 +200,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
                       << result.scaledEdges << " edges rescaled)\n";
         }
     }
-    if (obs.wantTrace) {
+    if (obs.attached.trace != nullptr) {
         const std::string path =
             suffixedPath(opts.getString("trace"), suffix);
         std::ofstream out(path);
@@ -232,6 +236,63 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     }
 }
 
+/**
+ * Run --serve as the options describe it: the replicas, the co-located
+ * --job-trace jobs and the request stream (--request-trace, or the
+ * seeded synthetic one), with @p observers attached.
+ */
+ServingReport
+serveFromOptions(const OptionParser &opts, const Scenario &prototype,
+                 const ObserverSet &observers, bool progress)
+{
+    ServingConfig cfg;
+    static_cast<ObserverSet &>(cfg) = observers;
+    cfg.base = prototype;
+    cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
+    cfg.progress = progress;
+    if (!opts.getString("job-trace").empty())
+        cfg.trainingJobs = loadJobTrace(opts.getString("job-trace"));
+    std::vector<Request> stream;
+    if (!opts.getString("request-trace").empty()) {
+        stream = loadRequestTrace(opts.getString("request-trace"));
+    } else {
+        Random rng(prototype.seed);
+        stream = synthesizeRequests(static_cast<int>(prototype.requests),
+                                    prototype.requestRate,
+                                    prototype.arrivals, rng);
+    }
+    return ServingCluster(cfg, std::move(stream)).run();
+}
+
+/**
+ * Run --cluster as the options describe it: the policies and the job
+ * stream (--job-trace, or --jobs seeded synthetic arrivals), with
+ * @p observers attached.
+ */
+ClusterReport
+clusterFromOptions(const OptionParser &opts, const Scenario &prototype,
+                   const ObserverSet &observers, bool progress)
+{
+    ClusterConfig cfg;
+    static_cast<ObserverSet &>(cfg) = observers;
+    cfg.base = prototype;
+    cfg.scheduler = parseScheduler(opts.getString("scheduler"));
+    cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
+    cfg.placement = parseJobPlacement(opts.getString("placement"));
+    cfg.progress = progress;
+    std::vector<JobSpec> jobs;
+    if (!opts.getString("job-trace").empty()) {
+        jobs = loadJobTrace(opts.getString("job-trace"));
+    } else {
+        const int count =
+            opts.wasSet("jobs") ? static_cast<int>(opts.getInt("jobs")) : 8;
+        Random rng(prototype.seed);
+        jobs = synthesizeJobs(count, opts.getDouble("arrival-rate"),
+                              prototype.base.fabric.numDevices, rng);
+    }
+    return Cluster(cfg, std::move(jobs)).run();
+}
+
 /** One --audit-determinism run: the event-stream digest. */
 struct AuditRun
 {
@@ -249,58 +310,17 @@ AuditRun
 auditRunOnce(const OptionParser &opts, const Scenario &prototype)
 {
     DesProfiler profiler;
+    Simulator::Hooks hooks;
+    hooks.profiler = &profiler;
     if (prototype.serve) {
-        ServingConfig cfg;
-        cfg.base = prototype;
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.progress = false;
-        if (!opts.getString("job-trace").empty())
-            cfg.trainingJobs =
-                loadJobTrace(opts.getString("job-trace"));
-        cfg.profiler = &profiler;
-        std::vector<Request> stream;
-        if (!opts.getString("request-trace").empty()) {
-            stream = loadRequestTrace(opts.getString("request-trace"));
-        } else {
-            Random rng(prototype.seed);
-            stream = synthesizeRequests(
-                static_cast<int>(prototype.requests),
-                prototype.requestRate, prototype.arrivals, rng);
-        }
-        ServingCluster serving(cfg, std::move(stream));
-        (void)serving.run();
+        (void)serveFromOptions(opts, prototype, hooks, false);
     } else if (opts.getFlag("cluster")) {
-        ClusterConfig cfg;
-        cfg.base = prototype;
-        cfg.scheduler = parseScheduler(opts.getString("scheduler"));
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.placement = parseJobPlacement(opts.getString("placement"));
-        cfg.progress = false;
-        cfg.profiler = &profiler;
-        std::vector<JobSpec> jobs;
-        if (!opts.getString("job-trace").empty()) {
-            jobs = loadJobTrace(opts.getString("job-trace"));
-        } else {
-            const int count = opts.wasSet("jobs")
-                ? static_cast<int>(opts.getInt("jobs"))
-                : 8;
-            Random rng(prototype.seed);
-            jobs = synthesizeJobs(count,
-                                  opts.getDouble("arrival-rate"),
-                                  prototype.base.fabric.numDevices,
-                                  rng);
-        }
-        Cluster cluster(cfg, std::move(jobs));
-        (void)cluster.run();
+        (void)clusterFromOptions(opts, prototype, hooks, false);
     } else {
         // A fresh Simulator per run: the network cache is read-only
         // after construction, but the audit should not share *any*
         // state between its two runs.
         Simulator sim;
-        Simulator::Hooks hooks;
-        hooks.profiler = &profiler;
         (void)sim.run(prototype, hooks);
     }
     return {profiler.streamHash(), profiler.eventsExecuted()};
@@ -560,40 +580,12 @@ main(int argc, char **argv)
         if (!opts.getString("channel-csv").empty())
             warn("--channel-csv applies to single-machine sweeps; "
                  "ignoring it in --serve mode");
-        ServingConfig cfg;
-        cfg.base = prototype;
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.progress = LogConfig::verbose;
-        if (!opts.getString("job-trace").empty())
-            cfg.trainingJobs =
-                loadJobTrace(opts.getString("job-trace"));
         if (opts.getFlag("stats"))
             warn("--stats applies to single-machine sweeps; ignoring "
                  "it in --serve mode");
-        Observers obs;
-        setupObservers(opts, obs);
-        if (obs.wantTrace)
-            cfg.trace = &obs.trace;
-        if (obs.wantMetrics)
-            cfg.metrics = &obs.metrics;
-        if (obs.wantProfile)
-            cfg.profiler = &obs.profiler;
-        if (obs.wantCausal)
-            cfg.causal = &obs.causal;
-
-        std::vector<Request> stream;
-        if (!opts.getString("request-trace").empty()) {
-            stream = loadRequestTrace(opts.getString("request-trace"));
-        } else {
-            Random rng(prototype.seed);
-            stream = synthesizeRequests(
-                static_cast<int>(prototype.requests),
-                prototype.requestRate, prototype.arrivals, rng);
-        }
-
-        ServingCluster serving(cfg, std::move(stream));
-        const ServingReport report = serving.run();
+        Observers obs(opts);
+        const ServingReport report = serveFromOptions(
+            opts, prototype, obs.attached, LogConfig::verbose);
 
         std::cout << systemDesignName(prototype.design) << " serving, "
                   << prototype.workload << " x" << prototype.replicas
@@ -693,43 +685,12 @@ main(int argc, char **argv)
         if (!opts.getString("channel-csv").empty())
             warn("--channel-csv applies to single-machine sweeps; "
                  "ignoring it in --cluster mode");
-        ClusterConfig cfg;
-        cfg.base = prototype;
-        cfg.scheduler = parseScheduler(opts.getString("scheduler"));
-        cfg.allocator =
-            parsePoolAllocator(opts.getString("allocator"));
-        cfg.placement = parseJobPlacement(opts.getString("placement"));
-        cfg.progress = LogConfig::verbose;
         if (opts.getFlag("stats"))
             warn("--stats applies to single-machine sweeps; ignoring "
                  "it in --cluster mode");
-        Observers obs;
-        setupObservers(opts, obs);
-        if (obs.wantTrace)
-            cfg.trace = &obs.trace;
-        if (obs.wantMetrics)
-            cfg.metrics = &obs.metrics;
-        if (obs.wantProfile)
-            cfg.profiler = &obs.profiler;
-        if (obs.wantCausal)
-            cfg.causal = &obs.causal;
-
-        std::vector<JobSpec> jobs;
-        if (!opts.getString("job-trace").empty()) {
-            jobs = loadJobTrace(opts.getString("job-trace"));
-        } else {
-            const int count = opts.wasSet("jobs")
-                ? static_cast<int>(opts.getInt("jobs"))
-                : 8;
-            Random rng(prototype.seed);
-            jobs = synthesizeJobs(count,
-                                  opts.getDouble("arrival-rate"),
-                                  prototype.base.fabric.numDevices,
-                                  rng);
-        }
-
-        Cluster cluster(cfg, std::move(jobs));
-        const ClusterReport report = cluster.run();
+        Observers obs(opts);
+        const ClusterReport report = clusterFromOptions(
+            opts, prototype, obs.attached, LogConfig::verbose);
 
         std::cout << systemDesignName(prototype.design) << " cluster, "
                   << prototype.base.fabric.numDevices << " devices, "
@@ -818,16 +779,7 @@ main(int argc, char **argv)
     // handles any thread count. An explicit parallel request alongside
     // an observer is a contradiction, not a preference — reject it
     // instead of silently downgrading.
-    const bool observed = !opts.getString("trace").empty()
-        || !opts.getString("metrics-csv").empty()
-        || !opts.getString("metrics-json").empty()
-        || opts.getFlag("profile")
-        || !opts.getString("profile-json").empty()
-        || opts.getFlag("stats") || opts.getFlag("causal")
-        || !opts.getString("critical-path-csv").empty()
-        || !opts.getString("slack-csv").empty()
-        || !opts.getString("causal-json").empty()
-        || !opts.getString("whatif").empty();
+    const bool observed = Observers(opts).any() || opts.getFlag("stats");
     if (observed && opts.getInt("jobs") != 1)
         fatal("--trace/--metrics-*/--profile/--stats/--causal observe "
               "one live serial run; drop --jobs (or set --jobs 1). "
@@ -848,21 +800,13 @@ main(int argc, char **argv)
         // has more than one scenario.
         const bool multi = scenarios.size() > 1;
         for (const Scenario &sc : scenarios) {
-            Observers obs;
-            setupObservers(opts, obs);
+            Observers obs(opts);
             Simulator::Hooks hooks;
-            if (obs.wantTrace)
-                hooks.trace = &obs.trace;
+            static_cast<ObserverSet &>(hooks) = obs.attached;
             if (opts.getFlag("stats"))
                 hooks.stats = &std::cout;
-            if (obs.wantMetrics)
-                hooks.metrics = &obs.metrics;
-            if (obs.wantProfile)
-                hooks.profiler = &obs.profiler;
-            if (obs.wantCausal)
-                hooks.causal = &obs.causal;
             iter_results.push_back(runner.simulator().run(sc, hooks));
-            if (obs.wantProfile && multi)
+            if (obs.attached.profiler != nullptr && multi)
                 std::cout << '\n' << sc.label() << ":\n";
             writeObserverOutputs(opts, obs,
                                  multi ? sc.workload : "");
