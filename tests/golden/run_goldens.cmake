@@ -1,12 +1,14 @@
-# Golden-output check for mcdla_sim. Runs each pinned scenario in
-# WORK_DIR and compares its stdout and CSV outputs byte for byte with
-# the files checked in next to this script; outputs too large to check
-# in (traces) are compared by SHA-256 instead. With -DREGEN=ON the fresh
-# outputs and digests overwrite the checked-in files instead;
+# Golden-output check. Runs each pinned scenario in WORK_DIR and
+# compares its stdout and CSV outputs byte for byte with the files
+# checked in next to this script; outputs too large to check in (traces)
+# are compared by SHA-256 instead. SUITE picks the cases: "sim" (the
+# default) runs mcdla_sim's modes, "figures" the paper-figure benches
+# that sit next to mcdla_sim in the build tree. With -DREGEN=ON the
+# fresh outputs and digests overwrite the checked-in files instead;
 # tools/regen_goldens.sh wraps that mode.
 #
 #   cmake -DMCDLA_SIM=<mcdla_sim> -DWORK_DIR=<scratch dir> \
-#         [-DREGEN=ON] -P tests/golden/run_goldens.cmake
+#         [-DSUITE=sim|figures] [-DREGEN=ON] -P tests/golden/run_goldens.cmake
 
 foreach(var MCDLA_SIM WORK_DIR)
   if(NOT DEFINED ${var})
@@ -14,24 +16,36 @@ foreach(var MCDLA_SIM WORK_DIR)
   endif()
 endforeach()
 
+if(NOT DEFINED SUITE)
+  set(SUITE sim)
+endif()
+
 set(golden_dir ${CMAKE_CURRENT_LIST_DIR})
+get_filename_component(bin_dir ${MCDLA_SIM} DIRECTORY)
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(mismatches "")
 
-# golden_case(<name> OUTPUTS <files> HASHED <files> ARGS <mcdla_sim args>):
-# the run's stdout is compared as <name>.stdout, plus each OUTPUTS file.
+# golden_case(<name> [PROGRAM <bench>] OUTPUTS <files> HASHED <files>
+#             ARGS <args>):
+# runs mcdla_sim --quiet, or the build tree's <bench> as given, and
+# compares the run's stdout as <name>.stdout, plus each OUTPUTS file.
 # The HASHED files are compared by digest against <name>.sha256, one
 # "<sha256>  <file>" line each (the sha256sum format). Output paths stay
 # relative so the "wrote <file>" lines are stable.
 macro(golden_case name)
-  cmake_parse_arguments(case "" "" "OUTPUTS;HASHED;ARGS" ${ARGN})
-  execute_process(COMMAND ${MCDLA_SIM} ${case_ARGS} --quiet
+  cmake_parse_arguments(case "" "PROGRAM" "OUTPUTS;HASHED;ARGS" ${ARGN})
+  if(case_PROGRAM)
+    set(command ${bin_dir}/${case_PROGRAM} ${case_ARGS})
+  else()
+    set(command ${MCDLA_SIM} ${case_ARGS} --quiet)
+  endif()
+  execute_process(COMMAND ${command}
     WORKING_DIRECTORY ${WORK_DIR}
     OUTPUT_FILE ${WORK_DIR}/${name}.stdout
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "golden ${name}: mcdla_sim exited with ${rc}")
+    message(FATAL_ERROR "golden ${name}: ${command} exited with ${rc}")
   endif()
   foreach(out ${name}.stdout ${case_OUTPUTS})
     if(REGEN)
@@ -67,47 +81,62 @@ macro(golden_case name)
   endif()
 endmacro()
 
-golden_case(cluster
-  OUTPUTS cluster_jobs.csv cluster_pool.csv
-  ARGS --cluster --jobs 6 --seed 3 --scheduler backfill
-       --allocator buddy --placement compact
-       --csv cluster_jobs.csv --pool-csv cluster_pool.csv)
+if(SUITE STREQUAL "sim")
+  golden_case(cluster
+    OUTPUTS cluster_jobs.csv cluster_pool.csv
+    ARGS --cluster --jobs 6 --seed 3 --scheduler backfill
+         --allocator buddy --placement compact
+         --csv cluster_jobs.csv --pool-csv cluster_pool.csv)
 
-golden_case(serve
-  OUTPUTS serve_requests.csv serve_replicas.csv
-  ARGS --serve --workload AlexNet --replicas 2
-       --job-trace ${golden_dir}/serve_jobs.trace
-       --csv serve_requests.csv --replica-csv serve_replicas.csv)
+  golden_case(serve
+    OUTPUTS serve_requests.csv serve_replicas.csv
+    ARGS --serve --workload AlexNet --replicas 2
+         --job-trace ${golden_dir}/serve_jobs.trace
+         --csv serve_requests.csv --replica-csv serve_replicas.csv)
 
-# The observers: trace, metrics and critical path of one iteration,
-# then trace and metrics of a cluster and a serve run.
-golden_case(dp_observed
-  OUTPUTS dp_metrics.csv dp_critical_path.csv
-  HASHED dp.trace.json
-  ARGS --workload AlexNet --design mc-b --trace dp.trace.json
-       --metrics-csv dp_metrics.csv
-       --critical-path-csv dp_critical_path.csv)
+  # The observers: trace, metrics and critical path of one iteration,
+  # then trace and metrics of a cluster and a serve run.
+  golden_case(dp_observed
+    OUTPUTS dp_metrics.csv dp_critical_path.csv
+    HASHED dp.trace.json
+    ARGS --workload AlexNet --design mc-b --trace dp.trace.json
+         --metrics-csv dp_metrics.csv
+         --critical-path-csv dp_critical_path.csv)
 
-golden_case(cluster_observed
-  OUTPUTS cluster_metrics.csv
-  HASHED cluster.trace.json
-  ARGS --cluster --jobs 3 --seed 3 --trace cluster.trace.json
-       --metrics-csv cluster_metrics.csv --metrics-period-us 1000)
+  golden_case(cluster_observed
+    OUTPUTS cluster_metrics.csv
+    HASHED cluster.trace.json
+    ARGS --cluster --jobs 3 --seed 3 --trace cluster.trace.json
+         --metrics-csv cluster_metrics.csv --metrics-period-us 1000)
 
-golden_case(serve_observed
-  OUTPUTS serve_metrics.csv
-  HASHED serve.trace.json
-  ARGS --serve --workload AlexNet --replicas 2 --requests 16
-       --job-trace ${golden_dir}/serve_jobs.trace
-       --trace serve.trace.json
-       --metrics-csv serve_metrics.csv --metrics-period-us 1000)
+  golden_case(serve_observed
+    OUTPUTS serve_metrics.csv
+    HASHED serve.trace.json
+    ARGS --serve --workload AlexNet --replicas 2 --requests 16
+         --job-trace ${golden_dir}/serve_jobs.trace
+         --trace serve.trace.json
+         --metrics-csv serve_metrics.csv --metrics-period-us 1000)
 
-# One unobserved iteration per parallelization.
-foreach(mode dp mp pp)
-  golden_case(${mode}
-    OUTPUTS ${mode}.csv
-    ARGS --workload AlexNet --mode ${mode} --csv ${mode}.csv)
-endforeach()
+  # One unobserved iteration per parallelization.
+  foreach(mode dp mp pp)
+    golden_case(${mode}
+      OUTPUTS ${mode}.csv
+      ARGS --workload AlexNet --mode ${mode} --csv ${mode}.csv)
+  endforeach()
+elseif(SUITE STREQUAL "figures")
+  # The paper's headline tables and two ablations; fig13 and fig11 run
+  # their grids on a thread pool, and their output must not depend on
+  # it.
+  golden_case(fig13 PROGRAM fig13_performance)
+  golden_case(fig11 PROGRAM fig11_latency_breakdown)
+  golden_case(abl_page_policy PROGRAM abl_page_policy)
+  golden_case(abl_pipeline PROGRAM abl_pipeline
+    OUTPUTS abl_pipeline.csv
+    ARGS --smoke --csv abl_pipeline.csv)
+else()
+  message(FATAL_ERROR "run_goldens.cmake: unknown SUITE '${SUITE}' "
+    "(sim, figures)")
+endif()
 
 if(mismatches)
   message(FATAL_ERROR

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "collective/ring_collective.hh"
 #include "interconnect/fabric.hh"
+#include "interconnect/fabrics.hh"
 #include "sim/logging.hh"
 
 namespace mcdla
@@ -232,6 +234,231 @@ TEST(Collective, ConcurrentOpsContendOnSharedRing)
     EXPECT_NEAR(static_cast<double>(both),
                 2.0 * static_cast<double>(solo),
                 static_cast<double>(solo) * 0.15);
+}
+
+// ------------------------------------------------ pinned exact ticks
+//
+// Exact completion ticks and channel totals of small collectives. Any
+// change to how chunks travel (submit order, per-hop routing, join
+// counting) must reproduce these to the tick and the byte.
+
+/** What one pinned run left behind. */
+struct Pinned
+{
+    Tick done = 0;
+    std::uint64_t ops = 0;
+    double launched = 0.0;
+    /** Per-channel totals, in the order the test lists the channels. */
+    std::vector<double> bytes;
+    std::vector<double> transfers;
+};
+
+void
+expectPinned(const Pinned &got, const Pinned &want)
+{
+    EXPECT_EQ(got.done, want.done);
+    EXPECT_EQ(got.ops, want.ops);
+    EXPECT_EQ(got.launched, want.launched);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.transfers, want.transfers);
+}
+
+/** Engine counters plus the totals of @p channels after a run. */
+Pinned
+pinnedState(Tick done, const CollectiveEngine &engine,
+            const std::vector<Channel *> &channels)
+{
+    Pinned out{done, engine.opsCompleted(), engine.bytesLaunched(), {},
+               {}};
+    for (const Channel *ch : channels) {
+        out.bytes.push_back(ch->bytesTransferred());
+        out.transfers.push_back(ch->stats().value("transfers"));
+    }
+    return out;
+}
+
+/** Every channel of @p ring's routes, in ring order. */
+std::vector<Channel *>
+ringChannels(const RingPath &ring)
+{
+    std::vector<Channel *> out;
+    for (const Route &route : ring.hops)
+        out.insert(out.end(), route.hops.begin(), route.hops.end());
+    return out;
+}
+
+/** Every fabric channel that carried at least one transfer. */
+std::vector<Channel *>
+busyChannels(const Fabric &fab)
+{
+    std::vector<Channel *> out;
+    for (Channel *ch : fab.channels())
+        if (ch->stats().value("transfers") > 0)
+            out.push_back(ch);
+    return out;
+}
+
+/** One collective on a 4-stage uniform ring, 64 kB chunks. */
+Pinned
+pinnedUniform(CollectiveKind kind, int root = 0, int stages = 4)
+{
+    EventQueue eq;
+    auto fab = uniformRing(eq, stages, 25.0 * kGB, 500 * ticksPerNs);
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    Tick done = 0;
+    engine.launch(kind, 1e6, [&] { done = eq.now(); }, root);
+    eq.run();
+    return pinnedState(done, engine, ringChannels(fab->rings()[0]));
+}
+
+TEST(CollectivePinned, UniformRingAllGather)
+{
+    expectPinned(pinnedUniform(CollectiveKind::AllGather),
+                 Pinned{30500000, 1, 1e6, {750000, 750000, 750000, 750000},
+                        {12, 12, 12, 12}});
+}
+
+TEST(CollectivePinned, UniformRingAllReduce)
+{
+    expectPinned(pinnedUniform(CollectiveKind::AllReduce),
+                 Pinned{60500000, 1, 1e6,
+                        {1500000, 1500000, 1500000, 1500000},
+                        {24, 24, 24, 24}});
+}
+
+TEST(CollectivePinned, UniformRingReduceScatter)
+{
+    expectPinned(pinnedUniform(CollectiveKind::ReduceScatter),
+                 Pinned{30500000, 1, 1e6, {750000, 750000, 750000, 750000},
+                        {12, 12, 12, 12}});
+}
+
+TEST(CollectivePinned, UniformRingBroadcast)
+{
+    expectPinned(pinnedUniform(CollectiveKind::Broadcast),
+                 Pinned{46620000, 1, 1e6, {1e6, 1e6, 1e6, 0},
+                        {16, 16, 16, 0}});
+}
+
+TEST(CollectivePinned, BroadcastFromRootThree)
+{
+    // The hop into the root carries nothing; the pipeline starts at
+    // stage 3 and wraps around.
+    expectPinned(pinnedUniform(CollectiveKind::Broadcast, 3, 6),
+                 Pinned{52740000, 1, 1e6, {1e6, 1e6, 0, 1e6, 1e6, 1e6},
+                        {16, 16, 0, 16, 16, 16}});
+}
+
+TEST(CollectivePinned, MultiChannelRoutesOnFatTree)
+{
+    // Every fat-tree ring hop crosses a leaf switch (and sometimes a
+    // spine), so chunks walk several channels within one stage.
+    EventQueue eq;
+    FabricConfig fcfg;
+    fcfg.numDevices = 8;
+    auto fab = buildTopologyFabric(eq, fcfg, TopologyKind::FatTree);
+    const RingPath &ring = fab->rings()[0];
+    ASSERT_GT(ring.physicalHopCount(), ring.stageCount());
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    Tick done = 0;
+    engine.launch(CollectiveKind::AllReduce, 3e6,
+                  [&] { done = eq.now(); });
+    eq.run();
+    expectPinned(pinnedState(done, engine, ringChannels(ring)),
+                 Pinned{220280000, 1, 3e6,
+                        std::vector<double>(20, 5250000),
+                        std::vector<double>(20, 84)});
+}
+
+TEST(CollectivePinned, LaunchOnRestrictedRing)
+{
+    // Dropping devices folds their hops into multi-channel routes.
+    EventQueue eq;
+    auto fab = uniformRing(eq, 8, 25.0 * kGB, 500 * ticksPerNs);
+    const RingPath sub =
+        restrictRingToDevices(fab->rings()[0], {1, 2, 5, 6});
+    ASSERT_EQ(sub.stageCount(), 4);
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    Tick done = 0;
+    engine.launchOn({&sub}, CollectiveKind::AllReduce, 1e6,
+                    [&] { done = eq.now(); });
+    eq.run();
+    expectPinned(pinnedState(done, engine, ringChannels(sub)),
+                 Pinned{66620000, 1, 1e6, std::vector<double>(8, 1500000),
+                        std::vector<double>(8, 24)});
+}
+
+/** One all-reduce of @p algo on a 16-device full switch. */
+Pinned
+pinnedSwitched(CollectiveAlgorithm algo)
+{
+    EventQueue eq;
+    FabricConfig fcfg;
+    fcfg.numDevices = 16;
+    fcfg.switchRadix = 64;
+    auto fab = buildTopologyFabric(eq, fcfg, TopologyKind::FullSwitch);
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    cfg.algorithm = algo;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    Tick done = 0;
+    engine.launch(CollectiveKind::AllReduce, 1e6,
+                  [&] { done = eq.now(); });
+    eq.run();
+    Pinned out = pinnedState(done, engine, busyChannels(*fab));
+    double bytes = 0.0;
+    double transfers = 0.0;
+    for (std::size_t i = 0; i < out.bytes.size(); ++i) {
+        bytes += out.bytes[i];
+        transfers += out.transfers[i];
+    }
+    // Channel count and totals, not the per-channel list.
+    out.bytes = {static_cast<double>(out.bytes.size()), bytes};
+    out.transfers = {transfers};
+    return out;
+}
+
+TEST(CollectivePinned, TreeAllReduce)
+{
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Tree),
+                 Pinned{350880000, 1, 1e6, {32, 60000000}, {960}});
+}
+
+TEST(CollectivePinned, HierarchicalAllReduce)
+{
+    // Board trees around a leader ring that the engine embeds itself.
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Hierarchical),
+                 Pinned{307020000, 1, 1e6, {32, 60000000}, {960}});
+}
+
+TEST(CollectivePinned, CompletionLaunchesTheNextCollective)
+{
+    // The first operation's handler starts the second from inside the
+    // last chunk's delivery.
+    EventQueue eq;
+    auto fab = uniformRing(eq, 4, 25.0 * kGB, 500 * ticksPerNs);
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    Tick first = 0;
+    Tick done = 0;
+    engine.launch(CollectiveKind::ReduceScatter, 1e6, [&] {
+        first = eq.now();
+        engine.launch(CollectiveKind::AllGather, 1e6,
+                      [&] { done = eq.now(); });
+    });
+    eq.run();
+    EXPECT_EQ(first, 30500000u);
+    expectPinned(pinnedState(done, engine, ringChannels(fab->rings()[0])),
+                 Pinned{61000000, 2, 2e6,
+                        {1500000, 1500000, 1500000, 1500000},
+                        {24, 24, 24, 24}});
 }
 
 // ----------------------------------------------- analytic cross-check
