@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "sim/causal.hh"
@@ -30,6 +31,10 @@ collectiveKindName(CollectiveKind kind)
 
 namespace
 {
+
+/** Largest ring whose all-reduce hop count, 2*(stages-1), fits a
+    ChunkHop's 16-bit field. */
+constexpr int kMaxRingStages = UINT16_MAX / 2 + 1;
 
 struct AlgoToken
 {
@@ -171,6 +176,69 @@ CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
     }
 }
 
+/**
+ * A chunk on channel @p hop of ring stage @p stage's route, with
+ * @p hopsLeft ring hops to go counting this one. Delivery moves it to
+ * the route's next channel, then to the next stage's route, and
+ * counts it off the record after its last ring hop.
+ */
+struct CollectiveEngine::ChunkHop
+{
+    RingOp *op;
+    std::uint32_t stage;
+    std::uint16_t hop;
+    std::uint16_t hopsLeft;
+    double bytes;
+
+    void
+    submit() const
+    {
+        op->ring->hops[stage].hops[hop]->submit(bytes, *this);
+    }
+
+    void
+    operator()() const
+    {
+        const RingPath &ring = *op->ring;
+        if (hop + 1u < ring.hops[stage].hops.size()) {
+            ChunkHop{op, stage, static_cast<std::uint16_t>(hop + 1),
+                     hopsLeft, bytes}
+                .submit();
+        } else if (hopsLeft > 1) {
+            const auto next = static_cast<std::uint32_t>(
+                (stage + 1) % ring.hops.size());
+            ChunkHop{op, next, 0,
+                     static_cast<std::uint16_t>(hopsLeft - 1), bytes}
+                .submit();
+        } else if (--op->outstanding == 0) {
+            op->engine->finishOp(op);
+        }
+    }
+};
+
+CollectiveEngine::RingOp *
+CollectiveEngine::acquireOp()
+{
+    if (_freeOps.empty()) {
+        _ops.push_back(RingOp{this, nullptr, 0, nullptr});
+        return &_ops.back();
+    }
+    RingOp *op = _freeOps.back();
+    _freeOps.pop_back();
+    return op;
+}
+
+void
+CollectiveEngine::finishOp(RingOp *op)
+{
+    // Recycle first: the handler may launch the next collective, which
+    // then reuses this very record.
+    const std::shared_ptr<Handler> done = std::move(op->done);
+    op->ring = nullptr;
+    _freeOps.push_back(op);
+    (*done)();
+}
+
 void
 CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
                             double bytes, int root_stage,
@@ -182,6 +250,23 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
                                    name() + ".trivial_ring");
         return;
     }
+    // A ChunkHop indexes one route per stage and packs the hop within
+    // a route and the ring hops left (up to 2*(stages-1)) into 16 bits
+    // each.
+    std::size_t shortest = SIZE_MAX;
+    std::size_t longest = 0;
+    for (const Route &route : ring.hops) {
+        shortest = std::min(shortest, route.hops.size());
+        longest = std::max(longest, route.hops.size());
+    }
+    if (stages > kMaxRingStages || shortest == 0 || longest > UINT16_MAX
+        || ring.hops.size() != static_cast<std::size_t>(stages))
+        fatal("%s: cannot run a ring of %d stages over %zu routes of "
+              "%zu-%zu channels; ring collectives need one non-empty "
+              "route per stage, at most %d stages and at most %d "
+              "channels per route",
+              name().c_str(), stages, ring.hops.size(), shortest,
+              longest, kMaxRingStages, UINT16_MAX);
 
     // When tracing, wrap the per-ring completion in a span emitter:
     // one "rings"-track span per logical ring per operation.
@@ -220,10 +305,15 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
         break;
     }
 
+    static_assert(Channel::Handler::fitsInline<ChunkHop>(),
+                  "a collective chunk hop must not allocate");
     const auto chunks_per_block = static_cast<std::uint64_t>(
         std::ceil(block_bytes / _cfg.chunkBytes));
-    auto outstanding = std::make_shared<std::uint64_t>(
-        static_cast<std::uint64_t>(blocks) * chunks_per_block);
+    RingOp *op = acquireOp();
+    op->ring = &ring;
+    op->outstanding = static_cast<std::uint64_t>(blocks)
+        * chunks_per_block;
+    op->done = std::move(completion);
 
     for (int b = 0; b < blocks; ++b) {
         const int start =
@@ -232,35 +322,11 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
         for (std::uint64_t c = 0; c < chunks_per_block; ++c) {
             const double this_chunk = std::min(_cfg.chunkBytes, left);
             left -= this_chunk;
-            forwardChunk(ring, start, hops, this_chunk, outstanding,
-                         completion);
+            ChunkHop{op, static_cast<std::uint32_t>(start), 0,
+                     static_cast<std::uint16_t>(hops), this_chunk}
+                .submit();
         }
     }
-}
-
-void
-CollectiveEngine::forwardChunk(const RingPath &ring, int stage,
-                               int hops_remaining, double bytes,
-                               std::shared_ptr<std::uint64_t> outstanding,
-                               std::shared_ptr<Handler> done)
-{
-    const Route &route =
-        ring.hops[static_cast<std::size_t>(stage)
-                  % ring.hops.size()];
-    sendChunk(route, bytes,
-              [this, &ring, stage, hops_remaining, bytes,
-               outstanding = std::move(outstanding),
-               done = std::move(done)]() mutable {
-                  if (hops_remaining > 1) {
-                      forwardChunk(ring,
-                                   (stage + 1) % ring.stageCount(),
-                                   hops_remaining - 1, bytes,
-                                   std::move(outstanding),
-                                   std::move(done));
-                  } else if (--*outstanding == 0) {
-                      (*done)();
-                  }
-              });
 }
 
 std::vector<CollectiveEngine::Round>

@@ -23,7 +23,9 @@
 #define MCDLA_COLLECTIVE_RING_COLLECTIVE_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "interconnect/fabric.hh"
@@ -106,6 +108,11 @@ struct CollectiveConfig
  * its EventQueue, it emits per-ring spans (ring algorithm) and
  * per-round spans (tree/hierarchical) on the "collective" process,
  * category "sync".
+ *
+ * Each ring's share of an operation is one RingOp record from a pool
+ * the engine owns. Chunks submit straight to the ring's channels with
+ * a 24-byte closure that points at the record, so a chunk hop neither
+ * allocates nor touches a reference count.
  */
 class CollectiveEngine : public SimObject
 {
@@ -185,20 +192,34 @@ class CollectiveEngine : public SimObject
      */
     RingPath leaderRing(const std::vector<int> &leaders) const;
 
-    /**
-     * Forward one chunk @p hops_remaining hops starting at @p stage,
-     * decrementing @p outstanding and firing @p done at zero.
-     */
-    void forwardChunk(const RingPath &ring, int stage, int hops_remaining,
-                      double bytes,
-                      std::shared_ptr<std::uint64_t> outstanding,
-                      std::shared_ptr<Handler> done);
+    /** One ring's share of an operation in flight. */
+    struct RingOp
+    {
+        CollectiveEngine *engine = nullptr;
+        const RingPath *ring = nullptr;
+        std::uint64_t outstanding = 0; ///< chunks still travelling
+        std::shared_ptr<Handler> done;
+    };
+
+    /** Delivery closure of one chunk hop (ring_collective.cc). */
+    struct ChunkHop;
+
+    /** A free record from the pool. */
+    RingOp *acquireOp();
+
+    /** The last chunk of @p op arrived: recycle it, then fire. */
+    void finishOp(RingOp *op);
 
     const Fabric &_fabric;
     std::vector<const RingPath *> _rings;
     CollectiveConfig _cfg;
     double _bytesLaunched = 0.0;
     std::uint64_t _opsCompleted = 0;
+
+    /** Every RingOp ever made (a deque keeps addresses stable) and
+        the idle ones. */
+    std::deque<RingOp> _ops;
+    std::vector<RingOp *> _freeOps;
 };
 
 /**

@@ -22,8 +22,11 @@ Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
     if (bandwidth <= 0.0)
         fatal("channel '%s' requires positive bandwidth",
               this->name().c_str());
-    stats().scalar("bytes", "payload bytes delivered");
-    stats().scalar("transfers", "transfer count");
+    stats().formula("bytes", [this] { return _bytesTransferred; },
+                    "payload bytes delivered");
+    stats().formula("transfers",
+                    [this] { return static_cast<double>(_transfers); },
+                    "transfer count");
     stats().formula("busy_seconds",
                     [this] { return ticksToSeconds(_busyTicks); },
                     "occupied time");
@@ -92,8 +95,7 @@ Channel::startNext()
     const Tick occupancy = transferTicks(req.bytes, _bandwidth);
     _busyTicks += occupancy;
     _bytesTransferred += req.bytes;
-    stats().scalar("bytes") += req.bytes;
-    ++stats().scalar("transfers");
+    ++_transfers;
 
     const double bytes = req.bytes;
     Handler handler = std::move(req.onDelivered);
@@ -202,6 +204,7 @@ Channel::resetStats()
 {
     SimObject::resetStats();
     _bytesTransferred = 0.0;
+    _transfers = 0;
     _busyTicks = 0;
     _peakQueueDepth = 0;
     _currentWindowStart = now();

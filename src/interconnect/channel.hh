@@ -30,10 +30,11 @@ class Channel : public SimObject
 {
   public:
     /**
-     * Delivery callback: SBO, move-only. 24 inline bytes fit the flow
-     * layer's chunk-forwarding closure (state pointer, two indices, a
-     * byte count) exactly, and the whole Handler in turn fits inside
-     * the channel's own xfer_done event without spilling the kernel's
+     * Delivery callback: SBO, move-only. 24 inline bytes fit the
+     * chunk-forwarding closures of flows and ring collectives exactly
+     * (a state pointer, packed route/hop indices, a byte count; both
+     * static_assert it), and the whole Handler in turn fits inside the
+     * channel's own xfer_done event without spilling the kernel's
      * inline callback buffer. Larger captures fall back to the heap.
      */
     using Handler = InlineFunction<24>;
@@ -147,7 +148,9 @@ class Channel : public SimObject
     std::size_t _queueHead = 0;
     std::size_t _queueCount = 0;
 
+    // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;
+    std::uint64_t _transfers = 0;
     Tick _busyTicks = 0;
     std::size_t _peakQueueDepth = 0;
 

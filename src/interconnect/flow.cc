@@ -8,8 +8,8 @@
  * Simulator worker thread drives its own simulations), so steady-state
  * traffic performs no heap allocation at all — route/waiter vector
  * capacity is recycled from earlier flows, and the per-chunk closures
- * (state pointer, route index, hop index, byte count) fit inside the
- * Channel::Handler inline buffer.
+ * (ChunkHop: state pointer, route index, hop index, byte count) fit
+ * inside the Channel::Handler inline buffer.
  */
 
 #include "interconnect/flow.hh"
@@ -25,7 +25,7 @@ namespace mcdla
 namespace
 {
 
-/** Pooled bookkeeping of one in-flight flow (or lone chunk). */
+/** Pooled bookkeeping of one in-flight flow. */
 struct FlowState
 {
     std::vector<Route> routes;
@@ -65,9 +65,6 @@ flowPool()
     return pool;
 }
 
-void forwardChunk(FlowState *state, std::uint32_t route_index,
-                  std::uint32_t hop, double bytes);
-
 /** One chunk fully delivered; fire and recycle on the last one. */
 void
 completeChunk(FlowState *state)
@@ -82,34 +79,34 @@ completeChunk(FlowState *state)
         done();
 }
 
-/** Forward a chunk from hop @p hop of its route onward. */
-void
-forwardChunk(FlowState *state, std::uint32_t route_index,
-             std::uint32_t hop, double bytes)
+/** A chunk on hop @p hop of its route; delivery forwards it onward. */
+struct ChunkHop
 {
-    Channel *ch = state->routes[route_index].hops[hop];
-    ch->submit(bytes, [state, route_index, hop, bytes] {
-        if (hop + 1 < state->routes[route_index].hops.size())
-            forwardChunk(state, route_index, hop + 1, bytes);
+    FlowState *state;
+    std::uint32_t route;
+    std::uint32_t hop;
+    double bytes;
+
+    void
+    submit() const
+    {
+        state->routes[route].hops[hop]->submit(bytes, *this);
+    }
+
+    void
+    operator()() const
+    {
+        if (hop + 1 < state->routes[route].hops.size())
+            ChunkHop{state, route, hop + 1, bytes}.submit();
         else
             completeChunk(state);
-    });
-}
+    }
+};
+
+static_assert(Channel::Handler::fitsInline<ChunkHop>(),
+              "a flow chunk hop must not allocate");
 
 } // anonymous namespace
-
-void
-sendChunk(const Route &route, double bytes,
-          std::function<void()> on_delivered)
-{
-    if (!route.valid())
-        panic("sendChunk: empty route");
-    FlowState *state = flowPool().acquire();
-    state->routes.assign(1, route);
-    state->remaining = 1;
-    state->done = std::move(on_delivered);
-    forwardChunk(state, 0, 0, bytes);
-}
 
 void
 sendFlow(const std::vector<Route> &routes, double bytes,
@@ -136,9 +133,9 @@ sendFlow(const std::vector<Route> &routes, double bytes,
     for (std::uint64_t c = 0; c < chunks; ++c) {
         const double this_chunk = std::min(chunk_bytes, left);
         left -= this_chunk;
-        forwardChunk(state,
-                     static_cast<std::uint32_t>(c % routes.size()), 0,
-                     this_chunk);
+        ChunkHop{state, static_cast<std::uint32_t>(c % routes.size()),
+                 0, this_chunk}
+            .submit();
     }
 }
 

@@ -6,8 +6,9 @@
  * flow moves a payload over one or more parallel routes in fixed-size
  * chunks (round-robin across routes), reporting a single completion when
  * the last chunk of the payload is delivered. This is the DMA abstraction
- * used for memory-virtualization traffic and the building block the ring
- * collectives are assembled from.
+ * used for memory-virtualization traffic, pipeline boundary transfers and
+ * the rounds of tree collectives. Ring collectives submit their chunks to
+ * the channels directly (CollectiveEngine).
  */
 
 #ifndef MCDLA_INTERCONNECT_FLOW_HH
@@ -31,16 +32,6 @@ struct Route
 
 /** Default DMA chunk used to interleave concurrent bulk flows. */
 constexpr double kDefaultChunkBytes = 512.0 * 1024.0;
-
-/**
- * Send one chunk through @p route (store-and-forward across hops).
- *
- * @param route Channel sequence; must be non-empty.
- * @param bytes Chunk size.
- * @param on_delivered Fires when the chunk exits the last hop.
- */
-void sendChunk(const Route &route, double bytes,
-               std::function<void()> on_delivered);
 
 /**
  * Transfer @p bytes over @p routes, chunked and round-robined.

@@ -96,6 +96,17 @@ class InlineFunction
         _ops->invoke(_buf);
     }
 
+    /** Whether a target of type @p Fn lives in the inline buffer (no
+        heap allocation); hot-path closures static_assert on it. */
+    template <class Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= InlineBytes
+               && alignof(Fn) <= alignof(std::max_align_t)
+               && std::is_nothrow_move_constructible<Fn>::value;
+    }
+
   private:
     struct Ops
     {
@@ -106,15 +117,6 @@ class InlineFunction
         void (*relocate)(void *from, void *to);
         void (*destroy)(void *storage);
     };
-
-    template <class Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= InlineBytes
-               && alignof(Fn) <= alignof(std::max_align_t)
-               && std::is_nothrow_move_constructible<Fn>::value;
-    }
 
     template <class Fn>
     struct InlineOpsFor

@@ -104,6 +104,36 @@ TEST(Collective, TracksLaunchedBytesAndOps)
     EXPECT_EQ(engine.opsCompleted(), 2u);
 }
 
+TEST(Collective, RingsBeyondTheChunkEncodingAreRejected)
+{
+    // A chunk hop keeps the ring hops left (2*(stages-1) for an
+    // all-reduce) and its hop within a route in 16 bits each.
+    LogConfig::throwOnError = true;
+    EventQueue eq;
+    Fabric fab(eq, "huge");
+    Channel &ch = fab.makeChannel("hop", 25.0 * kGB, 0);
+    CollectiveEngine engine(eq, "nccl", fab);
+
+    RingPath wide;
+    for (int i = 0; i <= 32768; ++i) {
+        wide.stages.push_back(RingStage{true, i});
+        wide.hops.push_back(Route{{&ch}});
+    }
+    EXPECT_THROW(engine.launchOn({&wide}, CollectiveKind::AllReduce,
+                                 1e6, nullptr),
+                 FatalError);
+
+    RingPath deep;
+    deep.stages = {RingStage{true, 0}, RingStage{true, 1}};
+    deep.hops = {Route{std::vector<Channel *>(65536, &ch)},
+                 Route{{&ch}}};
+    EXPECT_THROW(engine.launchOn({&deep}, CollectiveKind::AllGather,
+                                 1e6, nullptr),
+                 FatalError);
+    LogConfig::throwOnError = false;
+    EXPECT_EQ(ch.bytesTransferred(), 0.0);
+}
+
 // --------------------------------------------- bandwidth-term behaviour
 
 TEST(Collective, AllReduceCostsTwiceAllGather)
