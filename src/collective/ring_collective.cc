@@ -214,6 +214,15 @@ struct CollectiveEngine::ChunkHop
             op->engine->finishOp(op);
         }
     }
+
+    /** Equal hops merge into one channel FIFO train. */
+    bool
+    operator==(const ChunkHop &other) const
+    {
+        return op == other.op && stage == other.stage
+               && hop == other.hop && hopsLeft == other.hopsLeft
+               && bytes == other.bytes;
+    }
 };
 
 CollectiveEngine::RingOp *
@@ -307,6 +316,9 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
 
     static_assert(Channel::Handler::fitsInline<ChunkHop>(),
                   "a collective chunk hop must not allocate");
+    static_assert(Channel::Handler::comparable<ChunkHop>(),
+                  "collective chunk hops must merge into channel "
+                  "trains");
     const auto chunks_per_block = static_cast<std::uint64_t>(
         std::ceil(block_bytes / _cfg.chunkBytes));
     RingOp *op = acquireOp();

@@ -33,29 +33,52 @@ Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
 }
 
 void
-Channel::pushQueue(Pending pending)
+Channel::pushQueue(double bytes, Handler &&handler, bool waited,
+                   std::uint8_t causal_ctx)
 {
-    if (_queueCount == _queue.size()) {
+    ++_queueDepth;
+    if (_queueEntries != 0) {
+        Pending &tail = queuedAt(_queueEntries - 1);
+        if (tail.bytes == bytes && tail.waited == waited
+            && tail.causalCtx == causal_ctx && tail.count != UINT32_MAX
+            && tail.onDelivered.sameTarget(handler)) {
+            ++tail.count;
+            return;
+        }
+    }
+    if (_queueEntries == _queue.size()) {
         // Full (or never allocated): regrow to the next power of two,
         // replaying the ring in FIFO order into the fresh storage.
         std::vector<Pending> grown(
             std::max<std::size_t>(8, 2 * _queue.size()));
-        for (std::size_t i = 0; i < _queueCount; ++i)
+        for (std::size_t i = 0; i < _queueEntries; ++i)
             grown[i] = std::move(queuedAt(i));
         _queue.swap(grown);
         _queueHead = 0;
     }
-    _queue[(_queueHead + _queueCount) & (_queue.size() - 1)] =
-        std::move(pending);
-    ++_queueCount;
+    Pending &slot =
+        _queue[(_queueHead + _queueEntries) & (_queue.size() - 1)];
+    slot.onDelivered = std::move(handler);
+    slot.bytes = bytes;
+    slot.count = 1;
+    slot.waited = waited;
+    slot.causalCtx = causal_ctx;
+    ++_queueEntries;
 }
 
 Channel::Pending
 Channel::popQueue()
 {
-    Pending req = std::move(_queue[_queueHead]);
+    --_queueDepth;
+    Pending &head = _queue[_queueHead];
+    if (head.count > 1) {
+        --head.count;
+        return Pending{head.onDelivered.clone(), head.bytes, 1,
+                       head.waited, head.causalCtx};
+    }
+    Pending req = std::move(head);
     _queueHead = (_queueHead + 1) & (_queue.size() - 1);
-    --_queueCount;
+    --_queueEntries;
     return req;
 }
 
@@ -66,16 +89,16 @@ Channel::submit(double bytes, Handler on_delivered)
         panic("channel '%s': non-positive transfer size", name().c_str());
     _conservedEnqueued += bytes;
     _conservedQueued += bytes;
-    Pending pending{bytes, std::move(on_delivered), _busy, 0};
+    std::uint8_t causal_ctx = 0;
     if (const CausalRecorder *rec = eventQueue().causalRecorder())
-        pending.causalCtx = rec->currentCtxRaw();
-    pushQueue(std::move(pending));
+        causal_ctx = rec->currentCtxRaw();
+    pushQueue(bytes, std::move(on_delivered), _busy, causal_ctx);
     if (simcheck::enabled())
         simcheckVerifyConservation();
     // Only count genuine waiters: on an idle channel the transfer
     // starts immediately, so an uncontended channel reports 0.
     if (_busy)
-        _peakQueueDepth = std::max(_peakQueueDepth, _queueCount);
+        _peakQueueDepth = std::max(_peakQueueDepth, _queueDepth);
     else
         startNext();
 }
@@ -83,7 +106,7 @@ Channel::submit(double bytes, Handler on_delivered)
 void
 Channel::startNext()
 {
-    if (_queueCount == 0) {
+    if (_queueDepth == 0) {
         _busy = false;
         return;
     }
@@ -174,8 +197,16 @@ Channel::simcheckVerifyConservation() const
     // Recompute the queued side from the queue itself so a drifted
     // incremental counter cannot mask a lost transfer.
     double queued = 0.0;
-    for (std::size_t i = 0; i < _queueCount; ++i)
-        queued += queuedAt(i).bytes;
+    std::size_t transfers = 0;
+    for (std::size_t i = 0; i < _queueEntries; ++i) {
+        queued += queuedAt(i).bytes * queuedAt(i).count;
+        transfers += queuedAt(i).count;
+    }
+    if (transfers != _queueDepth)
+        simcheck::fail("channel", now(),
+                       "'%s' queue holds %zu transfers but reports a "
+                       "depth of %zu",
+                       name().c_str(), transfers, _queueDepth);
     const double eps =
         1e-6 * std::max(1.0, _conservedEnqueued); // fp rounding slack
     if (std::abs(queued - _conservedQueued) > eps)

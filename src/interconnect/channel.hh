@@ -11,6 +11,15 @@
  * defining modelling requirement, where ring-collective traffic and
  * memory-virtualization DMAs ride the same NVLINK-class channels — falls
  * out of the queueing naturally.
+ *
+ * The FIFO is run-length encoded. Ring collectives and flows queue a
+ * whole block of identical chunks on a channel at once, so a submit
+ * whose size, wait kind, causal context and delivery closure all equal
+ * the tail entry's just bumps that entry's count, and the head hands
+ * out one transfer (a copy of its closure) at a time. Only adjacent
+ * submits merge, so FIFO order — and with it every event — is exactly
+ * what one entry per transfer would give; the queue just touches a
+ * few cache lines instead of one per waiting chunk.
  */
 
 #ifndef MCDLA_INTERCONNECT_CHANNEL_HH
@@ -25,7 +34,15 @@
 namespace mcdla
 {
 
-/** A unidirectional, FIFO, fixed-bandwidth communication resource. */
+/**
+ * A unidirectional, FIFO, fixed-bandwidth communication resource.
+ *
+ * Waiting transfers are stored as runs ("trains") of identical
+ * transfers: a Handler opts in to merging by holding a comparable
+ * target (InlineFunction::comparable(), e.g. the flow and ring-
+ * collective chunk hops). Lambdas never merge. queueDepth(),
+ * peakQueueDepth() and the stats count transfers, not FIFO entries.
+ */
 class Channel : public SimObject
 {
   public:
@@ -52,7 +69,9 @@ class Channel : public SimObject
     Tick latency() const { return _latency; }
 
     /**
-     * Enqueue a transfer.
+     * Enqueue a transfer. Merges into the FIFO's tail entry when
+     * @p bytes, the wait kind, the causal context and an equal copy of
+     * the tail's comparable handler all match.
      *
      * @param bytes Payload size; must be positive.
      * @param on_delivered Invoked when the payload fully arrives at the
@@ -77,7 +96,11 @@ class Channel : public SimObject
     }
 
     /** Transfers currently waiting (excludes the in-flight one). */
-    std::size_t queueDepth() const { return _queueCount; }
+    std::size_t queueDepth() const { return _queueDepth; }
+
+    /** FIFO entries behind the head: runs of identical transfers,
+        so at most queueDepth(). */
+    std::size_t queueTrains() const { return _queueEntries; }
 
     /** Deepest backlog observed since the last stats reset (occupancy
         pressure: how many transfers were stacked behind the wire). */
@@ -108,10 +131,12 @@ class Channel : public SimObject
     void startNext();
     void recordWindowBytes(Tick at, double bytes);
 
+    /** One FIFO entry: a train of @c count identical transfers. */
     struct Pending
     {
-        double bytes = 0.0;
         Handler onDelivered;
+        double bytes = 0.0;
+        std::uint32_t count = 1;
         /** Queued behind a busy channel (vs started immediately) —
             recorded as a chan_queue rather than chan_xfer wait. */
         bool waited = false;
@@ -121,8 +146,8 @@ class Channel : public SimObject
         std::uint8_t causalCtx = 0;
     };
 
-    /** FIFO slot @p i positions behind the head. Precondition:
-        i < _queueCount. */
+    /** FIFO entry @p i positions behind the head. Precondition:
+        i < _queueEntries. */
     Pending &
     queuedAt(std::size_t i)
     {
@@ -135,18 +160,24 @@ class Channel : public SimObject
         return _queue[(_queueHead + i) & (_queue.size() - 1)];
     }
 
-    void pushQueue(Pending pending);
+    /** Append one transfer, merging it into the tail train when it
+        matches. */
+    void pushQueue(double bytes, Handler &&handler, bool waited,
+                   std::uint8_t causal_ctx);
+    /** Take one transfer off the head train. Precondition:
+        _queueDepth > 0. */
     Pending popQueue();
 
     double _bandwidth;
     Tick _latency;
     bool _busy = false;
-    /** Waiting transfers: a power-of-two ring over a flat vector, so
+    /** Waiting trains: a power-of-two ring over a flat vector, so
         steady-state submit/deliver cycles recycle slots instead of
         paging deque blocks in and out of the allocator. */
     std::vector<Pending> _queue;
     std::size_t _queueHead = 0;
-    std::size_t _queueCount = 0;
+    std::size_t _queueEntries = 0; ///< trains in the ring
+    std::size_t _queueDepth = 0;   ///< transfers over all trains
 
     // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;

@@ -9,7 +9,9 @@
  * traffic performs no heap allocation at all — route/waiter vector
  * capacity is recycled from earlier flows, and the per-chunk closures
  * (ChunkHop: state pointer, route index, hop index, byte count) fit
- * inside the Channel::Handler inline buffer.
+ * inside the Channel::Handler inline buffer. ChunkHop compares by
+ * value, so the block of equal chunks a flow queues on its first hop
+ * is one run-length train in that channel's FIFO.
  */
 
 #include "interconnect/flow.hh"
@@ -101,10 +103,20 @@ struct ChunkHop
         else
             completeChunk(state);
     }
+
+    /** Equal hops merge into one channel FIFO train. */
+    bool
+    operator==(const ChunkHop &other) const
+    {
+        return state == other.state && route == other.route
+               && hop == other.hop && bytes == other.bytes;
+    }
 };
 
 static_assert(Channel::Handler::fitsInline<ChunkHop>(),
               "a flow chunk hop must not allocate");
+static_assert(Channel::Handler::comparable<ChunkHop>(),
+              "flow chunk hops must merge into channel trains");
 
 } // anonymous namespace
 

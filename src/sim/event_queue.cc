@@ -14,9 +14,10 @@
 namespace mcdla
 {
 
-EventQueue::EventQueue(EventQueueBackendKind kind)
-    : _backendKind(kind), _backend(makeEventQueueBackend(kind))
+EventQueue::EventQueue(EventQueueBackendKind kind) : _backendKind(kind)
 {
+    if (kind != EventQueueBackendKind::Heap)
+        _backend = makeEventQueueBackend(kind);
 }
 
 EventQueue::~EventQueue() = default;
@@ -24,15 +25,16 @@ EventQueue::~EventQueue() = default;
 void
 EventQueue::setBackend(EventQueueBackendKind kind)
 {
-    if (!_backend->empty() || _executed != 0 || _now != 0
-        || _live != 0)
+    if (!keysEmpty() || _executed != 0 || _now != 0 || _live != 0)
         panic("EventQueue::setBackend(%s) on a non-pristine queue "
               "(%zu pending, %llu executed, now=%llu)",
               eventQueueBackendToken(kind), _live,
               static_cast<unsigned long long>(_executed),
               static_cast<unsigned long long>(_now));
     _backendKind = kind;
-    _backend = makeEventQueueBackend(kind);
+    _backend = kind == EventQueueBackendKind::Heap
+        ? nullptr
+        : makeEventQueueBackend(kind);
 }
 
 EventId
@@ -74,12 +76,12 @@ EventQueue::scheduleEntry(Tick when, Callback cb, EventLabel label,
                                                 weak);
     }
     slot.label = std::move(label);
-    _backend->push(EventItem{when, _nextSeq++, slot_index});
+    pushKey(EventItem{when, _nextSeq++, slot_index});
     ++_live;
     if (weak)
         ++_weakLive;
     if (_profiler)
-        _profiler->noteSchedule(_backend->size());
+        _profiler->noteSchedule(keyCount());
     return makeId(slot.gen, slot_index);
 }
 
@@ -195,7 +197,10 @@ EventQueue::executeItem(const EventItem &item)
 void
 EventQueue::discardPending()
 {
-    _backend->clear();
+    if (_backend)
+        _backend->clear();
+    else
+        _heap.clear();
     for (std::size_t i = 0; i < _slotCount; ++i)
         if (slotAt(static_cast<std::uint32_t>(i)).allocated)
             releaseSlot(static_cast<std::uint32_t>(i));
@@ -206,10 +211,10 @@ EventQueue::discardPending()
 bool
 EventQueue::step()
 {
-    while (!_backend->empty()) {
-        const EventItem head = _backend->peek();
+    while (!keysEmpty()) {
+        const EventItem head = peekKey();
         if (slotAt(head.slot).cancelled) {
-            _backend->pop();
+            popKey();
             releaseSlot(head.slot);
             continue;
         }
@@ -219,7 +224,7 @@ EventQueue::step()
             discardPending();
             return false;
         }
-        _backend->pop();
+        popKey();
         --_live;
         if (slotAt(head.slot).weak)
             --_weakLive;
@@ -242,10 +247,10 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t n = 0;
-    while (!_backend->empty()) {
-        const EventItem head = _backend->peek();
+    while (!keysEmpty()) {
+        const EventItem head = peekKey();
         if (slotAt(head.slot).cancelled) {
-            _backend->pop();
+            popKey();
             releaseSlot(head.slot);
             continue;
         }
@@ -255,7 +260,7 @@ EventQueue::runUntil(Tick limit)
         }
         if (head.when > limit)
             break;
-        _backend->pop();
+        popKey();
         --_live;
         if (slotAt(head.slot).weak)
             --_weakLive;

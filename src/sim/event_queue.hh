@@ -10,7 +10,9 @@
  * The hot path is allocation-free: event payloads (an SBO callback, a
  * lazy label, flags) live in a free-list slot pool, the priority
  * structure orders POD (when, seq, slot) keys (see
- * event_queue_backend.hh for the heap and calendar backends), and
+ * event_queue_backend.hh for the heap and calendar backends; the
+ * default heap is a member called directly, not through the backend
+ * interface), and
  * cancellation is a tombstone flag in the slot — no per-event heap
  * traffic, no hash-set side-tables. Slot state is retired at pop time,
  * so a stale EventId (already executed or cancelled) is detected by a
@@ -271,12 +273,53 @@ class EventQueue
     /** Drop every remaining (weak) entry without executing it. */
     void discardPending();
 
+    // The priority structure: the heap inline, any other backend
+    // through its interface.
+    bool
+    keysEmpty() const
+    {
+        return _backend ? _backend->empty() : _heap.empty();
+    }
+
+    std::size_t
+    keyCount() const
+    {
+        return _backend ? _backend->size() : _heap.size();
+    }
+
+    const EventItem &
+    peekKey() const
+    {
+        return _backend ? _backend->peek() : _heap.peek();
+    }
+
+    void
+    pushKey(const EventItem &item)
+    {
+        if (_backend)
+            _backend->push(item);
+        else
+            _heap.push(item);
+    }
+
+    void
+    popKey()
+    {
+        if (_backend)
+            _backend->pop();
+        else
+            _heap.pop();
+    }
+
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
     std::size_t _live = 0;
     std::size_t _weakLive = 0;
     EventQueueBackendKind _backendKind;
+    HeapEventQueueBackend _heap;
+    /** The configured backend unless it is the heap; null for the
+        heap, which keeps the hot path free of virtual calls. */
     std::unique_ptr<EventQueueBackend> _backend;
     std::vector<std::unique_ptr<Slot[]>> _slotChunks;
     std::size_t _slotCount = 0;

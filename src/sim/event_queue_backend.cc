@@ -79,55 +79,6 @@ makeEventQueueBackend(EventQueueBackendKind kind)
 }
 
 // ---------------------------------------------------------------------
-// HeapEventQueueBackend
-
-void
-HeapEventQueueBackend::push(const EventItem &item)
-{
-    std::size_t hole = _heap.size();
-    _heap.push_back(item);
-    while (hole > 0) {
-        const std::size_t parent = (hole - 1) / kArity;
-        if (!eventItemBefore(item, _heap[parent]))
-            break;
-        _heap[hole] = _heap[parent];
-        hole = parent;
-    }
-    _heap[hole] = item;
-}
-
-EventItem
-HeapEventQueueBackend::pop()
-{
-    const EventItem top = _heap.front();
-    const EventItem last = _heap.back();
-    _heap.pop_back();
-    const std::size_t size = _heap.size();
-    if (size > 0) {
-        // Sift the former last leaf down from the root.
-        std::size_t hole = 0;
-        for (;;) {
-            const std::size_t first_child = hole * kArity + 1;
-            if (first_child >= size)
-                break;
-            std::size_t best = first_child;
-            const std::size_t end =
-                std::min(first_child + kArity, size);
-            for (std::size_t child = first_child + 1; child < end;
-                 ++child)
-                if (eventItemBefore(_heap[child], _heap[best]))
-                    best = child;
-            if (!eventItemBefore(_heap[best], last))
-                break;
-            _heap[hole] = _heap[best];
-            hole = best;
-        }
-        _heap[hole] = last;
-    }
-    return top;
-}
-
-// ---------------------------------------------------------------------
 // CalendarEventQueueBackend
 
 CalendarEventQueueBackend::CalendarEventQueueBackend()

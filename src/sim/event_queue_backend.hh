@@ -5,14 +5,16 @@
  * The EventQueue stores event payloads (callback, label, flags) in a
  * slot pool and keeps only POD EventItem keys — (when, seq, slot) — in
  * the priority structure. That split is what makes the structure
- * swappable: a backend orders 20-byte keys and never touches payloads.
+ * swappable: a backend orders 24-byte keys and never touches payloads.
  *
- * Two backends ship: a binary heap (the safe default) and a Brown-style
+ * Two backends ship: a 4-ary heap (the default) and a Brown-style
  * calendar queue whose push/pop are O(1) amortized when event ticks are
  * roughly uniform — the common case for bandwidth-driven simulations.
  * Both produce the exact global (when, seq) order, so same-tick FIFO
  * semantics and the determinism-audit stream hash are identical under
- * either backend (`mcdla_sim --event-queue heap|calendar`).
+ * either backend (`mcdla_sim --event-queue heap|calendar`). The heap
+ * is defined inline here because the EventQueue calls it directly,
+ * without the virtual interface; other backends go through it.
  */
 
 #ifndef MCDLA_SIM_EVENT_QUEUE_BACKEND_HH
@@ -38,11 +40,12 @@ struct EventItem
     std::uint32_t slot = 0;
 };
 
-/** True when @p a fires strictly before @p b. */
+/** True when @p a fires strictly before @p b. Written with bitwise
+    operators so the compiler can evaluate it without branches. */
 inline bool
 eventItemBefore(const EventItem &a, const EventItem &b)
 {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    return (a.when < b.when) | ((a.when == b.when) & (a.seq < b.seq));
 }
 
 /**
@@ -83,18 +86,75 @@ std::unique_ptr<EventQueueBackend>
 makeEventQueueBackend(EventQueueBackendKind kind);
 
 /**
- * 4-ary implicit min-heap over a flat vector. The baseline backend:
+ * 4-ary implicit min-heap over a flat vector. The default backend:
  * O(log n) everything, no distribution assumptions. Four children per
- * node halves the tree depth of a binary heap and keeps siblings on
- * one cache line pair, which is what the deep-queue pop path is
- * bound by.
+ * node halves the tree depth of a binary heap, and a node's four
+ * 24-byte children span at most three cache lines, which is what the
+ * deep-queue pop path is bound by. push/pop are inline so the
+ * EventQueue's direct calls compile into its hot loop.
  */
 class HeapEventQueueBackend final : public EventQueueBackend
 {
   public:
-    void push(const EventItem &item) override;
+    void
+    push(const EventItem &item) override
+    {
+        std::size_t hole = _heap.size();
+        _heap.push_back(item);
+        EventItem *heap = _heap.data();
+        while (hole > 0) {
+            const std::size_t parent = (hole - 1) / kArity;
+            if (!eventItemBefore(item, heap[parent]))
+                break;
+            heap[hole] = heap[parent];
+            hole = parent;
+        }
+        heap[hole] = item;
+    }
+
     const EventItem &peek() const override { return _heap.front(); }
-    EventItem pop() override;
+
+    EventItem
+    pop() override
+    {
+        const EventItem top = _heap.front();
+        const EventItem last = _heap.back();
+        _heap.pop_back();
+        const std::size_t size = _heap.size();
+        if (size == 0)
+            return top;
+        // Sift the former last leaf down from the root.
+        EventItem *heap = _heap.data();
+        std::size_t hole = 0;
+        for (;;) {
+            const std::size_t first = hole * kArity + 1;
+            std::size_t best;
+            if (first + kArity <= size) {
+                // A full group: a two-round tournament of selects,
+                // not a data-dependent branch per child.
+                const std::size_t left =
+                    first + eventItemBefore(heap[first + 1], heap[first]);
+                const std::size_t right = first + 2
+                    + eventItemBefore(heap[first + 3], heap[first + 2]);
+                best = eventItemBefore(heap[right], heap[left]) ? right
+                                                                : left;
+            } else if (first < size) {
+                best = first;
+                for (std::size_t child = first + 1; child < size; ++child)
+                    if (eventItemBefore(heap[child], heap[best]))
+                        best = child;
+            } else {
+                break;
+            }
+            if (!eventItemBefore(heap[best], last))
+                break;
+            heap[hole] = heap[best];
+            hole = best;
+        }
+        heap[hole] = last;
+        return top;
+    }
+
     bool empty() const override { return _heap.empty(); }
     std::size_t size() const override { return _heap.size(); }
     void clear() override { _heap.clear(); }

@@ -11,13 +11,20 @@
  *
  * The inline/heap distinction is encoded in the static ops table
  * selected at construction, not in a runtime flag: empty-check, call,
- * move, and destroy are all one indirect call on a 2-pointer-wide
- * vtable-like struct.
+ * move, and destroy are all one indirect call on a small vtable-like
+ * struct.
+ *
+ * Comparable targets opt into value semantics: an inline, trivially
+ * copyable target type that defines `operator==` gets sameTarget()
+ * and clone(), which is what lets a channel FIFO store a run of
+ * identical transfers as one entry. Every other callable (lambdas,
+ * heap-stored targets) compares unequal to everything.
  */
 
 #ifndef MCDLA_SIM_INLINE_FUNCTION_HH
 #define MCDLA_SIM_INLINE_FUNCTION_HH
 
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -96,6 +103,35 @@ class InlineFunction
         _ops->invoke(_buf);
     }
 
+    /**
+     * Whether both functions hold equal values of one comparable
+     * target type (see comparable()). False for empty functions,
+     * different target types, and any non-comparable target — a
+     * lambda never equals anything, not even itself.
+     */
+    bool
+    sameTarget(const InlineFunction &other) const
+    {
+        return _ops != nullptr && _ops == other._ops
+               && _ops->equal != nullptr
+               && _ops->equal(_buf, other._buf);
+    }
+
+    /**
+     * A copy of this function's target. Precondition: the target is
+     * comparable, i.e. sameTarget(*this) holds; callables without
+     * value semantics are move-only.
+     */
+    InlineFunction
+    clone() const
+    {
+        assert(_ops != nullptr && _ops->clone != nullptr);
+        InlineFunction copy;
+        _ops->clone(_buf, copy._buf);
+        copy._ops = _ops;
+        return copy;
+    }
+
     /** Whether a target of type @p Fn lives in the inline buffer (no
         heap allocation); hot-path closures static_assert on it. */
     template <class Fn>
@@ -107,7 +143,32 @@ class InlineFunction
                && std::is_nothrow_move_constructible<Fn>::value;
     }
 
+    /** Whether a target of type @p Fn supports sameTarget() and
+        clone(): stored inline, trivially copyable, and equality
+        comparable. */
+    template <class Fn>
+    static constexpr bool
+    comparable()
+    {
+        return fitsInline<Fn>() && std::is_trivially_copyable<Fn>::value
+               && HasEqual<Fn>::value;
+    }
+
   private:
+    template <class Fn, class = void>
+    struct HasEqual : std::false_type
+    {
+    };
+
+    template <class Fn>
+    struct HasEqual<Fn,
+                    std::enable_if_t<std::is_convertible<
+                        decltype(std::declval<const Fn &>()
+                                 == std::declval<const Fn &>()),
+                        bool>::value>> : std::true_type
+    {
+    };
+
     struct Ops
     {
         void (*invoke)(void *storage);
@@ -116,6 +177,12 @@ class InlineFunction
             owning slot pool or heap vector grows). */
         void (*relocate)(void *from, void *to);
         void (*destroy)(void *storage);
+        /** Value equality of two targets of this type; null when the
+            type is not comparable(). */
+        bool (*equal)(const void *a, const void *b);
+        /** Copy-construct the target from @p from into @p to; null
+            when the type is not comparable(). */
+        void (*clone)(const void *from, void *to);
     };
 
     template <class Fn>
@@ -141,7 +208,29 @@ class InlineFunction
             static_cast<Fn *>(storage)->~Fn();
         }
 
-        static constexpr Ops ops = {&invoke, &relocate, &destroy};
+        static bool
+        equal(const void *a, const void *b)
+        {
+            return *static_cast<const Fn *>(a)
+                   == *static_cast<const Fn *>(b);
+        }
+
+        static void
+        clone(const void *from, void *to)
+        {
+            ::new (to) Fn(*static_cast<const Fn *>(from));
+        }
+
+        static constexpr Ops
+        makeOps()
+        {
+            if constexpr (comparable<Fn>())
+                return {&invoke, &relocate, &destroy, &equal, &clone};
+            else
+                return {&invoke, &relocate, &destroy, nullptr, nullptr};
+        }
+
+        static constexpr Ops ops = makeOps();
     };
 
     template <class Fn>
@@ -165,7 +254,8 @@ class InlineFunction
             delete *static_cast<Fn **>(storage);
         }
 
-        static constexpr Ops ops = {&invoke, &relocate, &destroy};
+        static constexpr Ops ops = {&invoke, &relocate, &destroy,
+                                    nullptr, nullptr};
     };
 
     alignas(std::max_align_t) unsigned char _buf[InlineBytes];

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -187,6 +189,93 @@ TEST(EventBackendDifferential, BackendTokensRoundTrip)
     EXPECT_STREQ(
         eventQueueBackendToken(EventQueueBackendKind::Calendar),
         "calendar");
+}
+
+// ------------------------------------------------------ heap reference
+
+/** Random keys with same-tick bursts: ticks from a narrow range, so
+    many keys tie on `when` and order by `seq` alone. */
+std::vector<EventItem>
+randomKeys(Random &rng, std::size_t n, Tick base, std::uint64_t &seq)
+{
+    std::vector<EventItem> keys;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Tick when = base
+            + (rng.below(3) == 0 ? 0
+                                 : static_cast<Tick>(rng.below(16)));
+        keys.push_back(EventItem{when, seq++,
+                                 static_cast<std::uint32_t>(i)});
+    }
+    return keys;
+}
+
+bool
+sameKey(const EventItem &a, const EventItem &b)
+{
+    return a.when == b.when && a.seq == b.seq && a.slot == b.slot;
+}
+
+TEST(HeapBackendReference, DrainMatchesSortedOrder)
+{
+    Random rng(17);
+    // Sizes leave every partial last child group (n mod 4 = 1, 2, 3)
+    // as well as full ones.
+    for (std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 13u, 17u, 22u, 63u, 64u, 65u,
+          66u, 257u, 1023u, 4097u}) {
+        std::uint64_t seq = 0;
+        std::vector<EventItem> keys = randomKeys(rng, n, 1000, seq);
+        // Push in a shuffled order so seq order is not insert order.
+        for (std::size_t i = keys.size(); i > 1; --i)
+            std::swap(keys[i - 1],
+                      keys[static_cast<std::size_t>(rng.below(i))]);
+        HeapEventQueueBackend heap;
+        for (const EventItem &key : keys)
+            heap.push(key);
+        ASSERT_EQ(heap.size(), n);
+        std::vector<EventItem> sorted = keys;
+        std::sort(sorted.begin(), sorted.end(), eventItemBefore);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(sameKey(heap.peek(), sorted[i]))
+                << "n=" << n << " pop " << i;
+            ASSERT_TRUE(sameKey(heap.pop(), sorted[i]))
+                << "n=" << n << " pop " << i;
+        }
+        EXPECT_TRUE(heap.empty());
+    }
+}
+
+TEST(HeapBackendReference, HoldPatternMatchesSortedOrder)
+{
+    // The kernel's access pattern: pop the minimum, push keys no
+    // earlier than it, at sizes that drift across group boundaries.
+    Random rng(29);
+    std::uint64_t seq = 0;
+    HeapEventQueueBackend heap;
+    std::vector<EventItem> shadow;
+    for (const EventItem &key : randomKeys(rng, 301, 0, seq)) {
+        heap.push(key);
+        shadow.push_back(key);
+    }
+    for (int op = 0; op < 20000; ++op) {
+        ASSERT_FALSE(shadow.empty());
+        std::sort(shadow.begin(), shadow.end(), eventItemBefore);
+        const EventItem expected = shadow.front();
+        shadow.erase(shadow.begin());
+        const EventItem got = heap.pop();
+        ASSERT_TRUE(sameKey(got, expected)) << "op " << op;
+        // 0-3 pushes per pop below 200 keys, 0-1 above: the size
+        // wanders around 200, across every n mod 4.
+        const std::size_t pushes =
+            static_cast<std::size_t>(rng.below(shadow.size() < 200 ? 4
+                                                                   : 2));
+        for (const EventItem &key :
+             randomKeys(rng, pushes, got.when, seq)) {
+            heap.push(key);
+            shadow.push_back(key);
+        }
+        ASSERT_EQ(heap.size(), shadow.size());
+    }
 }
 
 // ------------------------------------------------------------ slot pool

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "interconnect/channel.hh"
 #include "interconnect/fabrics.hh"
 #include "interconnect/flow.hh"
 #include "sim/logging.hh"
+#include "sim/simcheck.hh"
 
 namespace mcdla
 {
@@ -102,6 +106,158 @@ TEST(Channel, QueueDepthVisible)
     EXPECT_EQ(ch.queueDepth(), 2u); // one in flight, two queued
     eq.run();
     EXPECT_EQ(ch.queueDepth(), 0u);
+}
+
+// --------------------------------------------------------- channel trains
+
+/** A comparable delivery closure: equal probes merge into one FIFO
+    train; it logs the delivery tick and its tag. */
+struct Probe
+{
+    const EventQueue *eq;
+    std::vector<std::pair<Tick, int>> *log;
+    int tag;
+
+    void operator()() const { log->emplace_back(eq->now(), tag); }
+
+    bool
+    operator==(const Probe &other) const
+    {
+        return eq == other.eq && log == other.log && tag == other.tag;
+    }
+};
+
+static_assert(Channel::Handler::comparable<Probe>(),
+              "Probe must opt in to channel trains");
+
+/** Per-step observations of one channel under a submit pattern. */
+struct TrainRun
+{
+    std::vector<std::pair<Tick, int>> deliveries;
+    std::vector<std::size_t> depths; ///< queueDepth() after every event
+    std::size_t maxTrains = 0;
+    std::size_t peakDepth = 0;
+    double bytes = 0.0;
+    double transfers = 0.0;
+};
+
+/** Submit @p tags as 1 KB transfers on one channel (comparable probes
+    or, with @p lambdas, plain lambdas that never merge) and run. */
+TrainRun
+runTrain(const std::vector<int> &tags, bool lambdas)
+{
+    EventQueue eq;
+    Channel ch(eq, "c", 1e9, 300 * ticksPerNs);
+    TrainRun run;
+    for (int tag : tags) {
+        if (lambdas)
+            ch.submit(1e3, [&eq, &run, tag] {
+                run.deliveries.emplace_back(eq.now(), tag);
+            });
+        else
+            ch.submit(1e3, Probe{&eq, &run.deliveries, tag});
+        run.maxTrains = std::max(run.maxTrains, ch.queueTrains());
+        run.depths.push_back(ch.queueDepth());
+    }
+    while (eq.step()) {
+        run.maxTrains = std::max(run.maxTrains, ch.queueTrains());
+        run.depths.push_back(ch.queueDepth());
+    }
+    run.peakDepth = ch.peakQueueDepth();
+    run.bytes = ch.stats().value("bytes");
+    run.transfers = ch.stats().value("transfers");
+    return run;
+}
+
+void
+expectSameChannelBehaviour(const TrainRun &trains, const TrainRun &plain)
+{
+    EXPECT_EQ(trains.deliveries, plain.deliveries);
+    EXPECT_EQ(trains.depths, plain.depths);
+    EXPECT_EQ(trains.peakDepth, plain.peakDepth);
+    EXPECT_DOUBLE_EQ(trains.bytes, plain.bytes);
+    EXPECT_DOUBLE_EQ(trains.transfers, plain.transfers);
+}
+
+TEST(ChannelTrain, BurstMatchesUnmergedTransfers)
+{
+    const std::vector<int> tags(64, 7);
+    const TrainRun trains = runTrain(tags, false);
+    const TrainRun plain = runTrain(tags, true);
+    expectSameChannelBehaviour(trains, plain);
+    // The burst really is one train; the lambdas never merged.
+    EXPECT_EQ(trains.maxTrains, 1u);
+    EXPECT_EQ(plain.maxTrains, 63u);
+    EXPECT_EQ(trains.peakDepth, 63u);
+    ASSERT_EQ(trains.deliveries.size(), 64u);
+    // 1 us per transfer back to back, plus the wire latency.
+    EXPECT_EQ(trains.deliveries.back().first,
+              64 * ticksPerUs + 300 * ticksPerNs);
+    EXPECT_DOUBLE_EQ(trains.bytes, 64e3);
+    EXPECT_DOUBLE_EQ(trains.transfers, 64.0);
+}
+
+TEST(ChannelTrain, InterleavedStreamKeepsFifoOrder)
+{
+    // A,A,B,A: only the adjacent As merge, and B stays between them.
+    const std::vector<int> tags{1, 1, 1, 2, 1, 1, 2, 2};
+    const TrainRun trains = runTrain(tags, false);
+    const TrainRun plain = runTrain(tags, true);
+    expectSameChannelBehaviour(trains, plain);
+    std::vector<int> order;
+    for (const auto &delivery : trains.deliveries)
+        order.push_back(delivery.second);
+    EXPECT_EQ(order, tags);
+    // The first A starts at once; {A,A} {B} {A,A} {B,B} wait.
+    EXPECT_EQ(trains.maxTrains, 4u);
+}
+
+TEST(ChannelTrain, EqualClosuresOfDifferentSizeDoNotMerge)
+{
+    EventQueue eq;
+    Channel ch(eq, "c", 1e9, 0);
+    std::vector<std::pair<Tick, int>> log;
+    const Probe probe{&eq, &log, 1};
+    ch.submit(100, probe); // starts at once
+    ch.submit(100, probe);
+    ch.submit(200, probe);
+    ch.submit(100, probe);
+    EXPECT_EQ(ch.queueDepth(), 3u);
+    EXPECT_EQ(ch.queueTrains(), 3u);
+    eq.run();
+    const std::vector<std::pair<Tick, int>> expected{
+        {100 * ticksPerNs, 1},
+        {200 * ticksPerNs, 1},
+        {400 * ticksPerNs, 1},
+        {500 * ticksPerNs, 1}};
+    EXPECT_EQ(log, expected);
+    EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 500.0);
+}
+
+TEST(ChannelTrain, ConservationHoldsMidTrain)
+{
+    LogConfig::throwOnError = true;
+    const bool was_enabled = simcheck::enabled();
+    const std::uint64_t violations = simcheck::violationCount();
+    simcheck::setEnabled(true);
+    EventQueue eq;
+    Channel ch(eq, "c", 1e9, 50 * ticksPerNs);
+    std::vector<std::pair<Tick, int>> log;
+    // Every submit and delivery re-checks the ledger against the
+    // trains' bytes x count.
+    EXPECT_NO_THROW({
+        for (int i = 0; i < 40; ++i)
+            ch.submit(250, Probe{&eq, &log, i / 16});
+        for (int i = 0; i < 25; ++i)
+            eq.step();
+        EXPECT_GT(ch.queueDepth(), ch.queueTrains());
+        ch.simcheckVerifyConservation();
+        eq.run();
+    });
+    EXPECT_EQ(log.size(), 40u);
+    EXPECT_EQ(simcheck::violationCount(), violations);
+    simcheck::setEnabled(was_enabled);
+    LogConfig::throwOnError = false;
 }
 
 // ------------------------------------------------------------------ flow

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simcheck.hh"
@@ -334,6 +336,129 @@ TEST(Logging, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("%d-%s", 7, "x"), "7-x");
     EXPECT_EQ(strfmt("plain"), "plain");
+}
+
+// ------------------------------------------------------- inline function
+
+using SmallFn = InlineFunction<24>;
+
+/** Comparable target: inline, trivially copyable, has operator==. */
+struct Counter
+{
+    int *hits;
+    int step;
+
+    void operator()() const { *hits += step; }
+
+    bool
+    operator==(const Counter &other) const
+    {
+        return hits == other.hits && step == other.step;
+    }
+};
+
+/** Same layout and values as Counter, but a different type. */
+struct OtherCounter
+{
+    int *hits;
+    int step;
+
+    void operator()() const { *hits += step; }
+
+    bool
+    operator==(const OtherCounter &other) const
+    {
+        return hits == other.hits && step == other.step;
+    }
+};
+
+/** Comparable, but too large for the inline buffer. */
+struct BigCounter
+{
+    int *hits;
+    double pad[4];
+
+    void operator()() const { ++*hits; }
+
+    bool
+    operator==(const BigCounter &other) const
+    {
+        return hits == other.hits;
+    }
+};
+
+/** Has operator==, but is not trivially copyable. */
+struct NamedCounter
+{
+    int *hits;
+    std::string name;
+
+    void operator()() const { ++*hits; }
+
+    bool
+    operator==(const NamedCounter &other) const
+    {
+        return hits == other.hits && name == other.name;
+    }
+};
+
+static_assert(SmallFn::comparable<Counter>(), "inline POD with ==");
+static_assert(!SmallFn::comparable<BigCounter>(), "heap-stored");
+static_assert(!SmallFn::comparable<NamedCounter>(),
+              "not trivially copyable");
+
+TEST(InlineFunction, EqualComparableTargetsAreSame)
+{
+    int hits = 0;
+    const SmallFn a(Counter{&hits, 1});
+    const SmallFn b(Counter{&hits, 1});
+    EXPECT_TRUE(a.sameTarget(b));
+    EXPECT_TRUE(b.sameTarget(a));
+    EXPECT_TRUE(a.sameTarget(a));
+    EXPECT_FALSE(a.sameTarget(SmallFn(Counter{&hits, 2})));
+    int other_hits = 0;
+    EXPECT_FALSE(a.sameTarget(SmallFn(Counter{&other_hits, 1})));
+}
+
+TEST(InlineFunction, OtherCallablesNeverCompareSame)
+{
+    int hits = 0;
+    const SmallFn counter(Counter{&hits, 1});
+    // A different type with equal bytes.
+    EXPECT_FALSE(counter.sameTarget(SmallFn(OtherCounter{&hits, 1})));
+    // Lambdas have no operator==: not even equal to themselves.
+    const SmallFn lambda([&hits] { ++hits; });
+    EXPECT_FALSE(lambda.sameTarget(lambda));
+    EXPECT_FALSE(counter.sameTarget(lambda));
+    // Heap-stored and non-trivially-copyable targets opt out too.
+    const SmallFn big(BigCounter{&hits, {}});
+    EXPECT_FALSE(big.sameTarget(big));
+    const InlineFunction<64> named(NamedCounter{&hits, "n"});
+    EXPECT_FALSE(named.sameTarget(named));
+    // Empty functions.
+    const SmallFn empty(nullptr);
+    EXPECT_FALSE(empty.sameTarget(empty));
+    EXPECT_FALSE(empty.sameTarget(counter));
+    EXPECT_FALSE(counter.sameTarget(empty));
+    EXPECT_EQ(hits, 0);
+}
+
+TEST(InlineFunction, CloneInvokesLikeTheOriginal)
+{
+    int hits = 0;
+    SmallFn original(Counter{&hits, 5});
+    SmallFn copy = original.clone();
+    ASSERT_TRUE(static_cast<bool>(copy));
+    EXPECT_TRUE(copy.sameTarget(original));
+    copy();
+    EXPECT_EQ(hits, 5);
+    original();
+    EXPECT_EQ(hits, 10);
+    // The clone is independent: moving the original away leaves it.
+    SmallFn moved = std::move(original);
+    copy();
+    moved();
+    EXPECT_EQ(hits, 20);
 }
 
 // ---------------------------------------------------------------- random
