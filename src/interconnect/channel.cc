@@ -120,8 +120,8 @@ Channel::startNext()
     _bytesTransferred += req.bytes;
     ++_transfers;
 
-    const double bytes = req.bytes;
-    Handler handler = std::move(req.onDelivered);
+    _xferBytes = req.bytes;
+    _xferHandler = std::move(req.onDelivered);
     // Causal tagging: the occupancy edge is chan_xfer (idle start) or
     // chan_queue (started after queueing), in the subsystem context
     // the transfer was submitted under; the post-occupancy delivery
@@ -130,29 +130,32 @@ Channel::startNext()
         eventQueue().causalRecorder(),
         req.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
         CausalRecorder::ctxFromRaw(req.causalCtx), name());
-    after(occupancy,
-          [this, bytes, handler = std::move(handler)]() mutable {
-              _conservedWire -= bytes;
-              _conservedDelivered += bytes;
-              if (simcheck::enabled())
-                  simcheckVerifyConservation();
-              recordWindowBytes(now(), bytes);
-              // Wire latency delays delivery but not the next transfer.
-              if (handler) {
-                  if (_latency == 0) {
-                      handler();
-                  } else {
-                      CausalScope wire_scope(
-                          eventQueue().causalRecorder(),
-                          WaitKind::Wire, name());
-                      eventQueue().scheduleAfter(
-                          _latency, std::move(handler),
-                          EventLabel::dotted(name(), "deliver"));
-                  }
-              }
-              startNext();
-          },
-          "xfer_done");
+    after(occupancy, [this] { finishTransfer(); }, "xfer_done");
+}
+
+void
+Channel::finishTransfer()
+{
+    const double bytes = _xferBytes;
+    _conservedWire -= bytes;
+    _conservedDelivered += bytes;
+    if (simcheck::enabled())
+        simcheckVerifyConservation();
+    recordWindowBytes(now(), bytes);
+    // Wire latency delays delivery but not the next transfer.
+    if (_xferHandler) {
+        if (_latency == 0) {
+            Handler handler = std::move(_xferHandler);
+            handler();
+        } else {
+            CausalScope wire_scope(eventQueue().causalRecorder(),
+                                   WaitKind::Wire, name());
+            eventQueue().scheduleAfter(
+                _latency, std::move(_xferHandler),
+                EventLabel::dotted(name(), "deliver"));
+        }
+    }
+    startNext();
 }
 
 void

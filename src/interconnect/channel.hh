@@ -50,9 +50,11 @@ class Channel : public SimObject
      * Delivery callback: SBO, move-only. 24 inline bytes fit the
      * chunk-forwarding closures of flows and ring collectives exactly
      * (a state pointer, packed route/hop indices, a byte count; both
-     * static_assert it), and the whole Handler in turn fits inside the
-     * channel's own xfer_done event without spilling the kernel's
-     * inline callback buffer. Larger captures fall back to the heap.
+     * static_assert it). The in-flight transfer's handler waits in the
+     * channel, so the xfer_done event captures only the channel, and
+     * the delivery event adopts the handler's target as its
+     * EventQueue::Callback (no wrapper). Larger captures fall back to
+     * the heap.
      */
     using Handler = InlineFunction<24>;
 
@@ -129,6 +131,9 @@ class Channel : public SimObject
 
   private:
     void startNext();
+    /** The in-flight transfer's occupancy ended (xfer_done): deliver
+        it, now or one latency later, and start the next. */
+    void finishTransfer();
     void recordWindowBytes(Tick at, double bytes);
 
     /** One FIFO entry: a train of @c count identical transfers. */
@@ -178,6 +183,11 @@ class Channel : public SimObject
     std::size_t _queueHead = 0;
     std::size_t _queueEntries = 0; ///< trains in the ring
     std::size_t _queueDepth = 0;   ///< transfers over all trains
+
+    // The transfer on the wire (at most one: the next starts at its
+    // xfer_done).
+    double _xferBytes = 0.0;
+    Handler _xferHandler;
 
     // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;

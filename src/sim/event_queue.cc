@@ -38,7 +38,7 @@ EventQueue::setBackend(EventQueueBackendKind kind)
 }
 
 EventId
-EventQueue::scheduleEntry(Tick when, Callback cb, EventLabel label,
+EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
                           bool weak)
 {
     if (when < _now) {
@@ -86,13 +86,13 @@ EventQueue::scheduleEntry(Tick when, Callback cb, EventLabel label,
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb, EventLabel label)
+EventQueue::schedule(Tick when, Callback &&cb, EventLabel &&label)
 {
     return scheduleEntry(when, std::move(cb), std::move(label), false);
 }
 
 EventId
-EventQueue::scheduleWeak(Tick when, Callback cb, EventLabel label)
+EventQueue::scheduleWeak(Tick when, Callback &&cb, EventLabel &&label)
 {
     return scheduleEntry(when, std::move(cb), std::move(label), true);
 }
@@ -111,7 +111,15 @@ EventQueue::allocSlot()
 }
 
 void
-EventQueue::releaseSlot(std::uint32_t index)
+EventQueue::retireSlot(Slot &slot)
+{
+    slot.allocated = false;
+    if (++slot.gen == 0)
+        slot.gen = 1; // Skip 0 on wrap: ids of gen 0 are invalid.
+}
+
+void
+EventQueue::recycleSlot(std::uint32_t index)
 {
     Slot &slot = slotAt(index);
     slot.cb = Callback();
@@ -119,10 +127,14 @@ EventQueue::releaseSlot(std::uint32_t index)
     slot.causalNode = -1;
     slot.weak = false;
     slot.cancelled = false;
-    slot.allocated = false;
-    if (++slot.gen == 0)
-        slot.gen = 1; // Skip 0 on wrap: ids of gen 0 are invalid.
     _freeSlots.push_back(index);
+}
+
+void
+EventQueue::releaseSlot(std::uint32_t index)
+{
+    retireSlot(slotAt(index));
+    recycleSlot(index);
 }
 
 bool
@@ -168,27 +180,32 @@ EventQueue::executeItem(const EventItem &item)
                        static_cast<unsigned long long>(item.when));
     _now = item.when;
     ++_executed;
-    // Move the payload out and retire the slot *before* invoking the
-    // callback: the callback is free to schedule (growing the pool)
-    // or to deschedule its own now-stale id (refused via the bumped
-    // generation).
-    Callback cb = std::move(slot.cb);
-    const std::int64_t causal_node = slot.causalNode;
+    // Run the callback where it sits: slot chunks never move, so
+    // scheduling from inside (even growing the pool) leaves it in
+    // place. The slot is retired first, so the callback's own id is
+    // stale (a self-deschedule is refused) and a reset() from inside
+    // skips it; it joins the free list only once the call is over,
+    // unwinding included.
+    retireSlot(slot);
+    struct Recycle
+    {
+        EventQueue &eq;
+        std::uint32_t index;
+
+        ~Recycle() { eq.recycleSlot(index); }
+    } recycle{*this, item.slot};
+    if (_causal)
+        _causal->noteExecute(slot.causalNode, _now);
     if (_profiler) {
         _execLabelScratch.clear();
         slot.label.appendTo(_execLabelScratch);
-    }
-    releaseSlot(item.slot);
-    if (_causal)
-        _causal->noteExecute(causal_node, _now);
-    if (_profiler) {
         const std::uint64_t t0 = CycleTimer::now();
-        cb();
+        slot.cb();
         const std::uint64_t t1 = CycleTimer::now();
         _profiler->noteExecute(_execLabelScratch, _now,
                                CycleTimer::deltaToNs(t1 - t0));
     } else {
-        cb();
+        slot.cb();
     }
     if (_causal)
         _causal->noteExecuteEnd();

@@ -11,12 +11,14 @@
  * lazy label, flags) live in a free-list slot pool, the priority
  * structure orders POD (when, seq, slot) keys (see
  * event_queue_backend.hh for the heap and calendar backends; the
- * default heap is a member called directly, not through the backend
- * interface), and
+ * default radix heap is a member called directly, not through the
+ * backend interface), and
  * cancellation is a tombstone flag in the slot — no per-event heap
- * traffic, no hash-set side-tables. Slot state is retired at pop time,
- * so a stale EventId (already executed or cancelled) is detected by a
- * generation check and deschedule() correctly refuses it.
+ * traffic, no hash-set side-tables. A callback runs where it sits in
+ * its slot (slots never move); the slot's generation is bumped before
+ * the call, so a stale EventId (already executing, executed or
+ * cancelled) fails a generation check and deschedule() correctly
+ * refuses it, and the slot is recycled once the call returns.
  *
  * The kernel is deliberately minimal: the heavy lifting (bandwidth
  * channels, compute streams, collectives) is built on top of it in the
@@ -68,10 +70,12 @@ class EventQueue
 {
   public:
     /**
-     * Event callback: SBO, one cache line of inline capture. Sized so
-     * the hottest simulator event — a channel delivery capturing
-     * `this`, a byte count and a Channel::Handler — stays inline; a
-     * wrapped std::function (32 bytes) fits too.
+     * Event callback: SBO, one cache line with its ops pointer. The
+     * hottest simulator events are small: a channel's xfer_done
+     * captures only the channel (the in-flight transfer's bytes and
+     * handler wait in the channel), and its delivery event adopts the
+     * Channel::Handler's target as is. A wrapped std::function
+     * (32 bytes) fits inline too.
      */
     using Callback = InlineFunction<56>;
 
@@ -105,11 +109,11 @@ class EventQueue
      * @param label Optional debug label (lazy; see event_label.hh).
      * @return A handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback cb, EventLabel label = {});
+    EventId schedule(Tick when, Callback &&cb, EventLabel &&label = {});
 
     /** Schedule a callback @p delta ticks in the future. */
     EventId
-    scheduleAfter(Tick delta, Callback cb, EventLabel label = {})
+    scheduleAfter(Tick delta, Callback &&cb, EventLabel &&label = {})
     {
         return schedule(_now + delta, std::move(cb),
                         std::move(label));
@@ -124,7 +128,8 @@ class EventQueue
      * event. This lets observers self-reschedule unconditionally
      * without wedging the drain or distorting makespans.
      */
-    EventId scheduleWeak(Tick when, Callback cb, EventLabel label = {});
+    EventId scheduleWeak(Tick when, Callback &&cb,
+                         EventLabel &&label = {});
 
     /**
      * Cancel a pending event.
@@ -260,14 +265,20 @@ class EventQueue
                | static_cast<EventId>(slot);
     }
 
-    EventId scheduleEntry(Tick when, Callback cb, EventLabel label,
+    EventId scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
                           bool weak);
 
     std::uint32_t allocSlot();
-    /** Destroy the payload, bump the generation, recycle the slot. */
+    /** Make every id of the slot stale: clear `allocated` and bump
+        the generation (skipping 0). */
+    static void retireSlot(Slot &slot);
+    /** Destroy the payload and put a retired slot on the free list. */
+    void recycleSlot(std::uint32_t index);
+    /** retireSlot() then recycleSlot(). */
     void releaseSlot(std::uint32_t index);
 
-    /** Pop/execute one item. Precondition: live, non-cancelled. */
+    /** Execute a popped item in place. Precondition: live,
+        non-cancelled. */
     void executeItem(const EventItem &item);
 
     /** Drop every remaining (weak) entry without executing it. */
@@ -288,7 +299,7 @@ class EventQueue
     }
 
     const EventItem &
-    peekKey() const
+    peekKey()
     {
         return _backend ? _backend->peek() : _heap.peek();
     }

@@ -79,6 +79,57 @@ makeEventQueueBackend(EventQueueBackendKind kind)
 }
 
 // ---------------------------------------------------------------------
+// HeapEventQueueBackend
+
+void
+HeapEventQueueBackend::settle()
+{
+    const auto index = static_cast<unsigned>(__builtin_ctzll(_mask));
+    std::vector<EventItem> &source = _buckets[index];
+    Tick least = source.front().when;
+    for (const EventItem &item : source)
+        least = std::min(least, item.when);
+    // Every other pending item keeps its bucket under the new base:
+    // the base moves only within bucket `index`'s range.
+    _base = least;
+    _mask &= ~(std::uint64_t{1} << index);
+    for (const EventItem &item : source)
+        place(item);
+    source.clear();
+}
+
+void
+HeapEventQueueBackend::rebase(Tick when)
+{
+    // Bucket by bucket, each in FIFO order: items of one tick share a
+    // bucket, so their seq order survives the re-bucketing.
+    std::vector<EventItem> items(_front.begin() + _frontHead,
+                                 _front.end());
+    for (std::vector<EventItem> &bucket : _buckets) {
+        items.insert(items.end(), bucket.begin(), bucket.end());
+        bucket.clear();
+    }
+    _front.clear();
+    _frontHead = 0;
+    _mask = 0;
+    _base = when;
+    for (const EventItem &item : items)
+        place(item);
+}
+
+void
+HeapEventQueueBackend::clear()
+{
+    _front.clear();
+    _frontHead = 0;
+    for (std::vector<EventItem> &bucket : _buckets)
+        bucket.clear();
+    _mask = 0;
+    _base = 0;
+    _size = 0;
+}
+
+// ---------------------------------------------------------------------
 // CalendarEventQueueBackend
 
 CalendarEventQueueBackend::CalendarEventQueueBackend()
@@ -147,7 +198,7 @@ CalendarEventQueueBackend::findMinBucket() const
 }
 
 const EventItem &
-CalendarEventQueueBackend::peek() const
+CalendarEventQueueBackend::peek()
 {
     if (_minBucket == SIZE_MAX)
         _minBucket = findMinBucket();

@@ -7,13 +7,15 @@
  * the priority structure. That split is what makes the structure
  * swappable: a backend orders 24-byte keys and never touches payloads.
  *
- * Two backends ship: a 4-ary heap (the default) and a Brown-style
- * calendar queue whose push/pop are O(1) amortized when event ticks are
- * roughly uniform — the common case for bandwidth-driven simulations.
- * Both produce the exact global (when, seq) order, so same-tick FIFO
- * semantics and the determinism-audit stream hash are identical under
- * either backend (`mcdla_sim --event-queue heap|calendar`). The heap
- * is defined inline here because the EventQueue calls it directly,
+ * Two backends ship: a monotone radix heap on the tick (the default,
+ * token `heap`) and a Brown-style calendar queue whose push/pop are
+ * O(1) amortized when event ticks are roughly uniform. Both produce the
+ * exact global (when, seq) order, so same-tick FIFO semantics and the
+ * determinism-audit stream hash are identical under either backend
+ * (`mcdla_sim --event-queue heap|calendar`). The radix heap leans on
+ * the kernel's key stream: ticks never run backwards past the last pop
+ * and keys arrive in seq order, so it orders by tick alone. It is
+ * defined inline here because the EventQueue calls it directly,
  * without the virtual interface; other backends go through it.
  */
 
@@ -54,7 +56,9 @@ eventItemBefore(const EventItem &a, const EventItem &b)
  * Contract: pop() returns items in exact (when, seq) order; peek()
  * and pop() must not be called on an empty backend; pushed items are
  * never earlier than the last popped item (the kernel clamps
- * past-tick schedules to now() first).
+ * past-tick schedules to now() first); keys are pushed in increasing
+ * seq order (seq is the kernel's push counter). peek() may reorganise
+ * the structure, so it is not const.
  */
 class EventQueueBackend
 {
@@ -63,7 +67,7 @@ class EventQueueBackend
 
     virtual void push(const EventItem &item) = 0;
     /** The minimum item. Precondition: !empty(). */
-    virtual const EventItem &peek() const = 0;
+    virtual const EventItem &peek() = 0;
     /** Remove and return the minimum item. Precondition: !empty(). */
     virtual EventItem pop() = 0;
     virtual bool empty() const = 0;
@@ -74,7 +78,7 @@ class EventQueueBackend
 /** Selects the EventQueue's priority structure (`--event-queue`). */
 enum class EventQueueBackendKind
 {
-    Heap,     ///< binary heap: O(log n), robust to any tick pattern
+    Heap,     ///< radix heap on the tick: O(log tick range) per item
     Calendar, ///< calendar queue: O(1) amortized for uniform ticks
 };
 
@@ -86,12 +90,25 @@ std::unique_ptr<EventQueueBackend>
 makeEventQueueBackend(EventQueueBackendKind kind);
 
 /**
- * 4-ary implicit min-heap over a flat vector. The default backend:
- * O(log n) everything, no distribution assumptions. Four children per
- * node halves the tree depth of a binary heap, and a node's four
- * 24-byte children span at most three cache lines, which is what the
- * deep-queue pop path is bound by. push/pop are inline so the
- * EventQueue's direct calls compile into its hot loop.
+ * Monotone radix heap on `when` (Ahuja, Mehlhorn, Orlin & Tarjan, J.
+ * ACM 1990). The default backend. Bucket 0 holds the items at the
+ * base tick (the smallest pending tick once settled); bucket i >= 1
+ * holds the items whose highest bit differing from the base is bit
+ * i-1. Since the kernel only pushes ticks no earlier than the last
+ * pop, an item only ever moves to lower buckets, so each costs
+ * O(log range) moves over its life and no (when, seq) comparison is
+ * made at all.
+ *
+ * Order is exact, not approximate: buckets are FIFO vectors, items of
+ * one tick always share a bucket, keys arrive in seq order, and a
+ * settle redistributes a bucket stably into the (empty) buckets below
+ * it. So bucket 0 drains in seq order, which is (when, seq) order.
+ *
+ * The key shape this wins on is the simulator's: most pushes land on
+ * a tick that is already pending and only a handful of distinct ticks
+ * are pending at once, so a push is one append and a pop one read.
+ * push/pop are inline so the EventQueue's direct calls compile into
+ * its hot loop. Storage allocates on first push.
  */
 class HeapEventQueueBackend final : public EventQueueBackend
 {
@@ -99,70 +116,85 @@ class HeapEventQueueBackend final : public EventQueueBackend
     void
     push(const EventItem &item) override
     {
-        std::size_t hole = _heap.size();
-        _heap.push_back(item);
-        EventItem *heap = _heap.data();
-        while (hole > 0) {
-            const std::size_t parent = (hole - 1) / kArity;
-            if (!eventItemBefore(item, heap[parent]))
-                break;
-            heap[hole] = heap[parent];
-            hole = parent;
-        }
-        heap[hole] = item;
+        if (_size == 0)
+            _base = item.when;
+        else if (item.when < _base)
+            rebase(item.when);
+        ++_size;
+        place(item);
     }
 
-    const EventItem &peek() const override { return _heap.front(); }
+    const EventItem &
+    peek() override
+    {
+        if (_frontHead == _front.size())
+            settle();
+        return _front[_frontHead];
+    }
 
     EventItem
     pop() override
     {
-        const EventItem top = _heap.front();
-        const EventItem last = _heap.back();
-        _heap.pop_back();
-        const std::size_t size = _heap.size();
-        if (size == 0)
-            return top;
-        // Sift the former last leaf down from the root.
-        EventItem *heap = _heap.data();
-        std::size_t hole = 0;
-        for (;;) {
-            const std::size_t first = hole * kArity + 1;
-            std::size_t best;
-            if (first + kArity <= size) {
-                // A full group: a two-round tournament of selects,
-                // not a data-dependent branch per child.
-                const std::size_t left =
-                    first + eventItemBefore(heap[first + 1], heap[first]);
-                const std::size_t right = first + 2
-                    + eventItemBefore(heap[first + 3], heap[first + 2]);
-                best = eventItemBefore(heap[right], heap[left]) ? right
-                                                                : left;
-            } else if (first < size) {
-                best = first;
-                for (std::size_t child = first + 1; child < size; ++child)
-                    if (eventItemBefore(heap[child], heap[best]))
-                        best = child;
-            } else {
-                break;
-            }
-            if (!eventItemBefore(heap[best], last))
-                break;
-            heap[hole] = heap[best];
-            hole = best;
+        if (_frontHead == _front.size())
+            settle();
+        const EventItem item = _front[_frontHead++];
+        if (_frontHead == _front.size()) {
+            _front.clear();
+            _frontHead = 0;
         }
-        heap[hole] = last;
-        return top;
+        --_size;
+        return item;
     }
 
-    bool empty() const override { return _heap.empty(); }
-    std::size_t size() const override { return _heap.size(); }
-    void clear() override { _heap.clear(); }
+    bool empty() const override { return _size == 0; }
+    std::size_t size() const override { return _size; }
+    void clear() override;
 
   private:
-    static constexpr std::size_t kArity = 4;
+    /** 0 for the base tick, else 1 + the highest bit in which
+        @p when differs from the base: 1..64. */
+    unsigned
+    bucketOf(Tick when) const
+    {
+        const std::uint64_t diff = static_cast<std::uint64_t>(when)
+                                   ^ static_cast<std::uint64_t>(_base);
+        return diff == 0 ? 0u
+                         : 64u - static_cast<unsigned>(
+                                     __builtin_clzll(diff));
+    }
 
-    std::vector<EventItem> _heap;
+    /** Append @p item to its bucket for the current base. */
+    void
+    place(const EventItem &item)
+    {
+        const unsigned bucket = bucketOf(item.when);
+        if (bucket == 0) {
+            _front.push_back(item);
+            return;
+        }
+        _buckets[bucket - 1].push_back(item);
+        _mask |= std::uint64_t{1} << (bucket - 1);
+    }
+
+    /** Refill the drained bucket 0: move the base to the least tick
+        of the lowest non-empty bucket and spread that bucket over
+        the ones below it. Precondition: bucket 0 drained, !empty(). */
+    void settle();
+
+    /** Move the base down to @p when, re-bucketing every item: the
+        O(n) path for a push below the base, which only follows a
+        runUntil() that peeked past its limit. */
+    void rebase(Tick when);
+
+    /** Bucket 0, drained from _frontHead. */
+    std::vector<EventItem> _front;
+    std::size_t _frontHead = 0;
+    /** Buckets 1..64 at indices 0..63. */
+    std::vector<EventItem> _buckets[64];
+    /** Bit i set iff _buckets[i] is non-empty. */
+    std::uint64_t _mask = 0;
+    Tick _base = 0;
+    std::size_t _size = 0;
 };
 
 /**
@@ -184,7 +216,7 @@ class CalendarEventQueueBackend final : public EventQueueBackend
     CalendarEventQueueBackend();
 
     void push(const EventItem &item) override;
-    const EventItem &peek() const override;
+    const EventItem &peek() override;
     EventItem pop() override;
     bool empty() const override { return _count == 0; }
     std::size_t size() const override { return _count; }
@@ -212,7 +244,7 @@ class CalendarEventQueueBackend final : public EventQueueBackend
     std::size_t _count = 0;      ///< total pending items
     Tick _lastWhen = 0;          ///< last popped tick (scan start)
     /** Cached result of the last peek()'s search, reused by pop(). */
-    mutable std::size_t _minBucket = SIZE_MAX;
+    std::size_t _minBucket = SIZE_MAX;
 };
 
 } // namespace mcdla

@@ -10,9 +10,14 @@
  * — which is what makes scheduling an event allocation-free.
  *
  * The inline/heap distinction is encoded in the static ops table
- * selected at construction, not in a runtime flag: empty-check, call,
- * move, and destroy are all one indirect call on a small vtable-like
- * struct.
+ * selected at construction, not in a runtime flag: a call is one
+ * indirect call on a small vtable-like struct. Targets stored as plain
+ * bytes — inline trivially copyable ones, and the pointer of a
+ * heap-stored one — carry no relocate op and move by memcpy, and a
+ * trivially destructible inline target has no destroy op either. The
+ * tables live at namespace scope, shared by every buffer size, so a
+ * function adopts a smaller one's target (a Channel::Handler handed
+ * to the EventQueue as its Callback) instead of wrapping it.
  *
  * Comparable targets opt into value semantics: an inline, trivially
  * copyable target type that defines `operator==` gets sameTarget()
@@ -26,12 +31,126 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace mcdla
 {
+
+template <std::size_t InlineBytes>
+class InlineFunction;
+
+namespace detail
+{
+
+/** Type-erased operations on one target type's storage. */
+struct InlineFunctionOps
+{
+    void (*invoke)(void *storage);
+    /** Move-construct the target from @p from into @p to and destroy
+        the source; null when a byte copy of the storage does both. */
+    void (*relocate)(void *from, void *to);
+    /** Destroy the target; null when there is nothing to do. */
+    void (*destroy)(void *storage);
+    /** Value equality of two targets of this type; null unless the
+        type is comparable (InlineFunction::comparable()). */
+    bool (*equal)(const void *a, const void *b);
+};
+
+template <class Fn, class = void>
+struct HasEqual : std::false_type
+{
+};
+
+template <class Fn>
+struct HasEqual<Fn, std::enable_if_t<std::is_convertible<
+                        decltype(std::declval<const Fn &>()
+                                 == std::declval<const Fn &>()),
+                        bool>::value>> : std::true_type
+{
+};
+
+/** Ops of a target constructed in the inline buffer. */
+template <class Fn>
+struct InlineTargetOps
+{
+    static void
+    invoke(void *storage)
+    {
+        (*static_cast<Fn *>(storage))();
+    }
+
+    static void
+    relocate(void *from, void *to)
+    {
+        Fn *src = static_cast<Fn *>(from);
+        ::new (to) Fn(std::move(*src));
+        src->~Fn();
+    }
+
+    static void
+    destroy(void *storage)
+    {
+        static_cast<Fn *>(storage)->~Fn();
+    }
+
+    static bool
+    equal(const void *a, const void *b)
+    {
+        return *static_cast<const Fn *>(a)
+               == *static_cast<const Fn *>(b);
+    }
+
+    static constexpr InlineFunctionOps
+    makeOps()
+    {
+        if constexpr (!std::is_trivially_copyable<Fn>::value)
+            return {&invoke, &relocate, &destroy, nullptr};
+        else if constexpr (HasEqual<Fn>::value)
+            return {&invoke, nullptr, nullptr, &equal};
+        else
+            return {&invoke, nullptr, nullptr, nullptr};
+    }
+
+    static constexpr InlineFunctionOps ops = makeOps();
+};
+
+/** Ops of a heap-allocated target: the buffer holds its pointer. */
+template <class Fn>
+struct HeapTargetOps
+{
+    static void
+    invoke(void *storage)
+    {
+        (**static_cast<Fn **>(storage))();
+    }
+
+    static void
+    destroy(void *storage)
+    {
+        delete *static_cast<Fn **>(storage);
+    }
+
+    static constexpr InlineFunctionOps ops = {&invoke, nullptr,
+                                              &destroy, nullptr};
+};
+
+/** Whether an InlineFunction<N> adopts @p F's target rather than
+    wrapping it: F is an InlineFunction no larger than N. */
+template <class F, std::size_t N>
+struct AdoptsInto : std::false_type
+{
+};
+
+template <std::size_t M, std::size_t N>
+struct AdoptsInto<InlineFunction<M>, N>
+    : std::integral_constant<bool, (M <= N)>
+{
+};
+
+} // namespace detail
 
 /** Move-only `void()` callable with an @p InlineBytes SBO buffer. */
 template <std::size_t InlineBytes>
@@ -41,10 +160,9 @@ class InlineFunction
     InlineFunction() = default;
     InlineFunction(std::nullptr_t) {} // NOLINT: match std::function
 
-    template <
-        class F,
-        class = std::enable_if_t<
-            !std::is_same<std::decay_t<F>, InlineFunction>::value>>
+    template <class F,
+              class = std::enable_if_t<!detail::AdoptsInto<
+                  std::decay_t<F>, InlineBytes>::value>>
     InlineFunction(F &&fn) // NOLINT: implicit like std::function
     {
         using Fn = std::decay_t<F>;
@@ -54,34 +172,31 @@ class InlineFunction
         if constexpr (fitsInline<Fn>()) {
             ::new (static_cast<void *>(_buf))
                 Fn(std::forward<F>(fn));
-            _ops = &InlineOpsFor<Fn>::ops;
+            _ops = &detail::InlineTargetOps<Fn>::ops;
         } else {
             *reinterpret_cast<Fn **>(_buf) =
                 new Fn(std::forward<F>(fn));
-            _ops = &HeapOpsFor<Fn>::ops;
+            _ops = &detail::HeapTargetOps<Fn>::ops;
         }
     }
 
-    InlineFunction(InlineFunction &&other) noexcept
-        : _ops(other._ops)
+    /** Take over the target of a function with a buffer no larger
+        than ours: same ops, storage moved across, no wrapper. */
+    template <std::size_t OtherBytes,
+              class = std::enable_if_t<(OtherBytes < InlineBytes)>>
+    InlineFunction(InlineFunction<OtherBytes> &&other) noexcept
     {
-        if (_ops != nullptr) {
-            _ops->relocate(other._buf, _buf);
-            other._ops = nullptr;
-        }
+        adopt(other);
     }
+
+    InlineFunction(InlineFunction &&other) noexcept { adopt(other); }
 
     InlineFunction &
     operator=(InlineFunction &&other) noexcept
     {
         if (this != &other) {
-            if (_ops != nullptr)
-                _ops->destroy(_buf);
-            _ops = other._ops;
-            if (_ops != nullptr) {
-                _ops->relocate(other._buf, _buf);
-                other._ops = nullptr;
-            }
+            destroyTarget();
+            adopt(other);
         }
         return *this;
     }
@@ -89,11 +204,7 @@ class InlineFunction
     InlineFunction(const InlineFunction &) = delete;
     InlineFunction &operator=(const InlineFunction &) = delete;
 
-    ~InlineFunction()
-    {
-        if (_ops != nullptr)
-            _ops->destroy(_buf);
-    }
+    ~InlineFunction() { destroyTarget(); }
 
     explicit operator bool() const { return _ops != nullptr; }
 
@@ -125,9 +236,10 @@ class InlineFunction
     InlineFunction
     clone() const
     {
-        assert(_ops != nullptr && _ops->clone != nullptr);
+        assert(_ops != nullptr && _ops->equal != nullptr);
+        // Comparable targets are trivially copyable: bytes suffice.
         InlineFunction copy;
-        _ops->clone(_buf, copy._buf);
+        std::memcpy(copy._buf, _buf, InlineBytes);
         copy._ops = _ops;
         return copy;
     }
@@ -151,115 +263,38 @@ class InlineFunction
     comparable()
     {
         return fitsInline<Fn>() && std::is_trivially_copyable<Fn>::value
-               && HasEqual<Fn>::value;
+               && detail::HasEqual<Fn>::value;
     }
 
   private:
-    template <class Fn, class = void>
-    struct HasEqual : std::false_type
+    template <std::size_t>
+    friend class InlineFunction;
+
+    /** Move @p other's target (and ops) into this empty function,
+        leaving @p other empty. */
+    template <std::size_t OtherBytes>
+    void
+    adopt(InlineFunction<OtherBytes> &other) noexcept
     {
-    };
+        _ops = other._ops;
+        if (_ops == nullptr)
+            return;
+        if (_ops->relocate != nullptr)
+            _ops->relocate(other._buf, _buf);
+        else
+            std::memcpy(_buf, other._buf, OtherBytes);
+        other._ops = nullptr;
+    }
 
-    template <class Fn>
-    struct HasEqual<Fn,
-                    std::enable_if_t<std::is_convertible<
-                        decltype(std::declval<const Fn &>()
-                                 == std::declval<const Fn &>()),
-                        bool>::value>> : std::true_type
+    void
+    destroyTarget() noexcept
     {
-    };
-
-    struct Ops
-    {
-        void (*invoke)(void *storage);
-        /** Move-construct the target from @p from into @p to and
-            destroy the source (one pass: storage is relocated when the
-            owning slot pool or heap vector grows). */
-        void (*relocate)(void *from, void *to);
-        void (*destroy)(void *storage);
-        /** Value equality of two targets of this type; null when the
-            type is not comparable(). */
-        bool (*equal)(const void *a, const void *b);
-        /** Copy-construct the target from @p from into @p to; null
-            when the type is not comparable(). */
-        void (*clone)(const void *from, void *to);
-    };
-
-    template <class Fn>
-    struct InlineOpsFor
-    {
-        static void
-        invoke(void *storage)
-        {
-            (*static_cast<Fn *>(storage))();
-        }
-
-        static void
-        relocate(void *from, void *to)
-        {
-            Fn *src = static_cast<Fn *>(from);
-            ::new (to) Fn(std::move(*src));
-            src->~Fn();
-        }
-
-        static void
-        destroy(void *storage)
-        {
-            static_cast<Fn *>(storage)->~Fn();
-        }
-
-        static bool
-        equal(const void *a, const void *b)
-        {
-            return *static_cast<const Fn *>(a)
-                   == *static_cast<const Fn *>(b);
-        }
-
-        static void
-        clone(const void *from, void *to)
-        {
-            ::new (to) Fn(*static_cast<const Fn *>(from));
-        }
-
-        static constexpr Ops
-        makeOps()
-        {
-            if constexpr (comparable<Fn>())
-                return {&invoke, &relocate, &destroy, &equal, &clone};
-            else
-                return {&invoke, &relocate, &destroy, nullptr, nullptr};
-        }
-
-        static constexpr Ops ops = makeOps();
-    };
-
-    template <class Fn>
-    struct HeapOpsFor
-    {
-        static void
-        invoke(void *storage)
-        {
-            (**static_cast<Fn **>(storage))();
-        }
-
-        static void
-        relocate(void *from, void *to)
-        {
-            *static_cast<Fn **>(to) = *static_cast<Fn **>(from);
-        }
-
-        static void
-        destroy(void *storage)
-        {
-            delete *static_cast<Fn **>(storage);
-        }
-
-        static constexpr Ops ops = {&invoke, &relocate, &destroy,
-                                    nullptr, nullptr};
-    };
+        if (_ops != nullptr && _ops->destroy != nullptr)
+            _ops->destroy(_buf);
+    }
 
     alignas(std::max_align_t) unsigned char _buf[InlineBytes];
-    const Ops *_ops = nullptr;
+    const detail::InlineFunctionOps *_ops = nullptr;
 };
 
 } // namespace mcdla

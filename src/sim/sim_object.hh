@@ -56,7 +56,7 @@ class SimObject
         The "name.label" text is captured lazily (no concatenation
         unless a profiler or causal recorder is attached). */
     EventId
-    after(Tick delta, EventQueue::Callback cb, const char *label = "")
+    after(Tick delta, EventQueue::Callback &&cb, const char *label = "")
     {
         return _eq.scheduleAfter(delta, std::move(cb),
                                  EventLabel::dotted(_name, label));

@@ -16,17 +16,17 @@ namespace mcdla
 namespace simcheck
 {
 
-namespace
-{
-
 // The CMake option only moves the default; tests and --simcheck flip
 // the toggle at runtime. Set before a run starts — sweeps read it
 // concurrently from worker threads.
 #ifdef MCDLA_SIMCHECK
-bool g_enabled = true;
+bool detail::g_enabled = true;
 #else
-bool g_enabled = false;
+bool detail::g_enabled = false;
 #endif
+
+namespace
+{
 
 std::uint64_t g_violations = 0;
 
@@ -45,16 +45,10 @@ vformat(const char *fmt, std::va_list args)
 
 } // anonymous namespace
 
-bool
-enabled()
-{
-    return g_enabled;
-}
-
 void
 setEnabled(bool on)
 {
-    g_enabled = on;
+    detail::g_enabled = on;
 }
 
 std::uint64_t

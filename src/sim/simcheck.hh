@@ -35,8 +35,19 @@ namespace mcdla
 namespace simcheck
 {
 
-/** Whether the invariant engine is active. */
-bool enabled();
+namespace detail
+{
+/** The runtime toggle; read through enabled(), set by setEnabled(). */
+extern bool g_enabled;
+} // namespace detail
+
+/** Whether the invariant engine is active. Inline: the hooks read it
+    on every event and transfer. */
+inline bool
+enabled()
+{
+    return detail::g_enabled;
+}
 
 /** Flip the engine at runtime (before a run starts, not during). */
 void setEnabled(bool on);

@@ -194,7 +194,9 @@ TEST(EventBackendDifferential, BackendTokensRoundTrip)
 // ------------------------------------------------------ heap reference
 
 /** Random keys with same-tick bursts: ticks from a narrow range, so
-    many keys tie on `when` and order by `seq` alone. */
+    many keys tie on `when` and order by `seq` alone. Ticks come in no
+    particular order; seq follows the order of the returned keys, as
+    the kernel's push counter does. */
 std::vector<EventItem>
 randomKeys(Random &rng, std::size_t n, Tick base, std::uint64_t &seq)
 {
@@ -209,40 +211,162 @@ randomKeys(Random &rng, std::size_t n, Tick base, std::uint64_t &seq)
     return keys;
 }
 
+/** Keys in seq order over shuffled, bursty ticks: runs of one tick
+    (bursts) separated by jumps both ways across a wide range. */
+std::vector<EventItem>
+burstyKeys(Random &rng, std::size_t n, std::uint64_t &seq)
+{
+    std::vector<EventItem> keys;
+    Tick when = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.below(4) == 0)
+            when = static_cast<Tick>(
+                rng.below(rng.below(2) == 0 ? 64 : 1'000'000'000));
+        keys.push_back(EventItem{when, seq++,
+                                 static_cast<std::uint32_t>(i)});
+    }
+    return keys;
+}
+
 bool
 sameKey(const EventItem &a, const EventItem &b)
 {
     return a.when == b.when && a.seq == b.seq && a.slot == b.slot;
 }
 
+/** Push @p keys in order, then drain: every peek and pop must match
+    the (when, seq) sort of the keys. */
+void
+expectSortedDrain(EventQueueBackend &backend,
+                  const std::vector<EventItem> &keys)
+{
+    for (const EventItem &key : keys)
+        backend.push(key);
+    ASSERT_EQ(backend.size(), keys.size());
+    std::vector<EventItem> sorted = keys;
+    std::sort(sorted.begin(), sorted.end(), eventItemBefore);
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        ASSERT_TRUE(sameKey(backend.peek(), sorted[i]))
+            << "n=" << keys.size() << " pop " << i;
+        ASSERT_TRUE(sameKey(backend.pop(), sorted[i]))
+            << "n=" << keys.size() << " pop " << i;
+    }
+    EXPECT_TRUE(backend.empty());
+}
+
+/** Sizes around powers of two, and with every n mod 4. */
+constexpr std::size_t kDrainSizes[] = {1,  2,  3,  4,   5,   6,    7,
+                                       9,  13, 17, 22,  63,  64,   65,
+                                       66, 257, 1023, 4097};
+
 TEST(HeapBackendReference, DrainMatchesSortedOrder)
 {
+    // The kernel pushes in seq order, so the ticks are what arrive
+    // shuffled: bursts of one tick, jumps up and down between them.
     Random rng(17);
-    // Sizes leave every partial last child group (n mod 4 = 1, 2, 3)
-    // as well as full ones.
-    for (std::size_t n :
-         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 13u, 17u, 22u, 63u, 64u, 65u,
-          66u, 257u, 1023u, 4097u}) {
+    for (std::size_t n : kDrainSizes) {
+        std::uint64_t seq = 0;
+        HeapEventQueueBackend heap;
+        expectSortedDrain(heap, burstyKeys(rng, n, seq));
+    }
+}
+
+TEST(CalendarBackendReference, ShuffledDrainMatchesSortedOrder)
+{
+    // The calendar queue sorts each bucket by (when, seq), so unlike
+    // the radix heap it also takes keys out of seq order.
+    Random rng(17);
+    for (std::size_t n : kDrainSizes) {
         std::uint64_t seq = 0;
         std::vector<EventItem> keys = randomKeys(rng, n, 1000, seq);
-        // Push in a shuffled order so seq order is not insert order.
         for (std::size_t i = keys.size(); i > 1; --i)
             std::swap(keys[i - 1],
                       keys[static_cast<std::size_t>(rng.below(i))]);
-        HeapEventQueueBackend heap;
-        for (const EventItem &key : keys)
-            heap.push(key);
-        ASSERT_EQ(heap.size(), n);
-        std::vector<EventItem> sorted = keys;
-        std::sort(sorted.begin(), sorted.end(), eventItemBefore);
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(sameKey(heap.peek(), sorted[i]))
-                << "n=" << n << " pop " << i;
-            ASSERT_TRUE(sameKey(heap.pop(), sorted[i]))
-                << "n=" << n << " pop " << i;
-        }
-        EXPECT_TRUE(heap.empty());
+        CalendarEventQueueBackend calendar;
+        expectSortedDrain(calendar, keys);
     }
+}
+
+TEST(HeapBackendReference, ExtremeBucketsDrainInOrder)
+{
+    // Base 0: UINT64_MAX and UINT64_MAX - 1 differ from it in bit 63
+    // (the top bucket), tick 1 only in bit 0 (the lowest bucket
+    // above the base's own).
+    std::uint64_t seq = 0;
+    const Tick top = UINT64_MAX;
+    HeapEventQueueBackend heap;
+    expectSortedDrain(heap, {EventItem{0, seq++, 0},
+                             EventItem{top, seq++, 1},
+                             EventItem{1, seq++, 2},
+                             EventItem{top - 1, seq++, 3},
+                             EventItem{top, seq++, 4},
+                             EventItem{1, seq++, 5}});
+    // From a base just below 2^63, 2^63 and UINT64_MAX both differ
+    // in bit 63; settling that bucket spreads them apart again.
+    const Tick half = Tick{1} << 63;
+    expectSortedDrain(heap, {EventItem{half - 1, seq++, 6},
+                             EventItem{top, seq++, 7},
+                             EventItem{half, seq++, 8},
+                             EventItem{half - 1, seq++, 9},
+                             EventItem{half, seq++, 10}});
+}
+
+TEST(HeapBackendReference, BaseTickPushDuringDrainKeepsFifo)
+{
+    std::uint64_t seq = 0;
+    HeapEventQueueBackend heap;
+    heap.push(EventItem{10, seq++, 0});
+    heap.push(EventItem{10, seq++, 1});
+    heap.push(EventItem{12, seq++, 2});
+    EXPECT_EQ(heap.pop().slot, 0u);
+    // Bucket 0 still holds slot 1: a push at the base tick queues
+    // behind it, one later tick behind both.
+    heap.push(EventItem{10, seq++, 3});
+    heap.push(EventItem{11, seq++, 4});
+    heap.push(EventItem{10, seq++, 5});
+    for (std::uint32_t slot : {1u, 3u, 5u, 4u, 2u}) {
+        ASSERT_FALSE(heap.empty());
+        EXPECT_EQ(heap.pop().slot, slot);
+    }
+    EXPECT_TRUE(heap.empty());
+}
+
+TEST(HeapBackendReference, PushBelowPeekedBaseRebases)
+{
+    // peek() settles onto tick 200; the earlier push at 150 must
+    // still come out first, and the tick-200 keys keep seq order.
+    std::uint64_t seq = 0;
+    HeapEventQueueBackend heap;
+    heap.push(EventItem{100, seq++, 1});
+    heap.push(EventItem{200, seq++, 2});
+    heap.push(EventItem{300, seq++, 3});
+    heap.push(EventItem{200, seq++, 4});
+    EXPECT_EQ(heap.pop().when, 100u);
+    EXPECT_EQ(heap.peek().when, 200u);
+    heap.push(EventItem{150, seq++, 10});
+    heap.push(EventItem{200, seq++, 11});
+    heap.push(EventItem{151, seq++, 12});
+    EXPECT_EQ(heap.peek().slot, 10u);
+    for (std::uint32_t slot : {10u, 12u, 2u, 4u, 11u, 3u})
+        EXPECT_EQ(heap.pop().slot, slot);
+    EXPECT_TRUE(heap.empty());
+}
+
+TEST(HeapBackendReference, ClearThenReuse)
+{
+    Random rng(5);
+    std::uint64_t seq = 0;
+    HeapEventQueueBackend heap;
+    for (const EventItem &key : burstyKeys(rng, 500, seq))
+        heap.push(key);
+    for (int i = 0; i < 100; ++i)
+        heap.pop();
+    heap.clear();
+    EXPECT_TRUE(heap.empty());
+    EXPECT_EQ(heap.size(), 0u);
+    // Fresh keys, including ticks below the cleared base.
+    expectSortedDrain(heap, burstyKeys(rng, 300, seq));
+    expectSortedDrain(heap, burstyKeys(rng, 300, seq));
 }
 
 TEST(HeapBackendReference, HoldPatternMatchesSortedOrder)
@@ -275,6 +399,36 @@ TEST(HeapBackendReference, HoldPatternMatchesSortedOrder)
             shadow.push_back(key);
         }
         ASSERT_EQ(heap.size(), shadow.size());
+    }
+}
+
+TEST(EventBackendDifferential, ScheduleBelowAPeekedHeadAfterRunUntil)
+{
+    // runUntil(150) peeks the tick-200 head and stops short; events
+    // scheduled afterwards at 150..199 must still run first (the
+    // radix heap's rebase path), same-tick ones in FIFO order, on
+    // both backends alike.
+    const std::vector<int> expected = {1, 5, 4, 7, 2, 6, 8, 3};
+    for (EventQueueBackendKind kind :
+         {EventQueueBackendKind::Heap, EventQueueBackendKind::Calendar}) {
+        EventQueue eq(kind);
+        std::vector<int> order;
+        const auto mark = [&order](int id) {
+            return [&order, id] { order.push_back(id); };
+        };
+        eq.schedule(100, mark(1));
+        eq.schedule(200, mark(2));
+        eq.schedule(300, mark(3));
+        EXPECT_EQ(eq.runUntil(150), 1u);
+        EXPECT_EQ(eq.now(), 150u);
+        eq.schedule(160, mark(4));
+        eq.schedule(150, mark(5));
+        eq.schedule(200, mark(6));
+        eq.schedule(160, mark(7));
+        eq.schedule(250, mark(8));
+        eq.run();
+        EXPECT_EQ(order, expected)
+            << eventQueueBackendToken(kind);
     }
 }
 
@@ -326,6 +480,89 @@ TEST(EventQueuePool, DescheduleOfExecutedIdIsRefused)
     EXPECT_FALSE(eq.deschedule(successor)); // already cancelled
     eq.run();
     EXPECT_EQ(fired, 1);
+}
+
+// ------------------------------------------------- in-place execution
+
+TEST(EventQueueInPlace, SelfDescheduleIsRefused)
+{
+    EventQueue eq;
+    EventId self = invalidEventId;
+    bool refused = false;
+    self = eq.schedule(10, [&] { refused = !eq.deschedule(self); });
+    eq.run();
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(eq.executedCount(), 1u);
+}
+
+/** Counts destructions of live (not moved-from) copies. */
+struct Tracked
+{
+    int *destroyed;
+    bool live = true;
+
+    explicit Tracked(int *counter) : destroyed(counter) {}
+
+    Tracked(Tracked &&other) noexcept
+        : destroyed(other.destroyed), live(other.live)
+    {
+        other.live = false;
+    }
+
+    Tracked &operator=(Tracked &&) = delete;
+
+    ~Tracked()
+    {
+        if (live)
+            ++*destroyed;
+    }
+};
+
+TEST(EventQueueInPlace, CaptureOutlivesPoolGrowthDuringItsCall)
+{
+    // The callback schedules past one 4096-slot chunk while it runs
+    // in its own slot; its capture must stay intact until it returns
+    // and be destroyed exactly once.
+    EventQueue eq;
+    int destroyed = 0;
+    int fired = 0;
+    bool intact = false;
+    eq.schedule(1, [&eq, &destroyed, &fired, &intact,
+                     tracked = Tracked(&destroyed)] {
+        for (int i = 0; i < 5000; ++i)
+            eq.scheduleAfter(1, [&fired] { ++fired; });
+        intact = tracked.live && tracked.destroyed == &destroyed
+                 && destroyed == 0;
+    });
+    eq.run();
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(fired, 5000);
+    EXPECT_GT(eq.poolSlots(), 4096u);
+}
+
+TEST(EventQueueInPlace, ResetFromInsideACallbackKeepsThePoolFlat)
+{
+    EventQueue eq;
+    int fired = 0;
+    const auto round = [&eq, &fired] {
+        for (Tick i = 0; i < 20; ++i)
+            eq.scheduleAfter(i, [&fired] { ++fired; });
+        eq.scheduleAfter(5, [&eq] { eq.reset(); });
+        eq.run();
+        // The slot that ran reset() is recycled once: every slot
+        // handed out next is distinct, so all of these fire.
+        fired = 0;
+        for (Tick i = 0; i < 30; ++i)
+            eq.scheduleAfter(i, [&fired] { ++fired; });
+        eq.run();
+        EXPECT_EQ(fired, 30);
+    };
+    round();
+    const std::size_t high_water = eq.poolSlots();
+    for (int i = 0; i < 50; ++i)
+        round();
+    EXPECT_EQ(eq.poolSlots(), high_water);
 }
 
 } // anonymous namespace

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "interconnect/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
@@ -459,6 +462,137 @@ TEST(InlineFunction, CloneInvokesLikeTheOriginal)
     copy();
     moved();
     EXPECT_EQ(hits, 20);
+}
+
+static_assert(std::is_trivially_copyable<Counter>::value,
+              "moves by memcpy");
+
+TEST(InlineFunction, TriviallyCopyableTargetSurvivesRepeatedMoves)
+{
+    int hits = 0;
+    SmallFn fn(Counter{&hits, 3});
+    for (int i = 0; i < 16; ++i) {
+        SmallFn next(std::move(fn));
+        EXPECT_FALSE(static_cast<bool>(fn));
+        fn = std::move(next);
+        EXPECT_FALSE(static_cast<bool>(next));
+    }
+    ASSERT_TRUE(static_cast<bool>(fn));
+    EXPECT_TRUE(fn.sameTarget(SmallFn(Counter{&hits, 3})));
+    fn();
+    EXPECT_EQ(hits, 3);
+}
+
+TEST(InlineFunction, CallbackAdoptsAChannelHandlersTarget)
+{
+    int hits = 0;
+    Channel::Handler handler(Counter{&hits, 1});
+    EventQueue::Callback cb(std::move(handler));
+    EXPECT_FALSE(static_cast<bool>(handler));
+    ASSERT_TRUE(static_cast<bool>(cb));
+    cb();
+    EXPECT_EQ(hits, 1);
+    // Through the kernel: a scheduled handler runs exactly once.
+    EventQueue eq;
+    Channel::Handler scheduled(Counter{&hits, 10});
+    eq.scheduleAfter(5, std::move(scheduled));
+    EXPECT_FALSE(static_cast<bool>(scheduled));
+    eq.run();
+    EXPECT_EQ(hits, 11);
+}
+
+/** Too large for a Channel::Handler; counts its destructions. */
+struct BigTracked
+{
+    int *destroyed;
+    int *hits;
+    double pad[6] = {};
+    bool live = true;
+
+    BigTracked(int *d, int *h) : destroyed(d), hits(h) {}
+
+    BigTracked(BigTracked &&other) noexcept
+        : destroyed(other.destroyed), hits(other.hits),
+          live(other.live)
+    {
+        other.live = false;
+    }
+
+    ~BigTracked()
+    {
+        if (live)
+            ++*destroyed;
+    }
+
+    void operator()() const { ++*hits; }
+};
+
+static_assert(!Channel::Handler::fitsInline<BigTracked>(),
+              "heap-stored in a Handler");
+
+TEST(InlineFunction, HeapStoredTargetIsDeletedExactlyOnce)
+{
+    int destroyed = 0;
+    int hits = 0;
+    {
+        Channel::Handler handler(BigTracked(&destroyed, &hits));
+        Channel::Handler moved(std::move(handler));
+        Channel::Handler assigned;
+        assigned = std::move(moved);
+        EventQueue::Callback adopted(std::move(assigned));
+        EventQueue::Callback last(std::move(adopted));
+        last();
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(hits, 1);
+    // Overwriting a holder deletes its old target once too.
+    {
+        EventQueue::Callback cb(BigTracked(&destroyed, &hits));
+        cb = EventQueue::Callback([] {});
+        EXPECT_EQ(destroyed, 2);
+    }
+    EXPECT_EQ(destroyed, 2);
+}
+
+/** The shape of the flow and ring-collective chunk hops. */
+struct HopLike
+{
+    int *hits;
+    std::uint32_t stage;
+    std::uint16_t hop;
+    std::uint16_t hopsLeft;
+    double bytes;
+
+    void operator()() const { *hits += hop; }
+
+    bool
+    operator==(const HopLike &other) const
+    {
+        return hits == other.hits && stage == other.stage
+               && hop == other.hop && hopsLeft == other.hopsLeft
+               && bytes == other.bytes;
+    }
+};
+
+static_assert(Channel::Handler::comparable<HopLike>(),
+              "chunk hops merge into channel trains");
+
+TEST(InlineFunction, ChunkHopTargetsCompareAndClone)
+{
+    int hits = 0;
+    const Channel::Handler a(HopLike{&hits, 1, 2, 3, 4096.0});
+    EXPECT_TRUE(a.sameTarget(Channel::Handler(
+        HopLike{&hits, 1, 2, 3, 4096.0})));
+    EXPECT_FALSE(a.sameTarget(Channel::Handler(
+        HopLike{&hits, 1, 2, 3, 2048.0})));
+    EXPECT_FALSE(a.sameTarget(Channel::Handler(
+        HopLike{&hits, 1, 2, 2, 4096.0})));
+    Channel::Handler copy = a.clone();
+    EXPECT_TRUE(copy.sameTarget(a));
+    EventQueue::Callback adopted(std::move(copy));
+    adopted();
+    EXPECT_EQ(hits, 2);
 }
 
 // ---------------------------------------------------------------- random
