@@ -3,12 +3,14 @@
 # checked in next to this script; outputs too large to check in (traces)
 # are compared by SHA-256 instead. SUITE picks the cases: "sim" (the
 # default) runs mcdla_sim's modes, "figures" the paper-figure benches
-# that sit next to mcdla_sim in the build tree. With -DREGEN=ON the
-# fresh outputs and digests overwrite the checked-in files instead;
-# tools/regen_goldens.sh wraps that mode.
+# that sit next to mcdla_sim in the build tree, "audit" the determinism
+# audit's event counts and stream hashes on both event-queue backends.
+# With -DREGEN=ON the fresh outputs and digests overwrite the
+# checked-in files instead; tools/regen_goldens.sh wraps that mode.
 #
 #   cmake -DMCDLA_SIM=<mcdla_sim> -DWORK_DIR=<scratch dir> \
-#         [-DSUITE=sim|figures] [-DREGEN=ON] -P tests/golden/run_goldens.cmake
+#         [-DSUITE=sim|figures|audit] [-DREGEN=ON] \
+#         -P tests/golden/run_goldens.cmake
 
 foreach(var MCDLA_SIM WORK_DIR)
   if(NOT DEFINED ${var})
@@ -123,6 +125,64 @@ if(SUITE STREQUAL "sim")
       OUTPUTS ${mode}.csv
       ARGS --workload AlexNet --mode ${mode} --csv ${mode}.csv)
   endforeach()
+elseif(SUITE STREQUAL "audit")
+  # audit_run(<name> <args>): runs `mcdla_sim <args> --audit-determinism`
+  # (the scenario twice from fresh state; a non-zero exit means the two
+  # event streams differed) on each backend and appends
+  # "<name>: N events, stream hash H" to audit_<backend>.txt. Both
+  # files must equal audit.txt: the executed (tick, label) stream is
+  # pinned across versions, and the backends must agree on it.
+  set(audit_heap "")
+  set(audit_calendar "")
+  macro(audit_run name)
+    foreach(backend heap calendar)
+      set(command ${MCDLA_SIM} ${ARGN} --quiet --event-queue ${backend}
+        --audit-determinism)
+      execute_process(COMMAND ${command}
+        WORKING_DIRECTORY ${WORK_DIR}
+        OUTPUT_VARIABLE out
+        RESULT_VARIABLE rc)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "audit ${name}: ${command} exited with ${rc}")
+      endif()
+      string(REGEX MATCH "[0-9]+ events, stream hash [0-9a-f]+" line
+        "${out}")
+      string(APPEND audit_${backend} "${name}: ${line}\n")
+    endforeach()
+  endmacro()
+
+  # The runs of the CI determinism-audit job: every parallelization,
+  # mp under the tree and hierarchical collectives, a cluster, and
+  # serving beside co-located training.
+  foreach(mode dp mp pp)
+    audit_run(${mode} --workload AlexNet --mode ${mode})
+  endforeach()
+  audit_run(mp_tree --workload AlexNet --mode mp --collective tree)
+  audit_run(mp_hierarchical_fat_tree --workload AlexNet --mode mp
+    --collective hierarchical --topology fat-tree)
+  audit_run(cluster --cluster --jobs 6 --seed 3)
+  audit_run(serve --serve --workload AlexNet --replicas 2 --requests 30
+    --request-rate 200 --slo-ms 50 --seed 2
+    --job-trace ${golden_dir}/serve_jobs.trace)
+
+  foreach(backend heap calendar)
+    file(WRITE ${WORK_DIR}/audit_${backend}.txt "${audit_${backend}}")
+  endforeach()
+  if(REGEN)
+    if(NOT audit_heap STREQUAL audit_calendar)
+      message(FATAL_ERROR "the backends' audits differ; compare "
+        "${WORK_DIR}/audit_heap.txt and audit_calendar.txt")
+    endif()
+    configure_file(${WORK_DIR}/audit_heap.txt ${golden_dir}/audit.txt
+      COPYONLY)
+  else()
+    file(READ ${golden_dir}/audit.txt expected)
+    foreach(backend heap calendar)
+      if(NOT expected STREQUAL audit_${backend})
+        list(APPEND mismatches audit_${backend}.txt)
+      endif()
+    endforeach()
+  endif()
 elseif(SUITE STREQUAL "figures")
   # The paper's headline tables and two ablations; fig13 and fig11 run
   # their grids on a thread pool, and their output must not depend on
@@ -135,7 +195,7 @@ elseif(SUITE STREQUAL "figures")
     ARGS --smoke --csv abl_pipeline.csv)
 else()
   message(FATAL_ERROR "run_goldens.cmake: unknown SUITE '${SUITE}' "
-    "(sim, figures)")
+    "(sim, figures, audit)")
 endif()
 
 if(mismatches)

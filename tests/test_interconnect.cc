@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -258,6 +259,87 @@ TEST(ChannelTrain, ConservationHoldsMidTrain)
     EXPECT_EQ(simcheck::violationCount(), violations);
     simcheck::setEnabled(was_enabled);
     LogConfig::throwOnError = false;
+}
+
+// ---------------------------------------------------- channel event order
+
+/** A chunk train over channels a -> b beside plain callbacks that
+    share their ticks; every callback appends one line to the log. */
+struct TwoHopTrain
+{
+    EventQueue eq;
+    Channel a{eq, "a", 1e9, 5 * ticksPerNs}; // 10 B: 10 ns occupancy
+    Channel b{eq, "b", 1e9, 5 * ticksPerNs};
+    std::vector<std::string> log;
+
+    void
+    note(const std::string &what)
+    {
+        log.push_back(std::to_string(eq.now() / ticksPerNs) + " " + what);
+    }
+
+    /** A plain callback: records how many transfers each hop has
+        started (an xfer_done starts the next one). */
+    void
+    plain(Tick when, const char *tag)
+    {
+        eq.schedule(when, [this, tag] {
+            note(std::string(tag) + " a"
+                 + std::to_string(static_cast<int>(a.bytesTransferred()))
+                 + " b"
+                 + std::to_string(
+                     static_cast<int>(b.bytesTransferred())));
+        });
+    }
+};
+
+/** One hop of a train chunk: comparable, so a's queue is one train. */
+struct TrainHop
+{
+    TwoHopTrain *train;
+    int hop;
+
+    void
+    operator()() const
+    {
+        train->note(hop == 0 ? "a>" : "b>");
+        train->plain(train->eq.now() + 5 * ticksPerNs, "q");
+        if (hop == 0)
+            train->b.submit(10, TrainHop{train, 1});
+    }
+
+    bool
+    operator==(const TrainHop &other) const
+    {
+        return train == other.train && hop == other.hop;
+    }
+};
+
+static_assert(Channel::Handler::comparable<TrainHop>(),
+              "TrainHop must merge into channel trains");
+
+TEST(ChannelEventOrder, PlainCallbacksInterleaveWithATwoHopTrain)
+{
+    TwoHopTrain train;
+    for (int i = 0; i < 3; ++i)
+        train.a.submit(10, TrainHop{&train, 0});
+    for (Tick t = 10; t <= 50; t += 5)
+        train.plain(t * ticksPerNs, "p");
+    train.eq.run();
+    // Same-tick events fire in the order they were scheduled, the
+    // channels' own included. At 10, a's first xfer_done (scheduled by
+    // the submit) leads p; at 20, p leads a's second xfer_done
+    // (scheduled at 10), which leads q (scheduled at 15); at 30, b's
+    // deliver (scheduled by its xfer_done at 25) leads q (scheduled
+    // by a's deliver at 25).
+    const std::vector<std::string> expected{
+        "10 p a20 b0",  "15 p a20 b0",  "15 a>",        "20 p a20 b10",
+        "20 q a30 b10", "25 p a30 b10", "25 a>",        "30 p a30 b20",
+        "30 b>",        "30 q a30 b20", "35 p a30 b20", "35 a>",
+        "35 q a30 b30", "40 p a30 b30", "40 b>",        "40 q a30 b30",
+        "45 p a30 b30", "45 q a30 b30", "50 p a30 b30", "50 b>",
+        "55 q a30 b30"};
+    EXPECT_EQ(train.log, expected);
 }
 
 // ------------------------------------------------------------------ flow
