@@ -17,7 +17,7 @@ namespace mcdla
 Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
                  Tick latency)
     : SimObject(eq, std::move(name)), _bandwidth(bandwidth),
-      _latency(latency)
+      _latency(latency), _owner(eq.registerOwner(*this))
 {
     if (bandwidth <= 0.0)
         fatal("channel '%s' requires positive bandwidth",
@@ -37,8 +37,8 @@ Channel::pushQueue(double bytes, Handler &&handler, bool waited,
                    std::uint8_t causal_ctx)
 {
     ++_queueDepth;
-    if (_queueEntries != 0) {
-        Pending &tail = queuedAt(_queueEntries - 1);
+    if (_queue.size() != 0) {
+        Pending &tail = _queue[_queue.size() - 1];
         if (tail.bytes == bytes && tail.waited == waited
             && tail.causalCtx == causal_ctx && tail.count != UINT32_MAX
             && tail.onDelivered.sameTarget(handler)) {
@@ -46,39 +46,26 @@ Channel::pushQueue(double bytes, Handler &&handler, bool waited,
             return;
         }
     }
-    if (_queueEntries == _queue.size()) {
-        // Full (or never allocated): regrow to the next power of two,
-        // replaying the ring in FIFO order into the fresh storage.
-        std::vector<Pending> grown(
-            std::max<std::size_t>(8, 2 * _queue.size()));
-        for (std::size_t i = 0; i < _queueEntries; ++i)
-            grown[i] = std::move(queuedAt(i));
-        _queue.swap(grown);
-        _queueHead = 0;
-    }
-    Pending &slot =
-        _queue[(_queueHead + _queueEntries) & (_queue.size() - 1)];
+    Pending &slot = _queue.pushBack();
     slot.onDelivered = std::move(handler);
     slot.bytes = bytes;
     slot.count = 1;
     slot.waited = waited;
     slot.causalCtx = causal_ctx;
-    ++_queueEntries;
 }
 
 Channel::Pending
 Channel::popQueue()
 {
     --_queueDepth;
-    Pending &head = _queue[_queueHead];
+    Pending &head = _queue[0];
     if (head.count > 1) {
         --head.count;
         return Pending{head.onDelivered.clone(), head.bytes, 1,
                        head.waited, head.causalCtx};
     }
     Pending req = std::move(head);
-    _queueHead = (_queueHead + 1) & (_queue.size() - 1);
-    --_queueEntries;
+    _queue.popFront();
     return req;
 }
 
@@ -130,7 +117,7 @@ Channel::startNext()
         eventQueue().causalRecorder(),
         req.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
         CausalRecorder::ctxFromRaw(req.causalCtx), name());
-    after(occupancy, [this] { finishTransfer(); }, "xfer_done");
+    eventQueue().scheduleOwned(now() + occupancy, _owner, kXferDone);
 }
 
 void
@@ -148,14 +135,35 @@ Channel::finishTransfer()
             Handler handler = std::move(_xferHandler);
             handler();
         } else {
+            _deliveries.pushBack() = std::move(_xferHandler);
             CausalScope wire_scope(eventQueue().causalRecorder(),
                                    WaitKind::Wire, name());
-            eventQueue().scheduleAfter(
-                _latency, std::move(_xferHandler),
-                EventLabel::dotted(name(), "deliver"));
+            eventQueue().scheduleOwned(now() + _latency, _owner,
+                                       kDeliver);
         }
     }
     startNext();
+}
+
+void
+Channel::fireOwnedEvent(unsigned kind)
+{
+    if (kind == kXferDone) {
+        finishTransfer();
+        return;
+    }
+    // kDeliver: this event's transfer is the oldest one delivering.
+    // Take its handler out first, so the call may submit anywhere.
+    Handler handler = std::move(_deliveries[0]);
+    _deliveries.popFront();
+    handler();
+}
+
+void
+Channel::appendOwnedLabel(unsigned kind, std::string &out) const
+{
+    out += name();
+    out += kind == kXferDone ? ".xfer_done" : ".deliver";
 }
 
 void
@@ -201,9 +209,9 @@ Channel::simcheckVerifyConservation() const
     // incremental counter cannot mask a lost transfer.
     double queued = 0.0;
     std::size_t transfers = 0;
-    for (std::size_t i = 0; i < _queueEntries; ++i) {
-        queued += queuedAt(i).bytes * queuedAt(i).count;
-        transfers += queuedAt(i).count;
+    for (std::size_t i = 0; i < _queue.size(); ++i) {
+        queued += _queue[i].bytes * _queue[i].count;
+        transfers += _queue[i].count;
     }
     if (transfers != _queueDepth)
         simcheck::fail("channel", now(),

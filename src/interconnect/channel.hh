@@ -12,6 +12,14 @@
  * memory-virtualization DMAs ride the same NVLINK-class channels — falls
  * out of the queueing naturally.
  *
+ * A channel's two events, xfer_done (the occupancy ends) and deliver
+ * (one latency later), are owned events of the EventQueue: keys that
+ * name the channel and the kind, with no callback behind them. The
+ * handler of a finished transfer waits in a FIFO ring of deliveries
+ * and each deliver event runs the head. That is exact because the
+ * latency is fixed and an occupancy lasts at least one tick, so a
+ * channel's deliveries fire in the order their transfers finished.
+ *
  * The FIFO is run-length encoded. Ring collectives and flows queue a
  * whole block of identical chunks on a channel at once, so a submit
  * whose size, wait kind, causal context and delivery closure all equal
@@ -25,7 +33,9 @@
 #ifndef MCDLA_INTERCONNECT_CHANNEL_HH
 #define MCDLA_INTERCONNECT_CHANNEL_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/inline_function.hh"
@@ -42,19 +52,21 @@ namespace mcdla
  * target (InlineFunction::comparable(), e.g. the flow and ring-
  * collective chunk hops). Lambdas never merge. queueDepth(),
  * peakQueueDepth() and the stats count transfers, not FIFO entries.
+ *
+ * EventOwner is the first base, so the queue dispatches the channel's
+ * events without a this-adjusting thunk.
  */
-class Channel : public SimObject
+class Channel : private EventOwner, public SimObject
 {
   public:
     /**
      * Delivery callback: SBO, move-only. 24 inline bytes fit the
      * chunk-forwarding closures of flows and ring collectives exactly
      * (a state pointer, packed route/hop indices, a byte count; both
-     * static_assert it). The in-flight transfer's handler waits in the
-     * channel, so the xfer_done event captures only the channel, and
-     * the delivery event adopts the handler's target as its
-     * EventQueue::Callback (no wrapper). Larger captures fall back to
-     * the heap.
+     * static_assert it). The channel keeps the handler — in its FIFO,
+     * on the wire, then in the delivery ring — and calls it itself;
+     * it never becomes an EventQueue::Callback. Larger captures fall
+     * back to the heap.
      */
     using Handler = InlineFunction<24>;
 
@@ -102,7 +114,7 @@ class Channel : public SimObject
 
     /** FIFO entries behind the head: runs of identical transfers,
         so at most queueDepth(). */
-    std::size_t queueTrains() const { return _queueEntries; }
+    std::size_t queueTrains() const { return _queue.size(); }
 
     /** Deepest backlog observed since the last stats reset (occupancy
         pressure: how many transfers were stacked behind the wire). */
@@ -130,11 +142,77 @@ class Channel : public SimObject
     void simcheckVerifyConservation() const;
 
   private:
+    /** The channel's owned event kinds. */
+    enum EventKind : unsigned
+    {
+        kXferDone,
+        kDeliver,
+    };
+
+    void fireOwnedEvent(unsigned kind) override;
+    void appendOwnedLabel(unsigned kind, std::string &out) const override;
+
     void startNext();
     /** The in-flight transfer's occupancy ended (xfer_done): deliver
         it, now or one latency later, and start the next. */
     void finishTransfer();
     void recordWindowBytes(Tick at, double bytes);
+
+    /** A FIFO over a power-of-two ring that grows by doubling, so
+        steady-state push/pop cycles recycle slots instead of paging
+        deque blocks in and out of the allocator. */
+    template <class T>
+    class Ring
+    {
+      public:
+        std::size_t size() const { return _count; }
+
+        /** Entry @p i positions behind the head. Precondition:
+            i < size(). */
+        T &
+        operator[](std::size_t i)
+        {
+            return _items[(_head + i) & (_items.size() - 1)];
+        }
+
+        const T &
+        operator[](std::size_t i) const
+        {
+            return _items[(_head + i) & (_items.size() - 1)];
+        }
+
+        /** Append a slot for the caller to fill (it holds a
+            moved-from or default value). */
+        T &
+        pushBack()
+        {
+            if (_count == _items.size()) {
+                // Full (or never allocated): replay the ring in FIFO
+                // order into storage twice the size.
+                std::vector<T> grown(
+                    std::max<std::size_t>(8, 2 * _items.size()));
+                for (std::size_t i = 0; i < _count; ++i)
+                    grown[i] = std::move((*this)[i]);
+                _items.swap(grown);
+                _head = 0;
+            }
+            return (*this)[_count++];
+        }
+
+        /** Drop the head (left moved-from or as is). Precondition:
+            size() > 0. */
+        void
+        popFront()
+        {
+            _head = (_head + 1) & (_items.size() - 1);
+            --_count;
+        }
+
+      private:
+        std::vector<T> _items;
+        std::size_t _head = 0;
+        std::size_t _count = 0;
+    };
 
     /** One FIFO entry: a train of @c count identical transfers. */
     struct Pending
@@ -151,20 +229,6 @@ class Channel : public SimObject
         std::uint8_t causalCtx = 0;
     };
 
-    /** FIFO entry @p i positions behind the head. Precondition:
-        i < _queueEntries. */
-    Pending &
-    queuedAt(std::size_t i)
-    {
-        return _queue[(_queueHead + i) & (_queue.size() - 1)];
-    }
-
-    const Pending &
-    queuedAt(std::size_t i) const
-    {
-        return _queue[(_queueHead + i) & (_queue.size() - 1)];
-    }
-
     /** Append one transfer, merging it into the tail train when it
         matches. */
     void pushQueue(double bytes, Handler &&handler, bool waited,
@@ -175,19 +239,19 @@ class Channel : public SimObject
 
     double _bandwidth;
     Tick _latency;
+    EventQueue::OwnerId _owner;
     bool _busy = false;
-    /** Waiting trains: a power-of-two ring over a flat vector, so
-        steady-state submit/deliver cycles recycle slots instead of
-        paging deque blocks in and out of the allocator. */
-    std::vector<Pending> _queue;
-    std::size_t _queueHead = 0;
-    std::size_t _queueEntries = 0; ///< trains in the ring
-    std::size_t _queueDepth = 0;   ///< transfers over all trains
+    /** Waiting trains. */
+    Ring<Pending> _queue;
+    std::size_t _queueDepth = 0; ///< transfers over all trains
 
     // The transfer on the wire (at most one: the next starts at its
     // xfer_done).
     double _xferBytes = 0.0;
     Handler _xferHandler;
+    /** Handlers of finished transfers, one per pending deliver
+        event, in finishing (and so delivery) order. */
+    Ring<Handler> _deliveries;
 
     // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;

@@ -5,9 +5,8 @@
  * Event labels are pure diagnostics: the profiler's per-label table,
  * the determinism-audit (tick, label) stream hash, and cold warn/panic
  * messages. Building a std::string per scheduled event — especially
- * the `component.suffix` concatenation every SimObject::after does —
- * was one of the kernel's biggest allocation sources, paid even when
- * nothing ever read the label.
+ * a `component.suffix` concatenation — was one of the kernel's biggest
+ * allocation sources, paid even when nothing ever read the label.
  *
  * EventLabel instead captures *how to build* the text: a string
  * literal, or a pointer to a component's stable name plus a literal

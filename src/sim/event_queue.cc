@@ -37,28 +37,101 @@ EventQueue::setBackend(EventQueueBackendKind kind)
         : makeEventQueueBackend(kind);
 }
 
+namespace
+{
+
+/** The monotonic-time check of every execute, under SimCheck. */
+void
+failPastExecute(Tick now, Tick when, const std::string &label)
+{
+    simcheck::fail("event-queue", now,
+                   "event '%s' fires at tick %llu, in the past "
+                   "(time must be monotonic)",
+                   label.c_str(), static_cast<unsigned long long>(when));
+}
+
+} // namespace
+
+Tick
+EventQueue::clampPast(Tick when, const std::string &label)
+{
+    // Scheduling in the past is a component bug: under SimCheck it is
+    // a hard error; otherwise the event is clamped to now() (with a
+    // warning) so it at least fires in scheduling order instead of
+    // silently reordering history.
+    if (simcheck::enabled())
+        simcheck::fail("event-queue", _now,
+                       "scheduling event '%s' at tick %llu before now",
+                       label.c_str(),
+                       static_cast<unsigned long long>(when));
+    warn("scheduling event '%s' at tick %llu before now (%llu); "
+         "clamping to now",
+         label.c_str(), static_cast<unsigned long long>(when),
+         static_cast<unsigned long long>(_now));
+    return _now;
+}
+
+Tick
+EventQueue::clampPast(Tick when, std::uint32_t owned_key)
+{
+    std::string label;
+    appendOwnedLabel(owned_key, label);
+    return clampPast(when, label);
+}
+
+void
+EventQueue::appendOwnedLabel(std::uint32_t key, std::string &out) const
+{
+    ownerOf(key).appendOwnedLabel(kindOf(key), out);
+}
+
+void
+EventQueue::appendSlotLabel(const Slot &slot, std::string &out) const
+{
+    if (slot.owned != 0)
+        appendOwnedLabel(slot.owned, out);
+    else
+        slot.label.appendTo(out);
+}
+
+void
+EventQueue::noteScheduled()
+{
+    _profiler->noteSchedule(keyCount());
+}
+
+EventQueue::OwnerId
+EventQueue::registerOwner(EventOwner &owner)
+{
+    if (_owners.size() == kMaxOwners)
+        fatal("event queue: more than %u event owners",
+              static_cast<unsigned>(kMaxOwners));
+    _owners.push_back(&owner);
+    return static_cast<OwnerId>(_owners.size() - 1);
+}
+
+std::uint32_t
+EventQueue::recordOwned(std::uint32_t key)
+{
+    const std::uint32_t slot_index = allocSlot();
+    Slot &slot = slotAt(slot_index);
+    slot.owned = key;
+    slot.weak = false;
+    slot.cancelled = false;
+    slot.allocated = true;
+    _schedLabelScratch.clear();
+    appendOwnedLabel(key, _schedLabelScratch);
+    slot.causalNode =
+        _causal->noteSchedule(_now, _schedLabelScratch, false);
+    return slot_index;
+}
+
 EventId
 EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
                           bool weak)
 {
-    if (when < _now) {
-        // Scheduling in the past is a component bug: under SimCheck it
-        // is a hard error; otherwise the event is clamped to now()
-        // (with a warning) so it at least fires in scheduling order
-        // instead of silently reordering history.
-        if (simcheck::enabled())
-            simcheck::fail("event-queue", _now,
-                           "scheduling event '%s' at tick %llu before "
-                           "now",
-                           label.str().c_str(),
-                           static_cast<unsigned long long>(when));
-        warn("scheduling event '%s' at tick %llu before now (%llu); "
-             "clamping to now",
-             label.str().c_str(),
-             static_cast<unsigned long long>(when),
-             static_cast<unsigned long long>(_now));
-        when = _now;
-    }
+    if (when < _now)
+        when = clampPast(when, label.str());
     if (!cb)
         panic("scheduling event '%s' with empty callback",
               label.str().c_str());
@@ -105,8 +178,12 @@ EventQueue::allocSlot()
         _freeSlots.pop_back();
         return index;
     }
-    if (_slotCount == _slotChunks.size() * kSlotChunkSize)
+    if (_slotCount == _slotChunks.size() * kSlotChunkSize) {
+        if (_slotCount == kOwnedTag)
+            fatal("event queue: more than %u pending events",
+                  static_cast<unsigned>(kOwnedTag));
         _slotChunks.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
+    }
     return static_cast<std::uint32_t>(_slotCount++);
 }
 
@@ -124,6 +201,7 @@ EventQueue::recycleSlot(std::uint32_t index)
     Slot &slot = slotAt(index);
     slot.cb = Callback();
     slot.label = EventLabel();
+    slot.owned = 0;
     slot.causalNode = -1;
     slot.weak = false;
     slot.cancelled = false;
@@ -172,12 +250,11 @@ void
 EventQueue::executeItem(const EventItem &item)
 {
     Slot &slot = slotAt(item.slot);
-    if (simcheck::enabled() && item.when < _now)
-        simcheck::fail("event-queue", _now,
-                       "event '%s' fires at tick %llu, in the past "
-                       "(time must be monotonic)",
-                       slot.label.str().c_str(),
-                       static_cast<unsigned long long>(item.when));
+    if (simcheck::enabled() && item.when < _now) {
+        std::string label;
+        appendSlotLabel(slot, label);
+        failPastExecute(_now, item.when, label);
+    }
     _now = item.when;
     ++_executed;
     // Run the callback where it sits: slot chunks never move, so
@@ -198,17 +275,58 @@ EventQueue::executeItem(const EventItem &item)
         _causal->noteExecute(slot.causalNode, _now);
     if (_profiler) {
         _execLabelScratch.clear();
-        slot.label.appendTo(_execLabelScratch);
+        appendSlotLabel(slot, _execLabelScratch);
         const std::uint64_t t0 = CycleTimer::now();
-        slot.cb();
+        fire(slot);
         const std::uint64_t t1 = CycleTimer::now();
         _profiler->noteExecute(_execLabelScratch, _now,
                                CycleTimer::deltaToNs(t1 - t0));
     } else {
-        slot.cb();
+        fire(slot);
     }
     if (_causal)
         _causal->noteExecuteEnd();
+}
+
+void
+EventQueue::executeObservedOwned(std::uint32_t key)
+{
+    EventOwner &owner = ownerOf(key);
+    const unsigned kind = kindOf(key);
+    // An owned key only reaches here with a recorder attached if it
+    // was scheduled before the attach: like a callback scheduled then,
+    // it has no causal node.
+    if (_causal)
+        _causal->noteExecute(-1, _now);
+    if (_profiler) {
+        _execLabelScratch.clear();
+        owner.appendOwnedLabel(kind, _execLabelScratch);
+        const std::uint64_t t0 = CycleTimer::now();
+        owner.fireOwnedEvent(kind);
+        const std::uint64_t t1 = CycleTimer::now();
+        _profiler->noteExecute(_execLabelScratch, _now,
+                               CycleTimer::deltaToNs(t1 - t0));
+    } else {
+        owner.fireOwnedEvent(kind);
+    }
+    if (_causal)
+        _causal->noteExecuteEnd();
+}
+
+inline void
+EventQueue::executeOwned(const EventItem &item)
+{
+    if (simcheck::enabled() && item.when < _now) {
+        std::string label;
+        appendOwnedLabel(item.slot, label);
+        failPastExecute(_now, item.when, label);
+    }
+    _now = item.when;
+    ++_executed;
+    if (_profiler || _causal)
+        executeObservedOwned(item.slot);
+    else
+        ownerOf(item.slot).fireOwnedEvent(kindOf(item.slot));
 }
 
 void
@@ -230,6 +348,14 @@ EventQueue::step()
 {
     while (!keysEmpty()) {
         const EventItem head = peekKey();
+        if (head.slot & kOwnedTag) {
+            // Never cancelled, never weak: a pending owned key keeps
+            // _live above _weakLive, so it always runs.
+            popKey();
+            --_live;
+            executeOwned(head);
+            return true;
+        }
         if (slotAt(head.slot).cancelled) {
             popKey();
             releaseSlot(head.slot);
@@ -266,6 +392,15 @@ EventQueue::runUntil(Tick limit)
     std::uint64_t n = 0;
     while (!keysEmpty()) {
         const EventItem head = peekKey();
+        if (head.slot & kOwnedTag) {
+            if (head.when > limit)
+                break;
+            popKey();
+            --_live;
+            executeOwned(head);
+            ++n;
+            continue;
+        }
         if (slotAt(head.slot).cancelled) {
             popKey();
             releaseSlot(head.slot);

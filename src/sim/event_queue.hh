@@ -20,6 +20,14 @@
  * cancelled) fails a generation check and deschedule() correctly
  * refuses it, and the slot is recycled once the call returns.
  *
+ * The busiest components skip the payload altogether. An EventOwner
+ * (every Channel) registers once and schedules *owned* events: the
+ * key's slot field carries a tag bit, the owner's index and an event
+ * kind, and dispatch is one virtual call on the owner — no slot, no
+ * callback or label move, no generation bump. An owned key takes the
+ * next seq like any other, so the (when, seq) stream, and with it
+ * every result and audit hash, is the one a callback would give.
+ *
  * The kernel is deliberately minimal: the heavy lifting (bandwidth
  * channels, compute streams, collectives) is built on top of it in the
  * interconnect/device/system libraries.
@@ -28,6 +36,7 @@
 #ifndef MCDLA_SIM_EVENT_QUEUE_HH
 #define MCDLA_SIM_EVENT_QUEUE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,6 +66,29 @@ using EventId = std::uint64_t;
 constexpr EventId invalidEventId = 0;
 
 /**
+ * A component whose events the queue runs by key rather than by stored
+ * callback (EventQueue::scheduleOwned()). Owned events carry no
+ * payload: the owner keeps whatever state an event needs and is told
+ * only which of its kinds fired. An owner must outlive its pending
+ * events.
+ */
+class EventOwner
+{
+  public:
+    /** Run the owned event of @p kind (< EventQueue::kOwnedKinds). */
+    virtual void fireOwnedEvent(unsigned kind) = 0;
+
+    /** Append the label of @p kind's events ("<name>.<event>") to
+        @p out: for the profiler, the causal recorder and warnings,
+        never on the unobserved path. */
+    virtual void appendOwnedLabel(unsigned kind,
+                                  std::string &out) const = 0;
+
+  protected:
+    ~EventOwner() = default;
+};
+
+/**
  * The central event queue of a simulation instance.
  *
  * Typical usage:
@@ -70,14 +102,18 @@ class EventQueue
 {
   public:
     /**
-     * Event callback: SBO, one cache line with its ops pointer. The
-     * hottest simulator events are small: a channel's xfer_done
-     * captures only the channel (the in-flight transfer's bytes and
-     * handler wait in the channel), and its delivery event adopts the
-     * Channel::Handler's target as is. A wrapped std::function
-     * (32 bytes) fits inline too.
+     * Event callback: SBO, one cache line with its ops pointer, so
+     * the simulator's closures (a few pointers and scalars) and a
+     * wrapped std::function (32 bytes) fit inline. Channels, whose
+     * events dominate every run, schedule owned events instead.
      */
     using Callback = InlineFunction<56>;
+
+    /** Index of a registered EventOwner. */
+    using OwnerId = std::uint32_t;
+
+    /** Event kinds per owner: the low bits of an owned key. */
+    static constexpr unsigned kOwnedKinds = 4;
 
     EventQueue() : EventQueue(EventQueueBackendKind::Heap) {}
     explicit EventQueue(EventQueueBackendKind kind);
@@ -132,6 +168,38 @@ class EventQueue
                          EventLabel &&label = {});
 
     /**
+     * Register @p owner for owned events: O(1), once per owner (a
+     * Channel registers at construction). More owners than an owned
+     * key can index are a fatal error.
+     */
+    OwnerId registerOwner(EventOwner &owner);
+
+    /**
+     * Schedule event @p kind of owner @p owner at an absolute tick. It
+     * takes the next seq, orders and counts (pendingCount(), the
+     * profiler's schedules) like schedule(), and fires as
+     * `owner.fireOwnedEvent(kind)`. Owned events are never weak and
+     * cannot be cancelled, so there is no EventId. A tick in the past
+     * is handled as in schedule(). While a CausalRecorder is attached
+     * the event borrows a payload slot to carry its provenance node;
+     * order and dispatch are the same.
+     */
+    void
+    scheduleOwned(Tick when, OwnerId owner, unsigned kind)
+    {
+        assert(owner < _owners.size() && kind < kOwnedKinds);
+        std::uint32_t key = ownedKey(owner, kind);
+        if (when < _now)
+            when = clampPast(when, key);
+        if (_causal)
+            key = recordOwned(key);
+        pushKey(EventItem{when, _nextSeq++, key});
+        ++_live;
+        if (_profiler)
+            noteScheduled();
+    }
+
+    /**
      * Cancel a pending event.
      *
      * @param id Handle returned by schedule().
@@ -143,7 +211,8 @@ class EventQueue
     /** Whether any events remain pending (weak ones included). */
     bool empty() const { return _live == 0; }
 
-    /** Number of pending (non-cancelled) events, weak ones included. */
+    /** Number of pending (non-cancelled) events, weak and owned ones
+        included. */
     std::size_t pendingCount() const { return _live; }
 
     /** Number of pending weak (background) events. */
@@ -172,9 +241,10 @@ class EventQueue
 
     /**
      * Size of the payload slot pool (high-water mark of concurrently
-     * pending events). Slots are recycled through a free list, so this
-     * stays flat across reset()s and arbitrarily long drains — the
-     * regression test for the pool pins exactly that.
+     * pending callback events; owned events take no slot unless a
+     * CausalRecorder is attached). Slots are recycled through a free
+     * list, so this stays flat across reset()s and arbitrarily long
+     * drains — the regression test for the pool pins exactly that.
      */
     std::size_t poolSlots() const { return _slotCount; }
 
@@ -224,6 +294,9 @@ class EventQueue
     {
         Callback cb;
         EventLabel label;
+        /** The owned key this slot stands in for (causal recording
+            only); 0 for a callback event. */
+        std::uint32_t owned = 0;
         /** CausalRecorder node index; -1 = not recorded. */
         std::int64_t causalNode = -1;
         /** Bumped on release; stale EventIds fail the match. */
@@ -265,6 +338,52 @@ class EventQueue
                | static_cast<EventId>(slot);
     }
 
+    /** An EventItem::slot with this bit set is an owned key: owner
+        index above kOwnedKindBits, kind below. Payload slot indices
+        stay below it. */
+    static constexpr std::uint32_t kOwnedTag = 1u << 31;
+    static constexpr unsigned kOwnedKindBits = 2;
+    static_assert(kOwnedKinds == 1u << kOwnedKindBits,
+                  "kinds fill the key's low bits");
+    static constexpr std::uint32_t kMaxOwners =
+        kOwnedTag >> kOwnedKindBits;
+
+    static std::uint32_t
+    ownedKey(OwnerId owner, unsigned kind)
+    {
+        return kOwnedTag | owner << kOwnedKindBits | kind;
+    }
+
+    EventOwner &
+    ownerOf(std::uint32_t key) const
+    {
+        return *_owners[(key & ~kOwnedTag) >> kOwnedKindBits];
+    }
+
+    static unsigned
+    kindOf(std::uint32_t key)
+    {
+        return key & (kOwnedKinds - 1);
+    }
+
+    /** The label of owned key @p key (cold paths). */
+    void appendOwnedLabel(std::uint32_t key, std::string &out) const;
+    /** The label of the event in @p slot (cold paths). */
+    void appendSlotLabel(const Slot &slot, std::string &out) const;
+
+    /** The past-tick policy of every schedule: a SimCheck failure, or
+        a warning and now(). Labels are materialized only here. */
+    Tick clampPast(Tick when, const std::string &label);
+    Tick clampPast(Tick when, std::uint32_t owned_key);
+
+    /** Give owned key @p key a payload slot carrying its causal node;
+        returns the slot index to push instead. */
+    std::uint32_t recordOwned(std::uint32_t key);
+
+    /** Profiler bookkeeping of a schedule (out of line: the header
+        does not see DesProfiler). */
+    void noteScheduled();
+
     EventId scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
                           bool weak);
 
@@ -280,6 +399,22 @@ class EventQueue
     /** Execute a popped item in place. Precondition: live,
         non-cancelled. */
     void executeItem(const EventItem &item);
+
+    /** Execute a popped owned key. */
+    void executeOwned(const EventItem &item);
+    /** executeOwned() with a profiler or causal recorder attached. */
+    void executeObservedOwned(std::uint32_t key);
+
+    /** Run what @p slot holds: its callback, or the owned event it
+        stands in for. */
+    void
+    fire(Slot &slot)
+    {
+        if (slot.owned != 0)
+            ownerOf(slot.owned).fireOwnedEvent(kindOf(slot.owned));
+        else
+            slot.cb();
+    }
 
     /** Drop every remaining (weak) entry without executing it. */
     void discardPending();
@@ -335,6 +470,8 @@ class EventQueue
     std::vector<std::unique_ptr<Slot[]>> _slotChunks;
     std::size_t _slotCount = 0;
     std::vector<std::uint32_t> _freeSlots;
+    /** Registered owners, by OwnerId. */
+    std::vector<EventOwner *> _owners;
     /** Label materialization scratch for the schedule path (causal)
         and the execute path (profiler); separate buffers because a
         callback schedules while its own label is still in flight. */

@@ -33,8 +33,10 @@ namespace mcdla
 {
 
 /** Priority-structure key for one pending event: payload lives in the
- *  EventQueue's slot pool, indexed by @c slot. Ordered by (when, seq):
- *  seq is globally unique and increasing, giving same-tick FIFO. */
+ *  EventQueue's slot pool, indexed by @c slot (or, with the top bit
+ *  set, @c slot names an owned event and there is no payload; see
+ *  EventQueue::scheduleOwned()). Ordered by (when, seq): seq is
+ *  globally unique and increasing, giving same-tick FIFO. */
 struct EventItem
 {
     Tick when = 0;

@@ -14,10 +14,7 @@
  * indirect call on a small vtable-like struct. Targets stored as plain
  * bytes — inline trivially copyable ones, and the pointer of a
  * heap-stored one — carry no relocate op and move by memcpy, and a
- * trivially destructible inline target has no destroy op either. The
- * tables live at namespace scope, shared by every buffer size, so a
- * function adopts a smaller one's target (a Channel::Handler handed
- * to the EventQueue as its Callback) instead of wrapping it.
+ * trivially destructible inline target has no destroy op either.
  *
  * Comparable targets opt into value semantics: an inline, trivially
  * copyable target type that defines `operator==` gets sameTarget()
@@ -38,9 +35,6 @@
 
 namespace mcdla
 {
-
-template <std::size_t InlineBytes>
-class InlineFunction;
 
 namespace detail
 {
@@ -137,19 +131,6 @@ struct HeapTargetOps
                                               &destroy, nullptr};
 };
 
-/** Whether an InlineFunction<N> adopts @p F's target rather than
-    wrapping it: F is an InlineFunction no larger than N. */
-template <class F, std::size_t N>
-struct AdoptsInto : std::false_type
-{
-};
-
-template <std::size_t M, std::size_t N>
-struct AdoptsInto<InlineFunction<M>, N>
-    : std::integral_constant<bool, (M <= N)>
-{
-};
-
 } // namespace detail
 
 /** Move-only `void()` callable with an @p InlineBytes SBO buffer. */
@@ -161,8 +142,8 @@ class InlineFunction
     InlineFunction(std::nullptr_t) {} // NOLINT: match std::function
 
     template <class F,
-              class = std::enable_if_t<!detail::AdoptsInto<
-                  std::decay_t<F>, InlineBytes>::value>>
+              class = std::enable_if_t<!std::is_same<
+                  std::decay_t<F>, InlineFunction>::value>>
     InlineFunction(F &&fn) // NOLINT: implicit like std::function
     {
         using Fn = std::decay_t<F>;
@@ -178,15 +159,6 @@ class InlineFunction
                 new Fn(std::forward<F>(fn));
             _ops = &detail::HeapTargetOps<Fn>::ops;
         }
-    }
-
-    /** Take over the target of a function with a buffer no larger
-        than ours: same ops, storage moved across, no wrapper. */
-    template <std::size_t OtherBytes,
-              class = std::enable_if_t<(OtherBytes < InlineBytes)>>
-    InlineFunction(InlineFunction<OtherBytes> &&other) noexcept
-    {
-        adopt(other);
     }
 
     InlineFunction(InlineFunction &&other) noexcept { adopt(other); }
@@ -267,14 +239,10 @@ class InlineFunction
     }
 
   private:
-    template <std::size_t>
-    friend class InlineFunction;
-
     /** Move @p other's target (and ops) into this empty function,
         leaving @p other empty. */
-    template <std::size_t OtherBytes>
     void
-    adopt(InlineFunction<OtherBytes> &other) noexcept
+    adopt(InlineFunction &other) noexcept
     {
         _ops = other._ops;
         if (_ops == nullptr)
@@ -282,7 +250,7 @@ class InlineFunction
         if (_ops->relocate != nullptr)
             _ops->relocate(other._buf, _buf);
         else
-            std::memcpy(_buf, other._buf, OtherBytes);
+            std::memcpy(_buf, other._buf, InlineBytes);
         other._ops = nullptr;
     }
 

@@ -51,17 +51,6 @@ class SimObject
     /** Reset component statistics (not structural state). */
     virtual void resetStats() { _stats.reset(); }
 
-  protected:
-    /** Convenience: schedule a member callback @p delta ticks from now.
-        The "name.label" text is captured lazily (no concatenation
-        unless a profiler or causal recorder is attached). */
-    EventId
-    after(Tick delta, EventQueue::Callback &&cb, const char *label = "")
-    {
-        return _eq.scheduleAfter(delta, std::move(cb),
-                                 EventLabel::dotted(_name, label));
-    }
-
   private:
     EventQueue &_eq;
     std::string _name;

@@ -17,6 +17,7 @@
 #include "interconnect/fabrics.hh"
 #include "interconnect/flow.hh"
 #include "sim/logging.hh"
+#include "sim/profiler.hh"
 #include "sim/simcheck.hh"
 
 namespace mcdla
@@ -340,6 +341,63 @@ TEST(ChannelEventOrder, PlainCallbacksInterleaveWithATwoHopTrain)
         "45 p a30 b30", "45 q a30 b30", "50 p a30 b30", "50 b>",
         "55 q a30 b30"};
     EXPECT_EQ(train.log, expected);
+}
+
+TEST(ChannelEventOrder, UnobservedTransfersTakeNoPayloadSlots)
+{
+    TwoHopTrain train;
+    int delivered = 0;
+    for (int i = 0; i < 10000; ++i)
+        train.a.submit(10, [&train, &delivered] {
+            train.b.submit(10, [&delivered] { ++delivered; });
+        });
+    train.eq.run();
+    EXPECT_EQ(delivered, 10000);
+    // Two hops, each an xfer_done and a deliver per transfer.
+    EXPECT_EQ(train.eq.executedCount(), 40000u);
+    EXPECT_EQ(train.eq.poolSlots(), 0u);
+}
+
+TEST(ChannelEventOrder, ProfilerCountsEachTransfersTwoEvents)
+{
+    TwoHopTrain train;
+    DesProfiler profiler;
+    train.eq.setProfiler(&profiler);
+    for (int i = 0; i < 3; ++i)
+        train.a.submit(10, TrainHop{&train, 0});
+    train.eq.run();
+    const auto &labels = profiler.labels();
+    for (const char *label : {"a.xfer_done", "a.deliver", "b.xfer_done",
+                              "b.deliver"}) {
+        ASSERT_EQ(labels.count(label), 1u) << label;
+        EXPECT_EQ(labels.at(label).count, 3u) << label;
+    }
+    // Plus the unlabelled q callback of each of the 6 deliveries.
+    EXPECT_EQ(labels.at("(unnamed)").count, 6u);
+    EXPECT_EQ(profiler.eventsExecuted(), 18u);
+    EXPECT_EQ(profiler.schedules(), 18u);
+}
+
+TEST(ChannelEventOrder, ZeroLatencyDeliversInsideXferDone)
+{
+    EventQueue eq;
+    Channel ch(eq, "z", 1e9, 0);
+    DesProfiler profiler;
+    eq.setProfiler(&profiler);
+    std::vector<std::pair<Tick, std::uint64_t>> deliveries;
+    for (int i = 0; i < 4; ++i)
+        ch.submit(10, [&] {
+            // Runs inside the xfer_done it belongs to: that event is
+            // executing and counts already.
+            deliveries.emplace_back(eq.now() / ticksPerNs,
+                                    eq.executedCount());
+        });
+    eq.run();
+    const std::vector<std::pair<Tick, std::uint64_t>> expected{
+        {10, 1}, {20, 2}, {30, 3}, {40, 4}};
+    EXPECT_EQ(deliveries, expected);
+    EXPECT_EQ(profiler.labels().count("z.deliver"), 0u);
+    EXPECT_EQ(profiler.labels().at("z.xfer_done").count, 4u);
 }
 
 // ------------------------------------------------------------------ flow

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "interconnect/channel.hh"
@@ -237,6 +238,112 @@ TEST_F(ThrowingErrors, SchedulingEmptyCallbackPanics)
 {
     EventQueue eq;
     EXPECT_THROW(eq.schedule(10, EventQueue::Callback{}), PanicError);
+}
+
+// ---------------------------------------------------------- owned events
+
+/** An EventOwner that logs the tick and kind of every event it runs. */
+struct LoggingOwner : EventOwner
+{
+    EventQueue &eq;
+    EventQueue::OwnerId id;
+    std::vector<std::pair<Tick, unsigned>> fired;
+
+    explicit LoggingOwner(EventQueue &queue)
+        : eq(queue), id(queue.registerOwner(*this))
+    {}
+
+    void
+    fireOwnedEvent(unsigned kind) override
+    {
+        fired.emplace_back(eq.now(), kind);
+    }
+
+    void
+    appendOwnedLabel(unsigned kind, std::string &out) const override
+    {
+        out += "owner.kind" + std::to_string(kind);
+    }
+};
+
+using Fired = std::vector<std::pair<Tick, unsigned>>;
+
+TEST(OwnedEvents, FireInSeqOrderAmongCallbacks)
+{
+    EventQueue eq;
+    LoggingOwner owner(eq);
+    // Each callback records how many owned events ran before it.
+    std::vector<std::size_t> seen;
+    const auto count = [&] { seen.push_back(owner.fired.size()); };
+    eq.schedule(10, count);
+    eq.scheduleOwned(10, owner.id, 3);
+    eq.schedule(10, count);
+    eq.scheduleOwned(5, owner.id, 0);
+    EXPECT_EQ(eq.pendingCount(), 4u);
+    EXPECT_EQ(eq.poolSlots(), 2u); // the callbacks' slots only
+    EXPECT_EQ(eq.run(), 4u);
+    EXPECT_EQ(owner.fired, (Fired{{5, 0}, {10, 3}}));
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(eq.executedCount(), 4u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(OwnedEvents, RunUntilStopsBeforeALaterOwnedEventAndResumesIt)
+{
+    EventQueue eq;
+    LoggingOwner owner(eq);
+    eq.scheduleOwned(10, owner.id, 0);
+    eq.scheduleOwned(30, owner.id, 1);
+    bool plain = false;
+    eq.schedule(20, [&plain] { plain = true; });
+    EXPECT_EQ(eq.runUntil(25), 2u);
+    EXPECT_EQ(owner.fired, (Fired{{10, 0}}));
+    EXPECT_TRUE(plain);
+    EXPECT_EQ(eq.now(), 25u);
+    EXPECT_EQ(eq.pendingCount(), 1u);
+    EXPECT_EQ(eq.runUntil(29), 0u);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_EQ(owner.fired, (Fired{{10, 0}, {30, 1}}));
+    EXPECT_EQ(eq.now(), 30u);
+}
+
+TEST(OwnedEvents, KeepRunGoingWhileOnlyWeakEventsRemainOtherwise)
+{
+    EventQueue eq;
+    LoggingOwner owner(eq);
+    int samples = 0;
+    eq.scheduleWeak(5, [&samples] { ++samples; });
+    eq.scheduleOwned(40, owner.id, 2);
+    eq.scheduleWeak(50, [&samples] { ++samples; });
+    EXPECT_EQ(eq.pendingCount(), 3u);
+    EXPECT_EQ(eq.weakCount(), 2u);
+    // The owned event is ordinary work: the weak sampler at 5 runs,
+    // the one at 50 is dropped once the owned event at 40 is done.
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(samples, 1);
+    EXPECT_EQ(owner.fired, (Fired{{40, 2}}));
+    EXPECT_EQ(eq.now(), 40u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST_F(ThrowingErrors, SchedulingAnOwnedEventInThePastPanicsUnderSimCheck)
+{
+    const bool was_enabled = simcheck::enabled();
+    simcheck::setEnabled(true);
+    EventQueue eq;
+    LoggingOwner owner(eq);
+    eq.scheduleOwned(100, owner.id, 0);
+    eq.run();
+    try {
+        eq.scheduleOwned(50, owner.id, 1);
+        ADD_FAILURE() << "expected a PanicError";
+    } catch (const PanicError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("SimCheck[event-queue]"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("owner.kind1"), std::string::npos) << msg;
+    }
+    simcheck::setEnabled(was_enabled);
 }
 
 // ----------------------------------------------------------------- stats
@@ -483,10 +590,11 @@ TEST(InlineFunction, TriviallyCopyableTargetSurvivesRepeatedMoves)
     EXPECT_EQ(hits, 3);
 }
 
-TEST(InlineFunction, CallbackAdoptsAChannelHandlersTarget)
+TEST(InlineFunction, CallbackWrapsAChannelHandler)
 {
     int hits = 0;
     Channel::Handler handler(Counter{&hits, 1});
+    // The Callback's target is the whole handler, moved in.
     EventQueue::Callback cb(std::move(handler));
     EXPECT_FALSE(static_cast<bool>(handler));
     ASSERT_TRUE(static_cast<bool>(cb));
@@ -539,8 +647,8 @@ TEST(InlineFunction, HeapStoredTargetIsDeletedExactlyOnce)
         Channel::Handler moved(std::move(handler));
         Channel::Handler assigned;
         assigned = std::move(moved);
-        EventQueue::Callback adopted(std::move(assigned));
-        EventQueue::Callback last(std::move(adopted));
+        EventQueue::Callback wrapped(std::move(assigned));
+        EventQueue::Callback last(std::move(wrapped));
         last();
         EXPECT_EQ(destroyed, 0);
     }
@@ -590,8 +698,8 @@ TEST(InlineFunction, ChunkHopTargetsCompareAndClone)
         HopLike{&hits, 1, 2, 2, 4096.0})));
     Channel::Handler copy = a.clone();
     EXPECT_TRUE(copy.sameTarget(a));
-    EventQueue::Callback adopted(std::move(copy));
-    adopted();
+    EventQueue::Callback wrapped(std::move(copy));
+    wrapped();
     EXPECT_EQ(hits, 2);
 }
 
