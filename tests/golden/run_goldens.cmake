@@ -4,7 +4,8 @@
 # are compared by SHA-256 instead. SUITE picks the cases: "sim" (the
 # default) runs mcdla_sim's modes, "figures" the paper-figure benches
 # that sit next to mcdla_sim in the build tree, "audit" the determinism
-# audit's event counts and stream hashes on both event-queue backends.
+# audit's event counts, peak depths and stream hashes on both
+# event-queue backends.
 # With -DREGEN=ON the fresh outputs and digests overwrite the
 # checked-in files instead; tools/regen_goldens.sh wraps that mode.
 #
@@ -129,9 +130,10 @@ elseif(SUITE STREQUAL "audit")
   # audit_run(<name> <args>): runs `mcdla_sim <args> --audit-determinism`
   # (the scenario twice from fresh state; a non-zero exit means the two
   # event streams differed) on each backend and appends
-  # "<name>: N events, stream hash H" to audit_<backend>.txt. Both
-  # files must equal audit.txt: the executed (tick, label) stream is
-  # pinned across versions, and the backends must agree on it.
+  # "<name>: N events, peak P pending, stream hash H" to
+  # audit_<backend>.txt. Both files must equal audit.txt: the executed
+  # (tick, label) stream and the peak number of pending events are
+  # pinned across versions, and the backends must agree on them.
   set(audit_heap "")
   set(audit_calendar "")
   macro(audit_run name)
@@ -145,7 +147,8 @@ elseif(SUITE STREQUAL "audit")
       if(NOT rc EQUAL 0)
         message(FATAL_ERROR "audit ${name}: ${command} exited with ${rc}")
       endif()
-      string(REGEX MATCH "[0-9]+ events, stream hash [0-9a-f]+" line
+      string(REGEX MATCH
+        "[0-9]+ events, peak [0-9]+ pending, stream hash [0-9a-f]+" line
         "${out}")
       string(APPEND audit_${backend} "${name}: ${line}\n")
     endforeach()
@@ -164,6 +167,16 @@ elseif(SUITE STREQUAL "audit")
   audit_run(serve --serve --workload AlexNet --replicas 2 --requests 30
     --request-rate 200 --slo-ms 50 --seed 2
     --job-trace ${golden_dir}/serve_jobs.trace)
+
+  # Synthetic cluster mixes and a serving run without co-located
+  # training: a small and a large job mix, and a small request stream.
+  audit_run(cluster_smoke_4jobs --design mc-b --cluster --jobs 4
+    --arrival-rate 50 --seed 7)
+  audit_run(cluster_large_16jobs --design mc-b --cluster --jobs 16
+    --arrival-rate 25 --seed 11)
+  audit_run(serving_smoke_20req --design mc-b --serve --workload AlexNet
+    --replicas 2 --batch 8 --requests 20 --request-rate 200 --slo-ms 50
+    --seed 5)
 
   foreach(backend heap calendar)
     file(WRITE ${WORK_DIR}/audit_${backend}.txt "${audit_${backend}}")

@@ -578,31 +578,39 @@ TEST(MetricRegistry, MirrorsSamplesAsTraceCounters)
 
 TEST(DesProfiler, AttributesWallTimeByLabel)
 {
-    EventQueue eq;
-    DesProfiler profiler;
-    eq.setProfiler(&profiler);
-    for (int i = 0; i < 10; ++i)
-        eq.schedule(static_cast<Tick>(i), [] {}, "tick");
-    const EventId cancelled = eq.schedule(99, [] {}, "doomed");
-    eq.deschedule(cancelled);
-    eq.run();
+    // The kernel counts are exact and the same on both backends; the
+    // descheduled key stays pending (a tombstone) until it is popped,
+    // so it counts towards the peak depth.
+    for (EventQueueBackendKind kind :
+         {EventQueueBackendKind::Heap, EventQueueBackendKind::Calendar}) {
+        SCOPED_TRACE(eventQueueBackendToken(kind));
+        EventQueue eq(kind);
+        DesProfiler profiler;
+        eq.setProfiler(&profiler);
+        for (int i = 0; i < 10; ++i)
+            eq.schedule(static_cast<Tick>(i), [] {}, "tick");
+        const EventId cancelled = eq.schedule(99, [] {}, "doomed");
+        eq.deschedule(cancelled);
+        eq.run();
 
-    EXPECT_EQ(profiler.eventsExecuted(), 10u);
-    EXPECT_EQ(profiler.schedules(), 11u);
-    EXPECT_EQ(profiler.deschedules(), 1u);
-    EXPECT_GE(profiler.peakHeapDepth(), 10u);
-    ASSERT_EQ(profiler.labels().count("tick"), 1u);
-    EXPECT_EQ(profiler.labels().at("tick").count, 10u);
-    EXPECT_EQ(profiler.labels().count("doomed"), 0u);
+        EXPECT_EQ(profiler.eventsExecuted(), 10u);
+        EXPECT_EQ(profiler.schedules(), 11u);
+        EXPECT_EQ(profiler.deschedules(), 1u);
+        EXPECT_EQ(profiler.peakHeapDepth(), 11u);
+        ASSERT_EQ(profiler.labels().count("tick"), 1u);
+        EXPECT_EQ(profiler.labels().at("tick").count, 10u);
+        EXPECT_EQ(profiler.labels().count("doomed"), 0u);
 
-    const auto top = profiler.topLabels(1);
-    ASSERT_EQ(top.size(), 1u);
-    EXPECT_EQ(top[0].first, "tick");
+        const auto top = profiler.topLabels(1);
+        ASSERT_EQ(top.size(), 1u);
+        EXPECT_EQ(top[0].first, "tick");
 
-    std::ostringstream report;
-    profiler.report(report);
-    EXPECT_NE(report.str().find("events executed"), std::string::npos);
-    EXPECT_NE(report.str().find("tick"), std::string::npos);
+        std::ostringstream report;
+        profiler.report(report);
+        EXPECT_NE(report.str().find("events executed"),
+                  std::string::npos);
+        EXPECT_NE(report.str().find("tick"), std::string::npos);
+    }
 }
 
 // ------------------------------------------------------- json escape

@@ -298,12 +298,13 @@ struct AuditRun
 {
     std::uint64_t streamHash = 0;
     std::uint64_t executed = 0;
+    std::size_t peakPending = 0;
 };
 
 /**
  * Execute the selected mode (sweep/cluster/serve) once from fresh
  * state with a DesProfiler attached, returning the (tick, label)
- * stream digest. Observer and table output stay off: the audit only
+ * stream digest and the peak number of pending events. Observer and table output stay off: the audit only
  * cares about the executed event stream.
  */
 AuditRun
@@ -323,7 +324,8 @@ auditRunOnce(const OptionParser &opts, const Scenario &prototype)
         Simulator sim;
         (void)sim.run(prototype, hooks);
     }
-    return {profiler.streamHash(), profiler.eventsExecuted()};
+    return {profiler.streamHash(), profiler.eventsExecuted(),
+            profiler.peakHeapDepth()};
 }
 
 /**
@@ -341,19 +343,23 @@ auditDeterminism(const OptionParser &opts, const Scenario &prototype)
     const AuditRun first = auditRunOnce(opts, prototype);
     const AuditRun second = auditRunOnce(opts, prototype);
     if (first.streamHash != second.streamHash
-        || first.executed != second.executed) {
+        || first.executed != second.executed
+        || first.peakPending != second.peakPending) {
         std::cerr << "determinism audit FAILED (" << mode << ", seed "
                   << prototype.seed << "): run 1 executed "
-                  << first.executed << " events (stream hash "
+                  << first.executed << " events (peak "
+                  << first.peakPending << " pending, stream hash "
                   << std::hex << first.streamHash << "), run 2 "
-                  << std::dec << second.executed << " (stream hash "
+                  << std::dec << second.executed << " (peak "
+                  << second.peakPending << " pending, stream hash "
                   << std::hex << second.streamHash << std::dec
                   << ")\n";
         return 1;
     }
     std::cout << "determinism audit passed (" << mode << ", seed "
               << prototype.seed << "): " << first.executed
-              << " events, stream hash " << std::hex
+              << " events, peak " << first.peakPending
+              << " pending, stream hash " << std::hex
               << first.streamHash << std::dec << '\n';
     return 0;
 }
