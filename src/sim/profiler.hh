@@ -5,11 +5,11 @@
  * Attached to an EventQueue (EventQueue::setProfiler), it attributes
  * *host* time — not simulated time — to event labels by timing each
  * callback inside executeHead, and tracks kernel health counters:
- * events/sec, peak heap depth, schedule/deschedule counts. This is the
- * measurement side of the ROADMAP's "make a single simulation fast"
- * item: `mcdla_sim --profile` prints the report, and bench_simcore
- * persists it as BENCH_simcore.json so DES optimizations are judged
- * against a checked-in trajectory.
+ * events/sec, peak heap depth, schedule/deschedule counts.
+ * `mcdla_sim --profile` prints the report; `mcdla_sim
+ * --audit-determinism` pins its event count, peak depth and stream hash
+ * (the golden_audit test); and perfbench's `observer.profiler_x`
+ * measures what attaching it costs.
  */
 
 #ifndef MCDLA_SIM_PROFILER_HH
