@@ -293,7 +293,7 @@ clusterFromOptions(const OptionParser &opts, const Scenario &prototype,
     return Cluster(cfg, std::move(jobs)).run();
 }
 
-/** One --audit-determinism run: the event-stream digest. */
+/** One --audit-determinism run: the event-stream digest and counts. */
 struct AuditRun
 {
     std::uint64_t streamHash = 0;
@@ -304,8 +304,9 @@ struct AuditRun
 /**
  * Execute the selected mode (sweep/cluster/serve) once from fresh
  * state with a DesProfiler attached, returning the (tick, label)
- * stream digest and the peak number of pending events. Observer and table output stay off: the audit only
- * cares about the executed event stream.
+ * stream digest, the event count and the peak number of pending
+ * events. Observer and table output stay off: the audit only cares
+ * about the executed event stream.
  */
 AuditRun
 auditRunOnce(const OptionParser &opts, const Scenario &prototype)
@@ -466,7 +467,7 @@ main(int argc, char **argv)
     opts.addFlag("audit-determinism",
                  "run the scenario twice with the same seed and fail "
                  "unless the executed (tick, label) event streams "
-                 "hash identically");
+                 "hash identically and peak at the same depth");
 
     if (!opts.parse(argc, argv, std::cerr))
         return 1;
