@@ -381,31 +381,34 @@ CollectiveEngine::runRounds(std::shared_ptr<std::vector<Round>> rounds,
         return;
     }
     const Round &round = (*rounds)[index];
-    auto outstanding = std::make_shared<std::size_t>(round.size());
-    const Tick launched = now();
+    // One flow per round: a one-route leg per (src, dst) transfer
+    // (reserved, so the legs' route pointers stay valid).
+    std::vector<std::vector<Route>> routes;
+    std::vector<FlowLeg> legs;
+    routes.reserve(round.size());
     for (const auto &[src, dst] : round) {
         Route route = _fabric.deviceRoute(src, dst);
         if (!route.valid())
             fatal("%s: no route from device %d to device %d for a "
                   "tree collective round", name().c_str(), src, dst);
-        sendFlow({std::move(route)}, bytes, _cfg.chunkBytes,
-                 [this, rounds, index, bytes, done, outstanding,
-                  launched] {
-                     if (--*outstanding != 0)
-                         return;
-                     if (TraceSink *trace = eventQueue().trace()) {
-                         const std::string label = "round "
-                             + std::to_string(index + 1) + "/"
-                             + std::to_string(rounds->size()) + " ("
-                             + std::to_string((*rounds)[index].size())
-                             + " xfer)";
-                         trace->addSpan("collective", "rounds", label,
-                                        launched, now() - launched,
-                                        "sync");
-                     }
-                     runRounds(rounds, index + 1, bytes, done);
-                 });
+        routes.push_back({std::move(route)});
+        legs.push_back({&routes.back(), bytes});
     }
+    const Tick launched = now();
+    _flows.send(legs.data(), legs.size(), _cfg.chunkBytes,
+                [this, rounds, index, bytes, done, launched] {
+                    if (TraceSink *trace = eventQueue().trace()) {
+                        const std::string label = "round "
+                            + std::to_string(index + 1) + "/"
+                            + std::to_string(rounds->size()) + " ("
+                            + std::to_string((*rounds)[index].size())
+                            + " xfer)";
+                        trace->addSpan("collective", "rounds", label,
+                                       launched, now() - launched,
+                                       "sync");
+                    }
+                    runRounds(rounds, index + 1, bytes, done);
+                });
 }
 
 RingPath

@@ -220,6 +220,9 @@ class CollectiveEngine : public SimObject
         the idle ones. */
     std::deque<RingOp> _ops;
     std::vector<RingOp *> _freeOps;
+
+    /** Flows of the tree/hierarchical rounds. */
+    FlowPool _flows;
 };
 
 /**

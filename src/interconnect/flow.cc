@@ -1,90 +1,51 @@
 /**
  * @file
- * Flow helper implementation.
+ * FlowPool implementation.
  *
- * Flow bookkeeping is pooled: one FlowState per in-flight flow carries
- * the route copies, the chunks-outstanding join counter and the
- * completion callback. States live on a thread-local free list (each
- * Simulator worker thread drives its own simulations), so steady-state
- * traffic performs no heap allocation at all — route/waiter vector
- * capacity is recycled from earlier flows, and the per-chunk closures
- * (ChunkHop: state pointer, route index, hop index, byte count) fit
- * inside the Channel::Handler inline buffer. ChunkHop compares by
- * value, so the block of equal chunks a flow queues on its first hop
- * is one run-length train in that channel's FIFO.
+ * A Record holds the route copies of all of a flow's legs (flattened,
+ * so a chunk names its route by one index), the chunks outstanding, the
+ * completion callback and its pool. Recycled records keep their route
+ * capacity, and a chunk's closure (ChunkHop: record, route index, hop
+ * index, byte count) fits inside the Channel::Handler inline buffer.
+ * ChunkHop compares by value, so the equal chunks a leg queues on its
+ * first hop are one run-length train in that channel's FIFO; chunks of
+ * different legs differ in route index and never merge.
  */
 
 #include "interconnect/flow.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "sim/logging.hh"
 
 namespace mcdla
 {
 
-namespace
+struct FlowPool::Record
 {
-
-/** Pooled bookkeeping of one in-flight flow. */
-struct FlowState
-{
-    std::vector<Route> routes;
+    FlowPool *pool = nullptr;
+    std::vector<Route> routes;   ///< every leg's routes, in leg order
     std::uint64_t remaining = 0; ///< chunks not yet fully delivered
-    std::function<void()> done;
-};
+    Handler done;
 
-struct FlowPool
-{
-    std::vector<std::unique_ptr<FlowState>> all;
-    std::vector<FlowState *> free;
-
-    FlowState *
-    acquire()
-    {
-        if (!free.empty()) {
-            FlowState *state = free.back();
-            free.pop_back();
-            return state;
-        }
-        all.push_back(std::make_unique<FlowState>());
-        return all.back().get();
-    }
-
+    /** Recycle, then fire: the callback may start new flows (reusing
+        this very record) or destroy the channels or the pool. */
     void
-    release(FlowState *state)
+    finish()
     {
-        state->done = nullptr;
-        free.push_back(state);
+        Handler fire = std::move(done);
+        done = nullptr;
+        pool->_free.push_back(this);
+        if (fire)
+            fire();
     }
 };
-
-FlowPool &
-flowPool()
-{
-    thread_local FlowPool pool;
-    return pool;
-}
-
-/** One chunk fully delivered; fire and recycle on the last one. */
-void
-completeChunk(FlowState *state)
-{
-    if (--state->remaining != 0)
-        return;
-    // Detach the callback and recycle *first*: the callback may start
-    // new flows (and reuse this very state) or destroy the channels.
-    std::function<void()> done = std::move(state->done);
-    flowPool().release(state);
-    if (done)
-        done();
-}
 
 /** A chunk on hop @p hop of its route; delivery forwards it onward. */
-struct ChunkHop
+struct FlowPool::ChunkHop
 {
-    FlowState *state;
+    Record *record;
     std::uint32_t route;
     std::uint32_t hop;
     double bytes;
@@ -92,63 +53,78 @@ struct ChunkHop
     void
     submit() const
     {
-        state->routes[route].hops[hop]->submit(bytes, *this);
+        record->routes[route].hops[hop]->submit(bytes, *this);
     }
 
     void
     operator()() const
     {
-        if (hop + 1 < state->routes[route].hops.size())
-            ChunkHop{state, route, hop + 1, bytes}.submit();
-        else
-            completeChunk(state);
+        if (hop + 1 < record->routes[route].hops.size())
+            ChunkHop{record, route, hop + 1, bytes}.submit();
+        else if (--record->remaining == 0)
+            record->finish();
     }
 
     /** Equal hops merge into one channel FIFO train. */
     bool
     operator==(const ChunkHop &other) const
     {
-        return state == other.state && route == other.route
+        return record == other.record && route == other.route
                && hop == other.hop && bytes == other.bytes;
     }
 };
 
-static_assert(Channel::Handler::fitsInline<ChunkHop>(),
-              "a flow chunk hop must not allocate");
-static_assert(Channel::Handler::comparable<ChunkHop>(),
-              "flow chunk hops must merge into channel trains");
-
-} // anonymous namespace
+FlowPool::FlowPool() = default;
+FlowPool::~FlowPool() = default;
 
 void
-sendFlow(const std::vector<Route> &routes, double bytes,
-         double chunk_bytes, std::function<void()> on_done)
+FlowPool::send(const FlowLeg *legs, std::size_t count, double chunk_bytes,
+               Handler on_done)
 {
-    if (routes.empty())
-        panic("sendFlow: no routes");
+    static_assert(Channel::Handler::fitsInline<ChunkHop>(),
+                  "a flow chunk hop must not allocate");
+    static_assert(Channel::Handler::comparable<ChunkHop>(),
+                  "flow chunk hops must merge into channel trains");
     if (chunk_bytes <= 0.0)
-        panic("sendFlow: non-positive chunk size");
-    if (bytes <= 0.0) {
-        if (on_done)
-            on_done();
-        return;
-    }
+        panic("flow: non-positive chunk size");
 
-    const auto chunks = static_cast<std::uint64_t>(
-        std::ceil(bytes / chunk_bytes));
-    FlowState *state = flowPool().acquire();
-    state->routes.assign(routes.begin(), routes.end());
-    state->remaining = chunks;
-    state->done = std::move(on_done);
-
-    double left = bytes;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        const double this_chunk = std::min(chunk_bytes, left);
-        left -= this_chunk;
-        ChunkHop{state, static_cast<std::uint32_t>(c % routes.size()),
-                 0, this_chunk}
-            .submit();
+    Record *record;
+    if (!_free.empty()) {
+        record = _free.back();
+        _free.pop_back();
+    } else {
+        _all.push_back(std::make_unique<Record>());
+        record = _all.back().get();
+        record->pool = this;
     }
+    record->done = std::move(on_done);
+    record->remaining = 0;
+    std::size_t base = 0;
+    for (const FlowLeg *leg = legs; leg != legs + count; ++leg) {
+        const std::vector<Route> &routes = *leg->routes;
+        if (routes.empty())
+            panic("flow: leg %zu has no routes",
+                  static_cast<std::size_t>(leg - legs));
+        // Copy-assign into the recycled routes to keep their capacity.
+        record->routes.resize(base + routes.size());
+        for (std::size_t r = 0; r < routes.size(); ++r)
+            record->routes[base + r].hops = routes[r].hops;
+        const auto chunks = static_cast<std::uint64_t>(
+            std::ceil(std::max(leg->bytes, 0.0) / chunk_bytes));
+        record->remaining += chunks;
+        double left = leg->bytes;
+        for (std::uint64_t c = 0; c < chunks; ++c) {
+            const double this_chunk = std::min(chunk_bytes, left);
+            left -= this_chunk;
+            ChunkHop{record,
+                     static_cast<std::uint32_t>(base + c % routes.size()),
+                     0, this_chunk}
+                .submit();
+        }
+        base += routes.size();
+    }
+    if (record->remaining == 0)
+        record->finish();
 }
 
 } // namespace mcdla

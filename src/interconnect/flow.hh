@@ -1,20 +1,21 @@
 /**
  * @file
- * Bulk-flow helpers: chunked transfers over channel routes.
+ * Bulk flows: chunked transfers over channel routes.
  *
  * A Route is an ordered channel sequence traversed store-and-forward; a
- * flow moves a payload over one or more parallel routes in fixed-size
- * chunks (round-robin across routes), reporting a single completion when
- * the last chunk of the payload is delivered. This is the DMA abstraction
- * used for memory-virtualization traffic, pipeline boundary transfers and
- * the rounds of tree collectives. Ring collectives submit their chunks to
- * the channels directly (CollectiveEngine).
+ * flow moves one or more legs, each a payload over its own parallel
+ * routes, in fixed-size chunks and reports one completion. Flows come
+ * from a FlowPool owned by the engine that sends them: DmaEngine (one
+ * leg per vmem path), TrainingSession (pipeline boundary transfers) and
+ * CollectiveEngine (tree rounds). Ring collectives submit their chunks
+ * to the channels directly.
  */
 
 #ifndef MCDLA_INTERCONNECT_FLOW_HH
 #define MCDLA_INTERCONNECT_FLOW_HH
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "interconnect/channel.hh"
@@ -33,27 +34,57 @@ struct Route
 /** Default DMA chunk used to interleave concurrent bulk flows. */
 constexpr double kDefaultChunkBytes = 512.0 * 1024.0;
 
-/**
- * Transfer @p bytes over @p routes, chunked and round-robined.
- *
- * All chunks are enqueued immediately (channel FIFOs provide the
- * backpressure); completion fires when every chunk has been delivered.
- *
- * @param routes Parallel routes; must be non-empty.
- * @param bytes Total payload.
- * @param chunk_bytes Chunk granularity (> 0).
- * @param on_done Completion callback (may be empty).
- */
-void sendFlow(const std::vector<Route> &routes, double bytes,
-              double chunk_bytes, std::function<void()> on_done);
-
-/** sendFlow with the default chunk size. */
-inline void
-sendFlow(const std::vector<Route> &routes, double bytes,
-         std::function<void()> on_done)
+/** One leg of a flow: @p bytes over the parallel @p routes. */
+struct FlowLeg
 {
-    sendFlow(routes, bytes, kDefaultChunkBytes, std::move(on_done));
-}
+    const std::vector<Route> *routes;
+    double bytes;
+};
+
+/**
+ * Sends flows and owns their in-flight records, recycled so that
+ * steady-state traffic allocates nothing. Destroying the pool releases
+ * the handlers of flows still in flight; their chunks must not be
+ * delivered afterwards.
+ */
+class FlowPool
+{
+  public:
+    using Handler = std::function<void()>;
+
+    FlowPool();
+    ~FlowPool();
+    FlowPool(const FlowPool &) = delete;
+    FlowPool &operator=(const FlowPool &) = delete;
+
+    /**
+     * Send @p count legs as one flow. Every chunk is enqueued now, leg
+     * by leg (channel FIFOs provide the backpressure); within a leg,
+     * chunks round-robin over its routes, which must be non-empty.
+     * @p on_done fires in the event that delivers the last chunk, or at
+     * once if no leg has bytes.
+     */
+    void send(const FlowLeg *legs, std::size_t count, double chunk_bytes,
+              Handler on_done);
+
+    /** One-leg flow: @p bytes over @p routes. */
+    void
+    send(const std::vector<Route> &routes, double bytes,
+         double chunk_bytes, Handler on_done)
+    {
+        const FlowLeg leg{&routes, bytes};
+        send(&leg, 1, chunk_bytes, std::move(on_done));
+    }
+
+  private:
+    /** Bookkeeping of one in-flight flow (flow.cc). */
+    struct Record;
+    /** Delivery closure of one chunk hop (flow.cc). */
+    struct ChunkHop;
+
+    std::vector<std::unique_ptr<Record>> _all;
+    std::vector<Record *> _free;
+};
 
 } // namespace mcdla
 

@@ -277,7 +277,8 @@ TrainingSession::buildPipelineSchedule()
                   "pipeline transfers",
                   systemDesignName(_system.config().design),
                   sysDev(src), sysDev(dst));
-        _p2pRoutes.emplace(src * n + dst, std::move(route));
+        _p2pRoutes.emplace(src * n + dst,
+                           std::vector<Route>{std::move(route)});
     };
     // Adjacent-stage boundary routes plus tied-dW reduction routes.
     for (int b = 0; b + 1 < P; ++b) {
@@ -809,33 +810,33 @@ TrainingSession::issueP2p(int src, const P2pSend &send)
         latch->complete();
         return;
     }
-    const Route &route =
+    const std::vector<Route> &routes =
         _p2pRoutes.at(src * deviceCount() + send.dst);
     const Tick launched = _system.eventQueue().now();
     _syncTracker.begin(launched);
     const int dst = send.dst;
     CausalScope causal_scope(_system.eventQueue().causalRecorder(),
                              WaitKind::Control, CausalCtx::P2p);
-    sendFlow({route}, send.bytes,
-             _system.config().collectiveChunkBytes,
-             [this, latch, launched, src, dst] {
-                 const Tick now = _system.eventQueue().now();
-                 _syncTracker.end(now);
-                 if (TraceSink *trace = _system.eventQueue().trace()) {
-                     if (launched > now)
-                         panic("p2p trace span launched at tick %llu, "
-                               "after its completion (%llu)",
-                               static_cast<unsigned long long>(
-                                   launched),
-                               static_cast<unsigned long long>(now));
-                     trace->addSpan(
-                         "collective", "p2p",
-                         "xfer d" + std::to_string(src) + "->d"
-                             + std::to_string(dst),
-                         launched, now - launched, "sync");
-                 }
-                 latch->complete();
-             });
+    _flows.send(routes, send.bytes,
+                _system.config().collectiveChunkBytes,
+                [this, latch, launched, src, dst] {
+                    const Tick now = _system.eventQueue().now();
+                    _syncTracker.end(now);
+                    if (TraceSink *trace = _system.eventQueue().trace()) {
+                        if (launched > now)
+                            panic("p2p trace span launched at tick %llu, "
+                                  "after its completion (%llu)",
+                                  static_cast<unsigned long long>(
+                                      launched),
+                                  static_cast<unsigned long long>(now));
+                        trace->addSpan(
+                            "collective", "p2p",
+                            "xfer d" + std::to_string(src) + "->d"
+                                + std::to_string(dst),
+                            launched, now - launched, "sync");
+                    }
+                    latch->complete();
+                });
 }
 
 int

@@ -363,8 +363,10 @@ class TrainingSession
     /// Paged device-memory managers, one per device (persistent across
     /// iterations so history-based policies can learn).
     std::vector<std::unique_ptr<DevicePager>> _pagers;
-    /// Pipeline p2p routes, keyed src * numDevices + dst.
-    std::map<int, Route> _p2pRoutes;
+    /// Pipeline p2p routes (one each), keyed src * numDevices + dst.
+    std::map<int, std::vector<Route>> _p2pRoutes;
+    /// Flows of the pipeline p2p transfers.
+    FlowPool _flows;
     int _p2pTokenCount = 0;
     double _p2pBytesTotal = 0.0;
 

@@ -1,6 +1,10 @@
 /**
  * @file
  * DmaEngine implementation.
+ *
+ * A transfer is one flow from the engine's own FlowPool with one leg per
+ * path that carries a share of the payload, so a multi-path copy has a
+ * single completion and no join record.
  */
 
 #include "vmem/dma_engine.hh"
@@ -10,51 +14,6 @@
 
 namespace mcdla
 {
-
-namespace
-{
-
-/** Pooled join of one transfer's per-path flows (thread-local free
-    list, same ownership discipline as the flow layer's FlowState). */
-struct DmaJoin
-{
-    std::size_t remaining = 0;
-    DmaEngine::Handler done;
-};
-
-struct DmaJoinPool
-{
-    std::vector<std::unique_ptr<DmaJoin>> all;
-    std::vector<DmaJoin *> free;
-
-    DmaJoin *
-    acquire()
-    {
-        if (!free.empty()) {
-            DmaJoin *join = free.back();
-            free.pop_back();
-            return join;
-        }
-        all.push_back(std::make_unique<DmaJoin>());
-        return all.back().get();
-    }
-
-    void
-    release(DmaJoin *join)
-    {
-        join->done = nullptr;
-        free.push_back(join);
-    }
-};
-
-DmaJoinPool &
-dmaJoinPool()
-{
-    thread_local DmaJoinPool pool;
-    return pool;
-}
-
-} // anonymous namespace
 
 DmaEngine::DmaEngine(EventQueue &eq, std::string name,
                      const std::vector<VmemPath> &paths,
@@ -101,45 +60,28 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
         stats().scalar("bytes_prefetched") += bytes;
     }
 
-    // Count the active shares first so the completion join is exact.
-    std::size_t active = 0;
-    for (std::size_t i = 0; i < _paths.size(); ++i) {
-        const double f = fractions.empty()
-            ? 1.0 / static_cast<double>(_paths.size())
-            : fractions[i];
-        if (f > 0.0)
-            ++active;
-    }
-    if (active == 0) {
-        eventQueue().scheduleAfter(
-            0, std::move(on_done),
-            EventLabel::dotted(name(), "zero_fraction_dma"));
-        return;
-    }
-
-    DmaJoin *join = dmaJoinPool().acquire();
-    join->remaining = active;
-    join->done = std::move(on_done);
+    // One leg per path with a share; the flow completes once, in the
+    // event that delivers its last chunk.
+    _legs.clear();
     for (std::size_t i = 0; i < _paths.size(); ++i) {
         const double f = fractions.empty()
             ? 1.0 / static_cast<double>(_paths.size())
             : fractions[i];
         if (f <= 0.0)
             continue;
-        const auto &routes = direction == DmaDirection::LocalToRemote
-            ? _paths[i].writeRoutes
-            : _paths[i].readRoutes;
-        sendFlow(routes, bytes * f, _chunkBytes, [join] {
-            if (--join->remaining != 0)
-                return;
-            // Detach and recycle before firing: the completion may
-            // issue the next DMA and reuse this join immediately.
-            DmaEngine::Handler done = std::move(join->done);
-            dmaJoinPool().release(join);
-            if (done)
-                done();
-        });
+        _legs.push_back({direction == DmaDirection::LocalToRemote
+                             ? &_paths[i].writeRoutes
+                             : &_paths[i].readRoutes,
+                         bytes * f});
     }
+    if (_legs.empty()) {
+        eventQueue().scheduleAfter(
+            0, std::move(on_done),
+            EventLabel::dotted(name(), "zero_fraction_dma"));
+        return;
+    }
+    _flows.send(_legs.data(), _legs.size(), _chunkBytes,
+                std::move(on_done));
 }
 
 } // namespace mcdla

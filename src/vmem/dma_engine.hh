@@ -7,7 +7,9 @@
  * prefetches (backing store -> device). A placement's per-target traffic
  * fractions — produced by the page allocator (LOCAL vs BW_AWARE) — decide
  * how much of each payload rides each path; within a path, chunks
- * round-robin across its parallel routes (one per ring link).
+ * round-robin across its parallel routes (one per ring link). Each
+ * transfer is one multi-leg flow of the engine's own FlowPool, so its
+ * in-flight state is released with the engine.
  */
 
 #ifndef MCDLA_VMEM_DMA_ENGINE_HH
@@ -78,6 +80,9 @@ class DmaEngine : public SimObject
   private:
     std::vector<VmemPath> _paths;
     double _chunkBytes;
+    FlowPool _flows;
+    /// Leg list of the transfer being issued (reused: no allocation).
+    std::vector<FlowLeg> _legs;
     double _bytesOffloaded = 0.0;
     double _bytesPrefetched = 0.0;
 };

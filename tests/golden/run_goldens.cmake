@@ -120,6 +120,13 @@ if(SUITE STREQUAL "sim")
          --trace serve.trace.json
          --metrics-csv serve_metrics.csv --metrics-period-us 1000)
 
+  # A sweep's observer outputs take the workload suffix on the last
+  # path component only; the dot in the directory name must stay put,
+  # and an output that cannot be opened fails the run.
+  file(MAKE_DIRECTORY ${WORK_DIR}/out.d)
+  golden_case(output_paths
+    ARGS --workload all --batch 64 --profile-json out.d/prof)
+
   # One unobserved iteration per parallelization.
   foreach(mode dp mp pp)
     golden_case(${mode}

@@ -407,8 +407,9 @@ TEST(Flow, SingleRouteDeliversOnce)
     EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
     Channel b(eq, "b", 1e9, 0);
+    FlowPool flows;
     int done = 0;
-    sendFlow({Route{{&a, &b}}}, 10e3, 1e3, [&] { ++done; });
+    flows.send({Route{{&a, &b}}}, 10e3, 1e3, [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 1);
     EXPECT_DOUBLE_EQ(a.bytesTransferred(), 10e3);
@@ -420,8 +421,10 @@ TEST(Flow, ParallelRoutesSplitTraffic)
     EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
     Channel b(eq, "b", 1e9, 0);
+    FlowPool flows;
     bool done = false;
-    sendFlow({Route{{&a}}, Route{{&b}}}, 10e3, 1e3, [&] { done = true; });
+    flows.send({Route{{&a}}, Route{{&b}}}, 10e3, 1e3,
+               [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_DOUBLE_EQ(a.bytesTransferred(), 5e3);
@@ -433,14 +436,15 @@ TEST(Flow, TwoRoutesHalveCompletionTime)
     EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
     Channel b(eq, "b", 1e9, 0);
+    FlowPool flows;
     Tick one_route = 0, two_routes = 0;
-    sendFlow({Route{{&a}}}, 1e6, 1e4, [&] { one_route = eq.now(); });
+    flows.send({Route{{&a}}}, 1e6, 1e4, [&] { one_route = eq.now(); });
     eq.run();
     eq.reset();
     Channel c(eq, "c", 1e9, 0);
     Channel d(eq, "d", 1e9, 0);
-    sendFlow({Route{{&c}}, Route{{&d}}}, 1e6, 1e4,
-             [&] { two_routes = eq.now(); });
+    flows.send({Route{{&c}}, Route{{&d}}}, 1e6, 1e4,
+               [&] { two_routes = eq.now(); });
     eq.run();
     EXPECT_NEAR(static_cast<double>(two_routes),
                 static_cast<double>(one_route) / 2.0,
@@ -454,8 +458,9 @@ TEST(Flow, StoreAndForwardPipelines)
     EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
     Channel b(eq, "b", 1e9, 0);
+    FlowPool flows;
     Tick done = 0;
-    sendFlow({Route{{&a, &b}}}, 1e6, 1e4, [&] { done = eq.now(); });
+    flows.send({Route{{&a, &b}}}, 1e6, 1e4, [&] { done = eq.now(); });
     eq.run();
     const double base = 1e6 / 1e9; // 1 ms wire time per hop
     EXPECT_LT(ticksToSeconds(done), base * 1.1);
@@ -466,9 +471,48 @@ TEST(Flow, ZeroBytesCompletesImmediately)
 {
     EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
+    FlowPool flows;
     bool done = false;
-    sendFlow({Route{{&a}}}, 0.0, 1e3, [&] { done = true; });
+    flows.send({Route{{&a}}}, 0.0, 1e3, [&] { done = true; });
     EXPECT_TRUE(done);
+}
+
+TEST(Flow, LegsCompleteOnceAtTheLastDelivery)
+{
+    // Alone, each leg finishes at its own tick; as two legs of one flow
+    // on separate channels, the single completion lands where the
+    // larger leg finishes.
+    EventQueue eq;
+    FlowPool flows;
+    auto alone = [&](double bytes) {
+        eq.reset();
+        Channel c(eq, "c", 1e9, 0);
+        Tick done = 0;
+        flows.send({Route{{&c}}}, bytes, 1e4, [&] { done = eq.now(); });
+        eq.run();
+        return done;
+    };
+    const Tick small_alone = alone(2e5);
+    const Tick large_alone = alone(6e5);
+    ASSERT_LT(small_alone, large_alone);
+
+    eq.reset();
+    Channel a(eq, "a", 1e9, 0);
+    Channel b(eq, "b", 1e9, 0);
+    const std::vector<Route> small{Route{{&a}}};
+    const std::vector<Route> large{Route{{&b}}};
+    const FlowLeg legs[] = {{&large, 6e5}, {&small, 2e5}};
+    int fired = 0;
+    Tick done = 0;
+    flows.send(legs, 2, 1e4, [&] {
+        ++fired;
+        done = eq.now();
+    });
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(done, large_alone);
+    EXPECT_DOUBLE_EQ(a.bytesTransferred(), 2e5);
+    EXPECT_DOUBLE_EQ(b.bytesTransferred(), 6e5);
 }
 
 // ------------------------------------------------------ fabric builders
@@ -680,7 +724,8 @@ TEST(Fabrics, HostBytesAccounting)
     EventQueue eq;
     auto fab = buildDcdlaFabric(eq, testConfig());
     const auto &path = fab->vmemPaths(0)[0];
-    sendFlow(path.writeRoutes, 1e6, 1e5, nullptr);
+    FlowPool flows;
+    flows.send(path.writeRoutes, 1e6, 1e5, nullptr);
     eq.run();
     EXPECT_DOUBLE_EQ(fab->hostBytes(), 1e6);
 }

@@ -143,8 +143,9 @@ TEST(System, ResetStatsClearsChannels)
 {
     EventQueue eq;
     System sys = makeSystem(eq, SystemDesign::DcDla);
-    sendFlow(sys.fabric().vmemPaths(0)[0].writeRoutes, 1e6, 1e5,
-             nullptr);
+    FlowPool flows;
+    flows.send(sys.fabric().vmemPaths(0)[0].writeRoutes, 1e6, 1e5,
+               nullptr);
     eq.run();
     EXPECT_GT(sys.fabric().hostBytes(), 0.0);
     sys.resetStats();

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dnn/builders.hh"
 #include "interconnect/fabrics.hh"
 #include "sim/logging.hh"
@@ -177,6 +179,21 @@ TEST_F(DmaTest, ZeroByteTransferCompletes)
     dma.transfer(0.0, DmaDirection::LocalToRemote, [&] { done = true; });
     eq.run();
     EXPECT_TRUE(done);
+}
+
+TEST_F(DmaTest, AbandonedTransferReleasesItsCompletion)
+{
+    // An engine destroyed mid-transfer takes its flows' completion
+    // handlers, and what they capture, with it.
+    auto token = std::make_shared<int>(0);
+    {
+        DmaEngine dma(eq, "dma0", fabric->vmemPaths(0));
+        dma.transfer(150e6, DmaDirection::LocalToRemote,
+                     [token] { ++*token; });
+        eq.runUntil(secondsToTicks(100e-6));
+        ASSERT_FALSE(eq.empty());
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST_F(DmaTest, NoBackingStoreIsFatal)

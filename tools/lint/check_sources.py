@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for the mcdla simulator sources.
 
-Three repo hazards that clang-tidy cannot know about:
+Four repo hazards that clang-tidy cannot know about:
 
   rng        Simulation randomness must flow through the seeded
              xoshiro256** in sim/random.hh. Any other entropy source
@@ -17,6 +17,11 @@ Three repo hazards that clang-tidy cannot know about:
              private priority queue of timed work, or host sleeps
              standing in for simulated delay, bypasses the DES kernel
              (and its SimCheck monotonicity guarantees).
+
+  state      Simulation state lives in the objects of one run (a
+             FlowPool belongs to the engine that sends its flows). A
+             `thread_local` pool outlives the run that filled it, so an
+             abandoned run leaks its handlers into the next one.
 
 A finding can be waived on its line with `// lint:allow(<rule>)`.
 Exit status is the number of findings (0 = clean).
@@ -49,6 +54,11 @@ LINE_RULES = {
         ),
         "order simulated work through EventQueue, not a private "
         "queue or host sleeps",
+    ),
+    "state": (
+        re.compile(r"\bthread_local\b"),
+        "keep simulation state in the objects of one run, not in "
+        "thread_local storage",
     ),
 }
 

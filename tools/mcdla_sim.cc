@@ -132,7 +132,10 @@ Observers::Observers(const OptionParser &opts)
     }
 }
 
-/** "t.json" + "VGG-E" -> "t.VGG-E.json" (suffix sanitized). */
+/**
+ * "t.json" + "VGG-E" -> "t.VGG-E.json", "out.d/prof" -> "out.d/prof.VGG-E"
+ * (suffix sanitized; only the last path component takes it).
+ */
 std::string
 suffixedPath(const std::string &path, const std::string &suffix)
 {
@@ -142,10 +145,22 @@ suffixedPath(const std::string &path, const std::string &suffix)
     for (char c : suffix)
         tag += std::isalnum(static_cast<unsigned char>(c)) != 0
             ? c : '-';
+    const std::size_t slash = path.find_last_of('/');
+    const std::size_t name = slash == std::string::npos ? 0 : slash + 1;
     const std::size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos || dot == 0)
+    if (dot == std::string::npos || dot <= name)
         return path + "." + tag;
     return path.substr(0, dot) + "." + tag + path.substr(dot);
+}
+
+/** Open @p path for writing, or stop with one line naming it. */
+std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot open '%s' for writing", path.c_str());
+    return out;
 }
 
 /** Write the trace/metrics/causal files and the profiler reports. */
@@ -163,7 +178,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
         if (!opts.getString("critical-path-csv").empty()) {
             const std::string path = suffixedPath(
                 opts.getString("critical-path-csv"), suffix);
-            std::ofstream out(path);
+            std::ofstream out = openOutput(path);
             analysis.criticalPathTable().writeCsv(out);
             std::cout << "wrote " << path << " ("
                       << analysis.criticalPath().size()
@@ -172,14 +187,14 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
         if (!opts.getString("slack-csv").empty()) {
             const std::string path =
                 suffixedPath(opts.getString("slack-csv"), suffix);
-            std::ofstream out(path);
+            std::ofstream out = openOutput(path);
             analysis.slackTable().writeCsv(out);
             std::cout << "wrote " << path << '\n';
         }
         if (!opts.getString("causal-json").empty()) {
             const std::string path =
                 suffixedPath(opts.getString("causal-json"), suffix);
-            std::ofstream out(path);
+            std::ofstream out = openOutput(path);
             analysis.writeJson(out);
             std::cout << "wrote " << path << '\n';
         }
@@ -203,7 +218,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     if (obs.attached.trace != nullptr) {
         const std::string path =
             suffixedPath(opts.getString("trace"), suffix);
-        std::ofstream out(path);
+        std::ofstream out = openOutput(path);
         obs.trace.write(out);
         std::cout << "wrote " << path << " (" << obs.trace.eventCount()
                   << " events, " << obs.trace.processCount()
@@ -212,7 +227,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     if (!opts.getString("metrics-csv").empty()) {
         const std::string path =
             suffixedPath(opts.getString("metrics-csv"), suffix);
-        std::ofstream out(path);
+        std::ofstream out = openOutput(path);
         metricsTable(obs.metrics).writeCsv(out);
         std::cout << "wrote " << path << " ("
                   << obs.metrics.sampleCount() << " samples of "
@@ -221,7 +236,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     if (!opts.getString("metrics-json").empty()) {
         const std::string path =
             suffixedPath(opts.getString("metrics-json"), suffix);
-        std::ofstream out(path);
+        std::ofstream out = openOutput(path);
         metricsTable(obs.metrics).writeJson(out);
         std::cout << "wrote " << path << '\n';
     }
@@ -230,7 +245,7 @@ writeObserverOutputs(const OptionParser &opts, Observers &obs,
     if (!opts.getString("profile-json").empty()) {
         const std::string path =
             suffixedPath(opts.getString("profile-json"), suffix);
-        std::ofstream out(path);
+        std::ofstream out = openOutput(path);
         obs.profiler.reportJson(out);
         std::cout << "wrote " << path << '\n';
     }
@@ -669,17 +684,17 @@ main(int argc, char **argv)
         }
 
         if (!opts.getString("csv").empty()) {
-            std::ofstream out(opts.getString("csv"));
+            std::ofstream out = openOutput(opts.getString("csv"));
             report.requestTable().writeCsv(out);
             std::cout << "\nwrote " << opts.getString("csv") << '\n';
         }
         if (!opts.getString("json").empty()) {
-            std::ofstream out(opts.getString("json"));
+            std::ofstream out = openOutput(opts.getString("json"));
             report.requestTable().writeJson(out);
             std::cout << "wrote " << opts.getString("json") << '\n';
         }
         if (!opts.getString("replica-csv").empty()) {
-            std::ofstream out(opts.getString("replica-csv"));
+            std::ofstream out = openOutput(opts.getString("replica-csv"));
             report.replicaTable().writeCsv(out);
             std::cout << "wrote " << opts.getString("replica-csv")
                       << '\n';
@@ -749,17 +764,17 @@ main(int argc, char **argv)
                   << " allocation failures\n";
 
         if (!opts.getString("csv").empty()) {
-            std::ofstream out(opts.getString("csv"));
+            std::ofstream out = openOutput(opts.getString("csv"));
             report.jobTable().writeCsv(out);
             std::cout << "\nwrote " << opts.getString("csv") << '\n';
         }
         if (!opts.getString("json").empty()) {
-            std::ofstream out(opts.getString("json"));
+            std::ofstream out = openOutput(opts.getString("json"));
             report.jobTable().writeJson(out);
             std::cout << "wrote " << opts.getString("json") << '\n';
         }
         if (!opts.getString("pool-csv").empty()) {
-            std::ofstream out(opts.getString("pool-csv"));
+            std::ofstream out = openOutput(opts.getString("pool-csv"));
             report.poolTable().writeCsv(out);
             std::cout << "wrote " << opts.getString("pool-csv")
                       << '\n';
@@ -848,12 +863,12 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         results.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << '\n';
     }
     if (!opts.getString("json").empty()) {
-        std::ofstream out(opts.getString("json"));
+        std::ofstream out = openOutput(opts.getString("json"));
         results.writeJson(out);
         std::cout << "\nwrote " << opts.getString("json") << '\n';
     }
@@ -863,7 +878,7 @@ main(int argc, char **argv)
             appendChannelUsageRows(channel_table,
                                    scenarios[i].label(),
                                    iter_results[i]);
-        std::ofstream out(opts.getString("channel-csv"));
+        std::ofstream out = openOutput(opts.getString("channel-csv"));
         channel_table.writeCsv(out);
         // Headline the worst link across the whole sweep, named by
         // the scenario it bottlenecked.
