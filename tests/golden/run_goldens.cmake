@@ -29,15 +29,17 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(mismatches "")
 
-# golden_case(<name> [PROGRAM <bench>] OUTPUTS <files> HASHED <files>
-#             ARGS <args>):
+# golden_case(<name> [NO_STDOUT] [PROGRAM <bench>] OUTPUTS <files>
+#             HASHED <files> ARGS <args>):
 # runs mcdla_sim --quiet, or the build tree's <bench> as given, and
-# compares the run's stdout as <name>.stdout, plus each OUTPUTS file.
+# compares the run's stdout as <name>.stdout (unless NO_STDOUT), plus
+# each OUTPUTS file.
 # The HASHED files are compared by digest against <name>.sha256, one
 # "<sha256>  <file>" line each (the sha256sum format). Output paths stay
 # relative so the "wrote <file>" lines are stable.
 macro(golden_case name)
-  cmake_parse_arguments(case "" "PROGRAM" "OUTPUTS;HASHED;ARGS" ${ARGN})
+  cmake_parse_arguments(case "NO_STDOUT" "PROGRAM" "OUTPUTS;HASHED;ARGS"
+    ${ARGN})
   if(case_PROGRAM)
     set(command ${bin_dir}/${case_PROGRAM} ${case_ARGS})
   else()
@@ -50,7 +52,11 @@ macro(golden_case name)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "golden ${name}: ${command} exited with ${rc}")
   endif()
-  foreach(out ${name}.stdout ${case_OUTPUTS})
+  set(compared ${case_OUTPUTS})
+  if(NOT case_NO_STDOUT)
+    list(PREPEND compared ${name}.stdout)
+  endif()
+  foreach(out ${compared})
     if(REGEN)
       configure_file(${WORK_DIR}/${out} ${golden_dir}/${out} COPYONLY)
     else()
@@ -119,6 +125,25 @@ if(SUITE STREQUAL "sim")
          --job-trace ${golden_dir}/serve_jobs.trace
          --trace serve.trace.json
          --metrics-csv serve_metrics.csv --metrics-period-us 1000)
+
+  # The critical path of every mode under SimCheck, which also checks
+  # the causal DAG. Only the paths are pinned: the stdout carries the
+  # event counts. The mp and pp paths are compared by digest.
+  foreach(mode mp pp)
+    golden_case(${mode}_critical_path NO_STDOUT
+      HASHED ${mode}_critical_path.csv
+      ARGS --workload AlexNet --mode ${mode} --simcheck
+           --critical-path-csv ${mode}_critical_path.csv)
+  endforeach()
+  golden_case(cluster_critical_path NO_STDOUT
+    OUTPUTS cluster_critical_path.csv
+    ARGS --cluster --jobs 3 --seed 3 --simcheck
+         --critical-path-csv cluster_critical_path.csv)
+  golden_case(serve_critical_path NO_STDOUT
+    OUTPUTS serve_critical_path.csv
+    ARGS --serve --workload AlexNet --replicas 2 --requests 16
+         --job-trace ${golden_dir}/serve_jobs.trace --simcheck
+         --critical-path-csv serve_critical_path.csv)
 
   # A sweep's observer outputs take the workload suffix on the last
   # path component only; the dot in the directory name must stay put,
