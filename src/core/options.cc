@@ -5,6 +5,8 @@
 
 #include "core/options.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -108,13 +110,27 @@ OptionParser::parse(int argc, const char *const *argv, std::ostream &err)
             }
             value = argv[++i];
         }
-        // Validate numeric options eagerly.
-        if (spec.kind == Kind::Int || spec.kind == Kind::Double) {
+        // Validate numeric options eagerly: an Int must be an integer
+        // as a whole (getInt() reads it with strtoll), a Double a
+        // finite number.
+        if (spec.kind == Kind::Int) {
             char *end = nullptr;
-            std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0') {
+            errno = 0;
+            std::strtoll(value.c_str(), &end, 10);
+            if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
                 err << _program << ": option '--" << name
-                    << "' expects a number, got '" << value << "'\n";
+                    << "' expects a number (an integer), got '" << value
+                    << "'\n";
+                return false;
+            }
+        } else if (spec.kind == Kind::Double) {
+            char *end = nullptr;
+            const double number = std::strtod(value.c_str(), &end);
+            if (end == value.c_str() || *end != '\0'
+                || !std::isfinite(number)) {
+                err << _program << ": option '--" << name
+                    << "' expects a number (finite), got '" << value
+                    << "'\n";
                 return false;
             }
         }

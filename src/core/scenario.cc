@@ -335,6 +335,10 @@ Scenario::fromOptions(const OptionParser &opts)
     sc.base.memNode.dimm = dimmByCapacityGib(
         static_cast<unsigned>(opts.getInt("dimm-gib")));
     sc.base.dmaCompressionRatio = opts.getDouble("compression");
+    if (!(sc.base.dmaCompressionRatio > 0.0)
+        || !std::isfinite(sc.base.dmaCompressionRatio))
+        fatal("--compression must be positive (got %g)",
+              sc.base.dmaCompressionRatio);
     sc.base.computeTimeScale = opts.getDouble("compute-scale");
     if (sc.base.computeTimeScale <= 0.0)
         fatal("--compute-scale must be positive (got %g)",

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/options.hh"
 #include "core/scenario.hh"
@@ -173,6 +176,44 @@ TEST_F(ScenarioErrors, FromOptionsRejectsBadValues)
         std::ostringstream err;
         ASSERT_TRUE(opts.parse(3, argv, err));
         EXPECT_THROW(Scenario::fromOptions(opts), FatalError);
+    }
+    // An Int option takes a whole integer, a Double option a finite
+    // number; anything else is one line naming the option.
+    const std::pair<const char *, const char *> unparsable[] = {
+        {"batch", "1e3"},         {"batch", "3.5"},
+        {"iterations", "2x"},     {"link-gbps", "nan"},
+        {"compute-scale", "nan"}, {"compute-scale", "inf"},
+        {"compression", "-inf"},
+    };
+    for (const auto &[name, value] : unparsable) {
+        OptionParser opts("t", "test");
+        Scenario::addOptions(opts);
+        const std::string flag = std::string("--") + name;
+        const char *argv[] = {"t", flag.c_str(), value};
+        std::ostringstream err;
+        EXPECT_FALSE(opts.parse(3, argv, err)) << flag << " " << value;
+        const std::string message = err.str();
+        EXPECT_NE(message.find("'" + flag + "'"), std::string::npos)
+            << message;
+        EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1)
+            << message;
+    }
+    // cDMA's compression ratio divides every transfer size.
+    for (const char *value : {"0", "-2"}) {
+        OptionParser opts("t", "test");
+        Scenario::addOptions(opts);
+        const char *argv[] = {"t", "--compression", value};
+        std::ostringstream err;
+        ASSERT_TRUE(opts.parse(3, argv, err));
+        try {
+            Scenario::fromOptions(opts);
+            ADD_FAILURE() << "--compression " << value << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--compression must be positive"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
