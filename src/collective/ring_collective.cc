@@ -32,9 +32,9 @@ collectiveKindName(CollectiveKind kind)
 namespace
 {
 
-/** Largest ring whose all-reduce hop count, 2*(stages-1), fits a
-    ChunkHop's 16-bit field. */
-constexpr int kMaxRingStages = UINT16_MAX / 2 + 1;
+/** Most channels in one ring: an all-reduce chunk's walk, under
+    twice the ring, must fit a Chunk's 32-bit count. */
+constexpr std::size_t kMaxRingChannels = UINT32_MAX / 2;
 
 struct AlgoToken
 {
@@ -176,60 +176,12 @@ CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
     }
 }
 
-/**
- * A chunk on channel @p hop of ring stage @p stage's route, with
- * @p hopsLeft ring hops to go counting this one. Delivery moves it to
- * the route's next channel, then to the next stage's route, and
- * counts it off the record after its last ring hop.
- */
-struct CollectiveEngine::ChunkHop
-{
-    RingOp *op;
-    std::uint32_t stage;
-    std::uint16_t hop;
-    std::uint16_t hopsLeft;
-    double bytes;
-
-    void
-    submit() const
-    {
-        op->ring->hops[stage].hops[hop]->submit(bytes, *this);
-    }
-
-    void
-    operator()() const
-    {
-        const RingPath &ring = *op->ring;
-        if (hop + 1u < ring.hops[stage].hops.size()) {
-            ChunkHop{op, stage, static_cast<std::uint16_t>(hop + 1),
-                     hopsLeft, bytes}
-                .submit();
-        } else if (hopsLeft > 1) {
-            const auto next = static_cast<std::uint32_t>(
-                (stage + 1) % ring.hops.size());
-            ChunkHop{op, next, 0,
-                     static_cast<std::uint16_t>(hopsLeft - 1), bytes}
-                .submit();
-        } else if (--op->outstanding == 0) {
-            op->engine->finishOp(op);
-        }
-    }
-
-    /** Equal hops merge into one channel FIFO train. */
-    bool
-    operator==(const ChunkHop &other) const
-    {
-        return op == other.op && stage == other.stage
-               && hop == other.hop && hopsLeft == other.hopsLeft
-               && bytes == other.bytes;
-    }
-};
-
 CollectiveEngine::RingOp *
 CollectiveEngine::acquireOp()
 {
     if (_freeOps.empty()) {
-        _ops.push_back(RingOp{this, nullptr, 0, nullptr});
+        _ops.emplace_back();
+        _ops.back().engine = this;
         return &_ops.back();
     }
     RingOp *op = _freeOps.back();
@@ -238,14 +190,13 @@ CollectiveEngine::acquireOp()
 }
 
 void
-CollectiveEngine::finishOp(RingOp *op)
+CollectiveEngine::RingOp::complete()
 {
     // Recycle first: the handler may launch the next collective, which
     // then reuses this very record.
-    const std::shared_ptr<Handler> done = std::move(op->done);
-    op->ring = nullptr;
-    _freeOps.push_back(op);
-    (*done)();
+    const std::shared_ptr<Handler> fire = std::move(done);
+    engine->_freeOps.push_back(this);
+    (*fire)();
 }
 
 void
@@ -259,23 +210,21 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
                                    name() + ".trivial_ring");
         return;
     }
-    // A ChunkHop indexes one route per stage and packs the hop within
-    // a route and the ring hops left (up to 2*(stages-1)) into 16 bits
-    // each.
+    // A chunk counts the channels it has to go in 32 bits: an
+    // all-reduce walks the ring's channels (nearly) twice.
     std::size_t shortest = SIZE_MAX;
-    std::size_t longest = 0;
+    std::size_t channels = 0;
     for (const Route &route : ring.hops) {
         shortest = std::min(shortest, route.hops.size());
-        longest = std::max(longest, route.hops.size());
+        channels += route.hops.size();
     }
-    if (stages > kMaxRingStages || shortest == 0 || longest > UINT16_MAX
+    if (shortest == 0 || channels > kMaxRingChannels
         || ring.hops.size() != static_cast<std::size_t>(stages))
         fatal("%s: cannot run a ring of %d stages over %zu routes of "
-              "%zu-%zu channels; ring collectives need one non-empty "
-              "route per stage, at most %d stages and at most %d "
-              "channels per route",
-              name().c_str(), stages, ring.hops.size(), shortest,
-              longest, kMaxRingStages, UINT16_MAX);
+              "%zu channels in all; ring collectives need one non-empty "
+              "route per stage and at most %zu channels per ring",
+              name().c_str(), stages, ring.hops.size(), channels,
+              kMaxRingChannels);
 
     // When tracing, wrap the per-ring completion in a span emitter:
     // one "rings"-track span per logical ring per operation.
@@ -314,29 +263,37 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
         break;
     }
 
-    static_assert(Channel::Handler::fitsInline<ChunkHop>(),
-                  "a collective chunk hop must not allocate");
-    static_assert(Channel::Handler::comparable<ChunkHop>(),
-                  "collective chunk hops must merge into channel "
-                  "trains");
     const auto chunks_per_block = static_cast<std::uint64_t>(
         std::ceil(block_bytes / _cfg.chunkBytes));
     RingOp *op = acquireOp();
-    op->ring = &ring;
+    op->channels.clear();
+    for (const Route &route : ring.hops)
+        op->channels.insert(op->channels.end(), route.hops.begin(),
+                            route.hops.end());
     op->outstanding = static_cast<std::uint64_t>(blocks)
         * chunks_per_block;
     op->done = std::move(completion);
 
+    // Channels in the routes of stages [first, first + count), cyclic.
+    auto channelsIn = [&ring](std::size_t first, std::size_t count) {
+        std::uint32_t sum = 0;
+        for (std::size_t s = first; s < first + count; ++s)
+            sum += static_cast<std::uint32_t>(
+                ring.hops[s % ring.hops.size()].hops.size());
+        return sum;
+    };
     for (int b = 0; b < blocks; ++b) {
-        const int start =
-            (kind == CollectiveKind::Broadcast) ? root_stage : b;
+        const auto stage = static_cast<std::size_t>(
+            (kind == CollectiveKind::Broadcast) ? root_stage : b);
+        const std::uint32_t pos = channelsIn(0, stage);
+        const std::uint32_t walk =
+            channelsIn(stage, static_cast<std::size_t>(hops));
         double left = block_bytes;
         for (std::uint64_t c = 0; c < chunks_per_block; ++c) {
             const double this_chunk = std::min(_cfg.chunkBytes, left);
             left -= this_chunk;
-            ChunkHop{op, static_cast<std::uint32_t>(start), 0,
-                     static_cast<std::uint16_t>(hops), this_chunk}
-                .submit();
+            op->channels[pos]->submit(
+                Chunk{op, pos, walk - 1, this_chunk});
         }
     }
 }

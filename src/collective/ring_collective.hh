@@ -110,9 +110,9 @@ struct CollectiveConfig
  * category "sync".
  *
  * Each ring's share of an operation is one RingOp record from a pool
- * the engine owns. Chunks submit straight to the ring's channels with
- * a 24-byte closure that points at the record, so a chunk hop neither
- * allocates nor touches a reference count.
+ * the engine owns. The record is the ChunkPath of the share's chunks:
+ * the stage routes concatenated, walked cyclically, so a chunk hop
+ * neither allocates nor touches a reference count.
  */
 class CollectiveEngine : public SimObject
 {
@@ -192,23 +192,19 @@ class CollectiveEngine : public SimObject
      */
     RingPath leaderRing(const std::vector<int> &leaders) const;
 
-    /** One ring's share of an operation in flight. */
-    struct RingOp
+    /** One ring's share of an operation in flight: its chunks walk
+        the stage routes, concatenated, cyclically. */
+    struct RingOp final : ChunkPath
     {
         CollectiveEngine *engine = nullptr;
-        const RingPath *ring = nullptr;
-        std::uint64_t outstanding = 0; ///< chunks still travelling
         std::shared_ptr<Handler> done;
-    };
 
-    /** Delivery closure of one chunk hop (ring_collective.cc). */
-    struct ChunkHop;
+        /** The last chunk arrived: recycle, then fire. */
+        void complete() override;
+    };
 
     /** A free record from the pool. */
     RingOp *acquireOp();
-
-    /** The last chunk of @p op arrived: recycle it, then fire. */
-    void finishOp(RingOp *op);
 
     const Fabric &_fabric;
     std::vector<const RingPath *> _rings;

@@ -5,7 +5,9 @@
 
 #include "interconnect/channel.hh"
 
+#include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "sim/causal.hh"
 #include "sim/logging.hh"
@@ -33,22 +35,20 @@ Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
 }
 
 void
-Channel::pushQueue(double bytes, Handler &&handler, bool waited,
+Channel::pushQueue(const Chunk &chunk, bool waited,
                    std::uint8_t causal_ctx)
 {
     ++_queueDepth;
     if (_queue.size() != 0) {
         Pending &tail = _queue[_queue.size() - 1];
-        if (tail.bytes == bytes && tail.waited == waited
-            && tail.causalCtx == causal_ctx && tail.count != UINT32_MAX
-            && tail.onDelivered.sameTarget(handler)) {
+        if (tail.chunk == chunk && tail.waited == waited
+            && tail.causalCtx == causal_ctx && tail.count != UINT32_MAX) {
             ++tail.count;
             return;
         }
     }
     Pending &slot = _queue.pushBack();
-    slot.onDelivered = std::move(handler);
-    slot.bytes = bytes;
+    slot.chunk = chunk;
     slot.count = 1;
     slot.waited = waited;
     slot.causalCtx = causal_ctx;
@@ -59,27 +59,34 @@ Channel::popQueue()
 {
     --_queueDepth;
     Pending &head = _queue[0];
-    if (head.count > 1) {
+    Pending req = head;
+    req.count = 1;
+    if (head.count > 1)
         --head.count;
-        return Pending{head.onDelivered.clone(), head.bytes, 1,
-                       head.waited, head.causalCtx};
-    }
-    Pending req = std::move(head);
-    _queue.popFront();
+    else
+        _queue.popFront();
     return req;
 }
 
 void
-Channel::submit(double bytes, Handler on_delivered)
+Channel::submit(const Chunk &chunk)
 {
-    if (bytes <= 0.0)
+    if (chunk.bytes <= 0.0)
         panic("channel '%s': non-positive transfer size", name().c_str());
-    _conservedEnqueued += bytes;
-    _conservedQueued += bytes;
+    assert(chunk.path->channels[chunk.pos] == this);
+    admitArrivals();
     std::uint8_t causal_ctx = 0;
     if (const CausalRecorder *rec = eventQueue().causalRecorder())
         causal_ctx = rec->currentCtxRaw();
-    pushQueue(bytes, std::move(on_delivered), _busy, causal_ctx);
+    enqueue(chunk, causal_ctx);
+}
+
+void
+Channel::enqueue(const Chunk &chunk, std::uint8_t causal_ctx)
+{
+    _conservedEnqueued += chunk.bytes;
+    _conservedQueued += chunk.bytes;
+    pushQueue(chunk, _busy, causal_ctx);
     if (simcheck::enabled())
         simcheckVerifyConservation();
     // Only count genuine waiters: on an idle channel the transfer
@@ -95,24 +102,27 @@ Channel::startNext()
 {
     if (_queueDepth == 0) {
         _busy = false;
+        // Idle: the next arrival must start the channel at its own
+        // key.
+        if (_arrivals.size() != 0 && !_arrivals[0].armed)
+            arm(_arrivals[0]);
         return;
     }
     _busy = true;
-    Pending req = popQueue();
-    _conservedQueued -= req.bytes;
-    _conservedWire += req.bytes;
+    const Pending req = popQueue();
+    const double bytes = req.chunk.bytes;
+    _conservedQueued -= bytes;
+    _conservedWire += bytes;
 
-    const Tick occupancy = transferTicks(req.bytes, _bandwidth);
+    const Tick occupancy = transferTicks(bytes, _bandwidth);
     _busyTicks += occupancy;
-    _bytesTransferred += req.bytes;
+    _bytesTransferred += bytes;
     ++_transfers;
 
-    _xferBytes = req.bytes;
-    _xferHandler = std::move(req.onDelivered);
+    _xfer = req.chunk;
     // Causal tagging: the occupancy edge is chan_xfer (idle start) or
     // chan_queue (started after queueing), in the subsystem context
-    // the transfer was submitted under; the post-occupancy delivery
-    // hop is a wire edge inheriting its parent's context.
+    // the transfer was submitted under.
     CausalScope occupancy_scope(
         eventQueue().causalRecorder(),
         req.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
@@ -123,47 +133,177 @@ Channel::startNext()
 void
 Channel::finishTransfer()
 {
-    const double bytes = _xferBytes;
-    _conservedWire -= bytes;
-    _conservedDelivered += bytes;
+    admitArrivals();
+    const Chunk chunk = _xfer;
+    _conservedWire -= chunk.bytes;
+    _conservedDelivered += chunk.bytes;
     if (simcheck::enabled())
         simcheckVerifyConservation();
-    recordWindowBytes(now(), bytes);
+    recordWindowBytes(now(), chunk.bytes);
     // Wire latency delays delivery but not the next transfer.
-    if (_xferHandler) {
-        if (_latency == 0) {
-            Handler handler = std::move(_xferHandler);
-            handler();
-        } else {
-            _deliveries.pushBack() = std::move(_xferHandler);
-            CausalScope wire_scope(eventQueue().causalRecorder(),
-                                   WaitKind::Wire, name());
-            eventQueue().scheduleOwned(now() + _latency, _owner,
-                                       kDeliver);
-        }
-    }
+    deliver(chunk);
     startNext();
+}
+
+void
+Channel::deliver(const Chunk &chunk)
+{
+    EventQueue &eq = eventQueue();
+    CausalRecorder::Origin origin;
+    if (const CausalRecorder *rec = eq.causalRecorder())
+        origin = rec->origin(now());
+    // Without latency the delivery is this xfer_done itself; otherwise
+    // it is keyed by the seq its own event would have taken.
+    const Tick when = now() + _latency;
+    const std::uint64_t seq =
+        _latency == 0 ? eq.currentSeq() : eq.reserveSeq();
+    if (chunk.left == 0) {
+        countOff(*chunk.path, when, seq, origin.parent, origin.ctx);
+        return;
+    }
+    const std::vector<Channel *> &channels = chunk.path->channels;
+    const std::uint32_t pos =
+        chunk.pos + 1 == channels.size() ? 0 : chunk.pos + 1;
+    const Chunk next{chunk.path, pos, chunk.left - 1, chunk.bytes};
+    if (_latency == 0)
+        channels[pos]->submit(next);
+    else
+        channels[pos]->arrive(when, seq, next, origin.parent,
+                              origin.ctx);
+}
+
+void
+Channel::countOff(ChunkPath &path, Tick when, std::uint64_t seq,
+                  std::int64_t causal_parent, std::uint8_t causal_ctx)
+{
+    ChunkPath::LastDelivery &last = path._last;
+    if (last.from == nullptr || when > last.when
+        || (when == last.when && seq > last.seq))
+        last = {when, seq, this, causal_parent, causal_ctx};
+    if (--path.outstanding != 0)
+        return;
+    // The path is done with; it may be reused from complete() on.
+    const ChunkPath::LastDelivery latest = last;
+    last = {};
+    EventQueue &eq = eventQueue();
+    if (latest.when == now() && latest.seq == eq.currentSeq()) {
+        path.complete();
+        return;
+    }
+    // Complete where the latest delivery lands: it is not always the
+    // last chunk counted off, when the final hops differ in latency.
+    const Channel &from = *latest.from;
+    CausalScope wire_scope(
+        eq.causalRecorder(),
+        CausalRecorder::Origin{latest.causalParent,
+                               latest.when - from._latency,
+                               latest.causalCtx},
+        WaitKind::Wire, from.name());
+    eq.scheduleAt(latest.when, latest.seq,
+                  [&path] { path.complete(); },
+                  EventLabel::dotted(from.name(), "deliver"));
+}
+
+void
+Channel::arrive(Tick when, std::uint64_t seq, const Chunk &chunk,
+                std::int64_t causal_parent, std::uint8_t causal_ctx)
+{
+    // Keep key order: an append, unless upstreams of different
+    // latency interleave.
+    std::size_t at = _arrivals.size();
+    _arrivals.pushBack() =
+        Arrival{when, seq, chunk, causal_parent, causal_ctx, false};
+    while (at > 0
+           && (_arrivals[at - 1].when > when
+               || (_arrivals[at - 1].when == when
+                   && _arrivals[at - 1].seq > seq))) {
+        std::swap(_arrivals[at - 1], _arrivals[at]);
+        --at;
+    }
+    if (at == 0 && !_busy)
+        arm(_arrivals[0]);
+}
+
+void
+Channel::arm(Arrival &arrival)
+{
+    arrival.armed = true;
+    const Channel &from = upstream(arrival.chunk);
+    CausalScope wire_scope(
+        eventQueue().causalRecorder(),
+        CausalRecorder::Origin{arrival.causalParent,
+                               arrival.when - from._latency,
+                               arrival.causalCtx},
+        WaitKind::Wire, from.name());
+    eventQueue().scheduleOwnedAt(arrival.when, arrival.seq, _owner,
+                                 kArrive);
+}
+
+void
+Channel::admitDue()
+{
+    const Tick at = now();
+    const std::uint64_t current = eventQueue().currentSeq();
+    while (_arrivals.size() != 0) {
+        const Arrival &head = _arrivals[0];
+        if (head.when > at || (head.when == at && head.seq > current))
+            return;
+        // An idle channel starts only in the arrival's own event, so
+        // the transfer's xfer_done takes the seq it always had.
+        if (!_busy && head.seq != current) {
+            if (simcheck::enabled() && current != UINT64_MAX)
+                simcheck::fail("channel", at,
+                               "'%s' is idle past its armed arrival "
+                               "(%llu, %llu)",
+                               name().c_str(),
+                               static_cast<unsigned long long>(
+                                   head.when),
+                               static_cast<unsigned long long>(
+                                   head.seq));
+            return;
+        }
+        const Arrival arrival = head;
+        _arrivals.popFront();
+        enqueue(arrival.chunk, arrival.causalCtx);
+    }
+}
+
+const Channel &
+Channel::upstream(const Chunk &chunk)
+{
+    const std::vector<Channel *> &channels = chunk.path->channels;
+    return *channels[chunk.pos == 0 ? channels.size() - 1
+                                    : chunk.pos - 1];
 }
 
 void
 Channel::fireOwnedEvent(unsigned kind)
 {
-    if (kind == kXferDone) {
+    if (kind == kXferDone)
         finishTransfer();
-        return;
-    }
-    // kDeliver: this event's transfer is the oldest one delivering.
-    // Take its handler out first, so the call may submit anywhere.
-    Handler handler = std::move(_deliveries[0]);
-    _deliveries.popFront();
-    handler();
+    else
+        admitArrivals(); // kArrive: this event's arrival is due now
 }
 
 void
-Channel::appendOwnedLabel(unsigned kind, std::string &out) const
+Channel::appendOwnedLabel(unsigned kind, std::uint64_t seq,
+                          std::string &out) const
 {
+    if (kind == kXferDone) {
+        out += name();
+        out += ".xfer_done";
+        return;
+    }
+    // An arrival keeps the name of the delivery it stands for.
+    for (std::size_t i = 0; i < _arrivals.size(); ++i) {
+        if (_arrivals[i].seq == seq) {
+            out += upstream(_arrivals[i].chunk).name();
+            out += ".deliver";
+            return;
+        }
+    }
     out += name();
-    out += kind == kXferDone ? ".xfer_done" : ".deliver";
+    out += ".arrive";
 }
 
 void
@@ -210,7 +350,7 @@ Channel::simcheckVerifyConservation() const
     double queued = 0.0;
     std::size_t transfers = 0;
     for (std::size_t i = 0; i < _queue.size(); ++i) {
-        queued += _queue[i].bytes * _queue[i].count;
+        queued += _queue[i].chunk.bytes * _queue[i].count;
         transfers += _queue[i].count;
     }
     if (transfers != _queueDepth)
@@ -244,6 +384,8 @@ Channel::simcheckVerifyConservation() const
 void
 Channel::resetStats()
 {
+    // Due arrivals count toward the peak being cleared.
+    admitArrivals();
     SimObject::resetStats();
     _bytesTransferred = 0.0;
     _transfers = 0;

@@ -5,29 +5,46 @@
  * Every physical link direction, memory-node DIMM bus, PCIe lane bundle,
  * and host-socket DRAM interface is one Channel. Transfers submitted to a
  * channel serialize in submission order and occupy it for
- * bytes/bandwidth; delivery fires one propagation latency after the
+ * bytes/bandwidth; delivery happens one propagation latency after the
  * occupancy ends (so back-to-back transfers pipeline through the wire
  * latency). Contention between flows that share a link — MC-DLA's
  * defining modelling requirement, where ring-collective traffic and
  * memory-virtualization DMAs ride the same NVLINK-class channels — falls
  * out of the queueing naturally.
  *
- * A channel's two events, xfer_done (the occupancy ends) and deliver
- * (one latency later), are owned events of the EventQueue: keys that
- * name the channel and the kind, with no callback behind them. The
- * handler of a finished transfer waits in a FIFO ring of deliveries
- * and each deliver event runs the head. That is exact because the
- * latency is fixed and an occupancy lasts at least one tick, so a
- * channel's deliveries fire in the order their transfers finished.
+ * Every transfer is a Chunk walking a ChunkPath: a flow's routes or a
+ * ring's stage routes, as one flat channel list. A channel's xfer_done
+ * (the occupancy ends) is an owned event of the EventQueue. The
+ * delivery one latency later is an event only when it has an effect at
+ * its instant:
+ *
+ *  - At xfer_done the channel reserves the seq the delivery would have
+ *    taken (EventQueue::reserveSeq()). It hands the chunk to the next
+ *    channel as an *arrival* keyed (tick + latency, seq), or, after
+ *    the last hop, counts it off its path.
+ *  - A channel keeps its arrivals in key order and admits every due
+ *    one (keyed at or before the executing event) into its FIFO,
+ *    exactly as a submit would, before anything reads or changes that
+ *    FIFO.
+ *  - An idle channel keeps its earliest arrival *armed*: an owned
+ *    `arrive` event at the arrival's own key, which starts the
+ *    transfer there.
+ *  - When a path's last chunk is counted off, its completion runs in
+ *    an event at the latest last-hop delivery key.
+ *
+ * A delivery that is not an event would only have joined a busy FIFO
+ * or counted down a path that still has chunks out. Neither schedules
+ * anything, and its seq stays reserved, so every event that remains
+ * keeps the (tick, seq) key it had when each delivery was an event:
+ * results are the same, with about a third fewer events.
  *
  * The FIFO is run-length encoded. Ring collectives and flows queue a
  * whole block of identical chunks on a channel at once, so a submit
- * whose size, wait kind, causal context and delivery closure all equal
- * the tail entry's just bumps that entry's count, and the head hands
- * out one transfer (a copy of its closure) at a time. Only adjacent
- * submits merge, so FIFO order — and with it every event — is exactly
- * what one entry per transfer would give; the queue just touches a
- * few cache lines instead of one per waiting chunk.
+ * whose chunk, wait kind and causal context equal the tail entry's just
+ * bumps that entry's count, and the head hands out one transfer at a
+ * time. Only adjacent submits merge, so FIFO order — and with it every
+ * event — is exactly what one entry per transfer would give; the queue
+ * just touches a few cache lines instead of one per waiting chunk.
  */
 
 #ifndef MCDLA_INTERCONNECT_CHANNEL_HH
@@ -38,20 +55,82 @@
 #include <string>
 #include <vector>
 
-#include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 
 namespace mcdla
 {
 
+class Channel;
+
+/**
+ * The walk shared by a family of chunks (one flow, or one ring's share
+ * of a collective) and that family's completion.
+ *
+ * The issuer fills channels, submits each chunk to its first channel
+ * and sets outstanding. The channels move every chunk along and count
+ * it off after its last hop. Once all are counted off, complete() runs
+ * in an event at the latest last-hop delivery key, the instant the
+ * family's last delivery lands.
+ */
+class ChunkPath
+{
+  public:
+    /** The channels in walk order. A chunk moves from position p to
+        p + 1, wrapping to 0 past the end (a ring). */
+    std::vector<Channel *> channels;
+
+    /** Chunks not yet counted off. */
+    std::uint64_t outstanding = 0;
+
+    /** Every chunk has been delivered. The path may be reused (or
+        destroyed) from here on. */
+    virtual void complete() = 0;
+
+  protected:
+    ~ChunkPath() = default;
+
+  private:
+    friend class Channel;
+
+    /** The latest last-hop delivery counted off so far: its key, the
+        channel it leaves and its causal origin. */
+    struct LastDelivery
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        const Channel *from = nullptr;
+        std::int64_t causalParent = -1;
+        std::uint8_t causalCtx = 0;
+    };
+    LastDelivery _last;
+};
+
+/**
+ * One transfer: at channel @c pos of its path, with @c left channels
+ * still to go after that one. Equal chunks on one channel merge into a
+ * FIFO train.
+ */
+struct Chunk
+{
+    ChunkPath *path = nullptr;
+    std::uint32_t pos = 0;
+    std::uint32_t left = 0;
+    double bytes = 0.0;
+
+    bool
+    operator==(const Chunk &other) const
+    {
+        return path == other.path && pos == other.pos
+               && left == other.left && bytes == other.bytes;
+    }
+};
+
 /**
  * A unidirectional, FIFO, fixed-bandwidth communication resource.
  *
- * Waiting transfers are stored as runs ("trains") of identical
- * transfers: a Handler opts in to merging by holding a comparable
- * target (InlineFunction::comparable(), e.g. the flow and ring-
- * collective chunk hops). Lambdas never merge. queueDepth(),
- * peakQueueDepth() and the stats count transfers, not FIFO entries.
+ * Waiting transfers are stored as runs ("trains") of equal chunks.
+ * queueDepth(), peakQueueDepth() and the stats count transfers, not
+ * FIFO entries.
  *
  * EventOwner is the first base, so the queue dispatches the channel's
  * events without a this-adjusting thunk.
@@ -59,17 +138,6 @@ namespace mcdla
 class Channel : private EventOwner, public SimObject
 {
   public:
-    /**
-     * Delivery callback: SBO, move-only. 24 inline bytes fit the
-     * chunk-forwarding closures of flows and ring collectives exactly
-     * (a state pointer, packed route/hop indices, a byte count; both
-     * static_assert it). The channel keeps the handler — in its FIFO,
-     * on the wire, then in the delivery ring — and calls it itself;
-     * it never becomes an EventQueue::Callback. Larger captures fall
-     * back to the heap.
-     */
-    using Handler = InlineFunction<24>;
-
     /**
      * @param eq Driving event queue.
      * @param name Instance name.
@@ -83,15 +151,13 @@ class Channel : private EventOwner, public SimObject
     Tick latency() const { return _latency; }
 
     /**
-     * Enqueue a transfer. Merges into the FIFO's tail entry when
-     * @p bytes, the wait kind, the causal context and an equal copy of
-     * the tail's comparable handler all match.
-     *
-     * @param bytes Payload size; must be positive.
-     * @param on_delivered Invoked when the payload fully arrives at the
-     *                     far end (occupancy end + latency).
+     * Enqueue @p chunk, which must sit at this channel
+     * (chunk.path->channels[chunk.pos] == this) and have positive
+     * bytes. It merges into the FIFO's tail entry when the chunk, the
+     * wait kind and the causal context all match. When it has crossed
+     * its last channel it is counted off its path.
      */
-    void submit(double bytes, Handler on_delivered);
+    void submit(const Chunk &chunk);
 
     /** Total payload bytes delivered so far. */
     double bytesTransferred() const { return _bytesTransferred; }
@@ -109,16 +175,32 @@ class Channel : private EventOwner, public SimObject
                 / static_cast<double>(horizon);
     }
 
-    /** Transfers currently waiting (excludes the in-flight one). */
-    std::size_t queueDepth() const { return _queueDepth; }
+    /** Transfers currently waiting (excludes the in-flight one),
+        due arrivals included. */
+    std::size_t
+    queueDepth() const
+    {
+        admitArrivals();
+        return _queueDepth;
+    }
 
     /** FIFO entries behind the head: runs of identical transfers,
         so at most queueDepth(). */
-    std::size_t queueTrains() const { return _queue.size(); }
+    std::size_t
+    queueTrains() const
+    {
+        admitArrivals();
+        return _queue.size();
+    }
 
     /** Deepest backlog observed since the last stats reset (occupancy
         pressure: how many transfers were stacked behind the wire). */
-    std::size_t peakQueueDepth() const { return _peakQueueDepth; }
+    std::size_t
+    peakQueueDepth() const
+    {
+        admitArrivals();
+        return _peakQueueDepth;
+    }
 
     /**
      * Enable peak-bandwidth tracking with the given averaging window
@@ -146,17 +228,46 @@ class Channel : private EventOwner, public SimObject
     enum EventKind : unsigned
     {
         kXferDone,
-        kDeliver,
+        /** An armed arrival's delivery instant (file comment). */
+        kArrive,
     };
 
     void fireOwnedEvent(unsigned kind) override;
-    void appendOwnedLabel(unsigned kind, std::string &out) const override;
+    void appendOwnedLabel(unsigned kind, std::uint64_t seq,
+                          std::string &out) const override;
 
+    /** Queue @p chunk as a submit does: ledger, train merge, start
+        on an idle channel, peak depth on a busy one. */
+    void enqueue(const Chunk &chunk, std::uint8_t causal_ctx);
     void startNext();
     /** The in-flight transfer's occupancy ended (xfer_done): deliver
         it, now or one latency later, and start the next. */
     void finishTransfer();
+    /** Hand @p chunk, just off this channel, to its next channel or
+        count it off its path. */
+    void deliver(const Chunk &chunk);
+    /** Count a chunk delivered at (@p when, @p seq) off @p path, and
+        run or schedule the path's completion after its last one. */
+    void countOff(ChunkPath &path, Tick when, std::uint64_t seq,
+                  std::int64_t causal_parent, std::uint8_t causal_ctx);
+    /** Take @p chunk, delivered to this channel at (@p when, @p seq),
+        into the arrivals; arm it if it leads on an idle channel. */
+    void arrive(Tick when, std::uint64_t seq, const Chunk &chunk,
+                std::int64_t causal_parent, std::uint8_t causal_ctx);
+    /** Move every due arrival into the FIFO. Logically const: it only
+        brings the FIFO up to the executing event, so the const
+        accessors call it too. */
+    void
+    admitArrivals() const
+    {
+        if (_arrivals.size() != 0)
+            const_cast<Channel *>(this)->admitDue();
+    }
+    void admitDue();
     void recordWindowBytes(Tick at, double bytes);
+
+    /** The channel a chunk at @p chunk.pos came from. */
+    static const Channel &upstream(const Chunk &chunk);
 
     /** A FIFO over a power-of-two ring that grows by doubling, so
         steady-state push/pop cycles recycle slots instead of paging
@@ -217,8 +328,7 @@ class Channel : private EventOwner, public SimObject
     /** One FIFO entry: a train of @c count identical transfers. */
     struct Pending
     {
-        Handler onDelivered;
-        double bytes = 0.0;
+        Chunk chunk{};
         std::uint32_t count = 1;
         /** Queued behind a busy channel (vs started immediately) —
             recorded as a chan_queue rather than chan_xfer wait. */
@@ -229,13 +339,29 @@ class Channel : private EventOwner, public SimObject
         std::uint8_t causalCtx = 0;
     };
 
+    /** A chunk delivered to this channel but not yet admitted. */
+    struct Arrival
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        Chunk chunk{};
+        /** The causal node of the upstream xfer_done and its context
+            (CausalRecorder::origin()). */
+        std::int64_t causalParent = -1;
+        std::uint8_t causalCtx = 0;
+        /** An arrive event is scheduled at (when, seq). */
+        bool armed = false;
+    };
+
     /** Append one transfer, merging it into the tail train when it
         matches. */
-    void pushQueue(double bytes, Handler &&handler, bool waited,
+    void pushQueue(const Chunk &chunk, bool waited,
                    std::uint8_t causal_ctx);
     /** Take one transfer off the head train. Precondition:
         _queueDepth > 0. */
     Pending popQueue();
+    /** Schedule @p arrival's arrive event at its key. */
+    void arm(Arrival &arrival);
 
     double _bandwidth;
     Tick _latency;
@@ -244,14 +370,11 @@ class Channel : private EventOwner, public SimObject
     /** Waiting trains. */
     Ring<Pending> _queue;
     std::size_t _queueDepth = 0; ///< transfers over all trains
-
-    // The transfer on the wire (at most one: the next starts at its
-    // xfer_done).
-    double _xferBytes = 0.0;
-    Handler _xferHandler;
-    /** Handlers of finished transfers, one per pending deliver
-        event, in finishing (and so delivery) order. */
-    Ring<Handler> _deliveries;
+    /** The transfer on the wire (at most one: the next starts at its
+        xfer_done). */
+    Chunk _xfer{};
+    /** Delivered chunks not yet admitted, in (when, seq) order. */
+    Ring<Arrival> _arrivals;
 
     // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;

@@ -9,6 +9,11 @@
  * leg per vmem path), TrainingSession (pipeline boundary transfers) and
  * CollectiveEngine (tree rounds). Ring collectives submit their chunks
  * to the channels directly.
+ *
+ * A flow's record is the ChunkPath of all its chunks: the routes of
+ * every leg concatenated into one channel list. A chunk starts at its
+ * route's first channel with that route's remaining length to go, and
+ * the flow completes in the event of its latest last-hop delivery.
  */
 
 #ifndef MCDLA_INTERCONNECT_FLOW_HH
@@ -61,8 +66,8 @@ class FlowPool
      * Send @p count legs as one flow. Every chunk is enqueued now, leg
      * by leg (channel FIFOs provide the backpressure); within a leg,
      * chunks round-robin over its routes, which must be non-empty.
-     * @p on_done fires in the event that delivers the last chunk, or at
-     * once if no leg has bytes.
+     * @p on_done fires in the event of the latest chunk delivery, or
+     * at once if no leg has bytes.
      */
     void send(const FlowLeg *legs, std::size_t count, double chunk_bytes,
               Handler on_done);
@@ -77,10 +82,8 @@ class FlowPool
     }
 
   private:
-    /** Bookkeeping of one in-flight flow (flow.cc). */
+    /** Bookkeeping and chunk path of one in-flight flow (flow.cc). */
     struct Record;
-    /** Delivery closure of one chunk hop (flow.cc). */
-    struct ChunkHop;
 
     std::vector<std::unique_ptr<Record>> _all;
     std::vector<Record *> _free;

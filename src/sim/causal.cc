@@ -59,8 +59,8 @@ CausalRecorder::noteSchedule(Tick now, const std::string &name,
                              bool weak)
 {
     Node node;
-    node.sched = now;
-    node.parent = _current;
+    node.sched = _scope.hasOrigin ? _scope.sched : now;
+    node.parent = _scope.hasOrigin ? _scope.parent : _current;
     node.weak = weak;
     if (_scope.hasKind)
         node.kind = _scope.kind;

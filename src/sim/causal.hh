@@ -160,6 +160,28 @@ class CausalRecorder
     }
     /// @}
 
+    /**
+     * What a schedule right now inherits from the run: the executing
+     * node as parent, the schedule tick and the subsystem context. A
+     * component that reserves a seq now but schedules the event only
+     * later (a Channel's deferred delivery) captures it here and
+     * schedules under a CausalScope built from it, so the event's node
+     * is the one an immediate schedule would have recorded.
+     */
+    struct Origin
+    {
+        std::int64_t parent = -1;
+        Tick sched = 0;
+        std::uint8_t ctx = 0; ///< Raw CausalCtx (currentCtxRaw()).
+    };
+
+    /** The origin of a schedule at tick @p now (see Origin). */
+    Origin
+    origin(Tick now) const
+    {
+        return Origin{_current, now, currentCtxRaw()};
+    }
+
     /// @name Scope state (used by CausalScope and Channel)
     /// @{
     /** Effective context right now: scope override, else the
@@ -220,6 +242,11 @@ class CausalRecorder
         bool hasCtx = false;
         CausalCtx ctx = CausalCtx::None;
         std::uint16_t resource = 0;
+        /** Set by an origin scope: parent and schedule tick replace
+            the executing node and now. */
+        bool hasOrigin = false;
+        std::int64_t parent = -1;
+        Tick sched = 0;
     };
 
     std::uint16_t internResource(const std::string &name);
@@ -261,6 +288,21 @@ class CausalScope
                 const std::string &resource)
         : CausalScope(rec, kind, true, ctx, resource)
     {}
+
+    /** Events scheduled in this scope record @p origin (captured
+        earlier by CausalRecorder::origin()) as their parent, schedule
+        tick and context, with @p kind and @p resource. */
+    CausalScope(CausalRecorder *rec, const CausalRecorder::Origin &origin,
+                WaitKind kind, const std::string &resource)
+        : CausalScope(rec, kind, true,
+                      CausalRecorder::ctxFromRaw(origin.ctx), resource)
+    {
+        if (_rec == nullptr)
+            return;
+        _rec->_scope.hasOrigin = true;
+        _rec->_scope.parent = origin.parent;
+        _rec->_scope.sched = origin.sched;
+    }
 
     ~CausalScope()
     {

@@ -5,6 +5,8 @@
 
 #include "event_queue.hh"
 
+#include <algorithm>
+
 #include "causal.hh"
 #include "cycle_timer.hh"
 #include "logging.hh"
@@ -40,6 +42,26 @@ EventQueue::setBackend(EventQueueBackendKind kind)
 namespace
 {
 
+/** Publishes the executing event's seq (EventQueue::currentSeq())
+    for as long as the event runs, unwinding included. */
+class CurrentSeqScope
+{
+  public:
+    CurrentSeqScope(std::uint64_t &current, std::uint64_t seq)
+        : _current(current)
+    {
+        _current = seq;
+    }
+
+    ~CurrentSeqScope() { _current = UINT64_MAX; }
+
+    CurrentSeqScope(const CurrentSeqScope &) = delete;
+    CurrentSeqScope &operator=(const CurrentSeqScope &) = delete;
+
+  private:
+    std::uint64_t &_current;
+};
+
 /** The monotonic-time check of every execute, under SimCheck. */
 void
 failPastExecute(Tick now, Tick when, const std::string &label)
@@ -72,24 +94,59 @@ EventQueue::clampPast(Tick when, const std::string &label)
 }
 
 Tick
-EventQueue::clampPast(Tick when, std::uint32_t owned_key)
+EventQueue::clampPast(Tick when, std::uint32_t owned_key,
+                      std::uint64_t seq)
 {
     std::string label;
-    appendOwnedLabel(owned_key, label);
+    appendOwnedLabel(owned_key, seq, label);
     return clampPast(when, label);
 }
 
-void
-EventQueue::appendOwnedLabel(std::uint32_t key, std::string &out) const
+Tick
+EventQueue::reservedPast(Tick when, std::uint64_t seq,
+                         const std::string &label)
 {
-    ownerOf(key).appendOwnedLabel(kindOf(key), out);
+    // A reserved key must still lie ahead: at or before the executing
+    // event it can no longer run where the reservation put it.
+    if (simcheck::enabled())
+        simcheck::fail("event-queue", _now,
+                       "scheduling event '%s' at reserved key (%llu, "
+                       "%llu), not after the executing event's (%llu, "
+                       "%llu)",
+                       label.c_str(),
+                       static_cast<unsigned long long>(when),
+                       static_cast<unsigned long long>(seq),
+                       static_cast<unsigned long long>(_now),
+                       static_cast<unsigned long long>(_currentSeq));
+    warn("scheduling event '%s' at reserved key (%llu, %llu) before "
+         "the executing event; running it next",
+         label.c_str(), static_cast<unsigned long long>(when),
+         static_cast<unsigned long long>(seq));
+    return std::max(when, _now);
+}
+
+Tick
+EventQueue::reservedPast(Tick when, std::uint64_t seq,
+                         std::uint32_t owned_key)
+{
+    std::string label;
+    appendOwnedLabel(owned_key, seq, label);
+    return reservedPast(when, seq, label);
 }
 
 void
-EventQueue::appendSlotLabel(const Slot &slot, std::string &out) const
+EventQueue::appendOwnedLabel(std::uint32_t key, std::uint64_t seq,
+                             std::string &out) const
+{
+    ownerOf(key).appendOwnedLabel(kindOf(key), seq, out);
+}
+
+void
+EventQueue::appendSlotLabel(const Slot &slot, std::uint64_t seq,
+                            std::string &out) const
 {
     if (slot.owned != 0)
-        appendOwnedLabel(slot.owned, out);
+        appendOwnedLabel(slot.owned, seq, out);
     else
         slot.label.appendTo(out);
 }
@@ -111,7 +168,7 @@ EventQueue::registerOwner(EventOwner &owner)
 }
 
 std::uint32_t
-EventQueue::recordOwned(std::uint32_t key)
+EventQueue::recordOwned(std::uint32_t key, std::uint64_t seq)
 {
     const std::uint32_t slot_index = allocSlot();
     Slot &slot = slotAt(slot_index);
@@ -120,15 +177,15 @@ EventQueue::recordOwned(std::uint32_t key)
     slot.cancelled = false;
     slot.allocated = true;
     _schedLabelScratch.clear();
-    appendOwnedLabel(key, _schedLabelScratch);
+    appendOwnedLabel(key, seq, _schedLabelScratch);
     slot.causalNode =
         _causal->noteSchedule(_now, _schedLabelScratch, false);
     return slot_index;
 }
 
 EventId
-EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
-                          bool weak)
+EventQueue::scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
+                          EventLabel &&label, bool weak)
 {
     if (when < _now)
         when = clampPast(when, label.str());
@@ -149,7 +206,7 @@ EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
                                                 weak);
     }
     slot.label = std::move(label);
-    pushKey(EventItem{when, _nextSeq++, slot_index});
+    pushKey(EventItem{when, seq, slot_index});
     ++_live;
     if (weak)
         ++_weakLive;
@@ -161,13 +218,26 @@ EventQueue::scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
 EventId
 EventQueue::schedule(Tick when, Callback &&cb, EventLabel &&label)
 {
-    return scheduleEntry(when, std::move(cb), std::move(label), false);
+    return scheduleEntry(when, _nextSeq++, std::move(cb),
+                         std::move(label), false);
 }
 
 EventId
 EventQueue::scheduleWeak(Tick when, Callback &&cb, EventLabel &&label)
 {
-    return scheduleEntry(when, std::move(cb), std::move(label), true);
+    return scheduleEntry(when, _nextSeq++, std::move(cb),
+                         std::move(label), true);
+}
+
+EventId
+EventQueue::scheduleAt(Tick when, std::uint64_t seq, Callback &&cb,
+                       EventLabel &&label)
+{
+    assert(seq < _nextSeq);
+    if (when < _now || (when == _now && seq <= _currentSeq))
+        when = reservedPast(when, seq, label.str());
+    return scheduleEntry(when, seq, std::move(cb), std::move(label),
+                         false);
 }
 
 std::uint32_t
@@ -252,11 +322,12 @@ EventQueue::executeItem(const EventItem &item)
     Slot &slot = slotAt(item.slot);
     if (simcheck::enabled() && item.when < _now) {
         std::string label;
-        appendSlotLabel(slot, label);
+        appendSlotLabel(slot, item.seq, label);
         failPastExecute(_now, item.when, label);
     }
     _now = item.when;
     ++_executed;
+    const CurrentSeqScope current(_currentSeq, item.seq);
     // Run the callback where it sits: slot chunks never move, so
     // scheduling from inside (even growing the pool) leaves it in
     // place. The slot is retired first, so the callback's own id is
@@ -275,7 +346,7 @@ EventQueue::executeItem(const EventItem &item)
         _causal->noteExecute(slot.causalNode, _now);
     if (_profiler) {
         _execLabelScratch.clear();
-        appendSlotLabel(slot, _execLabelScratch);
+        appendSlotLabel(slot, item.seq, _execLabelScratch);
         const std::uint64_t t0 = CycleTimer::now();
         fire(slot);
         const std::uint64_t t1 = CycleTimer::now();
@@ -289,10 +360,10 @@ EventQueue::executeItem(const EventItem &item)
 }
 
 void
-EventQueue::executeObservedOwned(std::uint32_t key)
+EventQueue::executeObservedOwned(const EventItem &item)
 {
-    EventOwner &owner = ownerOf(key);
-    const unsigned kind = kindOf(key);
+    EventOwner &owner = ownerOf(item.slot);
+    const unsigned kind = kindOf(item.slot);
     // An owned key only reaches here with a recorder attached if it
     // was scheduled before the attach: like a callback scheduled then,
     // it has no causal node.
@@ -300,7 +371,7 @@ EventQueue::executeObservedOwned(std::uint32_t key)
         _causal->noteExecute(-1, _now);
     if (_profiler) {
         _execLabelScratch.clear();
-        owner.appendOwnedLabel(kind, _execLabelScratch);
+        owner.appendOwnedLabel(kind, item.seq, _execLabelScratch);
         const std::uint64_t t0 = CycleTimer::now();
         owner.fireOwnedEvent(kind);
         const std::uint64_t t1 = CycleTimer::now();
@@ -318,13 +389,14 @@ EventQueue::executeOwned(const EventItem &item)
 {
     if (simcheck::enabled() && item.when < _now) {
         std::string label;
-        appendOwnedLabel(item.slot, label);
+        appendOwnedLabel(item.slot, item.seq, label);
         failPastExecute(_now, item.when, label);
     }
     _now = item.when;
     ++_executed;
+    const CurrentSeqScope current(_currentSeq, item.seq);
     if (_profiler || _causal)
-        executeObservedOwned(item.slot);
+        executeObservedOwned(item);
     else
         ownerOf(item.slot).fireOwnedEvent(kindOf(item.slot));
 }

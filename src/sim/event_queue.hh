@@ -28,6 +28,14 @@
  * next seq like any other, so the (when, seq) stream, and with it
  * every result and audit hash, is the one a callback would give.
  *
+ * A component may also decide later whether an event is needed at
+ * all. It reserves the seq the event would have taken (reserveSeq())
+ * and, if the event turns out to have an effect at its instant,
+ * schedules it at exactly that (tick, seq) (scheduleOwnedAt(),
+ * scheduleAt()). Otherwise the seq simply goes unused. Either way
+ * every other event keeps its key. Channels use this for deliveries
+ * that would only join a busy FIFO (channel.hh).
+ *
  * The kernel is deliberately minimal: the heavy lifting (bandwidth
  * channels, compute streams, collectives) is built on top of it in the
  * interconnect/device/system libraries.
@@ -78,10 +86,10 @@ class EventOwner
     /** Run the owned event of @p kind (< EventQueue::kOwnedKinds). */
     virtual void fireOwnedEvent(unsigned kind) = 0;
 
-    /** Append the label of @p kind's events ("<name>.<event>") to
-        @p out: for the profiler, the causal recorder and warnings,
-        never on the unobserved path. */
-    virtual void appendOwnedLabel(unsigned kind,
+    /** Append the label of the @p kind event with seq @p seq
+        ("<name>.<event>") to @p out: for the profiler, the causal
+        recorder and warnings, never on the unobserved path. */
+    virtual void appendOwnedLabel(unsigned kind, std::uint64_t seq,
                                   std::string &out) const = 0;
 
   protected:
@@ -188,16 +196,49 @@ class EventQueue
     scheduleOwned(Tick when, OwnerId owner, unsigned kind)
     {
         assert(owner < _owners.size() && kind < kOwnedKinds);
-        std::uint32_t key = ownedKey(owner, kind);
+        const std::uint32_t key = ownedKey(owner, kind);
         if (when < _now)
-            when = clampPast(when, key);
-        if (_causal)
-            key = recordOwned(key);
-        pushKey(EventItem{when, _nextSeq++, key});
-        ++_live;
-        if (_profiler)
-            noteScheduled();
+            when = clampPast(when, key, _nextSeq);
+        pushOwned(when, _nextSeq++, key);
     }
+
+    /**
+     * Take the next seq without scheduling anything: the seq an event
+     * scheduled now would get. scheduleOwnedAt() or scheduleAt() may
+     * later schedule an event at it; if nothing does, the seq stays
+     * unused and no other key moves.
+     */
+    std::uint64_t reserveSeq() { return _nextSeq++; }
+
+    /**
+     * The seq of the executing event; UINT64_MAX between events, so a
+     * key (now(), seq) reserved earlier counts as due at top level
+     * (after runUntil(), every tick up to now() has run).
+     */
+    std::uint64_t currentSeq() const { return _currentSeq; }
+
+    /**
+     * scheduleOwned() at a (tick, seq) key whose seq came from
+     * reserveSeq(). The key must lie after the executing event's (a
+     * SimCheck failure otherwise). The event then runs exactly where
+     * one scheduled at the reservation would have.
+     */
+    void
+    scheduleOwnedAt(Tick when, std::uint64_t seq, OwnerId owner,
+                    unsigned kind)
+    {
+        assert(owner < _owners.size() && kind < kOwnedKinds);
+        assert(seq < _nextSeq);
+        const std::uint32_t key = ownedKey(owner, kind);
+        if (when < _now || (when == _now && seq <= _currentSeq))
+            when = reservedPast(when, seq, key);
+        pushOwned(when, seq, key);
+    }
+
+    /** schedule() at a (tick, seq) key whose seq came from
+        reserveSeq(), under the rule of scheduleOwnedAt(). */
+    EventId scheduleAt(Tick when, std::uint64_t seq, Callback &&cb,
+                       EventLabel &&label = {});
 
     /**
      * Cancel a pending event.
@@ -366,26 +407,51 @@ class EventQueue
         return key & (kOwnedKinds - 1);
     }
 
-    /** The label of owned key @p key (cold paths). */
-    void appendOwnedLabel(std::uint32_t key, std::string &out) const;
-    /** The label of the event in @p slot (cold paths). */
-    void appendSlotLabel(const Slot &slot, std::string &out) const;
+    /** The label of owned key @p key at seq @p seq (cold paths). */
+    void appendOwnedLabel(std::uint32_t key, std::uint64_t seq,
+                          std::string &out) const;
+    /** The label of the event at seq @p seq in @p slot (cold
+        paths). */
+    void appendSlotLabel(const Slot &slot, std::uint64_t seq,
+                         std::string &out) const;
 
     /** The past-tick policy of every schedule: a SimCheck failure, or
         a warning and now(). Labels are materialized only here. */
     Tick clampPast(Tick when, const std::string &label);
-    Tick clampPast(Tick when, std::uint32_t owned_key);
+    Tick clampPast(Tick when, std::uint32_t owned_key,
+                   std::uint64_t seq);
 
-    /** Give owned key @p key a payload slot carrying its causal node;
-        returns the slot index to push instead. */
-    std::uint32_t recordOwned(std::uint32_t key);
+    /** The policy for a reserved key at or before the executing
+        event: a SimCheck failure, or a warning and a tick no earlier
+        than now(). */
+    Tick reservedPast(Tick when, std::uint64_t seq,
+                      const std::string &label);
+    Tick reservedPast(Tick when, std::uint64_t seq,
+                      std::uint32_t owned_key);
+
+    /** Give owned key @p key (seq @p seq) a payload slot carrying its
+        causal node; returns the slot index to push instead. */
+    std::uint32_t recordOwned(std::uint32_t key, std::uint64_t seq);
+
+    /** Push owned key @p key at (@p when, @p seq) and count it. */
+    void
+    pushOwned(Tick when, std::uint64_t seq, std::uint32_t key)
+    {
+        if (_causal)
+            key = recordOwned(key, seq);
+        pushKey(EventItem{when, seq, key});
+        ++_live;
+        if (_profiler)
+            noteScheduled();
+    }
 
     /** Profiler bookkeeping of a schedule (out of line: the header
         does not see DesProfiler). */
     void noteScheduled();
 
-    EventId scheduleEntry(Tick when, Callback &&cb, EventLabel &&label,
-                          bool weak);
+    /** Fill a payload slot and push it at (@p when, @p seq). */
+    EventId scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
+                          EventLabel &&label, bool weak);
 
     std::uint32_t allocSlot();
     /** Make every id of the slot stale: clear `allocated` and bump
@@ -403,7 +469,7 @@ class EventQueue
     /** Execute a popped owned key. */
     void executeOwned(const EventItem &item);
     /** executeOwned() with a profiler or causal recorder attached. */
-    void executeObservedOwned(std::uint32_t key);
+    void executeObservedOwned(const EventItem &item);
 
     /** Run what @p slot holds: its callback, or the owned event it
         stands in for. */
@@ -459,6 +525,7 @@ class EventQueue
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
+    std::uint64_t _currentSeq = UINT64_MAX;
     std::uint64_t _executed = 0;
     std::size_t _live = 0;
     std::size_t _weakLive = 0;

@@ -99,10 +99,22 @@ HeapEventQueueBackend::settle()
 }
 
 void
+HeapEventQueueBackend::insertFront(const EventItem &item)
+{
+    const auto at = std::upper_bound(
+        _front.begin() + static_cast<std::ptrdiff_t>(_frontHead),
+        _front.end(), item.seq,
+        [](std::uint64_t seq, const EventItem &other) {
+            return seq < other.seq;
+        });
+    _front.insert(at, item);
+}
+
+void
 HeapEventQueueBackend::rebase(Tick when)
 {
-    // Bucket by bucket, each in FIFO order: items of one tick share a
-    // bucket, so their seq order survives the re-bucketing.
+    // Re-bucket everything; place() keeps the new bucket 0 in seq
+    // order.
     std::vector<EventItem> items(_front.begin() + _frontHead,
                                  _front.end());
     for (std::vector<EventItem> &bucket : _buckets) {

@@ -13,8 +13,11 @@
  * exact global (when, seq) order, so same-tick FIFO semantics and the
  * determinism-audit stream hash are identical under either backend
  * (`mcdla_sim --event-queue heap|calendar`). The radix heap leans on
- * the kernel's key stream: ticks never run backwards past the last pop
- * and keys arrive in seq order, so it orders by tick alone. It is
+ * the kernel's key stream: ticks never run backwards past the last pop,
+ * so it orders by tick alone and sorts by seq only among the items of
+ * its base tick. Keys mostly arrive in seq order, but not always: an
+ * event may be scheduled at a seq reserved earlier
+ * (EventQueue::reserveSeq()), after newer keys of the same tick. It is
  * defined inline here because the EventQueue calls it directly,
  * without the virtual interface; other backends go through it.
  */
@@ -58,9 +61,10 @@ eventItemBefore(const EventItem &a, const EventItem &b)
  * Contract: pop() returns items in exact (when, seq) order; peek()
  * and pop() must not be called on an empty backend; pushed items are
  * never earlier than the last popped item (the kernel clamps
- * past-tick schedules to now() first); keys are pushed in increasing
- * seq order (seq is the kernel's push counter). peek() may reorganise
- * the structure, so it is not const.
+ * past-tick schedules to now() first). Seqs are unique but may arrive
+ * out of order: a key with a reserved seq can follow newer keys of
+ * the same tick. peek() may reorganise the structure, so it is not
+ * const.
  */
 class EventQueueBackend
 {
@@ -101,10 +105,11 @@ makeEventQueueBackend(EventQueueBackendKind kind);
  * O(log range) moves over its life and no (when, seq) comparison is
  * made at all.
  *
- * Order is exact, not approximate: buckets are FIFO vectors, items of
- * one tick always share a bucket, keys arrive in seq order, and a
- * settle redistributes a bucket stably into the (empty) buckets below
- * it. So bucket 0 drains in seq order, which is (when, seq) order.
+ * Order is exact, not approximate: items of one tick always share a
+ * bucket, and bucket 0 (the base tick's items) is kept sorted by seq
+ * as items are placed into it, by a push or a settle. So bucket 0
+ * drains in (when, seq) order. Almost every key arrives in seq order
+ * and is appended; a reserved seq is inserted behind the newer ones.
  *
  * The key shape this wins on is the simulator's: most pushes land on
  * a tick that is already pending and only a handful of distinct ticks
@@ -165,18 +170,26 @@ class HeapEventQueueBackend final : public EventQueueBackend
                                      __builtin_clzll(diff));
     }
 
-    /** Append @p item to its bucket for the current base. */
+    /** Put @p item in its bucket for the current base; bucket 0 stays
+        sorted by seq. */
     void
     place(const EventItem &item)
     {
         const unsigned bucket = bucketOf(item.when);
         if (bucket == 0) {
-            _front.push_back(item);
+            if (_front.size() == _frontHead || _front.back().seq < item.seq)
+                _front.push_back(item);
+            else
+                insertFront(item);
             return;
         }
         _buckets[bucket - 1].push_back(item);
         _mask |= std::uint64_t{1} << (bucket - 1);
     }
+
+    /** Insert @p item into bucket 0 by seq: a reserved seq pushed
+        after newer keys of the base tick. */
+    void insertFront(const EventItem &item);
 
     /** Refill the drained bucket 0: move the base to the least tick
         of the lowest non-empty bucket and spread that bucket over

@@ -15,18 +15,11 @@
  * bytes — inline trivially copyable ones, and the pointer of a
  * heap-stored one — carry no relocate op and move by memcpy, and a
  * trivially destructible inline target has no destroy op either.
- *
- * Comparable targets opt into value semantics: an inline, trivially
- * copyable target type that defines `operator==` gets sameTarget()
- * and clone(), which is what lets a channel FIFO store a run of
- * identical transfers as one entry. Every other callable (lambdas,
- * heap-stored targets) compares unequal to everything.
  */
 
 #ifndef MCDLA_SIM_INLINE_FUNCTION_HH
 #define MCDLA_SIM_INLINE_FUNCTION_HH
 
-#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -48,22 +41,6 @@ struct InlineFunctionOps
     void (*relocate)(void *from, void *to);
     /** Destroy the target; null when there is nothing to do. */
     void (*destroy)(void *storage);
-    /** Value equality of two targets of this type; null unless the
-        type is comparable (InlineFunction::comparable()). */
-    bool (*equal)(const void *a, const void *b);
-};
-
-template <class Fn, class = void>
-struct HasEqual : std::false_type
-{
-};
-
-template <class Fn>
-struct HasEqual<Fn, std::enable_if_t<std::is_convertible<
-                        decltype(std::declval<const Fn &>()
-                                 == std::declval<const Fn &>()),
-                        bool>::value>> : std::true_type
-{
 };
 
 /** Ops of a target constructed in the inline buffer. */
@@ -90,22 +67,13 @@ struct InlineTargetOps
         static_cast<Fn *>(storage)->~Fn();
     }
 
-    static bool
-    equal(const void *a, const void *b)
-    {
-        return *static_cast<const Fn *>(a)
-               == *static_cast<const Fn *>(b);
-    }
-
     static constexpr InlineFunctionOps
     makeOps()
     {
         if constexpr (!std::is_trivially_copyable<Fn>::value)
-            return {&invoke, &relocate, &destroy, nullptr};
-        else if constexpr (HasEqual<Fn>::value)
-            return {&invoke, nullptr, nullptr, &equal};
+            return {&invoke, &relocate, &destroy};
         else
-            return {&invoke, nullptr, nullptr, nullptr};
+            return {&invoke, nullptr, nullptr};
     }
 
     static constexpr InlineFunctionOps ops = makeOps();
@@ -128,7 +96,7 @@ struct HeapTargetOps
     }
 
     static constexpr InlineFunctionOps ops = {&invoke, nullptr,
-                                              &destroy, nullptr};
+                                              &destroy};
 };
 
 } // namespace detail
@@ -186,36 +154,6 @@ class InlineFunction
         _ops->invoke(_buf);
     }
 
-    /**
-     * Whether both functions hold equal values of one comparable
-     * target type (see comparable()). False for empty functions,
-     * different target types, and any non-comparable target — a
-     * lambda never equals anything, not even itself.
-     */
-    bool
-    sameTarget(const InlineFunction &other) const
-    {
-        return _ops != nullptr && _ops == other._ops
-               && _ops->equal != nullptr
-               && _ops->equal(_buf, other._buf);
-    }
-
-    /**
-     * A copy of this function's target. Precondition: the target is
-     * comparable, i.e. sameTarget(*this) holds; callables without
-     * value semantics are move-only.
-     */
-    InlineFunction
-    clone() const
-    {
-        assert(_ops != nullptr && _ops->equal != nullptr);
-        // Comparable targets are trivially copyable: bytes suffice.
-        InlineFunction copy;
-        std::memcpy(copy._buf, _buf, InlineBytes);
-        copy._ops = _ops;
-        return copy;
-    }
-
     /** Whether a target of type @p Fn lives in the inline buffer (no
         heap allocation); hot-path closures static_assert on it. */
     template <class Fn>
@@ -225,17 +163,6 @@ class InlineFunction
         return sizeof(Fn) <= InlineBytes
                && alignof(Fn) <= alignof(std::max_align_t)
                && std::is_nothrow_move_constructible<Fn>::value;
-    }
-
-    /** Whether a target of type @p Fn supports sameTarget() and
-        clone(): stored inline, trivially copyable, and equality
-        comparable. */
-    template <class Fn>
-    static constexpr bool
-    comparable()
-    {
-        return fitsInline<Fn>() && std::is_trivially_copyable<Fn>::value
-               && detail::HasEqual<Fn>::value;
     }
 
   private:

@@ -61,7 +61,7 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
     }
 
     // One leg per path with a share; the flow completes once, in the
-    // event that delivers its last chunk.
+    // event of its latest chunk delivery.
     _legs.clear();
     for (std::size_t i = 0; i < _paths.size(); ++i) {
         const double f = fractions.empty()

@@ -104,30 +104,27 @@ TEST(Collective, TracksLaunchedBytesAndOps)
     EXPECT_EQ(engine.opsCompleted(), 2u);
 }
 
-TEST(Collective, RingsBeyondTheChunkEncodingAreRejected)
+TEST(Collective, MalformedRingsAreRejected)
 {
-    // A chunk hop keeps the ring hops left (2*(stages-1) for an
-    // all-reduce) and its hop within a route in 16 bits each.
+    // A ring needs one non-empty route per stage.
     LogConfig::throwOnError = true;
     EventQueue eq;
-    Fabric fab(eq, "huge");
+    Fabric fab(eq, "bad");
     Channel &ch = fab.makeChannel("hop", 25.0 * kGB, 0);
     CollectiveEngine engine(eq, "nccl", fab);
 
-    RingPath wide;
-    for (int i = 0; i <= 32768; ++i) {
-        wide.stages.push_back(RingStage{true, i});
-        wide.hops.push_back(Route{{&ch}});
-    }
-    EXPECT_THROW(engine.launchOn({&wide}, CollectiveKind::AllReduce,
+    RingPath missing;
+    missing.stages = {RingStage{true, 0}, RingStage{true, 1},
+                      RingStage{true, 2}};
+    missing.hops = {Route{{&ch}}, Route{{&ch}}};
+    EXPECT_THROW(engine.launchOn({&missing}, CollectiveKind::AllReduce,
                                  1e6, nullptr),
                  FatalError);
 
-    RingPath deep;
-    deep.stages = {RingStage{true, 0}, RingStage{true, 1}};
-    deep.hops = {Route{std::vector<Channel *>(65536, &ch)},
-                 Route{{&ch}}};
-    EXPECT_THROW(engine.launchOn({&deep}, CollectiveKind::AllGather,
+    RingPath empty;
+    empty.stages = {RingStage{true, 0}, RingStage{true, 1}};
+    empty.hops = {Route{{&ch}}, Route{}};
+    EXPECT_THROW(engine.launchOn({&empty}, CollectiveKind::AllGather,
                                  1e6, nullptr),
                  FatalError);
     LogConfig::throwOnError = false;

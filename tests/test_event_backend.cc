@@ -287,6 +287,51 @@ TEST(CalendarBackendReference, ShuffledDrainMatchesSortedOrder)
     }
 }
 
+TEST(BackendReference, ShuffledSeqsOfOneTickDrainInSortedOrder)
+{
+    // A key whose seq was reserved earlier (EventQueue::reserveSeq())
+    // can follow newer keys of its tick, so both backends must sort
+    // by seq within a tick, not trust the push order.
+    Random rng(29);
+    for (std::size_t n : kDrainSizes) {
+        std::uint64_t seq = 0;
+        std::vector<EventItem> keys = randomKeys(rng, n, 1000, seq);
+        for (std::size_t i = keys.size(); i > 1; --i)
+            std::swap(keys[i - 1],
+                      keys[static_cast<std::size_t>(rng.below(i))]);
+        HeapEventQueueBackend heap;
+        expectSortedDrain(heap, keys);
+        CalendarEventQueueBackend calendar;
+        expectSortedDrain(calendar, keys);
+    }
+}
+
+TEST(BackendReference, ReservedSeqPushedDuringDrainOvertakesNewerKeys)
+{
+    // Tick 10 is being drained when keys with seqs reserved before
+    // the pending ones arrive, at the base tick and at a later one.
+    for (const bool heap_backend : {true, false}) {
+        HeapEventQueueBackend heap;
+        CalendarEventQueueBackend calendar;
+        EventQueueBackend &backend = heap_backend
+            ? static_cast<EventQueueBackend &>(heap)
+            : static_cast<EventQueueBackend &>(calendar);
+        backend.push(EventItem{10, 0, 0});
+        backend.push(EventItem{10, 1, 1});
+        backend.push(EventItem{10, 5, 2});
+        backend.push(EventItem{12, 6, 3});
+        EXPECT_EQ(backend.pop().slot, 0u);
+        backend.push(EventItem{10, 3, 4});
+        backend.push(EventItem{12, 2, 5});
+        backend.push(EventItem{10, 4, 6});
+        for (std::uint32_t slot : {1u, 4u, 6u, 2u, 5u, 3u}) {
+            ASSERT_FALSE(backend.empty());
+            EXPECT_EQ(backend.pop().slot, slot) << heap_backend;
+        }
+        EXPECT_TRUE(backend.empty());
+    }
+}
+
 TEST(HeapBackendReference, ExtremeBucketsDrainInOrder)
 {
     // Base 0: UINT64_MAX and UINT64_MAX - 1 differ from it in bit 63

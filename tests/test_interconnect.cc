@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -27,12 +29,64 @@ namespace
 
 // --------------------------------------------------------------- channel
 
+/** A hand-built chunk path; its completion runs a callback. */
+struct TestPath final : ChunkPath
+{
+    std::function<void()> onComplete;
+
+    void
+    complete() override
+    {
+        if (onComplete)
+            onComplete();
+    }
+};
+
+/** The paths of one test, kept at stable addresses. */
+class TestPaths
+{
+  public:
+    /** A path over @p channels whose completion runs @p done. */
+    TestPath &
+    make(std::vector<Channel *> channels,
+         std::function<void()> done = {})
+    {
+        TestPath &path = _paths.emplace_back();
+        path.channels = std::move(channels);
+        path.onComplete = std::move(done);
+        return path;
+    }
+
+    /** Submit one more @p bytes chunk on @p path's whole walk. */
+    static void
+    send(TestPath &path, double bytes)
+    {
+        ++path.outstanding;
+        path.channels[0]->submit(Chunk{
+            &path, 0,
+            static_cast<std::uint32_t>(path.channels.size() - 1),
+            bytes});
+    }
+
+    /** One chunk of @p bytes over @p channels on a path of its own. */
+    void
+    send(std::vector<Channel *> channels, double bytes,
+         std::function<void()> done = {})
+    {
+        send(make(std::move(channels), std::move(done)), bytes);
+    }
+
+  private:
+    std::deque<TestPath> _paths;
+};
+
 TEST(Channel, TransferTakesBytesOverBandwidth)
 {
     EventQueue eq;
     Channel ch(eq, "c", 25.0 * kGB, 0);
+    TestPaths paths;
     Tick done = 0;
-    ch.submit(25e9, [&] { done = eq.now(); }); // exactly one second
+    paths.send({&ch}, 25e9, [&] { done = eq.now(); }); // one second
     eq.run();
     EXPECT_EQ(done, ticksPerSec);
     EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 25e9);
@@ -43,9 +97,10 @@ TEST(Channel, LatencyDelaysDeliveryNotOccupancy)
     EventQueue eq;
     const Tick lat = 500 * ticksPerNs;
     Channel ch(eq, "c", 1e9, lat);
+    TestPaths paths;
     Tick first = 0, second = 0;
-    ch.submit(1e3, [&] { first = eq.now(); });  // 1 us occupancy
-    ch.submit(1e3, [&] { second = eq.now(); });
+    paths.send({&ch}, 1e3, [&] { first = eq.now(); }); // 1 us occupancy
+    paths.send({&ch}, 1e3, [&] { second = eq.now(); });
     eq.run();
     EXPECT_EQ(first, ticksPerUs + lat);
     // Back-to-back: second transfer starts at 1 us, not after delivery.
@@ -56,10 +111,11 @@ TEST(Channel, FifoOrdering)
 {
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 0);
+    TestPaths paths;
     std::vector<int> order;
-    ch.submit(100, [&] { order.push_back(1); });
-    ch.submit(100, [&] { order.push_back(2); });
-    ch.submit(100, [&] { order.push_back(3); });
+    paths.send({&ch}, 100, [&] { order.push_back(1); });
+    paths.send({&ch}, 100, [&] { order.push_back(2); });
+    paths.send({&ch}, 100, [&] { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -68,8 +124,9 @@ TEST(Channel, BusyTicksAccumulate)
 {
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 0);
-    ch.submit(1e3, nullptr);
-    ch.submit(1e3, nullptr);
+    TestPaths paths;
+    paths.send({&ch}, 1e3);
+    paths.send({&ch}, 1e3);
     eq.run();
     EXPECT_EQ(ch.busyTicks(), 2 * ticksPerUs);
     EXPECT_NEAR(ch.utilization(2 * ticksPerUs), 1.0, 1e-9);
@@ -80,9 +137,11 @@ TEST(Channel, PeakTrackingMeasuresSaturatedWindow)
     EventQueue eq;
     Channel ch(eq, "c", 10.0 * kGB, 0);
     ch.enablePeakTracking(100 * ticksPerUs);
+    TestPaths paths;
+    TestPath &path = paths.make({&ch});
     // Saturate for 1 ms: peak windowed bandwidth == channel bandwidth.
     for (int i = 0; i < 100; ++i)
-        ch.submit(100e3, nullptr); // 10 MB total over 1 ms
+        TestPaths::send(path, 100e3); // 10 MB total over 1 ms
     eq.run();
     EXPECT_NEAR(ch.peakBandwidth(), 10.0 * kGB, 0.15 * 10.0 * kGB);
 }
@@ -91,7 +150,8 @@ TEST(Channel, ResetStatsClearsCounters)
 {
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 0);
-    ch.submit(1e3, nullptr);
+    TestPaths paths;
+    paths.send({&ch}, 1e3);
     eq.run();
     ch.resetStats();
     EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 0.0);
@@ -102,9 +162,9 @@ TEST(Channel, QueueDepthVisible)
 {
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 0);
-    ch.submit(1e3, nullptr);
-    ch.submit(1e3, nullptr);
-    ch.submit(1e3, nullptr);
+    TestPaths paths;
+    for (int i = 0; i < 3; ++i)
+        paths.send({&ch}, 1e3);
     EXPECT_EQ(ch.queueDepth(), 2u); // one in flight, two queued
     eq.run();
     EXPECT_EQ(ch.queueDepth(), 0u);
@@ -112,30 +172,11 @@ TEST(Channel, QueueDepthVisible)
 
 // --------------------------------------------------------- channel trains
 
-/** A comparable delivery closure: equal probes merge into one FIFO
-    train; it logs the delivery tick and its tag. */
-struct Probe
-{
-    const EventQueue *eq;
-    std::vector<std::pair<Tick, int>> *log;
-    int tag;
-
-    void operator()() const { log->emplace_back(eq->now(), tag); }
-
-    bool
-    operator==(const Probe &other) const
-    {
-        return eq == other.eq && log == other.log && tag == other.tag;
-    }
-};
-
-static_assert(Channel::Handler::comparable<Probe>(),
-              "Probe must opt in to channel trains");
-
 /** Per-step observations of one channel under a submit pattern. */
 struct TrainRun
 {
-    std::vector<std::pair<Tick, int>> deliveries;
+    /** (tick, tag) of every path completion. */
+    std::vector<std::pair<Tick, int>> completions;
     std::vector<std::size_t> depths; ///< queueDepth() after every event
     std::size_t maxTrains = 0;
     std::size_t peakDepth = 0;
@@ -143,21 +184,29 @@ struct TrainRun
     double transfers = 0.0;
 };
 
-/** Submit @p tags as 1 KB transfers on one channel (comparable probes
-    or, with @p lambdas, plain lambdas that never merge) and run. */
+/** Submit @p tags as 1 KB transfers on one zero-latency channel and
+    run: one path per tag (equal chunks, which merge), or with
+    @p unmerged one path per transfer (chunks that never merge). */
 TrainRun
-runTrain(const std::vector<int> &tags, bool lambdas)
+runTrain(const std::vector<int> &tags, bool unmerged)
 {
     EventQueue eq;
-    Channel ch(eq, "c", 1e9, 300 * ticksPerNs);
+    Channel ch(eq, "c", 1e9, 0);
+    TestPaths paths;
     TrainRun run;
+    std::map<int, TestPath *> by_tag;
     for (int tag : tags) {
-        if (lambdas)
-            ch.submit(1e3, [&eq, &run, tag] {
-                run.deliveries.emplace_back(eq.now(), tag);
-            });
-        else
-            ch.submit(1e3, Probe{&eq, &run.deliveries, tag});
+        auto done = [&eq, &run, tag] {
+            run.completions.emplace_back(eq.now(), tag);
+        };
+        if (unmerged) {
+            paths.send({&ch}, 1e3, done);
+        } else {
+            TestPath *&path = by_tag[tag];
+            if (path == nullptr)
+                path = &paths.make({&ch}, done);
+            TestPaths::send(*path, 1e3);
+        }
         run.maxTrains = std::max(run.maxTrains, ch.queueTrains());
         run.depths.push_back(ch.queueDepth());
     }
@@ -171,10 +220,26 @@ runTrain(const std::vector<int> &tags, bool lambdas)
     return run;
 }
 
+/** The completions a merged run must report: each tag's path
+    completes where the unmerged run delivers that tag's last
+    transfer. */
+std::vector<std::pair<Tick, int>>
+lastDeliveries(const TrainRun &unmerged)
+{
+    std::map<int, Tick> last;
+    for (const auto &[tick, tag] : unmerged.completions)
+        last[tag] = std::max(last[tag], tick);
+    std::vector<std::pair<Tick, int>> expected;
+    for (const auto &[tick, tag] : unmerged.completions)
+        if (tick == last[tag])
+            expected.emplace_back(tick, tag);
+    return expected;
+}
+
 void
 expectSameChannelBehaviour(const TrainRun &trains, const TrainRun &plain)
 {
-    EXPECT_EQ(trains.deliveries, plain.deliveries);
+    EXPECT_EQ(trains.completions, lastDeliveries(plain));
     EXPECT_EQ(trains.depths, plain.depths);
     EXPECT_EQ(trains.peakDepth, plain.peakDepth);
     EXPECT_DOUBLE_EQ(trains.bytes, plain.bytes);
@@ -187,14 +252,14 @@ TEST(ChannelTrain, BurstMatchesUnmergedTransfers)
     const TrainRun trains = runTrain(tags, false);
     const TrainRun plain = runTrain(tags, true);
     expectSameChannelBehaviour(trains, plain);
-    // The burst really is one train; the lambdas never merged.
+    // The burst really is one train; the separate paths never merged.
     EXPECT_EQ(trains.maxTrains, 1u);
     EXPECT_EQ(plain.maxTrains, 63u);
     EXPECT_EQ(trains.peakDepth, 63u);
-    ASSERT_EQ(trains.deliveries.size(), 64u);
-    // 1 us per transfer back to back, plus the wire latency.
-    EXPECT_EQ(trains.deliveries.back().first,
-              64 * ticksPerUs + 300 * ticksPerNs);
+    ASSERT_EQ(plain.completions.size(), 64u);
+    // 1 us per transfer back to back.
+    EXPECT_EQ(trains.completions,
+              (std::vector<std::pair<Tick, int>>{{64 * ticksPerUs, 7}}));
     EXPECT_DOUBLE_EQ(trains.bytes, 64e3);
     EXPECT_DOUBLE_EQ(trains.transfers, 64.0);
 }
@@ -207,32 +272,28 @@ TEST(ChannelTrain, InterleavedStreamKeepsFifoOrder)
     const TrainRun plain = runTrain(tags, true);
     expectSameChannelBehaviour(trains, plain);
     std::vector<int> order;
-    for (const auto &delivery : trains.deliveries)
+    for (const auto &delivery : plain.completions)
         order.push_back(delivery.second);
     EXPECT_EQ(order, tags);
     // The first A starts at once; {A,A} {B} {A,A} {B,B} wait.
     EXPECT_EQ(trains.maxTrains, 4u);
 }
 
-TEST(ChannelTrain, EqualClosuresOfDifferentSizeDoNotMerge)
+TEST(ChannelTrain, EqualChunksOfDifferentSizeDoNotMerge)
 {
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 0);
-    std::vector<std::pair<Tick, int>> log;
-    const Probe probe{&eq, &log, 1};
-    ch.submit(100, probe); // starts at once
-    ch.submit(100, probe);
-    ch.submit(200, probe);
-    ch.submit(100, probe);
+    TestPaths paths;
+    Tick done = 0;
+    TestPath &path = paths.make({&ch}, [&] { done = eq.now(); });
+    TestPaths::send(path, 100); // starts at once
+    TestPaths::send(path, 100);
+    TestPaths::send(path, 200);
+    TestPaths::send(path, 100);
     EXPECT_EQ(ch.queueDepth(), 3u);
     EXPECT_EQ(ch.queueTrains(), 3u);
     eq.run();
-    const std::vector<std::pair<Tick, int>> expected{
-        {100 * ticksPerNs, 1},
-        {200 * ticksPerNs, 1},
-        {400 * ticksPerNs, 1},
-        {500 * ticksPerNs, 1}};
-    EXPECT_EQ(log, expected);
+    EXPECT_EQ(done, 500 * ticksPerNs);
     EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 500.0);
 }
 
@@ -244,19 +305,25 @@ TEST(ChannelTrain, ConservationHoldsMidTrain)
     simcheck::setEnabled(true);
     EventQueue eq;
     Channel ch(eq, "c", 1e9, 50 * ticksPerNs);
-    std::vector<std::pair<Tick, int>> log;
+    TestPaths paths;
+    int completed = 0;
+    std::vector<TestPath *> by_tag;
+    for (int tag = 0; tag < 3; ++tag)
+        by_tag.push_back(&paths.make({&ch}, [&] { ++completed; }));
     // Every submit and delivery re-checks the ledger against the
     // trains' bytes x count.
     EXPECT_NO_THROW({
         for (int i = 0; i < 40; ++i)
-            ch.submit(250, Probe{&eq, &log, i / 16});
+            TestPaths::send(*by_tag[static_cast<std::size_t>(i / 16)],
+                            250);
         for (int i = 0; i < 25; ++i)
             eq.step();
         EXPECT_GT(ch.queueDepth(), ch.queueTrains());
         ch.simcheckVerifyConservation();
         eq.run();
     });
-    EXPECT_EQ(log.size(), 40u);
+    EXPECT_EQ(completed, 3);
+    EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 40 * 250.0);
     EXPECT_EQ(simcheck::violationCount(), violations);
     simcheck::setEnabled(was_enabled);
     LogConfig::throwOnError = false;
@@ -264,13 +331,15 @@ TEST(ChannelTrain, ConservationHoldsMidTrain)
 
 // ---------------------------------------------------- channel event order
 
-/** A chunk train over channels a -> b beside plain callbacks that
-    share their ticks; every callback appends one line to the log. */
+/** A chunk path over channels a -> b beside plain callbacks that share
+    their ticks; every callback appends one line to the log. */
 struct TwoHopTrain
 {
     EventQueue eq;
     Channel a{eq, "a", 1e9, 5 * ticksPerNs}; // 10 B: 10 ns occupancy
     Channel b{eq, "b", 1e9, 5 * ticksPerNs};
+    TestPaths paths;
+    TestPath &path = paths.make({&a, &b}, [this] { note("done"); });
     std::vector<std::string> log;
 
     void
@@ -292,90 +361,165 @@ struct TwoHopTrain
                      static_cast<int>(b.bytesTransferred())));
         });
     }
-};
 
-/** One hop of a train chunk: comparable, so a's queue is one train. */
-struct TrainHop
-{
-    TwoHopTrain *train;
-    int hop;
-
+    /** Submit @p chunks 10 B chunks on a -> b. */
     void
-    operator()() const
+    send(int chunks)
     {
-        train->note(hop == 0 ? "a>" : "b>");
-        train->plain(train->eq.now() + 5 * ticksPerNs, "q");
-        if (hop == 0)
-            train->b.submit(10, TrainHop{train, 1});
-    }
-
-    bool
-    operator==(const TrainHop &other) const
-    {
-        return train == other.train && hop == other.hop;
+        for (int i = 0; i < chunks; ++i)
+            TestPaths::send(path, 10);
     }
 };
-
-static_assert(Channel::Handler::comparable<TrainHop>(),
-              "TrainHop must merge into channel trains");
 
 TEST(ChannelEventOrder, PlainCallbacksInterleaveWithATwoHopTrain)
 {
     TwoHopTrain train;
-    for (int i = 0; i < 3; ++i)
-        train.a.submit(10, TrainHop{&train, 0});
+    train.send(3);
     for (Tick t = 10; t <= 50; t += 5)
         train.plain(t * ticksPerNs, "p");
     train.eq.run();
     // Same-tick events fire in the order they were scheduled, the
     // channels' own included. At 10, a's first xfer_done (scheduled by
-    // the submit) leads p; at 20, p leads a's second xfer_done
-    // (scheduled at 10), which leads q (scheduled at 15); at 30, b's
-    // deliver (scheduled by its xfer_done at 25) leads q (scheduled
-    // by a's deliver at 25).
+    // the submit) leads p; at 15, p leads the chunk's arrival on b
+    // (its seq was reserved by a's xfer_done at 10); at 20, p leads
+    // a's second xfer_done. The path completes at b's last delivery,
+    // after p (scheduled first).
     const std::vector<std::string> expected{
-        "10 p a20 b0",  "15 p a20 b0",  "15 a>",        "20 p a20 b10",
-        "20 q a30 b10", "25 p a30 b10", "25 a>",        "30 p a30 b20",
-        "30 b>",        "30 q a30 b20", "35 p a30 b20", "35 a>",
-        "35 q a30 b30", "40 p a30 b30", "40 b>",        "40 q a30 b30",
-        "45 p a30 b30", "45 q a30 b30", "50 p a30 b30", "50 b>",
-        "55 q a30 b30"};
+        "10 p a20 b0",  "15 p a20 b0",  "20 p a20 b10",
+        "25 p a30 b10", "30 p a30 b20", "35 p a30 b20",
+        "40 p a30 b30", "45 p a30 b30", "50 p a30 b30",
+        "50 done"};
     EXPECT_EQ(train.log, expected);
+    // Each chunk: a's xfer_done, its arrival starting idle b (b frees
+    // at the tick the next arrives, but its own xfer_done comes
+    // first), b's xfer_done; then one completion.
+    EXPECT_EQ(train.eq.executedCount(), 9u + 3 * 3 + 1);
 }
 
-TEST(ChannelEventOrder, UnobservedTransfersTakeNoPayloadSlots)
+TEST(ChannelEventOrder, PipelineTieStartsThroughAnArriveEvent)
 {
-    TwoHopTrain train;
-    int delivered = 0;
-    for (int i = 0; i < 10000; ++i)
-        train.a.submit(10, [&train, &delivered] {
-            train.b.submit(10, [&delivered] { ++delivered; });
-        });
-    train.eq.run();
-    EXPECT_EQ(delivered, 10000);
-    // Two hops, each an xfer_done and a deliver per transfer.
-    EXPECT_EQ(train.eq.executedCount(), 40000u);
-    EXPECT_EQ(train.eq.poolSlots(), 0u);
-}
-
-TEST(ChannelEventOrder, ProfilerCountsEachTransfersTwoEvents)
-{
+    // The ring-pipeline tie: chunk 2 reaches b at 25, the tick b's
+    // xfer_done for chunk 1 fires, and that xfer_done was scheduled
+    // (at 15) before a reserved the arrival's seq (at 20). So b goes
+    // idle first and the armed arrival restarts it.
     TwoHopTrain train;
     DesProfiler profiler;
     train.eq.setProfiler(&profiler);
-    for (int i = 0; i < 3; ++i)
-        train.a.submit(10, TrainHop{&train, 0});
+    train.send(2);
+    train.plain(25 * ticksPerNs, "p"); // scheduled before both
+    train.plain(26 * ticksPerNs, "p");
     train.eq.run();
+    const std::vector<std::string> expected{"25 p a20 b10", "26 p a20 b20",
+                                            "40 done"};
+    EXPECT_EQ(train.log, expected);
     const auto &labels = profiler.labels();
-    for (const char *label : {"a.xfer_done", "a.deliver", "b.xfer_done",
-                              "b.deliver"}) {
-        ASSERT_EQ(labels.count(label), 1u) << label;
-        EXPECT_EQ(labels.at(label).count, 3u) << label;
+    EXPECT_EQ(labels.at("a.xfer_done").count, 2u);
+    EXPECT_EQ(labels.at("b.xfer_done").count, 2u);
+    // The arrivals keep the name of the deliveries they stand for.
+    EXPECT_EQ(labels.at("a.deliver").count, 2u);
+    // b's deliveries are the path's; only the last is an event.
+    EXPECT_EQ(labels.at("b.deliver").count, 1u);
+    EXPECT_EQ(train.eq.executedCount(), 2u + 7);
+    EXPECT_EQ(profiler.schedules(), 2u + 7);
+}
+
+TEST(ChannelEventOrder, ArrivalAndSubmitOfOneTickQueueInSeqOrder)
+{
+    // b is busy until 100 ns. A chunk over a -> b reaches it at 15 ns
+    // with the seq a reserved at 10 ns; a plain callback submits
+    // another chunk to b at 15 ns, scheduled before or after that
+    // reservation. b then serves them in seq order.
+    for (const bool submit_first : {true, false}) {
+        EventQueue eq;
+        Channel a(eq, "a", 1e9, 5 * ticksPerNs);
+        Channel b(eq, "b", 1e9, 0);
+        TestPaths paths;
+        std::vector<std::string> order;
+        paths.send({&b}, 100, [&] { order.push_back("blocker"); });
+        paths.send({&a, &b}, 10, [&] { order.push_back("arrival"); });
+        TestPath &direct =
+            paths.make({&b}, [&] { order.push_back("submit"); });
+        std::size_t depth_before = 0;
+        auto submit = [&] {
+            depth_before = b.queueDepth();
+            TestPaths::send(direct, 10);
+        };
+        if (submit_first)
+            eq.schedule(15 * ticksPerNs, submit);
+        else
+            eq.schedule(12 * ticksPerNs,
+                        [&] { eq.schedule(15 * ticksPerNs, submit); });
+        eq.run();
+        const std::vector<std::string> expected =
+            submit_first
+                ? std::vector<std::string>{"blocker", "submit", "arrival"}
+                : std::vector<std::string>{"blocker", "arrival", "submit"};
+        EXPECT_EQ(order, expected) << submit_first;
+        EXPECT_EQ(depth_before, submit_first ? 0u : 1u) << submit_first;
+        EXPECT_EQ(b.peakQueueDepth(), 2u) << submit_first;
     }
-    // Plus the unlabelled q callback of each of the 6 deliveries.
-    EXPECT_EQ(labels.at("(unnamed)").count, 6u);
-    EXPECT_EQ(profiler.eventsExecuted(), 18u);
-    EXPECT_EQ(profiler.schedules(), 18u);
+}
+
+TEST(ChannelEventOrder, FlowCompletesAtItsLatestDeliveryNotItsLastChunk)
+{
+    // Two legs: the slow link's chunk finishes its occupancy first (at
+    // 100 ns) but lands last (at 600 ns); the fast link's finishes at
+    // 300 ns, is counted off last, and lands at 400 ns.
+    EventQueue eq;
+    Channel slow(eq, "slow", 1e9, 500 * ticksPerNs);
+    Channel fast(eq, "fast", 1e9, 100 * ticksPerNs);
+    FlowPool flows;
+    const std::vector<Route> slow_route{Route{{&slow}}};
+    const std::vector<Route> fast_route{Route{{&fast}}};
+    const FlowLeg legs[] = {{&slow_route, 100}, {&fast_route, 300}};
+    Tick done = 0;
+    DesProfiler profiler;
+    eq.setProfiler(&profiler);
+    flows.send(legs, 2, 1e3, [&] { done = eq.now(); });
+    eq.run();
+    EXPECT_EQ(done, 600 * ticksPerNs);
+    // Two xfer_dones and the completion, named for the slow link.
+    EXPECT_EQ(eq.executedCount(), 3u);
+    EXPECT_EQ(profiler.labels().at("slow.deliver").count, 1u);
+}
+
+TEST(ChannelEventOrder, QueueDepthCountsDueArrivals)
+{
+    // b is busy until 100 ns while three chunks reach it from a at 15,
+    // 25 and 35 ns: none of those deliveries is an event, yet a plain
+    // callback at 40 ns sees all three queued, as one train.
+    EventQueue eq;
+    Channel a(eq, "a", 1e9, 5 * ticksPerNs);
+    Channel b(eq, "b", 1e9, 5 * ticksPerNs);
+    TestPaths paths;
+    paths.send({&b}, 100);
+    TestPath &path = paths.make({&a, &b});
+    for (int i = 0; i < 3; ++i)
+        TestPaths::send(path, 10);
+    std::size_t depth = 0, trains = 0, peak = 0;
+    eq.schedule(40 * ticksPerNs, [&] {
+        depth = b.queueDepth();
+        trains = b.queueTrains();
+        peak = b.peakQueueDepth();
+    });
+    eq.run();
+    EXPECT_EQ(depth, 3u);
+    EXPECT_EQ(trains, 1u);
+    EXPECT_EQ(peak, 3u);
+}
+
+TEST(ChannelEventOrder, ChunksTakeNoPayloadSlots)
+{
+    TwoHopTrain train;
+    train.send(10000);
+    train.eq.run();
+    EXPECT_EQ(train.log, (std::vector<std::string>{"100020 done"}));
+    // Per chunk: a's xfer_done, the arrival that restarts b (the
+    // pipeline tie above) and b's xfer_done; b's deliveries are not
+    // events, save the path's completion.
+    EXPECT_EQ(train.eq.executedCount(), 3u * 10000 + 1);
+    // Only the completion is a callback event.
+    EXPECT_EQ(train.eq.poolSlots(), 1u);
 }
 
 TEST(ChannelEventOrder, ZeroLatencyDeliversInsideXferDone)
@@ -384,9 +528,10 @@ TEST(ChannelEventOrder, ZeroLatencyDeliversInsideXferDone)
     Channel ch(eq, "z", 1e9, 0);
     DesProfiler profiler;
     eq.setProfiler(&profiler);
+    TestPaths paths;
     std::vector<std::pair<Tick, std::uint64_t>> deliveries;
     for (int i = 0; i < 4; ++i)
-        ch.submit(10, [&] {
+        paths.send({&ch}, 10, [&] {
             // Runs inside the xfer_done it belongs to: that event is
             // executing and counts already.
             deliveries.emplace_back(eq.now() / ticksPerNs,

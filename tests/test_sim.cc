@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "interconnect/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/logging.hh"
@@ -260,7 +259,8 @@ struct LoggingOwner : EventOwner
     }
 
     void
-    appendOwnedLabel(unsigned kind, std::string &out) const override
+    appendOwnedLabel(unsigned kind, std::uint64_t /*seq*/,
+                     std::string &out) const override
     {
         out += "owner.kind" + std::to_string(kind);
     }
@@ -452,127 +452,18 @@ TEST(Logging, StrfmtFormats)
 
 using SmallFn = InlineFunction<24>;
 
-/** Comparable target: inline, trivially copyable, has operator==. */
+/** An inline, trivially copyable target. */
 struct Counter
 {
     int *hits;
     int step;
 
     void operator()() const { *hits += step; }
-
-    bool
-    operator==(const Counter &other) const
-    {
-        return hits == other.hits && step == other.step;
-    }
 };
-
-/** Same layout and values as Counter, but a different type. */
-struct OtherCounter
-{
-    int *hits;
-    int step;
-
-    void operator()() const { *hits += step; }
-
-    bool
-    operator==(const OtherCounter &other) const
-    {
-        return hits == other.hits && step == other.step;
-    }
-};
-
-/** Comparable, but too large for the inline buffer. */
-struct BigCounter
-{
-    int *hits;
-    double pad[4];
-
-    void operator()() const { ++*hits; }
-
-    bool
-    operator==(const BigCounter &other) const
-    {
-        return hits == other.hits;
-    }
-};
-
-/** Has operator==, but is not trivially copyable. */
-struct NamedCounter
-{
-    int *hits;
-    std::string name;
-
-    void operator()() const { ++*hits; }
-
-    bool
-    operator==(const NamedCounter &other) const
-    {
-        return hits == other.hits && name == other.name;
-    }
-};
-
-static_assert(SmallFn::comparable<Counter>(), "inline POD with ==");
-static_assert(!SmallFn::comparable<BigCounter>(), "heap-stored");
-static_assert(!SmallFn::comparable<NamedCounter>(),
-              "not trivially copyable");
-
-TEST(InlineFunction, EqualComparableTargetsAreSame)
-{
-    int hits = 0;
-    const SmallFn a(Counter{&hits, 1});
-    const SmallFn b(Counter{&hits, 1});
-    EXPECT_TRUE(a.sameTarget(b));
-    EXPECT_TRUE(b.sameTarget(a));
-    EXPECT_TRUE(a.sameTarget(a));
-    EXPECT_FALSE(a.sameTarget(SmallFn(Counter{&hits, 2})));
-    int other_hits = 0;
-    EXPECT_FALSE(a.sameTarget(SmallFn(Counter{&other_hits, 1})));
-}
-
-TEST(InlineFunction, OtherCallablesNeverCompareSame)
-{
-    int hits = 0;
-    const SmallFn counter(Counter{&hits, 1});
-    // A different type with equal bytes.
-    EXPECT_FALSE(counter.sameTarget(SmallFn(OtherCounter{&hits, 1})));
-    // Lambdas have no operator==: not even equal to themselves.
-    const SmallFn lambda([&hits] { ++hits; });
-    EXPECT_FALSE(lambda.sameTarget(lambda));
-    EXPECT_FALSE(counter.sameTarget(lambda));
-    // Heap-stored and non-trivially-copyable targets opt out too.
-    const SmallFn big(BigCounter{&hits, {}});
-    EXPECT_FALSE(big.sameTarget(big));
-    const InlineFunction<64> named(NamedCounter{&hits, "n"});
-    EXPECT_FALSE(named.sameTarget(named));
-    // Empty functions.
-    const SmallFn empty(nullptr);
-    EXPECT_FALSE(empty.sameTarget(empty));
-    EXPECT_FALSE(empty.sameTarget(counter));
-    EXPECT_FALSE(counter.sameTarget(empty));
-    EXPECT_EQ(hits, 0);
-}
-
-TEST(InlineFunction, CloneInvokesLikeTheOriginal)
-{
-    int hits = 0;
-    SmallFn original(Counter{&hits, 5});
-    SmallFn copy = original.clone();
-    ASSERT_TRUE(static_cast<bool>(copy));
-    EXPECT_TRUE(copy.sameTarget(original));
-    copy();
-    EXPECT_EQ(hits, 5);
-    original();
-    EXPECT_EQ(hits, 10);
-    // The clone is independent: moving the original away leaves it.
-    SmallFn moved = std::move(original);
-    copy();
-    moved();
-    EXPECT_EQ(hits, 20);
-}
 
 static_assert(std::is_trivially_copyable<Counter>::value,
               "moves by memcpy");
+static_assert(SmallFn::fitsInline<Counter>(), "stored inline");
 
 TEST(InlineFunction, TriviallyCopyableTargetSurvivesRepeatedMoves)
 {
@@ -585,31 +476,30 @@ TEST(InlineFunction, TriviallyCopyableTargetSurvivesRepeatedMoves)
         EXPECT_FALSE(static_cast<bool>(next));
     }
     ASSERT_TRUE(static_cast<bool>(fn));
-    EXPECT_TRUE(fn.sameTarget(SmallFn(Counter{&hits, 3})));
     fn();
     EXPECT_EQ(hits, 3);
 }
 
-TEST(InlineFunction, CallbackWrapsAChannelHandler)
+TEST(InlineFunction, CallbackWrapsASmallerInlineFunction)
 {
     int hits = 0;
-    Channel::Handler handler(Counter{&hits, 1});
-    // The Callback's target is the whole handler, moved in.
-    EventQueue::Callback cb(std::move(handler));
-    EXPECT_FALSE(static_cast<bool>(handler));
+    SmallFn small(Counter{&hits, 1});
+    // The Callback's target is the whole smaller function, moved in.
+    EventQueue::Callback cb(std::move(small));
+    EXPECT_FALSE(static_cast<bool>(small));
     ASSERT_TRUE(static_cast<bool>(cb));
     cb();
     EXPECT_EQ(hits, 1);
-    // Through the kernel: a scheduled handler runs exactly once.
+    // Through the kernel: a scheduled function runs exactly once.
     EventQueue eq;
-    Channel::Handler scheduled(Counter{&hits, 10});
+    SmallFn scheduled(Counter{&hits, 10});
     eq.scheduleAfter(5, std::move(scheduled));
     EXPECT_FALSE(static_cast<bool>(scheduled));
     eq.run();
     EXPECT_EQ(hits, 11);
 }
 
-/** Too large for a Channel::Handler; counts its destructions. */
+/** Too large for a SmallFn; counts its destructions. */
 struct BigTracked
 {
     int *destroyed;
@@ -635,17 +525,16 @@ struct BigTracked
     void operator()() const { ++*hits; }
 };
 
-static_assert(!Channel::Handler::fitsInline<BigTracked>(),
-              "heap-stored in a Handler");
+static_assert(!SmallFn::fitsInline<BigTracked>(), "heap-stored");
 
 TEST(InlineFunction, HeapStoredTargetIsDeletedExactlyOnce)
 {
     int destroyed = 0;
     int hits = 0;
     {
-        Channel::Handler handler(BigTracked(&destroyed, &hits));
-        Channel::Handler moved(std::move(handler));
-        Channel::Handler assigned;
+        SmallFn fn(BigTracked(&destroyed, &hits));
+        SmallFn moved(std::move(fn));
+        SmallFn assigned;
         assigned = std::move(moved);
         EventQueue::Callback wrapped(std::move(assigned));
         EventQueue::Callback last(std::move(wrapped));
@@ -661,46 +550,6 @@ TEST(InlineFunction, HeapStoredTargetIsDeletedExactlyOnce)
         EXPECT_EQ(destroyed, 2);
     }
     EXPECT_EQ(destroyed, 2);
-}
-
-/** The shape of the flow and ring-collective chunk hops. */
-struct HopLike
-{
-    int *hits;
-    std::uint32_t stage;
-    std::uint16_t hop;
-    std::uint16_t hopsLeft;
-    double bytes;
-
-    void operator()() const { *hits += hop; }
-
-    bool
-    operator==(const HopLike &other) const
-    {
-        return hits == other.hits && stage == other.stage
-               && hop == other.hop && hopsLeft == other.hopsLeft
-               && bytes == other.bytes;
-    }
-};
-
-static_assert(Channel::Handler::comparable<HopLike>(),
-              "chunk hops merge into channel trains");
-
-TEST(InlineFunction, ChunkHopTargetsCompareAndClone)
-{
-    int hits = 0;
-    const Channel::Handler a(HopLike{&hits, 1, 2, 3, 4096.0});
-    EXPECT_TRUE(a.sameTarget(Channel::Handler(
-        HopLike{&hits, 1, 2, 3, 4096.0})));
-    EXPECT_FALSE(a.sameTarget(Channel::Handler(
-        HopLike{&hits, 1, 2, 3, 2048.0})));
-    EXPECT_FALSE(a.sameTarget(Channel::Handler(
-        HopLike{&hits, 1, 2, 2, 4096.0})));
-    Channel::Handler copy = a.clone();
-    EXPECT_TRUE(copy.sameTarget(a));
-    EventQueue::Callback wrapped(std::move(copy));
-    wrapped();
-    EXPECT_EQ(hits, 2);
 }
 
 // ---------------------------------------------------------------- random

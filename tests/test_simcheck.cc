@@ -77,6 +77,43 @@ TEST_F(SimCheckTest, PastSchedulingNamesTheEventQueue)
     EXPECT_NE(msg.find("late"), std::string::npos) << msg;
 }
 
+TEST_F(SimCheckTest, ReservedKeyNotAfterTheExecutingEventNamesTheEventQueue)
+{
+    // A seq reserved before the run, at a tick now being executed,
+    // lies behind the executing event: so does that event's own key.
+    EventQueue eq;
+    const std::uint64_t early = eq.reserveSeq();
+    std::vector<std::string> messages;
+    eq.schedule(100, [&] {
+        messages.push_back(panicMessage(
+            [&] { eq.scheduleAt(100, early, [] {}, "stale"); }));
+        messages.push_back(panicMessage([&] {
+            eq.scheduleAt(100, eq.currentSeq(), [] {}, "current");
+        }));
+        messages.push_back(panicMessage(
+            [&] { eq.scheduleAt(50, eq.reserveSeq(), [] {}, "past"); }));
+    });
+    eq.run();
+    ASSERT_EQ(messages.size(), 3u);
+    const char *const labels[] = {"stale", "current", "past"};
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+        EXPECT_NE(messages[i].find("SimCheck[event-queue]"),
+                  std::string::npos)
+            << messages[i];
+        EXPECT_NE(messages[i].find(labels[i]), std::string::npos)
+            << messages[i];
+    }
+    // A key reserved in the event and scheduled ahead of it is fine.
+    std::uint64_t reserved = 0;
+    bool ran = false;
+    eq.schedule(200, [&] {
+        reserved = eq.reserveSeq();
+        eq.scheduleAt(200, reserved, [&] { ran = true; });
+    });
+    EXPECT_NO_THROW(eq.run());
+    EXPECT_TRUE(ran);
+}
+
 TEST_F(SimCheckTest, FirstFitDoubleReleaseNamesTheMemoryPool)
 {
     FirstFitPoolAllocator pool(1024);
