@@ -421,47 +421,138 @@ TEST(CollectivePinned, LaunchOnRestrictedRing)
                         std::vector<double>(8, 24)});
 }
 
-/** One all-reduce of @p algo on a 16-device full switch. */
-Pinned
-pinnedSwitched(CollectiveAlgorithm algo)
+/** A 16-device full switch. */
+std::unique_ptr<Fabric>
+switched(EventQueue &eq)
 {
-    EventQueue eq;
     FabricConfig fcfg;
     fcfg.numDevices = 16;
     fcfg.switchRadix = 64;
-    auto fab = buildTopologyFabric(eq, fcfg, TopologyKind::FullSwitch);
-    CollectiveConfig cfg;
-    cfg.chunkBytes = 64e3;
-    cfg.algorithm = algo;
-    CollectiveEngine engine(eq, "nccl", *fab, cfg);
-    Tick done = 0;
-    engine.launch(CollectiveKind::AllReduce, 1e6,
-                  [&] { done = eq.now(); });
-    eq.run();
-    Pinned out = pinnedState(done, engine, busyChannels(*fab));
+    return buildTopologyFabric(eq, fcfg, TopologyKind::FullSwitch);
+}
+
+/** Channel count and totals, not the per-channel list. */
+Pinned
+switchedState(Tick done, const CollectiveEngine &engine,
+              const Fabric &fab)
+{
+    Pinned out = pinnedState(done, engine, busyChannels(fab));
     double bytes = 0.0;
     double transfers = 0.0;
     for (std::size_t i = 0; i < out.bytes.size(); ++i) {
         bytes += out.bytes[i];
         transfers += out.transfers[i];
     }
-    // Channel count and totals, not the per-channel list.
     out.bytes = {static_cast<double>(out.bytes.size()), bytes};
     out.transfers = {transfers};
     return out;
 }
 
+/** 64 kB chunks of @p algo. */
+CollectiveConfig
+switchedConfig(CollectiveAlgorithm algo)
+{
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    cfg.algorithm = algo;
+    return cfg;
+}
+
+/** One @p kind of @p algo on a 16-device full switch. */
+Pinned
+pinnedSwitched(CollectiveAlgorithm algo, CollectiveKind kind)
+{
+    EventQueue eq;
+    auto fab = switched(eq);
+    CollectiveEngine engine(eq, "nccl", *fab, switchedConfig(algo));
+    Tick done = 0;
+    engine.launch(kind, 1e6, [&] { done = eq.now(); });
+    eq.run();
+    return switchedState(done, engine, *fab);
+}
+
+TEST(Collective, AbandonedEngineReleasesItsCompletion)
+{
+    // An engine destroyed mid-collective takes its completion, and
+    // what it captures, with it.
+    for (CollectiveAlgorithm algo :
+         {CollectiveAlgorithm::Ring, CollectiveAlgorithm::Tree}) {
+        EventQueue eq;
+        auto fab = switched(eq);
+        auto token = std::make_shared<int>(0);
+        {
+            CollectiveConfig cfg;
+            cfg.algorithm = algo;
+            CollectiveEngine engine(eq, "nccl", *fab, cfg);
+            engine.launch(CollectiveKind::AllReduce, 8e6,
+                          [token] { ++*token; });
+            eq.runUntil(secondsToTicks(50e-6));
+            ASSERT_FALSE(eq.empty());
+        }
+        EXPECT_EQ(*token, 0);
+        EXPECT_EQ(token.use_count(), 1)
+            << collectiveAlgorithmToken(algo);
+    }
+}
+
 TEST(CollectivePinned, TreeAllReduce)
 {
-    expectPinned(pinnedSwitched(CollectiveAlgorithm::Tree),
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Tree,
+                                CollectiveKind::AllReduce),
                  Pinned{350880000, 1, 1e6, {32, 60000000}, {960}});
 }
 
 TEST(CollectivePinned, HierarchicalAllReduce)
 {
     // Board trees around a leader ring that the engine embeds itself.
-    expectPinned(pinnedSwitched(CollectiveAlgorithm::Hierarchical),
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Hierarchical,
+                                CollectiveKind::AllReduce),
                  Pinned{307020000, 1, 1e6, {32, 60000000}, {960}});
+}
+
+TEST(CollectivePinned, HierarchicalReduceScatter)
+{
+    // Board reduce trees, then the leader ring; no broadcast back.
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Hierarchical,
+                                CollectiveKind::ReduceScatter),
+                 Pinned{155440000, 1, 1e6, {24, 30000000}, {480}});
+}
+
+TEST(CollectivePinned, HierarchicalAllGather)
+{
+    // The leader ring first, then board broadcast trees.
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Hierarchical,
+                                CollectiveKind::AllGather),
+                 Pinned{155440000, 1, 1e6, {24, 30000000}, {480}});
+}
+
+TEST(CollectivePinned, TreeBroadcast)
+{
+    expectPinned(pinnedSwitched(CollectiveAlgorithm::Tree,
+                                CollectiveKind::Broadcast),
+                 Pinned{175440000, 1, 1e6, {23, 30000000}, {480}});
+}
+
+TEST(CollectivePinned, HierarchicalCompletionLaunchesTheNextCollective)
+{
+    // The reduce-scatter's completion fires inside its leader ring's
+    // last delivery and starts the all-gather's leader ring there.
+    EventQueue eq;
+    auto fab = switched(eq);
+    CollectiveEngine engine(
+        eq, "nccl", *fab,
+        switchedConfig(CollectiveAlgorithm::Hierarchical));
+    Tick first = 0;
+    Tick done = 0;
+    engine.launch(CollectiveKind::ReduceScatter, 1e6, [&] {
+        first = eq.now();
+        engine.launch(CollectiveKind::AllGather, 1e6,
+                      [&] { done = eq.now(); });
+    });
+    eq.run();
+    EXPECT_EQ(first, 155440000u);
+    expectPinned(switchedState(done, engine, *fab),
+                 Pinned{310880000, 2, 2e6, {32, 60000000}, {960}});
 }
 
 TEST(CollectivePinned, CompletionLaunchesTheNextCollective)

@@ -22,7 +22,9 @@
 #include <vector>
 
 #include "cluster/cluster.hh"
+#include "collective/ring_collective.hh"
 #include "core/report.hh"
+#include "interconnect/fabrics.hh"
 #include "serving/serving.hh"
 #include "sim/causal.hh"
 #include "sim/event_queue.hh"
@@ -291,9 +293,19 @@ parseTrace(const TraceSink &trace)
     return parser.parse();
 }
 
-/** The "process/track" names of every span ("X") in @p trace. */
-std::set<std::string>
-spanTracks(const TraceSink &trace)
+/** One span ("X") of a written trace, its pid and tid named. */
+struct Span
+{
+    std::string process;
+    std::string track;
+    std::string name;
+    double ts;
+    double dur;
+};
+
+/** Every span in @p trace, in emission order. */
+std::vector<Span>
+spans(const TraceSink &trace)
 {
     const JsonValue root = parseTrace(trace);
     std::map<double, std::string> procs;
@@ -308,14 +320,25 @@ spanTracks(const TraceSink &trace)
             tracks[{event.at("pid").number, event.at("tid").number}] =
                 event.at("args").at("name").text;
     }
-    std::set<std::string> out;
+    std::vector<Span> out;
     for (const JsonValue &event : root.at("traceEvents").items) {
         if (event.at("ph").text != "X")
             continue;
         const double pid = event.at("pid").number;
-        out.insert(procs[pid] + "/"
-                   + tracks[{pid, event.at("tid").number}]);
+        out.push_back({procs[pid], tracks[{pid, event.at("tid").number}],
+                       event.at("name").text, event.at("ts").number,
+                       event.at("dur").number});
     }
+    return out;
+}
+
+/** The "process/track" names of every span in @p trace. */
+std::set<std::string>
+spanTracks(const TraceSink &trace)
+{
+    std::set<std::string> out;
+    for (const Span &span : spans(trace))
+        out.insert(span.process + "/" + span.track);
     return out;
 }
 
@@ -528,6 +551,46 @@ TEST(EventQueue, WeakOnlyQueueDrainsImmediately)
     eq.run();
     EXPECT_EQ(fired, 0);
     EXPECT_EQ(eq.now(), 0u);
+}
+
+// ------------------------------------------------ collective spans
+
+TEST(CollectiveTrace, HierarchicalAllReduceSpans)
+{
+    // Two boards of 8 on a 16-device switch: three board-reduce
+    // rounds, the two-leader ring, three board-broadcast rounds.
+    EventQueue eq;
+    TraceSink trace;
+    eq.setTrace(&trace);
+    FabricConfig fcfg;
+    fcfg.numDevices = 16;
+    fcfg.switchRadix = 64;
+    auto fab = buildTopologyFabric(eq, fcfg, TopologyKind::FullSwitch);
+    CollectiveConfig cfg;
+    cfg.chunkBytes = 64e3;
+    cfg.algorithm = CollectiveAlgorithm::Hierarchical;
+    CollectiveEngine engine(eq, "nccl", *fab, cfg);
+    engine.launch(CollectiveKind::AllReduce, 1e6, nullptr);
+    eq.run();
+
+    const std::vector<Span> got = spans(trace);
+    const std::vector<Span> want = {
+        {"collective", "rounds", "round 1/3 (8 xfer)", 0, 43.86},
+        {"collective", "rounds", "round 2/3 (4 xfer)", 43.86, 43.86},
+        {"collective", "rounds", "round 3/3 (2 xfer)", 87.72, 43.86},
+        {"collective", "rings", "all-reduce ring x2", 131.58, 43.86},
+        {"collective", "rounds", "round 1/3 (2 xfer)", 175.44, 43.86},
+        {"collective", "rounds", "round 2/3 (4 xfer)", 219.3, 43.86},
+        {"collective", "rounds", "round 3/3 (8 xfer)", 263.16, 43.86},
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].process, want[i].process) << i;
+        EXPECT_EQ(got[i].track, want[i].track) << i;
+        EXPECT_EQ(got[i].name, want[i].name) << i;
+        EXPECT_EQ(got[i].ts, want[i].ts) << i;
+        EXPECT_EQ(got[i].dur, want[i].dur) << i;
+    }
 }
 
 // ---------------------------------------------------- MetricRegistry
