@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "sim/causal.hh"
 #include "sim/logging.hh"
@@ -115,7 +114,7 @@ CollectiveEngine::CollectiveEngine(EventQueue &eq, std::string name,
 
 void
 CollectiveEngine::launch(CollectiveKind kind, double total_bytes,
-                         Handler on_done, int root)
+                         EventQueue::Callback on_done, int root)
 {
     launchOn(_rings, kind, total_bytes, std::move(on_done), root);
 }
@@ -123,7 +122,7 @@ CollectiveEngine::launch(CollectiveKind kind, double total_bytes,
 void
 CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
                            CollectiveKind kind, double total_bytes,
-                           Handler on_done, int root)
+                           EventQueue::Callback on_done, int root)
 {
     // Everything scheduled while launching — degenerate noops and the
     // first wave of chunk submissions — belongs to the collective
@@ -134,79 +133,218 @@ CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
     _bytesLaunched += total_bytes;
     stats().scalar("bytes") += total_bytes;
 
-    auto complete = [this, on_done = std::move(on_done)] {
-        ++_opsCompleted;
-        ++stats().scalar("ops");
-        if (on_done)
-            on_done();
-    };
+    CollectiveOp *op = acquire(_collectiveOps, _freeCollectiveOps);
+    op->done = std::move(on_done);
+    op->kind = kind;
+    op->bytes = total_bytes;
+    op->root = root;
+    op->before.clear();
+    op->rings.clear();
+    op->after.clear();
+    op->afterRings = false;
 
-    if (total_bytes <= 0.0 || rings.empty()) {
+    // Tree-structured algorithms operate on the participating devices
+    // (ring order) and route transfers over the topology graph instead
+    // of walking the rings.
+    const bool ring = _cfg.algorithm == CollectiveAlgorithm::Ring;
+    std::vector<int> devices;
+    if (!ring && !rings.empty())
+        devices = rings[0]->deviceMembers();
+    if (total_bytes <= 0.0 || rings.empty()
+        || (!ring && devices.size() < 2)) {
         // Degenerate: nothing to move (or nowhere to move it).
-        eventQueue().scheduleAfter(0, complete, name() + ".noop");
+        auto noop = [this, op] { finish(op); };
+        static_assert(EventQueue::Callback::fitsInline<decltype(noop)>());
+        eventQueue().scheduleAfter(0, std::move(noop), name() + ".noop");
         return;
     }
-
-    if (_cfg.algorithm != CollectiveAlgorithm::Ring) {
-        // Tree-structured algorithms operate on the participating
-        // devices (ring order) and route transfers over the topology
-        // graph instead of walking the rings.
-        const std::vector<int> devices = rings[0]->deviceMembers();
-        if (devices.size() < 2) {
-            eventQueue().scheduleAfter(0, complete,
-                                       name() + ".noop");
-            return;
-        }
-        runTreeLike(devices, kind, total_bytes, root,
-                    std::move(complete));
-        return;
-    }
-
-    const double share = total_bytes / static_cast<double>(rings.size());
-    auto rings_left = std::make_shared<std::size_t>(rings.size());
-    auto ring_done = std::make_shared<Handler>(
-        [rings_left, complete = std::move(complete)] {
-            if (--*rings_left == 0)
-                complete();
-        });
-
-    for (const RingPath *ring : rings) {
-        const int root_stage = std::max(ring->stageOfDevice(root), 0);
-        runOnRing(*ring, kind, share, root_stage, ring_done);
-    }
+    if (ring)
+        op->rings = rings;
+    else
+        planTree(*op, std::move(devices));
+    runRounds(op, 0);
 }
 
-CollectiveEngine::RingOp *
-CollectiveEngine::acquireOp()
+template <class Record>
+Record *
+CollectiveEngine::acquire(std::deque<Record> &all,
+                          std::vector<Record *> &idle)
 {
-    if (_freeOps.empty()) {
-        _ops.emplace_back();
-        _ops.back().engine = this;
-        return &_ops.back();
+    if (idle.empty()) {
+        all.emplace_back();
+        return &all.back();
     }
-    RingOp *op = _freeOps.back();
-    _freeOps.pop_back();
-    return op;
+    Record *record = idle.back();
+    idle.pop_back();
+    return record;
+}
+
+void
+CollectiveEngine::planTree(CollectiveOp &op, std::vector<int> order) const
+{
+    const int m = static_cast<int>(order.size());
+    // Broadcast rotates the participants so the root leads the tree.
+    if (op.kind == CollectiveKind::Broadcast) {
+        auto it = std::find(order.begin(), order.end(), op.root);
+        if (it != order.end())
+            std::rotate(order.begin(), it, order.end());
+    }
+
+    // Merge position rounds @p in of the participants from
+    // order[first] on into rounds at, at + 1, ... of @p out.
+    auto merge = [&order](const std::vector<Round> &in, int first,
+                          std::vector<Round> &out, std::size_t at) {
+        if (out.size() < at + in.size())
+            out.resize(at + in.size());
+        for (std::size_t r = 0; r < in.size(); ++r)
+            for (const auto &[src, dst] : in[r])
+                out[at + r].emplace_back(
+                    order[static_cast<std::size_t>(first + src)],
+                    order[static_cast<std::size_t>(first + dst)]);
+    };
+
+    const int board = std::max(1, std::min(_cfg.boardDevices, m));
+    const bool reduce = op.kind == CollectiveKind::AllReduce
+        || op.kind == CollectiveKind::ReduceScatter;
+    const bool bcast = op.kind != CollectiveKind::ReduceScatter;
+    if (_cfg.algorithm == CollectiveAlgorithm::Tree
+        || op.kind == CollectiveKind::Broadcast || board >= m) {
+        // Flat: reduce and broadcast rounds in one phase.
+        if (reduce)
+            merge(reduceRounds(m), 0, op.before, 0);
+        if (bcast)
+            merge(broadcastRounds(m), 0, op.before, op.before.size());
+        return;
+    }
+
+    // Hierarchical: consecutive boards reduce/broadcast internally
+    // through binomial trees, each board's round r merged into the
+    // global round r so the boards progress concurrently between
+    // barriers; board leaders exchange over an inter-board ring
+    // embedded on the topology's shortest paths.
+    std::vector<int> leaders;
+    for (int first = 0; first < m; first += board) {
+        const int size = std::min(board, m - first);
+        leaders.push_back(order[static_cast<std::size_t>(first)]);
+        if (reduce)
+            merge(reduceRounds(size), first, op.before, 0);
+        if (bcast)
+            merge(broadcastRounds(size), first, op.after, 0);
+    }
+    op.leaders = RingPath{};
+    for (std::size_t i = 0; i < leaders.size(); ++i) {
+        const int src = leaders[i];
+        const int dst = leaders[(i + 1) % leaders.size()];
+        Route hop = _fabric.deviceRoute(src, dst);
+        if (!hop.valid())
+            fatal("%s: no route between board leaders %d and %d",
+                  name().c_str(), src, dst);
+        op.leaders.stages.push_back(RingStage{true, src});
+        op.leaders.hops.push_back(std::move(hop));
+    }
+    op.rings.push_back(&op.leaders);
+}
+
+void
+CollectiveEngine::runRounds(CollectiveOp *op, std::size_t index)
+{
+    const std::vector<Round> &rounds =
+        op->afterRings ? op->after : op->before;
+    while (index < rounds.size() && rounds[index].empty())
+        ++index;
+    if (index >= rounds.size()) {
+        if (op->afterRings) {
+            finish(op);
+            return;
+        }
+        // The rounds before ran out: the rings, then the rounds after.
+        op->afterRings = true;
+        op->ringsLeft = op->rings.size();
+        op->started = now();
+        if (op->rings.empty())
+            runRounds(op, 0);
+        else
+            for (const RingPath *ring : op->rings)
+                runOnRing(op, *ring);
+        return;
+    }
+    const Round &round = rounds[index];
+    // One flow per round: a one-route leg per (src, dst) transfer
+    // (reserved, so the legs' route pointers stay valid).
+    std::vector<std::vector<Route>> routes;
+    std::vector<FlowLeg> legs;
+    routes.reserve(round.size());
+    for (const auto &[src, dst] : round) {
+        Route route = _fabric.deviceRoute(src, dst);
+        if (!route.valid())
+            fatal("%s: no route from device %d to device %d for a "
+                  "tree collective round", name().c_str(), src, dst);
+        routes.push_back({std::move(route)});
+        legs.push_back({&routes.back(), op->bytes});
+    }
+    op->started = now();
+    auto round_done = [this, op, index] {
+        if (TraceSink *trace = eventQueue().trace()) {
+            const std::vector<Round> &phase =
+                op->afterRings ? op->after : op->before;
+            const std::string label = "round " + std::to_string(index + 1)
+                + "/" + std::to_string(phase.size()) + " ("
+                + std::to_string(phase[index].size()) + " xfer)";
+            trace->addSpan("collective", "rounds", label, op->started,
+                           now() - op->started, "sync");
+        }
+        runRounds(op, index + 1);
+    };
+    static_assert(
+        EventQueue::Callback::fitsInline<decltype(round_done)>());
+    _flows.send(legs.data(), legs.size(), _cfg.chunkBytes,
+                std::move(round_done));
 }
 
 void
 CollectiveEngine::RingOp::complete()
 {
-    // Recycle first: the handler may launch the next collective, which
-    // then reuses this very record.
-    const std::shared_ptr<Handler> fire = std::move(done);
-    engine->_freeOps.push_back(this);
-    (*fire)();
+    // Recycle first: the completion may launch the next collective,
+    // which then reuses this very record.
+    engine->_freeRingOps.push_back(this);
+    engine->ringDone(op, stages);
 }
 
 void
-CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
-                            double bytes, int root_stage,
-                            const std::shared_ptr<Handler> &ring_done)
+CollectiveEngine::ringDone(CollectiveOp *op, int stages)
+{
+    // One "rings"-track span per logical ring per operation.
+    if (TraceSink *trace = stages > 0 ? eventQueue().trace() : nullptr)
+        trace->addSpan("collective", "rings",
+                       std::string(collectiveKindName(op->kind))
+                           + " ring x" + std::to_string(stages),
+                       op->started, now() - op->started, "sync");
+    if (--op->ringsLeft == 0)
+        runRounds(op, 0);
+}
+
+void
+CollectiveEngine::finish(CollectiveOp *op)
+{
+    // Recycle first: the completion may launch the next collective.
+    EventQueue::Callback done = std::move(op->done);
+    _freeCollectiveOps.push_back(op);
+    ++_opsCompleted;
+    ++stats().scalar("ops");
+    if (done)
+        done();
+}
+
+void
+CollectiveEngine::runOnRing(CollectiveOp *op, const RingPath &ring)
 {
     const int stages = ring.stageCount();
+    const double bytes = op->bytes / static_cast<double>(op->rings.size());
     if (stages < 2 || bytes <= 0.0) {
-        eventQueue().scheduleAfter(0, [ring_done] { (*ring_done)(); },
+        auto trivial = [this, op] { ringDone(op, 0); };
+        static_assert(
+            EventQueue::Callback::fitsInline<decltype(trivial)>());
+        eventQueue().scheduleAfter(0, std::move(trivial),
                                    name() + ".trivial_ring");
         return;
     }
@@ -226,25 +364,10 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
               name().c_str(), stages, ring.hops.size(), channels,
               kMaxRingChannels);
 
-    // When tracing, wrap the per-ring completion in a span emitter:
-    // one "rings"-track span per logical ring per operation.
-    std::shared_ptr<Handler> completion = ring_done;
-    if (TraceSink *trace = eventQueue().trace()) {
-        const Tick launched = now();
-        const std::string label = std::string(collectiveKindName(kind))
-            + " ring x" + std::to_string(stages);
-        completion = std::make_shared<Handler>(
-            [this, trace, launched, label, ring_done] {
-                trace->addSpan("collective", "rings", label, launched,
-                               now() - launched, "sync");
-                (*ring_done)();
-            });
-    }
-
     int blocks = 0;
     int hops = 0;
     double block_bytes = 0.0;
-    switch (kind) {
+    switch (op->kind) {
       case CollectiveKind::AllGather:
       case CollectiveKind::ReduceScatter:
         blocks = stages;
@@ -265,14 +388,16 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
 
     const auto chunks_per_block = static_cast<std::uint64_t>(
         std::ceil(block_bytes / _cfg.chunkBytes));
-    RingOp *op = acquireOp();
-    op->channels.clear();
+    RingOp *ring_op = acquire(_ringOps, _freeRingOps);
+    ring_op->engine = this;
+    ring_op->op = op;
+    ring_op->stages = stages;
+    ring_op->channels.clear();
     for (const Route &route : ring.hops)
-        op->channels.insert(op->channels.end(), route.hops.begin(),
-                            route.hops.end());
-    op->outstanding = static_cast<std::uint64_t>(blocks)
+        ring_op->channels.insert(ring_op->channels.end(),
+                                 route.hops.begin(), route.hops.end());
+    ring_op->outstanding = static_cast<std::uint64_t>(blocks)
         * chunks_per_block;
-    op->done = std::move(completion);
 
     // Channels in the routes of stages [first, first + count), cyclic.
     auto channelsIn = [&ring](std::size_t first, std::size_t count) {
@@ -282,9 +407,10 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
                 ring.hops[s % ring.hops.size()].hops.size());
         return sum;
     };
+    const int root_stage = std::max(ring.stageOfDevice(op->root), 0);
     for (int b = 0; b < blocks; ++b) {
         const auto stage = static_cast<std::size_t>(
-            (kind == CollectiveKind::Broadcast) ? root_stage : b);
+            (op->kind == CollectiveKind::Broadcast) ? root_stage : b);
         const std::uint32_t pos = channelsIn(0, stage);
         const std::uint32_t walk =
             channelsIn(stage, static_cast<std::size_t>(hops));
@@ -292,8 +418,8 @@ CollectiveEngine::runOnRing(const RingPath &ring, CollectiveKind kind,
         for (std::uint64_t c = 0; c < chunks_per_block; ++c) {
             const double this_chunk = std::min(_cfg.chunkBytes, left);
             left -= this_chunk;
-            op->channels[pos]->submit(
-                Chunk{op, pos, walk - 1, this_chunk});
+            ring_op->channels[pos]->submit(
+                Chunk{ring_op, pos, walk - 1, this_chunk});
         }
     }
 }
@@ -324,180 +450,6 @@ CollectiveEngine::broadcastRounds(int count)
         for (auto &pair : round)
             std::swap(pair.first, pair.second);
     return rounds;
-}
-
-void
-CollectiveEngine::runRounds(std::shared_ptr<std::vector<Round>> rounds,
-                            std::size_t index, double bytes,
-                            std::shared_ptr<Handler> done)
-{
-    while (index < rounds->size() && (*rounds)[index].empty())
-        ++index;
-    if (index >= rounds->size()) {
-        (*done)();
-        return;
-    }
-    const Round &round = (*rounds)[index];
-    // One flow per round: a one-route leg per (src, dst) transfer
-    // (reserved, so the legs' route pointers stay valid).
-    std::vector<std::vector<Route>> routes;
-    std::vector<FlowLeg> legs;
-    routes.reserve(round.size());
-    for (const auto &[src, dst] : round) {
-        Route route = _fabric.deviceRoute(src, dst);
-        if (!route.valid())
-            fatal("%s: no route from device %d to device %d for a "
-                  "tree collective round", name().c_str(), src, dst);
-        routes.push_back({std::move(route)});
-        legs.push_back({&routes.back(), bytes});
-    }
-    const Tick launched = now();
-    _flows.send(legs.data(), legs.size(), _cfg.chunkBytes,
-                [this, rounds, index, bytes, done, launched] {
-                    if (TraceSink *trace = eventQueue().trace()) {
-                        const std::string label = "round "
-                            + std::to_string(index + 1) + "/"
-                            + std::to_string(rounds->size()) + " ("
-                            + std::to_string((*rounds)[index].size())
-                            + " xfer)";
-                        trace->addSpan("collective", "rounds", label,
-                                       launched, now() - launched,
-                                       "sync");
-                    }
-                    runRounds(rounds, index + 1, bytes, done);
-                });
-}
-
-RingPath
-CollectiveEngine::leaderRing(const std::vector<int> &leaders) const
-{
-    RingPath ring;
-    if (leaders.size() < 2)
-        return ring;
-    for (std::size_t i = 0; i < leaders.size(); ++i) {
-        const int src = leaders[i];
-        const int dst = leaders[(i + 1) % leaders.size()];
-        Route hop = _fabric.deviceRoute(src, dst);
-        if (!hop.valid())
-            fatal("%s: no route between board leaders %d and %d",
-                  name().c_str(), src, dst);
-        ring.stages.push_back(RingStage{true, src});
-        ring.hops.push_back(std::move(hop));
-    }
-    return ring;
-}
-
-void
-CollectiveEngine::runTreeLike(const std::vector<int> &devices,
-                              CollectiveKind kind, double bytes,
-                              int root, Handler done)
-{
-    const int m = static_cast<int>(devices.size());
-    auto done_ptr = std::make_shared<Handler>(std::move(done));
-
-    // Participant order; broadcast rotates so the root leads the tree.
-    std::vector<int> order = devices;
-    if (kind == CollectiveKind::Broadcast) {
-        auto it = std::find(order.begin(), order.end(), root);
-        if (it != order.end())
-            std::rotate(order.begin(), it, order.end());
-    }
-
-    auto map_rounds = [&order](const std::vector<Round> &position_rounds,
-                               std::vector<Round> &out) {
-        for (const Round &round : position_rounds) {
-            Round mapped;
-            for (const auto &[src, dst] : round)
-                mapped.emplace_back(
-                    order[static_cast<std::size_t>(src)],
-                    order[static_cast<std::size_t>(dst)]);
-            out.push_back(std::move(mapped));
-        }
-    };
-
-    const int board = std::max(1, std::min(_cfg.boardDevices, m));
-    const bool flat = _cfg.algorithm == CollectiveAlgorithm::Tree
-        || kind == CollectiveKind::Broadcast || board >= m;
-
-    if (flat) {
-        auto rounds = std::make_shared<std::vector<Round>>();
-        if (kind == CollectiveKind::AllReduce
-            || kind == CollectiveKind::ReduceScatter)
-            map_rounds(reduceRounds(m), *rounds);
-        if (kind != CollectiveKind::ReduceScatter)
-            map_rounds(broadcastRounds(m), *rounds);
-        runRounds(std::move(rounds), 0, bytes, std::move(done_ptr));
-        return;
-    }
-
-    // Hierarchical: consecutive boards reduce/broadcast internally
-    // through binomial trees; board leaders exchange over an
-    // inter-board ring embedded on the topology's shortest paths.
-    std::vector<int> leaders;
-    auto intra_reduce = std::make_shared<std::vector<Round>>();
-    auto intra_bcast = std::make_shared<std::vector<Round>>();
-    for (int start = 0; start < m; start += board) {
-        const int size = std::min(board, m - start);
-        std::vector<int> member_order(
-            order.begin() + start, order.begin() + start + size);
-        leaders.push_back(member_order.front());
-
-        // Merge each board's round r into the global round r so the
-        // boards progress concurrently between barriers.
-        auto merge = [&member_order](const std::vector<Round> &in,
-                                     std::vector<Round> &out) {
-            if (out.size() < in.size())
-                out.resize(in.size());
-            for (std::size_t r = 0; r < in.size(); ++r)
-                for (const auto &[src, dst] : in[r])
-                    out[r].emplace_back(
-                        member_order[static_cast<std::size_t>(src)],
-                        member_order[static_cast<std::size_t>(dst)]);
-        };
-        merge(reduceRounds(size), *intra_reduce);
-        merge(broadcastRounds(size), *intra_bcast);
-    }
-
-    auto ring = std::make_shared<RingPath>(leaderRing(leaders));
-    auto run_leader_phase = [this, ring, kind,
-                             bytes](Handler next) {
-        // The shared_ptr rides in the completion handler — it is the
-        // last reference dropped, keeping the embedded ring alive
-        // while chunks are in flight.
-        auto ring_done = std::make_shared<Handler>(
-            [ring, next = std::move(next)] { next(); });
-        runOnRing(*ring, kind, bytes, /*root_stage=*/0, ring_done);
-    };
-
-    switch (kind) {
-      case CollectiveKind::AllReduce:
-        runRounds(intra_reduce, 0, bytes,
-                  std::make_shared<Handler>(
-                      [this, run_leader_phase, intra_bcast, bytes,
-                       done_ptr]() mutable {
-                          run_leader_phase([this, intra_bcast, bytes,
-                                            done_ptr] {
-                              runRounds(intra_bcast, 0, bytes,
-                                        done_ptr);
-                          });
-                      }));
-        return;
-      case CollectiveKind::ReduceScatter:
-        runRounds(intra_reduce, 0, bytes,
-                  std::make_shared<Handler>(
-                      [run_leader_phase, done_ptr]() mutable {
-                          run_leader_phase(
-                              [done_ptr] { (*done_ptr)(); });
-                      }));
-        return;
-      case CollectiveKind::AllGather:
-        run_leader_phase([this, intra_bcast, bytes, done_ptr] {
-            runRounds(intra_bcast, 0, bytes, done_ptr);
-        });
-        return;
-      case CollectiveKind::Broadcast:
-        panic("broadcast reaches the flat tree path above");
-    }
 }
 
 Tick

@@ -16,7 +16,9 @@
  *
  * Because chunks are real transfers on the fabric's channels, collectives
  * contend with concurrent memory-virtualization DMA traffic that shares
- * links — the central MC-DLA modelling requirement.
+ * links — the central MC-DLA modelling requirement. The tree and
+ * hierarchical algorithms run through the same per-launch plan as the
+ * ring (CollectiveEngine).
  */
 
 #ifndef MCDLA_COLLECTIVE_RING_COLLECTIVE_HH
@@ -24,8 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "interconnect/fabric.hh"
@@ -104,21 +104,21 @@ struct CollectiveConfig
 };
 
 /**
- * Ring-collective executor bound to one fabric. With a trace sink on
- * its EventQueue, it emits per-ring spans (ring algorithm) and
- * per-round spans (tree/hierarchical) on the "collective" process,
- * category "sync".
+ * Collective executor bound to one fabric. With a trace sink on its
+ * EventQueue, it emits per-ring spans ("rings" track) and per-round
+ * spans ("rounds" track) on the "collective" process, category "sync".
  *
- * Each ring's share of an operation is one RingOp record from a pool
- * the engine owns. The record is the ChunkPath of the share's chunks:
- * the stage routes concatenated, walked cyclically, so a chunk hop
- * neither allocates nor touches a reference count.
+ * Each launch is one pooled CollectiveOp holding the completion and a
+ * plan of rounds before -> rings -> rounds after: the ring algorithm
+ * is all rings, the tree all rounds, and the hierarchical algorithm
+ * board trees around the board leaders' ring. Each ring's share is a
+ * pooled RingOp: the ChunkPath of its chunks, the stage routes
+ * concatenated and walked cyclically, so a chunk hop neither allocates
+ * nor touches a reference count. A null completion runs nothing.
  */
 class CollectiveEngine : public SimObject
 {
   public:
-    using Handler = std::function<void()>;
-
     CollectiveEngine(EventQueue &eq, std::string name,
                      const Fabric &fabric, CollectiveConfig cfg = {});
 
@@ -131,8 +131,8 @@ class CollectiveEngine : public SimObject
      * @param on_done Fires when every ring completes.
      * @param root Root device for broadcast (ignored otherwise).
      */
-    void launch(CollectiveKind kind, double total_bytes, Handler on_done,
-                int root = 0);
+    void launch(CollectiveKind kind, double total_bytes,
+                EventQueue::Callback on_done, int root = 0);
 
     /**
      * Launch a collective on an explicit ring set instead of the
@@ -143,7 +143,7 @@ class CollectiveEngine : public SimObject
      */
     void launchOn(const std::vector<const RingPath *> &rings,
                   CollectiveKind kind, double total_bytes,
-                  Handler on_done, int root = 0);
+                  EventQueue::Callback on_done, int root = 0);
 
     /** Number of logical rings in use. */
     std::size_t ringCount() const { return _rings.size(); }
@@ -161,24 +161,56 @@ class CollectiveEngine : public SimObject
     /** One barrier-synchronized transfer round: (src, dst) devices. */
     using Round = std::vector<std::pair<int, int>>;
 
-    /** Run one ring's share of an operation. */
-    void runOnRing(const RingPath &ring, CollectiveKind kind,
-                   double bytes, int root_stage,
-                   const std::shared_ptr<Handler> &ring_done);
+    /** One launched operation: its completion and its plan. */
+    struct CollectiveOp
+    {
+        EventQueue::Callback done;
+        CollectiveKind kind = CollectiveKind::AllReduce;
+        double bytes = 0.0; ///< Payload; each ring moves its share.
+        int root = 0;
+        std::vector<Round> before;
+        std::vector<const RingPath *> rings;
+        std::vector<Round> after;
+        RingPath leaders; ///< The hierarchical leader ring.
+        bool afterRings = false; ///< Rounds run from `after`.
+        std::size_t ringsLeft = 0;
+        Tick started = 0; ///< Of the current round or ring phase.
+    };
 
-    /** Dispatch a tree/hierarchical operation over @p devices. */
-    void runTreeLike(const std::vector<int> &devices,
-                     CollectiveKind kind, double bytes, int root,
-                     Handler done);
+    /** One ring's share of an operation in flight. */
+    struct RingOp final : ChunkPath
+    {
+        CollectiveEngine *engine = nullptr;
+        CollectiveOp *op = nullptr;
+        int stages = 0;
+
+        /** The last chunk arrived: recycle, then count the ring down. */
+        void complete() override;
+    };
+
+    /** A free record from a pool: @p all, of which @p idle are free. */
+    template <class Record>
+    static Record *acquire(std::deque<Record> &all,
+                           std::vector<Record *> &idle);
+
+    /** The tree or hierarchical plan of @p op over @p order. */
+    void planTree(CollectiveOp &op, std::vector<int> order) const;
 
     /**
-     * Execute @p rounds sequentially (a global barrier between
-     * rounds); every (src, dst) pair moves @p bytes over the Router
-     * route, chunked. Fires @p done after the last round.
+     * Run @p op's plan on from round @p index of its current rounds
+     * phase (a barrier between rounds, each a flow of one Router route
+     * per (src, dst) pair); past the last, start the next phase.
      */
-    void runRounds(std::shared_ptr<std::vector<Round>> rounds,
-                   std::size_t index, double bytes,
-                   std::shared_ptr<Handler> done);
+    void runRounds(CollectiveOp *op, std::size_t index);
+
+    /** Run one ring's share of @p op's ring phase. */
+    void runOnRing(CollectiveOp *op, const RingPath &ring);
+
+    /** One ring of @p op finished (@p stages 0: a trivial ring). */
+    void ringDone(CollectiveOp *op, int stages);
+
+    /** The plan of @p op ran out: recycle, then fire. */
+    void finish(CollectiveOp *op);
 
     /** Binomial-reduce rounds over @p count positions (leaves first). */
     static std::vector<Round> reduceRounds(int count);
@@ -186,36 +218,18 @@ class CollectiveEngine : public SimObject
     /** Binomial-broadcast rounds (root position 0 first). */
     static std::vector<Round> broadcastRounds(int count);
 
-    /**
-     * The inter-board leader ring of the hierarchical algorithm,
-     * embedded over Router shortest paths between consecutive leaders.
-     */
-    RingPath leaderRing(const std::vector<int> &leaders) const;
-
-    /** One ring's share of an operation in flight: its chunks walk
-        the stage routes, concatenated, cyclically. */
-    struct RingOp final : ChunkPath
-    {
-        CollectiveEngine *engine = nullptr;
-        std::shared_ptr<Handler> done;
-
-        /** The last chunk arrived: recycle, then fire. */
-        void complete() override;
-    };
-
-    /** A free record from the pool. */
-    RingOp *acquireOp();
-
     const Fabric &_fabric;
     std::vector<const RingPath *> _rings;
     CollectiveConfig _cfg;
     double _bytesLaunched = 0.0;
     std::uint64_t _opsCompleted = 0;
 
-    /** Every RingOp ever made (a deque keeps addresses stable) and
-        the idle ones. */
-    std::deque<RingOp> _ops;
-    std::vector<RingOp *> _freeOps;
+    /** Every record ever made (deques keep addresses stable) and the
+        idle ones. */
+    std::deque<CollectiveOp> _collectiveOps;
+    std::vector<CollectiveOp *> _freeCollectiveOps;
+    std::deque<RingOp> _ringOps;
+    std::vector<RingOp *> _freeRingOps;
 
     /** Flows of the tree/hierarchical rounds. */
     FlowPool _flows;

@@ -3,7 +3,8 @@
  * FlowPool implementation.
  *
  * A Record is the ChunkPath of one flow: the channels of all of its
- * legs' routes, flattened. Recycled records keep their capacity. A chunk on route r is submitted at the
+ * legs' routes, flattened, and the flow's completion. Recycled records
+ * keep their capacity. A chunk on route r is submitted at the
  * route's first channel with the rest of the route to go, so the equal
  * chunks a leg queues on its first hop are one run-length train in
  * that channel's FIFO; chunks of different routes differ in position
@@ -23,15 +24,14 @@ namespace mcdla
 struct FlowPool::Record final : ChunkPath
 {
     FlowPool *pool = nullptr;
-    Handler done;
+    EventQueue::Callback done;
 
     /** Recycle, then fire: the callback may start new flows (reusing
         this very record) or destroy the channels or the pool. */
     void
     complete() override
     {
-        Handler fire = std::move(done);
-        done = nullptr;
+        EventQueue::Callback fire = std::move(done);
         pool->_free.push_back(this);
         if (fire)
             fire();
@@ -43,7 +43,7 @@ FlowPool::~FlowPool() = default;
 
 void
 FlowPool::send(const FlowLeg *legs, std::size_t count, double chunk_bytes,
-               Handler on_done)
+               EventQueue::Callback on_done)
 {
     if (chunk_bytes <= 0.0)
         panic("flow: non-positive chunk size");

@@ -13,13 +13,13 @@
  * A flow's record is the ChunkPath of all its chunks: the routes of
  * every leg concatenated into one channel list. A chunk starts at its
  * route's first channel with that route's remaining length to go, and
- * the flow completes in the event of its latest last-hop delivery.
+ * the flow completes in the event of its latest last-hop delivery,
+ * where the record's EventQueue::Callback runs.
  */
 
 #ifndef MCDLA_INTERCONNECT_FLOW_HH
 #define MCDLA_INTERCONNECT_FLOW_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,15 +48,15 @@ struct FlowLeg
 
 /**
  * Sends flows and owns their in-flight records, recycled so that
- * steady-state traffic allocates nothing. Destroying the pool releases
- * the handlers of flows still in flight; their chunks must not be
- * delivered afterwards.
+ * steady-state traffic allocates nothing. A flow's completion is an
+ * EventQueue::Callback moved into its record, so one that fits inline
+ * costs no allocation either; a null completion runs nothing.
+ * Destroying the pool releases the completions of flows still in
+ * flight; their chunks must not be delivered afterwards.
  */
 class FlowPool
 {
   public:
-    using Handler = std::function<void()>;
-
     FlowPool();
     ~FlowPool();
     FlowPool(const FlowPool &) = delete;
@@ -70,12 +70,12 @@ class FlowPool
      * at once if no leg has bytes.
      */
     void send(const FlowLeg *legs, std::size_t count, double chunk_bytes,
-              Handler on_done);
+              EventQueue::Callback on_done);
 
     /** One-leg flow: @p bytes over @p routes. */
     void
     send(const std::vector<Route> &routes, double bytes,
-         double chunk_bytes, Handler on_done)
+         double chunk_bytes, EventQueue::Callback on_done)
     {
         const FlowLeg leg{&routes, bytes};
         send(&leg, 1, chunk_bytes, std::move(on_done));

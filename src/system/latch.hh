@@ -2,7 +2,9 @@
  * @file
  * Small synchronization primitives for the training-session scheduler:
  * one-shot latches, barrier-triggered sync points, and interval-union
- * activity trackers for the Figure 11 latency breakdown.
+ * activity trackers for the Figure 11 latency breakdown. A latch's
+ * waiters are EventQueue::Callbacks, the simulator's one completion
+ * type, so a DMA or collective completion moves into one unwrapped.
  */
 
 #ifndef MCDLA_SYSTEM_LATCH_HH
@@ -12,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
 
@@ -22,8 +25,6 @@ namespace mcdla
 class Latch
 {
   public:
-    using Callback = std::function<void()>;
-
     bool done() const { return _done; }
 
     /** Mark complete and run all waiters. Panics on double completion. */
@@ -33,16 +34,19 @@ class Latch
         if (_done)
             panic("latch completed twice");
         _done = true;
-        std::vector<Callback> waiters;
+        std::vector<EventQueue::Callback> waiters;
         waiters.swap(_waiters);
         for (auto &cb : waiters)
             cb();
     }
 
-    /** Run @p cb when complete (immediately if already complete). */
+    /** Run @p cb when complete (immediately if already complete); a
+        null @p cb runs nothing. */
     void
-    whenDone(Callback cb)
+    whenDone(EventQueue::Callback cb)
     {
+        if (!cb)
+            return;
         if (_done)
             cb();
         else
@@ -63,7 +67,7 @@ class Latch
 
   private:
     bool _done = false;
-    std::vector<Callback> _waiters;
+    std::vector<EventQueue::Callback> _waiters;
 };
 
 /**

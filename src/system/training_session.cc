@@ -954,7 +954,7 @@ TrainingSession::finishWhenQuiescent()
 
 void
 TrainingSession::launchCollective(const SyncOp &sync,
-                                  CollectiveEngine::Handler on_done)
+                                  EventQueue::Callback on_done)
 {
     if (_ownsAllDevices) {
         _system.collectives().launch(sync.kind, sync.bytes,

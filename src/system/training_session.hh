@@ -305,7 +305,7 @@ class TrainingSession
     /// full rings for whole-machine sessions, the restricted sub-rings
     /// otherwise).
     void launchCollective(const SyncOp &sync,
-                          CollectiveEngine::Handler on_done);
+                          EventQueue::Callback on_done);
 
     /// Device @p dev's op program (the shared SPMD program for dp/mp,
     /// the stage program for pipeline).

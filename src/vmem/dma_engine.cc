@@ -31,7 +31,8 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
 
 void
 DmaEngine::transfer(double bytes, DmaDirection direction,
-                    const std::vector<double> &fractions, Handler on_done)
+                    const std::vector<double> &fractions,
+                    EventQueue::Callback on_done)
 {
     if (!hasBackingStore())
         fatal("dma engine '%s': transfer without a backing store",
@@ -42,9 +43,7 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
     CausalScope causal_scope(eventQueue().causalRecorder(),
                              WaitKind::Dma, CausalCtx::Dma, name());
     if (bytes <= 0.0) {
-        eventQueue().scheduleAfter(
-            0, std::move(on_done),
-            EventLabel::dotted(name(), "empty_dma"));
+        completeEmpty(std::move(on_done), "empty_dma");
         return;
     }
     if (!fractions.empty() && fractions.size() != _paths.size())
@@ -75,13 +74,21 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
                          bytes * f});
     }
     if (_legs.empty()) {
-        eventQueue().scheduleAfter(
-            0, std::move(on_done),
-            EventLabel::dotted(name(), "zero_fraction_dma"));
+        completeEmpty(std::move(on_done), "zero_fraction_dma");
         return;
     }
     _flows.send(_legs.data(), _legs.size(), _chunkBytes,
                 std::move(on_done));
+}
+
+void
+DmaEngine::completeEmpty(EventQueue::Callback on_done, const char *what)
+{
+    // Scheduled even with nothing to run: the event stream does not
+    // depend on whether the caller passed a completion.
+    eventQueue().scheduleAfter(
+        0, on_done ? std::move(on_done) : EventQueue::Callback([] {}),
+        EventLabel::dotted(name(), what));
 }
 
 } // namespace mcdla

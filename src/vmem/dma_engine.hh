@@ -9,13 +9,12 @@
  * how much of each payload rides each path; within a path, chunks
  * round-robin across its parallel routes (one per ring link). Each
  * transfer is one multi-leg flow of the engine's own FlowPool, so its
- * in-flight state is released with the engine.
+ * in-flight state, completion included, is released with the engine.
  */
 
 #ifndef MCDLA_VMEM_DMA_ENGINE_HH
 #define MCDLA_VMEM_DMA_ENGINE_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,8 +35,6 @@ enum class DmaDirection
 class DmaEngine : public SimObject
 {
   public:
-    using Handler = std::function<void()>;
-
     /**
      * @param eq Driving event queue.
      * @param name Instance name.
@@ -62,14 +59,18 @@ class DmaEngine : public SimObject
      * @param fractions Per-path traffic shares (must align with
      *                  pathCount() and sum to ~1); empty means "spread
      *                  evenly across all paths".
-     * @param on_done Completion callback.
+     * @param on_done Completion callback; null runs nothing (a
+     *        transfer with nothing to move still schedules its
+     *        completion event).
      */
     void transfer(double bytes, DmaDirection direction,
-                  const std::vector<double> &fractions, Handler on_done);
+                  const std::vector<double> &fractions,
+                  EventQueue::Callback on_done);
 
     /** Convenience: even spread. */
     void
-    transfer(double bytes, DmaDirection direction, Handler on_done)
+    transfer(double bytes, DmaDirection direction,
+             EventQueue::Callback on_done)
     {
         transfer(bytes, direction, {}, std::move(on_done));
     }
@@ -78,6 +79,10 @@ class DmaEngine : public SimObject
     double bytesPrefetched() const { return _bytesPrefetched; }
 
   private:
+    /** Complete a transfer that moves nothing in a zero-delay event
+        labelled @p what. */
+    void completeEmpty(EventQueue::Callback on_done, const char *what);
+
     std::vector<VmemPath> _paths;
     double _chunkBytes;
     FlowPool _flows;

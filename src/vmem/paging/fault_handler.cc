@@ -61,20 +61,20 @@ FaultHandler::wireBytes(LayerId layer) const
 
 void
 FaultHandler::transfer(LayerId layer, DmaDirection direction,
-                       const char *label, Handler on_drain)
+                       const char *label, Latch *latch,
+                       std::uint64_t epoch, EventQueue::Callback on_drain)
 {
     const double bytes = wireBytes(layer);
-    const bool tracked = _tracker != nullptr;
     const Tick issued = _runtime.dma().now();
-    if (tracked)
+    if (_tracker)
         _tracker->begin(issued);
     ++_outstanding;
     _runtime.memcpyAsync(
         _remotePtrs.at(layer), bytes, direction,
-        [this, tracked, issued, layer, label, direction,
-         on_drain = std::move(on_drain)] {
+        [this, issued, layer, label, direction, latch, epoch,
+         on_drain = std::move(on_drain)]() mutable {
             const Tick now = _runtime.dma().now();
-            if (tracked) {
+            if (_tracker) {
                 _tracker->end(now);
                 if (_trace) {
                     // Invariant guards: the span must lie entirely in
@@ -113,6 +113,8 @@ FaultHandler::transfer(LayerId layer, DmaDirection direction,
             }
             if (on_drain)
                 on_drain();
+            if (latch && epoch == _epoch)
+                latch->complete();
             if (simcheck::enabled() && _outstanding == 0)
                 simcheck::fail(
                     "fault-handler", now,
@@ -120,9 +122,9 @@ FaultHandler::transfer(LayerId layer, DmaDirection direction,
                     "transfer on record (count underflow)",
                     layer);
             if (--_outstanding == 0 && !_idleWaiters.empty()) {
-                std::vector<Handler> waiters;
+                std::vector<EventQueue::Callback> waiters;
                 waiters.swap(_idleWaiters);
-                for (Handler &waiter : waiters)
+                for (EventQueue::Callback &waiter : waiters)
                     waiter();
             }
         });
@@ -140,8 +142,10 @@ FaultHandler::simcheckExpectQuiescent(const char *when) const
 }
 
 void
-FaultHandler::whenDmaIdle(Handler cb)
+FaultHandler::whenDmaIdle(EventQueue::Callback cb)
 {
+    if (!cb)
+        return;
     if (_outstanding == 0)
         cb();
     else
@@ -149,25 +153,19 @@ FaultHandler::whenDmaIdle(Handler cb)
 }
 
 void
-FaultHandler::writeback(LayerId layer, Handler on_drain)
+FaultHandler::writeback(LayerId layer, EventQueue::Callback on_drain)
 {
     const auto idx = static_cast<std::size_t>(layer);
     if (idx >= _writebackArmed.size() || !_writebackArmed[idx])
         panic("offload of layer %d lacks a pre-created latch", layer);
-    Latch *latch = &_writebackLatches[idx];
-    const std::uint64_t epoch = _epoch;
     transfer(layer, DmaDirection::LocalToRemote, "offload ",
-             [this, latch, epoch, on_drain = std::move(on_drain)] {
-                 if (on_drain)
-                     on_drain();
-                 if (epoch == _epoch)
-                     latch->complete();
-             });
+             &_writebackLatches[idx], _epoch, std::move(on_drain));
 }
 
 bool
-FaultHandler::fill(LayerId layer, bool demand, Handler on_issue,
-                   Handler on_drain)
+FaultHandler::fill(LayerId layer, bool demand,
+                   EventQueue::Callback on_issue,
+                   EventQueue::Callback on_drain)
 {
     const auto idx = static_cast<std::size_t>(layer);
     if (idx < _fillRequested.size() && _fillRequested[idx])
@@ -176,25 +174,19 @@ FaultHandler::fill(LayerId layer, bool demand, Handler on_issue,
         panic("prefetch of layer %d before its offload latch exists",
               layer);
     _fillRequested[idx] = 1;
-    Latch *latch = &_fillLatches[idx];
-    const std::uint64_t epoch = _epoch;
 
     // Write-before-read: the fill DMA starts only once the writeback
     // of the same group has fully drained.
-    _writebackLatches[idx].whenDone([this, layer, demand, latch, epoch,
-                                     on_issue = std::move(on_issue),
-                                     on_drain = std::move(on_drain)] {
-        if (on_issue)
-            on_issue();
-        transfer(layer, DmaDirection::RemoteToLocal,
-                 demand ? "fault " : "prefetch ",
-                 [this, latch, epoch, on_drain] {
-                     if (on_drain)
-                         on_drain();
-                     if (epoch == _epoch)
-                         latch->complete();
-                 });
-    });
+    _writebackLatches[idx].whenDone(
+        [this, layer, demand, latch = &_fillLatches[idx], epoch = _epoch,
+         on_issue = std::move(on_issue),
+         on_drain = std::move(on_drain)]() mutable {
+            if (on_issue)
+                on_issue();
+            transfer(layer, DmaDirection::RemoteToLocal,
+                     demand ? "fault " : "prefetch ", latch, epoch,
+                     std::move(on_drain));
+        });
     return true;
 }
 
@@ -208,17 +200,20 @@ FaultHandler::fillLatch(LayerId layer) const
 }
 
 void
-FaultHandler::issueWritebackDma(LayerId layer, Handler on_drain)
+FaultHandler::issueWritebackDma(LayerId layer,
+                                EventQueue::Callback on_drain)
 {
-    transfer(layer, DmaDirection::LocalToRemote, "evict ",
+    transfer(layer, DmaDirection::LocalToRemote, "evict ", nullptr, 0,
              std::move(on_drain));
 }
 
 void
-FaultHandler::issueFillDma(LayerId layer, bool demand, Handler on_drain)
+FaultHandler::issueFillDma(LayerId layer, bool demand,
+                           EventQueue::Callback on_drain)
 {
     transfer(layer, DmaDirection::RemoteToLocal,
-             demand ? "fault " : "prefetch ", std::move(on_drain));
+             demand ? "fault " : "prefetch ", nullptr, 0,
+             std::move(on_drain));
 }
 
 } // namespace mcdla

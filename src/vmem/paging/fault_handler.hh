@@ -15,6 +15,12 @@
  *    the bytes and reports drain — demand-paged policies sequence
  *    transfers through the PageTable state machine instead.
  *
+ * Every DMA of either level completes through one closure built in
+ * transfer(): trace and tracker bookkeeping, the caller's drain
+ * callback, the plan-driven latch (when the epoch still matches), then
+ * the idle waiters. Callbacks are EventQueue::Callbacks; a null one
+ * runs nothing.
+ *
  * Trace spans keep the original labels for plan-driven traffic
  * ("offload"/"prefetch") and distinguish pressure-driven traffic
  * ("evict"/"fault").
@@ -24,7 +30,6 @@
 #define MCDLA_VMEM_PAGING_FAULT_HANDLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,8 +49,6 @@ class TraceSink;
 class FaultHandler
 {
   public:
-    using Handler = std::function<void()>;
-
     /**
      * @param runtime The device's Table I runtime.
      * @param remote_ptrs Backing-store allocation per page group.
@@ -83,7 +86,7 @@ class FaultHandler
      * Issue the writeback DMA of @p layer, completing its pre-created
      * latch on drain. @p on_drain runs first.
      */
-    void writeback(LayerId layer, Handler on_drain);
+    void writeback(LayerId layer, EventQueue::Callback on_drain);
 
     /**
      * Request the fill of @p layer, chaining on its (possibly future)
@@ -96,8 +99,8 @@ class FaultHandler
      * @return true when a new fill was created; false when one already
      *         existed.
      */
-    bool fill(LayerId layer, bool demand, Handler on_issue,
-              Handler on_drain);
+    bool fill(LayerId layer, bool demand, EventQueue::Callback on_issue,
+              EventQueue::Callback on_drain);
 
     /** The layer's fill latch; nullptr when no fill was requested. */
     Latch *fillLatch(LayerId layer) const;
@@ -108,10 +111,11 @@ class FaultHandler
     /// @{
 
     /** Issue a pressure-driven writeback DMA now. */
-    void issueWritebackDma(LayerId layer, Handler on_drain);
+    void issueWritebackDma(LayerId layer, EventQueue::Callback on_drain);
 
     /** Issue a fill DMA now. */
-    void issueFillDma(LayerId layer, bool demand, Handler on_drain);
+    void issueFillDma(LayerId layer, bool demand,
+                      EventQueue::Callback on_drain);
 
     /// @}
 
@@ -127,7 +131,7 @@ class FaultHandler
      * device handback on this: destroying the pager with a DMA in
      * flight would dangle the completion callback.
      */
-    void whenDmaIdle(Handler cb);
+    void whenDmaIdle(EventQueue::Callback cb);
 
     /**
      * SimCheck: panic (SimCheck[fault-handler]) unless every DMA has
@@ -142,8 +146,14 @@ class FaultHandler
 
   private:
     double wireBytes(LayerId layer) const;
+
+    /**
+     * Issue the DMA of @p layer. On drain, run @p on_drain, then
+     * complete @p latch if it is set and @p epoch is still current.
+     */
     void transfer(LayerId layer, DmaDirection direction,
-                  const char *label, Handler on_drain);
+                  const char *label, Latch *latch, std::uint64_t epoch,
+                  EventQueue::Callback on_drain);
 
     VmemRuntime &_runtime;
     const std::map<LayerId, RemotePtr> &_remotePtrs;
@@ -181,7 +191,7 @@ class FaultHandler
     std::uint64_t _epoch = 0;
     /** In-flight transfers (writebacks can trail the compute program). */
     std::uint64_t _outstanding = 0;
-    std::vector<Handler> _idleWaiters;
+    std::vector<EventQueue::Callback> _idleWaiters;
 };
 
 } // namespace mcdla

@@ -127,7 +127,7 @@ class DevicePager
 
     /** Run @p cb when the last in-flight DMA drains (or immediately). */
     void
-    whenDmaIdle(FaultHandler::Handler cb)
+    whenDmaIdle(EventQueue::Callback cb)
     {
         _fault.whenDmaIdle(std::move(cb));
     }

@@ -32,7 +32,8 @@ VmemRuntime::freeRemote(RemotePtr ptr)
 
 void
 VmemRuntime::memcpyAsync(RemotePtr ptr, double bytes,
-                         DmaDirection direction, Handler on_done)
+                         DmaDirection direction,
+                         EventQueue::Callback on_done)
 {
     const Placement &p = placement(ptr);
     if (bytes > static_cast<double>(p.bytes))

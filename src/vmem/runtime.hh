@@ -35,8 +35,6 @@ constexpr RemotePtr invalidRemotePtr = 0;
 class VmemRuntime
 {
   public:
-    using Handler = DmaEngine::Handler;
-
     /**
      * @param space The device's enlarged address space (Fig 10).
      * @param dma The device's DMA engine.
@@ -72,7 +70,7 @@ class VmemRuntime
      * @param on_done Completion callback.
      */
     void memcpyAsync(RemotePtr ptr, double bytes, DmaDirection direction,
-                     Handler on_done);
+                     EventQueue::Callback on_done);
 
     /** Placement of a live allocation. */
     const Placement &placement(RemotePtr ptr) const;

@@ -104,6 +104,19 @@ TEST(Collective, TracksLaunchedBytesAndOps)
     EXPECT_EQ(engine.opsCompleted(), 2u);
 }
 
+TEST(Collective, MoveOnlyCompletion)
+{
+    EventQueue eq;
+    auto fab = uniformRing(eq, 4, 25.0 * kGB, 0);
+    CollectiveEngine engine(eq, "nccl", *fab);
+    auto owned = std::make_unique<int>(7);
+    int seen = 0;
+    engine.launch(CollectiveKind::AllReduce, 1e6,
+                  [&seen, owned = std::move(owned)] { seen = *owned; });
+    eq.run();
+    EXPECT_EQ(seen, 7);
+}
+
 TEST(Collective, MalformedRingsAreRejected)
 {
     // A ring needs one non-empty route per stage.

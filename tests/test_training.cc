@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/simulator.hh"
 #include "sim/logging.hh"
+#include "system/latch.hh"
 #include "system/training_session.hh"
 #include "workloads/benchmarks.hh"
 
@@ -30,6 +32,29 @@ runOnce(SystemDesign design, const Network &net, ParallelMode mode,
     System system(eq, cfg);
     TrainingSession session(system, net, mode, batch);
     return session.run();
+}
+
+// ---------------------------------------------------------------- Latch
+
+TEST(Latch, RunsWaitersOnceInOrder)
+{
+    Latch latch;
+    std::vector<int> order;
+    latch.whenDone([&] { order.push_back(1); });
+    latch.whenDone([&] { order.push_back(2); });
+    EXPECT_TRUE(order.empty());
+    latch.complete();
+    latch.whenDone([&] { order.push_back(3); });
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Latch, NullWaiterRunsNothing)
+{
+    Latch latch;
+    latch.whenDone(nullptr);
+    latch.complete();
+    latch.whenDone(nullptr);
+    EXPECT_TRUE(latch.done());
 }
 
 // --------------------------------------------------------- basic sanity

@@ -181,6 +181,27 @@ TEST_F(DmaTest, ZeroByteTransferCompletes)
     EXPECT_TRUE(done);
 }
 
+TEST_F(DmaTest, ZeroByteTransferWithoutCompletion)
+{
+    // Nothing to run, but the completion event is still scheduled.
+    DmaEngine dma(eq, "dma0", fabric->vmemPaths(0));
+    dma.transfer(0.0, DmaDirection::LocalToRemote, nullptr);
+    EXPECT_EQ(eq.pendingCount(), 1u);
+    eq.run();
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST_F(DmaTest, MoveOnlyCompletion)
+{
+    DmaEngine dma(eq, "dma0", fabric->vmemPaths(0));
+    auto owned = std::make_unique<int>(7);
+    int seen = 0;
+    dma.transfer(1e6, DmaDirection::LocalToRemote,
+                 [&seen, owned = std::move(owned)] { seen = *owned; });
+    eq.run();
+    EXPECT_EQ(seen, 7);
+}
+
 TEST_F(DmaTest, AbandonedTransferReleasesItsCompletion)
 {
     // An engine destroyed mid-transfer takes its flows' completion
