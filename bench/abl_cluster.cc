@@ -166,12 +166,12 @@ main(int argc, char **argv)
                  "while the shared fabric prices in their contention.\n";
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         job_rows.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << '\n';
     }
     if (!opts.getString("pool-csv").empty()) {
-        std::ofstream out(opts.getString("pool-csv"));
+        std::ofstream out = openOutput(opts.getString("pool-csv"));
         pool_rows.writeCsv(out);
         std::cout << "wrote " << opts.getString("pool-csv") << '\n';
     }

@@ -187,7 +187,7 @@ main(int argc, char **argv)
                  "binding dependencies keep binding)\n";
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         rows.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << " ("
                   << rows.rowCount() << " rows)\n";

@@ -171,7 +171,7 @@ main(int argc, char **argv)
                  "PCIe.\n";
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         table_rows.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << '\n';
     }

@@ -241,7 +241,7 @@ main(int argc, char **argv)
                  "gang's paging slows, queue depths cannot.\n";
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         rows.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << '\n';
     }

@@ -154,7 +154,7 @@ main(int argc, char **argv)
                  "fabrics.\n";
 
     if (!opts.getString("csv").empty()) {
-        std::ofstream out(opts.getString("csv"));
+        std::ofstream out = openOutput(opts.getString("csv"));
         rows.writeCsv(out);
         std::cout << "\nwrote " << opts.getString("csv") << '\n';
     }

@@ -18,6 +18,15 @@
 namespace mcdla
 {
 
+std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot open '%s' for writing", path.c_str());
+    return out;
+}
+
 double
 percentile(std::vector<double> values, double p)
 {

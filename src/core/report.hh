@@ -13,6 +13,7 @@
 #define MCDLA_CORE_REPORT_HH
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <ostream>
 #include <string>
@@ -28,6 +29,9 @@ namespace mcdla
 
 class System;
 struct IterationResult;
+
+/** Open @p path for writing, or stop with one fatal line naming it. */
+std::ofstream openOutput(const std::string &path);
 
 /** A heterogeneous table cell. */
 using ReportValue = std::variant<std::string, double, std::int64_t>;

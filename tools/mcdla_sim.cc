@@ -153,16 +153,6 @@ suffixedPath(const std::string &path, const std::string &suffix)
     return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
-/** Open @p path for writing, or stop with one line naming it. */
-std::ofstream
-openOutput(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    return out;
-}
-
 /** Write the trace/metrics/causal files and the profiler reports. */
 void
 writeObserverOutputs(const OptionParser &opts, Observers &obs,
