@@ -128,7 +128,7 @@ class CollectiveEngine : public SimObject
      * @param kind Operation.
      * @param total_bytes Synchronization payload (the full message; for
      *        all-reduce/all-gather this is the per-device tensor size).
-     * @param on_done Fires when every ring completes.
+     * @param on_done Fires when the operation completes.
      * @param root Root device for broadcast (ignored otherwise).
      */
     void launch(CollectiveKind kind, double total_bytes,
@@ -166,15 +166,19 @@ class CollectiveEngine : public SimObject
     {
         EventQueue::Callback done;
         CollectiveKind kind = CollectiveKind::AllReduce;
-        double bytes = 0.0; ///< Payload; each ring moves its share.
+        /** Payload; each ring of the ring phase moves its share. */
+        double bytes = 0.0;
         int root = 0;
         std::vector<Round> before;
         std::vector<const RingPath *> rings;
         std::vector<Round> after;
-        RingPath leaders; ///< The hierarchical leader ring.
-        bool afterRings = false; ///< Rounds run from `after`.
+        /** The hierarchical algorithm's leader ring. */
+        RingPath leaders;
+        /** Whether the ring phase has started (rounds run from after). */
+        bool afterRings = false;
         std::size_t ringsLeft = 0;
-        Tick started = 0; ///< Of the current round or ring phase.
+        /** Start of the current round or ring phase (trace spans). */
+        Tick started = 0;
     };
 
     /** One ring's share of an operation in flight. */

@@ -15,11 +15,8 @@
  *    the bytes and reports drain — demand-paged policies sequence
  *    transfers through the PageTable state machine instead.
  *
- * Every DMA of either level completes through one closure built in
- * transfer(): trace and tracker bookkeeping, the caller's drain
- * callback, the plan-driven latch (when the epoch still matches), then
- * the idle waiters. Callbacks are EventQueue::Callbacks; a null one
- * runs nothing.
+ * Both levels issue through transfer(), whose one completion closure
+ * also completes the plan-driven latch. A null callback runs nothing.
  *
  * Trace spans keep the original labels for plan-driven traffic
  * ("offload"/"prefetch") and distinguish pressure-driven traffic

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <vector>
 
 #include "core/experiment.hh"
 #include "core/simulator.hh"
@@ -35,18 +34,6 @@ runOnce(SystemDesign design, const Network &net, ParallelMode mode,
 }
 
 // ---------------------------------------------------------------- Latch
-
-TEST(Latch, RunsWaitersOnceInOrder)
-{
-    Latch latch;
-    std::vector<int> order;
-    latch.whenDone([&] { order.push_back(1); });
-    latch.whenDone([&] { order.push_back(2); });
-    EXPECT_TRUE(order.empty());
-    latch.complete();
-    latch.whenDone([&] { order.push_back(3); });
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
 
 TEST(Latch, NullWaiterRunsNothing)
 {
