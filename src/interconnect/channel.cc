@@ -35,14 +35,13 @@ Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
 }
 
 void
-Channel::pushQueue(const Chunk &chunk, bool waited,
-                   std::uint8_t causal_ctx)
+Channel::pushQueue(const Chunk &chunk, std::uint8_t causal_ctx)
 {
     ++_queueDepth;
     if (_queue.size() != 0) {
         Pending &tail = _queue[_queue.size() - 1];
-        if (tail.chunk == chunk && tail.waited == waited
-            && tail.causalCtx == causal_ctx && tail.count != UINT32_MAX) {
+        if (tail.chunk == chunk && tail.causalCtx == causal_ctx
+            && tail.count != UINT32_MAX) {
             ++tail.count;
             return;
         }
@@ -50,22 +49,7 @@ Channel::pushQueue(const Chunk &chunk, bool waited,
     Pending &slot = _queue.pushBack();
     slot.chunk = chunk;
     slot.count = 1;
-    slot.waited = waited;
     slot.causalCtx = causal_ctx;
-}
-
-Channel::Pending
-Channel::popQueue()
-{
-    --_queueDepth;
-    Pending &head = _queue[0];
-    Pending req = head;
-    req.count = 1;
-    if (head.count > 1)
-        --head.count;
-    else
-        _queue.popFront();
-    return req;
 }
 
 void
@@ -85,16 +69,18 @@ void
 Channel::enqueue(const Chunk &chunk, std::uint8_t causal_ctx)
 {
     _conservedEnqueued += chunk.bytes;
-    _conservedQueued += chunk.bytes;
-    pushQueue(chunk, _busy, causal_ctx);
+    if (_busy) {
+        _conservedQueued += chunk.bytes;
+        pushQueue(chunk, causal_ctx);
+        _peakQueueDepth = std::max(_peakQueueDepth, _queueDepth);
+    } else {
+        // An idle channel's FIFO is empty: start at once. Only genuine
+        // waiters count, so an uncontended channel reports a peak
+        // depth of 0.
+        start(chunk, WaitKind::ChanXfer, causal_ctx);
+    }
     if (simcheck::enabled())
         simcheckVerifyConservation();
-    // Only count genuine waiters: on an idle channel the transfer
-    // starts immediately, so an uncontended channel reports 0.
-    if (_busy)
-        _peakQueueDepth = std::max(_peakQueueDepth, _queueDepth);
-    else
-        startNext();
 }
 
 void
@@ -108,26 +94,39 @@ Channel::startNext()
             arm(_arrivals[0]);
         return;
     }
-    _busy = true;
-    const Pending req = popQueue();
-    const double bytes = req.chunk.bytes;
-    _conservedQueued -= bytes;
-    _conservedWire += bytes;
+    // Take one transfer off the head train.
+    --_queueDepth;
+    Pending &head = _queue[0];
+    const Chunk chunk = head.chunk;
+    const std::uint8_t causal_ctx = head.causalCtx;
+    if (--head.count == 0)
+        _queue.popFront();
+    _conservedQueued -= chunk.bytes;
+    start(chunk, WaitKind::ChanQueue, causal_ctx);
+}
 
-    const Tick occupancy = transferTicks(bytes, _bandwidth);
-    _busyTicks += occupancy;
+void
+Channel::start(const Chunk &chunk, WaitKind wait, std::uint8_t causal_ctx)
+{
+    _busy = true;
+    const double bytes = chunk.bytes;
+    _conservedWire += bytes;
+    if (bytes != _occupancyBytes) {
+        _occupancyBytes = bytes;
+        _occupancy = transferTicks(bytes, _bandwidth);
+    }
+    _busyTicks += _occupancy;
     _bytesTransferred += bytes;
     ++_transfers;
 
-    _xfer = req.chunk;
+    _xfer = chunk;
     // Causal tagging: the occupancy edge is chan_xfer (idle start) or
     // chan_queue (started after queueing), in the subsystem context
     // the transfer was submitted under.
-    CausalScope occupancy_scope(
-        eventQueue().causalRecorder(),
-        req.waited ? WaitKind::ChanQueue : WaitKind::ChanXfer,
-        CausalRecorder::ctxFromRaw(req.causalCtx), name());
-    eventQueue().scheduleOwned(now() + occupancy, _owner, kXferDone);
+    CausalScope occupancy_scope(eventQueue().causalRecorder(), wait,
+                                CausalRecorder::ctxFromRaw(causal_ctx),
+                                name());
+    eventQueue().scheduleOwned(now() + _occupancy, _owner, kXferDone);
 }
 
 void
@@ -164,12 +163,12 @@ Channel::deliver(const Chunk &chunk)
     const std::vector<Channel *> &channels = chunk.path->channels;
     const std::uint32_t pos =
         chunk.pos + 1 == channels.size() ? 0 : chunk.pos + 1;
-    const Chunk next{chunk.path, pos, chunk.left - 1, chunk.bytes};
     if (_latency == 0)
-        channels[pos]->submit(next);
+        channels[pos]->submit(
+            Chunk{chunk.path, pos, chunk.left - 1, chunk.bytes});
     else
-        channels[pos]->arrive(when, seq, next, origin.parent,
-                              origin.ctx);
+        channels[pos]->arrive(when, seq, chunk.path, pos, chunk.left - 1,
+                              chunk.bytes, origin.parent, origin.ctx);
 }
 
 void
@@ -205,23 +204,33 @@ Channel::countOff(ChunkPath &path, Tick when, std::uint64_t seq,
 }
 
 void
-Channel::arrive(Tick when, std::uint64_t seq, const Chunk &chunk,
+Channel::arrive(Tick when, std::uint64_t seq, ChunkPath *path,
+                std::uint32_t pos, std::uint32_t left, double bytes,
                 std::int64_t causal_parent, std::uint8_t causal_ctx)
 {
     // Keep key order: an append, unless upstreams of different
     // latency interleave.
     std::size_t at = _arrivals.size();
-    _arrivals.pushBack() =
-        Arrival{when, seq, chunk, causal_parent, causal_ctx, false};
+    _arrivals.pushBack();
     while (at > 0
            && (_arrivals[at - 1].when > when
                || (_arrivals[at - 1].when == when
                    && _arrivals[at - 1].seq > seq))) {
-        std::swap(_arrivals[at - 1], _arrivals[at]);
+        _arrivals[at] = _arrivals[at - 1];
         --at;
     }
+    Arrival &arrival = _arrivals[at];
+    arrival.when = when;
+    arrival.seq = seq;
+    arrival.chunk.path = path;
+    arrival.chunk.pos = pos;
+    arrival.chunk.left = left;
+    arrival.chunk.bytes = bytes;
+    arrival.causalParent = causal_parent;
+    arrival.causalCtx = causal_ctx;
+    arrival.armed = false;
     if (at == 0 && !_busy)
-        arm(_arrivals[0]);
+        arm(arrival);
 }
 
 void
@@ -262,9 +271,10 @@ Channel::admitDue()
                                    head.seq));
             return;
         }
-        const Arrival arrival = head;
+        const Chunk chunk = head.chunk;
+        const std::uint8_t causal_ctx = head.causalCtx;
         _arrivals.popFront();
-        enqueue(arrival.chunk, arrival.causalCtx);
+        enqueue(chunk, causal_ctx);
     }
 }
 

@@ -38,13 +38,20 @@
  * keeps the (tick, seq) key it had when each delivery was an event:
  * results are the same, with about a third fewer events.
  *
- * The FIFO is run-length encoded. Ring collectives and flows queue a
- * whole block of identical chunks on a channel at once, so a submit
- * whose chunk, wait kind and causal context equal the tail entry's just
- * bumps that entry's count, and the head hands out one transfer at a
- * time. Only adjacent submits merge, so FIFO order — and with it every
- * event — is exactly what one entry per transfer would give; the queue
- * just touches a few cache lines instead of one per waiting chunk.
+ * A chunk submitted to (or admitted by) an idle channel starts at
+ * once and never enters the FIFO, so every FIFO entry has waited. The
+ * FIFO is run-length encoded. Ring collectives and flows queue a whole
+ * block of identical chunks on a channel at once, so a submit whose
+ * chunk and causal context equal the tail entry's just bumps that
+ * entry's count, and the head hands out one transfer at a time. Only
+ * adjacent submits merge, so FIFO order — and with it every event — is
+ * exactly what one entry per transfer would give; the queue just
+ * touches a few cache lines instead of one per waiting chunk.
+ *
+ * The per-transfer records (Chunk, Pending, Arrival) are written in
+ * place, field by field, and read back the same way: copying one
+ * through a stack temporary right after writing it stalls the load on
+ * store forwarding (about a sixth of host time on perfbench's mp_grid).
  */
 
 #ifndef MCDLA_INTERCONNECT_CHANNEL_HH
@@ -53,6 +60,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/sim_object.hh"
@@ -61,6 +69,7 @@ namespace mcdla
 {
 
 class Channel;
+enum class WaitKind : std::uint8_t; // sim/causal.hh
 
 /**
  * The walk shared by a family of chunks (one flow, or one ring's share
@@ -125,6 +134,11 @@ struct Chunk
     }
 };
 
+// Every hop copies and compares Chunks; keep them three words.
+static_assert(sizeof(Chunk) == 24, "Chunk is a hot per-transfer record");
+static_assert(std::is_trivially_copyable_v<Chunk>,
+              "Chunk moves by plain copies");
+
 /**
  * A unidirectional, FIFO, fixed-bandwidth communication resource.
  *
@@ -153,9 +167,10 @@ class Channel : private EventOwner, public SimObject
     /**
      * Enqueue @p chunk, which must sit at this channel
      * (chunk.path->channels[chunk.pos] == this) and have positive
-     * bytes. It merges into the FIFO's tail entry when the chunk, the
-     * wait kind and the causal context all match. When it has crossed
-     * its last channel it is counted off its path.
+     * bytes. An idle channel starts it at once; a busy one queues it,
+     * merging it into the FIFO's tail entry when the chunk and the
+     * causal context match. When it has crossed its last channel it is
+     * counted off its path.
      */
     void submit(const Chunk &chunk);
 
@@ -236,9 +251,14 @@ class Channel : private EventOwner, public SimObject
     void appendOwnedLabel(unsigned kind, std::uint64_t seq,
                           std::string &out) const override;
 
-    /** Queue @p chunk as a submit does: ledger, train merge, start
-        on an idle channel, peak depth on a busy one. */
+    /** Take @p chunk as a submit does: ledger, then start it on an
+        idle channel, or queue it (train merge, peak depth) on a busy
+        one. */
     void enqueue(const Chunk &chunk, std::uint8_t causal_ctx);
+    /** Put @p chunk on the wire: occupancy, stats and its xfer_done,
+        tagged @p wait in the causal context it was submitted under. */
+    void start(const Chunk &chunk, WaitKind wait, std::uint8_t causal_ctx);
+    /** Start the FIFO's head, or go idle and arm the next arrival. */
     void startNext();
     /** The in-flight transfer's occupancy ended (xfer_done): deliver
         it, now or one latency later, and start the next. */
@@ -250,9 +270,11 @@ class Channel : private EventOwner, public SimObject
         run or schedule the path's completion after its last one. */
     void countOff(ChunkPath &path, Tick when, std::uint64_t seq,
                   std::int64_t causal_parent, std::uint8_t causal_ctx);
-    /** Take @p chunk, delivered to this channel at (@p when, @p seq),
-        into the arrivals; arm it if it leads on an idle channel. */
-    void arrive(Tick when, std::uint64_t seq, const Chunk &chunk,
+    /** Take the chunk (@p path, @p pos, @p left, @p bytes), delivered
+        to this channel at (@p when, @p seq), into the arrivals; arm it
+        if it leads on an idle channel. */
+    void arrive(Tick when, std::uint64_t seq, ChunkPath *path,
+                std::uint32_t pos, std::uint32_t left, double bytes,
                 std::int64_t causal_parent, std::uint8_t causal_ctx);
     /** Move every due arrival into the FIFO. Logically const: it only
         brings the FIFO up to the executing event, so the const
@@ -283,13 +305,13 @@ class Channel : private EventOwner, public SimObject
         T &
         operator[](std::size_t i)
         {
-            return _items[(_head + i) & (_items.size() - 1)];
+            return _items[(_head + i) & _mask];
         }
 
         const T &
         operator[](std::size_t i) const
         {
-            return _items[(_head + i) & (_items.size() - 1)];
+            return _items[(_head + i) & _mask];
         }
 
         /** Append a slot for the caller to fill (it holds a
@@ -297,16 +319,8 @@ class Channel : private EventOwner, public SimObject
         T &
         pushBack()
         {
-            if (_count == _items.size()) {
-                // Full (or never allocated): replay the ring in FIFO
-                // order into storage twice the size.
-                std::vector<T> grown(
-                    std::max<std::size_t>(8, 2 * _items.size()));
-                for (std::size_t i = 0; i < _count; ++i)
-                    grown[i] = std::move((*this)[i]);
-                _items.swap(grown);
-                _head = 0;
-            }
+            if (_count == _mask + 1)
+                grow();
             return (*this)[_count++];
         }
 
@@ -315,29 +329,47 @@ class Channel : private EventOwner, public SimObject
         void
         popFront()
         {
-            _head = (_head + 1) & (_items.size() - 1);
+            _head = (_head + 1) & _mask;
             --_count;
         }
 
       private:
+        /** Full (or never allocated): replay the ring in FIFO order
+            into storage twice the size. */
+        void
+        grow()
+        {
+            std::vector<T> grown(
+                std::max<std::size_t>(8, 2 * _items.size()));
+            for (std::size_t i = 0; i < _count; ++i)
+                grown[i] = std::move((*this)[i]);
+            _items.swap(grown);
+            _mask = _items.size() - 1;
+            _head = 0;
+        }
+
         std::vector<T> _items;
+        /** _items.size() - 1: all ones before the first growth, so
+            _count == _mask + 1 (wrapping to 0) reads "full" for an
+            unallocated ring too, without dividing by sizeof(T). */
+        std::size_t _mask = SIZE_MAX;
         std::size_t _head = 0;
         std::size_t _count = 0;
     };
 
-    /** One FIFO entry: a train of @c count identical transfers. */
+    /** One FIFO entry: a train of @c count identical transfers, each
+        queued behind a busy channel (a chan_queue wait when it
+        starts). */
     struct Pending
     {
         Chunk chunk{};
         std::uint32_t count = 1;
-        /** Queued behind a busy channel (vs started immediately) —
-            recorded as a chan_queue rather than chan_xfer wait. */
-        bool waited = false;
         /** CausalCtx at submit time (raw form), so a DMA transfer
             queued behind collective traffic keeps its own subsystem
             attribution when it finally starts. */
         std::uint8_t causalCtx = 0;
     };
+    static_assert(sizeof(Pending) <= 32, "Pending is a hot FIFO record");
 
     /** A chunk delivered to this channel but not yet admitted. */
     struct Arrival
@@ -352,14 +384,11 @@ class Channel : private EventOwner, public SimObject
         /** An arrive event is scheduled at (when, seq). */
         bool armed = false;
     };
+    static_assert(sizeof(Arrival) <= 56, "Arrival is a hot record");
 
     /** Append one transfer, merging it into the tail train when it
         matches. */
-    void pushQueue(const Chunk &chunk, bool waited,
-                   std::uint8_t causal_ctx);
-    /** Take one transfer off the head train. Precondition:
-        _queueDepth > 0. */
-    Pending popQueue();
+    void pushQueue(const Chunk &chunk, std::uint8_t causal_ctx);
     /** Schedule @p arrival's arrive event at its key. */
     void arm(Arrival &arrival);
 
@@ -375,6 +404,10 @@ class Channel : private EventOwner, public SimObject
     Chunk _xfer{};
     /** Delivered chunks not yet admitted, in (when, seq) order. */
     Ring<Arrival> _arrivals;
+    /** Occupancy of the last chunk size started: most chunks on a
+        channel are one size, so transferTicks() runs on a change. */
+    double _occupancyBytes = 0.0;
+    Tick _occupancy = 0;
 
     // Resettable totals; the "bytes" and "transfers" stats read them.
     double _bytesTransferred = 0.0;

@@ -47,6 +47,9 @@ struct EventItem
     std::uint32_t slot = 0;
 };
 
+// Every schedule and pop moves EventItems; a new field slows both.
+static_assert(sizeof(EventItem) == 24, "EventItem is the hot key record");
+
 /** True when @p a fires strictly before @p b. Written with bitwise
     operators so the compiler can evaluate it without branches. */
 inline bool

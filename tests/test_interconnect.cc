@@ -170,6 +170,45 @@ TEST(Channel, QueueDepthVisible)
     EXPECT_EQ(ch.queueDepth(), 0u);
 }
 
+TEST(Channel, OccupancyFollowsEachChunkSize)
+{
+    // Each channel caches the occupancy of the last chunk size it
+    // started; a size change, or another channel's bandwidth, must
+    // recompute it.
+    const double sizes[] = {100, 300, 100};
+    EventQueue eq;
+    Channel one(eq, "one", 3e9, 0);
+    Channel x(eq, "x", 3e9, 0);
+    Channel y(eq, "y", 7e9, 0);
+    TestPaths paths;
+    std::vector<Tick> one_done, xy_done;
+    for (double bytes : sizes)
+        paths.send({&one}, bytes, [&] { one_done.push_back(eq.now()); });
+    for (double bytes : sizes)
+        paths.send({&x, &y}, bytes, [&] { xy_done.push_back(eq.now()); });
+    eq.run();
+
+    std::vector<Tick> one_expected, xy_expected;
+    Tick one_end = 0, x_end = 0, y_end = 0, y_busy = 0;
+    for (double bytes : sizes) {
+        one_end += transferTicks(bytes, 3e9);
+        one_expected.push_back(one_end);
+        x_end += transferTicks(bytes, 3e9);
+        // y takes each chunk at x's xfer_done (no latency), or when
+        // it frees.
+        y_end = std::max(x_end, y_end) + transferTicks(bytes, 7e9);
+        xy_expected.push_back(y_end);
+        y_busy += transferTicks(bytes, 7e9);
+    }
+    EXPECT_EQ(one_done, one_expected);
+    EXPECT_EQ(one.busyTicks(), one_end);
+    EXPECT_EQ(xy_done, xy_expected);
+    EXPECT_EQ(x.busyTicks(), x_end);
+    EXPECT_EQ(y.busyTicks(), y_busy);
+    // The sizes really take different times on the two channels.
+    EXPECT_NE(transferTicks(100, 3e9), transferTicks(100, 7e9));
+}
+
 // --------------------------------------------------------- channel trains
 
 /** Per-step observations of one channel under a submit pattern. */
@@ -324,6 +363,90 @@ TEST(ChannelTrain, ConservationHoldsMidTrain)
     });
     EXPECT_EQ(completed, 3);
     EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 40 * 250.0);
+    EXPECT_EQ(simcheck::violationCount(), violations);
+    simcheck::setEnabled(was_enabled);
+    LogConfig::throwOnError = false;
+}
+
+TEST(ChannelTrain, FifoOrderSurvivesGrowthAfterWrap)
+{
+    // b's FIFO and its arrivals ring are power-of-two rings indexed
+    // through a mask. Leave both heads past slot 0, then queue more
+    // than eight entries in each so they grow while wrapped. Every
+    // chunk has a size of its own, so nothing merges.
+    EventQueue eq;
+    Channel a(eq, "a", 1e9, 1000 * ticksPerNs);
+    Channel b(eq, "b", 1e9, 0);
+    TestPaths paths;
+    std::vector<std::pair<Tick, int>> done;
+    int next_tag = 0;
+    // On an idle b: a blocker, then @p direct chunks submitted to b
+    // and @p via chunks over a -> b. a delivers them while b is still
+    // busy, so they wait in b's arrivals until the blocker's
+    // xfer_done admits them behind the direct ones. Returns the
+    // completions that order must give.
+    auto round = [&](int direct, int via) {
+        const Tick start = eq.now();
+        const double blocker = 20000; // 20 us: outlasts a's deliveries
+        paths.send({&b}, blocker);
+        std::vector<std::pair<Tick, int>> expected;
+        Tick end = start + transferTicks(blocker, 1e9);
+        auto queue = [&](std::vector<Channel *> channels, double bytes) {
+            const int tag = next_tag++;
+            paths.send(std::move(channels), bytes,
+                       [&, tag] { done.emplace_back(eq.now(), tag); });
+            end += transferTicks(bytes, 1e9);
+            expected.emplace_back(end, tag);
+        };
+        for (int i = 0; i < direct; ++i)
+            queue({&b}, 101 + next_tag);
+        EXPECT_EQ(b.queueTrains(), static_cast<std::size_t>(direct));
+        for (int i = 0; i < via; ++i)
+            queue({&a, &b}, 101 + next_tag);
+        eq.run();
+        return expected;
+    };
+    std::vector<std::pair<Tick, int>> expected = round(3, 3);
+    const std::vector<std::pair<Tick, int>> wrapped = round(10, 12);
+    expected.insert(expected.end(), wrapped.begin(), wrapped.end());
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(b.peakQueueDepth(), 22u);
+}
+
+TEST(ChannelTrain, ConservationHoldsAcrossIdleStarts)
+{
+    // Over a -> b with 50 ns of latency, b (4x faster) goes idle
+    // between chunks, so every arrival starts b directly without
+    // entering its FIFO. SimCheck re-checks both ledgers at every
+    // submit and delivery.
+    LogConfig::throwOnError = true;
+    const bool was_enabled = simcheck::enabled();
+    const std::uint64_t violations = simcheck::violationCount();
+    simcheck::setEnabled(true);
+    EventQueue eq;
+    Channel a(eq, "a", 1e9, 50 * ticksPerNs);
+    Channel b(eq, "b", 4e9, 50 * ticksPerNs);
+    TestPaths paths;
+    TestPath &path = paths.make({&a, &b});
+    Tick done = 0;
+    path.onComplete = [&] { done = eq.now(); };
+    EXPECT_NO_THROW({
+        for (int i = 0; i < 8; ++i)
+            TestPaths::send(path, 250);
+        for (int i = 0; i < 11; ++i)
+            eq.step();
+        a.simcheckVerifyConservation();
+        b.simcheckVerifyConservation();
+        eq.run();
+    });
+    // a serves 250 ns per chunk; the last chunk reaches b at 2050 ns
+    // and is delivered 62.5 ns + 50 ns later.
+    EXPECT_EQ(done, 2050 * ticksPerNs + transferTicks(250, 4e9)
+                        + 50 * ticksPerNs);
+    EXPECT_EQ(a.peakQueueDepth(), 7u);
+    EXPECT_EQ(b.peakQueueDepth(), 0u); // uncontended: nothing waited
+    EXPECT_DOUBLE_EQ(b.bytesTransferred(), 8 * 250.0);
+    EXPECT_EQ(b.busyTicks(), 8 * transferTicks(250, 4e9));
     EXPECT_EQ(simcheck::violationCount(), violations);
     simcheck::setEnabled(was_enabled);
     LogConfig::throwOnError = false;
