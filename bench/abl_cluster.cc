@@ -117,8 +117,8 @@ main(int argc, char **argv)
                     backfill_mean_jct = report.meanJctSec();
 
                 table.addRow(
-                    {schedulerToken(scheduler),
-                     poolAllocatorToken(allocator),
+                    {kSchedulerKinds.token(scheduler),
+                     kPoolAllocatorKinds.token(allocator),
                      TablePrinter::num(report.meanJctSec(), 4),
                      TablePrinter::num(
                          report.jctPercentileSec(99.0), 4),
@@ -132,8 +132,8 @@ main(int argc, char **argv)
 
                 for (const JobOutcome &job : report.jobs) {
                     std::vector<ReportValue> row = {
-                        rate, std::string(schedulerToken(scheduler)),
-                        std::string(poolAllocatorToken(allocator))};
+                        rate, std::string(kSchedulerKinds.token(scheduler)),
+                        std::string(kPoolAllocatorKinds.token(allocator))};
                     for (ReportValue &value :
                          ClusterReport::jobRow(job))
                         row.push_back(std::move(value));
@@ -143,8 +143,8 @@ main(int argc, char **argv)
                 for (std::size_t s = 0;
                      s < report.timeline.size(); ++s) {
                     std::vector<ReportValue> row = {
-                        rate, std::string(schedulerToken(scheduler)),
-                        std::string(poolAllocatorToken(allocator))};
+                        rate, std::string(kSchedulerKinds.token(scheduler)),
+                        std::string(kPoolAllocatorKinds.token(allocator))};
                     for (std::size_t c = 0;
                          c < ClusterReport::poolColumns().size(); ++c)
                         row.push_back(pool.cell(s, c));

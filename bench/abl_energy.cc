@@ -49,7 +49,7 @@ main()
             if (design == SystemDesign::McDlaB)
                 ppw_gain.push_back(e.perfPerWatt() / dc_ppw);
             table.addRow({
-                systemDesignName(design),
+                kSystemDesigns.name(design),
                 TablePrinter::num(r.iterationSeconds() * 1e3, 2),
                 TablePrinter::num(e.totalJoules(), 1),
                 TablePrinter::num(e.averageWatts(), 0),

@@ -72,7 +72,7 @@ main()
             }
             table.addRow(std::move(row));
         }
-        std::cout << "-- " << systemDesignName(design)
+        std::cout << "-- " << kSystemDesigns.name(design)
                   << " iteration time (ms) --\n";
         table.print(std::cout);
         std::cout << '\n';

@@ -75,7 +75,7 @@ main()
                           TablePrinter::num(tb * 1e3, 2),
                           TablePrinter::num(tb / tl, 3)});
         }
-        std::cout << "-- " << parallelModeName(mode) << " --\n";
+        std::cout << "-- " << kParallelModes.name(mode) << " --\n";
         table.print(std::cout);
         std::cout << "HarMean L/B performance: "
                   << TablePrinter::num(harmonicMean(ratios), 3)

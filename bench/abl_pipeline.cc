@@ -128,7 +128,7 @@ main(int argc, char **argv)
                         ParallelMode::Pipeline, kBatch, stages,
                         microbatches);
                     table.addRow(
-                        {systemDesignToken(design),
+                        {kSystemDesigns.token(design),
                          std::to_string(stages),
                          std::to_string(microbatches),
                          TablePrinter::num(
@@ -145,7 +145,7 @@ main(int argc, char **argv)
                              est.upperBoundSec() * 1e3, 2)});
                     table_rows.addRow(
                         {workload,
-                         std::string(systemDesignToken(design)),
+                         std::string(kSystemDesigns.token(design)),
                          static_cast<std::int64_t>(stages),
                          static_cast<std::int64_t>(microbatches),
                          r.iterationSeconds() * 1e3,

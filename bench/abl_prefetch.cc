@@ -102,7 +102,7 @@ main()
                 }
                 table.addRow(
                     {TablePrinter::num(gib, 0) + " GiB",
-                     prefetchPolicyToken(policy),
+                     kPrefetchPolicyKinds.token(policy),
                      TablePrinter::num(r.iterationSeconds() * 1e3, 2),
                      TablePrinter::num(r.breakdown.vmemSec * 1e3, 2),
                      TablePrinter::num(r.paging.stallSec * 1e3, 2),

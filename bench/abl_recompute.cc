@@ -50,7 +50,7 @@ main()
                           TablePrinter::num(traffic_on / 1e9, 2),
                           TablePrinter::num(traffic_off / 1e9, 2)});
         }
-        std::cout << "-- " << systemDesignName(design) << " --\n";
+        std::cout << "-- " << kSystemDesigns.name(design) << " --\n";
         table.print(std::cout);
         std::cout << '\n';
     }

@@ -116,8 +116,8 @@ main(int argc, char **argv)
         for (const RequestOutcome &outcome : report.requests) {
             std::vector<ReportValue> row = {
                 std::string(sweep),
-                std::string(batchPolicyToken(report.batchPolicy)),
-                std::string(routerToken(report.router)), rate,
+                std::string(kBatchPolicyKinds.token(report.batchPolicy)),
+                std::string(kRouterKinds.token(report.router)), rate,
                 static_cast<std::int64_t>(colocated ? 1 : 0)};
             for (ReportValue &value :
                  ServingReport::requestRow(outcome, slo_sec))
@@ -137,7 +137,8 @@ main(int argc, char **argv)
         TablePrinter table({"Policy", "MeanBatch", "Mean(ms)",
                             "P50(ms)", "P95(ms)", "P99(ms)", "SLOVio%",
                             "Thru(req/s)"});
-        for (BatchPolicyKind policy : allBatchPolicies()) {
+        for (const auto &row : kBatchPolicyKinds.all()) {
+            const BatchPolicyKind policy = row.value;
             ServingConfig cfg;
             cfg.base = baseScenario(seed);
             cfg.base.requestRate = rate;
@@ -153,7 +154,7 @@ main(int argc, char **argv)
                 continuous_p99 = report.latencyPercentileMs(99.0);
 
             table.addRow(
-                {batchPolicyToken(policy),
+                {row.token,
                  TablePrinter::num(report.meanBatchSamples(), 2),
                  TablePrinter::num(report.meanLatencyMs(), 2),
                  TablePrinter::num(report.latencyPercentileMs(50.0),
@@ -183,7 +184,8 @@ main(int argc, char **argv)
 
         TablePrinter table({"Router", "Mean(ms)", "P50(ms)", "P95(ms)",
                             "P99(ms)", "SLOVio%", "TrainJCT(s)"});
-        for (RouterKind router : allRouters()) {
+        for (const auto &row : kRouterKinds.all()) {
+            const RouterKind router = row.value;
             ServingConfig cfg;
             cfg.base = baseScenario(seed);
             cfg.base.requestRate = high_rate;
@@ -201,7 +203,7 @@ main(int argc, char **argv)
                 slo_p99 = p99;
 
             table.addRow(
-                {routerToken(router),
+                {row.token,
                  TablePrinter::num(report.meanLatencyMs(), 2),
                  TablePrinter::num(report.latencyPercentileMs(50.0),
                                    2),

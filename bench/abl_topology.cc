@@ -130,14 +130,14 @@ main(int argc, char **argv)
                     ? payload / (us * 1e-6) / 1e9
                     : 0.0;
                 table.addRow(
-                    {topologyKindToken(kind),
-                     collectiveAlgorithmToken(algo),
+                    {kTopologyKinds.token(kind),
+                     kCollectiveAlgorithms.token(algo),
                      TablePrinter::num(us, 1),
                      TablePrinter::num(algbw, 2), r.bottleneck,
                      TablePrinter::num(r.bottleneckUtil, 3)});
                 rows.addRow(
-                    {std::string(topologyKindToken(kind)),
-                     std::string(collectiveAlgorithmToken(algo)),
+                    {std::string(kTopologyKinds.token(kind)),
+                     std::string(kCollectiveAlgorithms.token(algo)),
                      payload / 1e6, us, algbw, r.bottleneck,
                      r.bottleneckUtil});
             }

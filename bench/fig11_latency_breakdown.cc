@@ -43,7 +43,7 @@ main()
                               ParallelMode::ModelParallel}) {
         std::cout << "=== Figure 11("
                   << (mode == ParallelMode::DataParallel ? "a" : "b")
-                  << "): latency breakdown, " << parallelModeName(mode)
+                  << "): latency breakdown, " << kParallelModes.name(mode)
                   << ", batch " << kDefaultBatch << " ===\n\n";
 
         for (const BenchmarkInfo &info : benchmarkCatalog()) {
@@ -61,7 +61,7 @@ main()
             for (std::size_t i = 0; i < rows.size(); ++i) {
                 const LatencyBreakdown &b = rows[i];
                 table.addRow({
-                    systemDesignName(kAllDesigns[i]),
+                    kSystemDesigns.name(kAllDesigns[i]),
                     TablePrinter::num(b.computeSec / tallest, 3),
                     TablePrinter::num(b.syncSec / tallest, 3),
                     TablePrinter::num(b.vmemSec / tallest, 3),

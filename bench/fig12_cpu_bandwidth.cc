@@ -66,7 +66,7 @@ main()
                           TablePrinter::num(avg_mp / kGB, 1),
                           TablePrinter::num(peak / kGB, 1)});
         }
-        std::cout << "-- " << systemDesignName(design) << " --\n";
+        std::cout << "-- " << kSystemDesigns.name(design) << " --\n";
         table.print(std::cout);
         std::cout << '\n';
     }

@@ -47,7 +47,7 @@ main()
         std::cout << "=== Figure 13("
                   << (mode == ParallelMode::DataParallel ? "a" : "b")
                   << "): normalized performance, "
-                  << parallelModeName(mode) << ", batch "
+                  << kParallelModes.name(mode) << ", batch "
                   << kDefaultBatch << " ===\n\n";
 
         TablePrinter table({"Workload", "DC-DLA", "HC-DLA", "MC-DLA(S)",
@@ -78,7 +78,7 @@ main()
 
         std::cout << "\nHarmonic-mean speedup over DC-DLA:\n";
         for (SystemDesign design : kAllDesigns) {
-            std::cout << "  " << systemDesignName(design) << ": "
+            std::cout << "  " << kSystemDesigns.name(design) << ": "
                       << TablePrinter::num(
                              harmonicMean(speedups[design]), 2)
                       << "x\n";

@@ -149,7 +149,7 @@ main()
         if (design == SystemDesign::DcDla)
             dc = r.iterationSeconds();
         table.addRow({
-            systemDesignName(design),
+            kSystemDesigns.name(design),
             formatBytes(static_cast<double>(exposed)),
             TablePrinter::num(r.iterationSeconds() * 1e3, 1),
             TablePrinter::num(dc / r.iterationSeconds(), 2),

@@ -79,7 +79,7 @@ main()
          {SchedulerKind::Fifo, SchedulerKind::Backfill}) {
         const ClusterReport report = runWith(scheduler);
 
-        std::cout << "-- scheduler: " << schedulerToken(scheduler)
+        std::cout << "-- scheduler: " << kSchedulerKinds.token(scheduler)
                   << " --\n";
         TablePrinter table({"Job", "Devs", "Pool(GiB)", "Arrive(s)",
                             "Queue(s)", "Service(s)", "JCT(s)",

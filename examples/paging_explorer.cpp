@@ -42,7 +42,7 @@ main()
 
         const IterationResult r = sim.run(sc);
         table.addRow(
-            {prefetchPolicyToken(policy),
+            {kPrefetchPolicyKinds.token(policy),
              TablePrinter::num(r.iterationSeconds() * 1e3, 2),
              TablePrinter::num(r.breakdown.vmemSec * 1e3, 2),
              TablePrinter::num(r.paging.hitRate() * 100.0, 1),

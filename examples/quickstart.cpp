@@ -34,7 +34,7 @@ main()
             dc_time = r.iterationSeconds();
 
         table.addRow({
-            systemDesignName(design),
+            kSystemDesigns.name(design),
             TablePrinter::num(r.iterationSeconds() * 1e3, 2),
             TablePrinter::num(r.breakdown.computeSec * 1e3, 2),
             TablePrinter::num(r.breakdown.syncSec * 1e3, 2),

@@ -16,34 +16,6 @@
 namespace mcdla
 {
 
-JobPlacement
-parseJobPlacement(const std::string &name)
-{
-    if (name == "first")
-        return JobPlacement::First;
-    if (name == "compact")
-        return JobPlacement::Compact;
-    fatal("unknown placement '%s' (%s)", name.c_str(),
-          jobPlacementTokenList().c_str());
-}
-
-const char *
-jobPlacementToken(JobPlacement placement)
-{
-    switch (placement) {
-      case JobPlacement::First: return "first";
-      case JobPlacement::Compact: return "compact";
-    }
-    panic("placement %d has no token", static_cast<int>(placement));
-}
-
-const std::string &
-jobPlacementTokenList()
-{
-    static const std::string list = "first, compact";
-    return list;
-}
-
 std::uint64_t
 Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
                       const SystemConfig &cfg,
@@ -663,7 +635,7 @@ ClusterReport::jobRow(const JobOutcome &job)
     const bool done = job.completed;
     return {job.spec.name,
             job.spec.workload,
-            std::string(parallelModeToken(job.spec.mode)),
+            std::string(kParallelModes.token(job.spec.mode)),
             job.spec.batch,
             static_cast<std::int64_t>(job.spec.devices),
             static_cast<std::int64_t>(job.spec.iterations),

@@ -58,6 +58,15 @@ enum class JobPlacement
     Compact,
 };
 
+inline constexpr TokenRow<JobPlacement> kJobPlacementRows[] = {
+    {JobPlacement::First, "first"},
+    {JobPlacement::Compact, "compact"},
+};
+
+/** --placement vocabulary. */
+inline constexpr TokenTable<JobPlacement> kJobPlacements{
+    "placement", kJobPlacementRows};
+
 /**
  * Pick @p count devices from the @p free set (ascending order) under
  * @p placement, using @p fabric's Router hop counts as the distance
@@ -76,15 +85,6 @@ std::vector<int> placeJobDevices(const Fabric &fabric,
  * allocator can exist. Shared by Cluster and ServingCluster.
  */
 std::uint64_t sharedPoolCapacityBytes(System &system);
-
-/** Parse a placement token ("first" / "compact"); fatal. */
-JobPlacement parseJobPlacement(const std::string &name);
-
-/** Canonical CLI token of a placement policy. */
-const char *jobPlacementToken(JobPlacement placement);
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &jobPlacementTokenList();
 
 /** Cluster-level configuration, with the run's observers. */
 struct ClusterConfig : ObserverSet

@@ -10,8 +10,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/scenario.hh"
 #include "sim/logging.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -20,119 +20,42 @@ std::string
 JobSpec::label() const
 {
     std::ostringstream os;
-    os << name << ':' << workload << '/' << parallelModeToken(mode)
+    os << name << ':' << workload << '/' << kParallelModes.token(mode)
        << "/b" << batch << "/d" << devices;
     return os.str();
 }
 
-namespace
-{
-
-std::int64_t
-parseInt(const std::string &value, const std::string &key, int line)
-{
-    try {
-        std::size_t used = 0;
-        const long long v = std::stoll(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal("job trace line %d: %s=%s is not an integer", line,
-              key.c_str(), value.c_str());
-    }
-}
-
-double
-parseDouble(const std::string &value, const std::string &key, int line)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal("job trace line %d: %s=%s is not a number", line,
-              key.c_str(), value.c_str());
-    }
-}
-
-} // anonymous namespace
-
 std::vector<JobSpec>
 parseJobTrace(std::istream &in)
 {
-    std::vector<JobSpec> jobs;
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (const auto hash = line.find('#'); hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream tokens(line);
-        std::string token;
-        JobSpec spec;
-        bool have_arrival = false;
-        bool have_workload = false;
-        bool any = false;
-        while (tokens >> token) {
-            const auto eq = token.find('=');
-            if (eq == std::string::npos)
-                fatal("job trace line %d: token '%s' is not key=value",
-                      line_no, token.c_str());
-            const std::string key = token.substr(0, eq);
-            const std::string value = token.substr(eq + 1);
-            any = true;
-            if (key == "arrival") {
-                spec.arrivalSec = parseDouble(value, key, line_no);
-                if (spec.arrivalSec < 0.0)
-                    fatal("job trace line %d: negative arrival time",
-                          line_no);
-                have_arrival = true;
-            } else if (key == "workload") {
-                spec.workload = value;
-                have_workload = true;
-            } else if (key == "mode") {
-                spec.mode = parseParallelMode(value);
-            } else if (key == "batch") {
-                spec.batch = parseInt(value, key, line_no);
-            } else if (key == "devices") {
-                spec.devices =
-                    static_cast<int>(parseInt(value, key, line_no));
-            } else if (key == "iterations") {
-                spec.iterations =
-                    static_cast<int>(parseInt(value, key, line_no));
-            } else if (key == "stages") {
-                spec.pipelineStages =
-                    static_cast<int>(parseInt(value, key, line_no));
-            } else if (key == "microbatches") {
-                spec.microbatches =
-                    static_cast<int>(parseInt(value, key, line_no));
-            } else if (key == "name") {
-                spec.name = value;
-            } else {
-                fatal("job trace line %d: unknown key '%s'", line_no,
-                      key.c_str());
-            }
-        }
-        if (!any)
-            continue; // blank / comment-only line
-        if (!have_arrival || !have_workload)
-            fatal("job trace line %d: arrival= and workload= are "
-                  "required", line_no);
-        if (spec.batch < 1 || spec.devices < 1 || spec.iterations < 1
-            || spec.microbatches < 1 || spec.pipelineStages < 0)
-            fatal("job trace line %d: non-positive job shape", line_no);
-        if (spec.name.empty())
-            spec.name = "job" + std::to_string(jobs.size());
-        jobs.push_back(std::move(spec));
-    }
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const JobSpec &a, const JobSpec &b) {
-                         return a.arrivalSec < b.arrivalSec;
-                     });
-    return jobs;
+    return readTrace<JobSpec>(
+        in, "job trace", "job",
+        [](JobSpec &spec, const TraceReader &trace,
+           const TraceReader::Field &field) {
+            if (field.key == "workload")
+                spec.workload = field.value;
+            else if (field.key == "mode")
+                spec.mode = kParallelModes.parse(field.value);
+            else if (field.key == "batch")
+                spec.batch = trace.number<std::int64_t>(field);
+            else if (field.key == "devices")
+                spec.devices = trace.number<int>(field);
+            else if (field.key == "iterations")
+                spec.iterations = trace.number<int>(field);
+            else if (field.key == "stages")
+                spec.pipelineStages = trace.number<int>(field);
+            else if (field.key == "microbatches")
+                spec.microbatches = trace.number<int>(field);
+            else
+                return false;
+            return true;
+        },
+        [](const JobSpec &spec, const TraceReader &trace) {
+            trace.require("workload");
+            if (spec.batch < 1 || spec.devices < 1 || spec.iterations < 1
+                || spec.microbatches < 1 || spec.pipelineStages < 0)
+                trace.fail("non-positive job shape");
+        });
 }
 
 std::vector<JobSpec>
@@ -149,7 +72,7 @@ jobSpecLine(const JobSpec &spec)
 {
     std::ostringstream os;
     os << "arrival=" << spec.arrivalSec << " workload=" << spec.workload
-       << " mode=" << parallelModeToken(spec.mode) << " batch="
+       << " mode=" << kParallelModes.token(spec.mode) << " batch="
        << spec.batch << " devices=" << spec.devices << " iterations="
        << spec.iterations;
     if (spec.mode == ParallelMode::Pipeline)

@@ -54,8 +54,9 @@ struct JobSpec
  *       iterations=2 name=resnet-a stages=0 microbatches=4
  *
  * Every key except `arrival` and `workload` is optional; '#' starts a
- * comment. Fatal on unknown keys or malformed values (line number in
- * the message). Jobs are returned sorted by arrival time.
+ * comment (readTrace in sim/text.hh). Values must be finite numbers
+ * that fit their field; anything else is one fatal line naming the
+ * trace line and key. Jobs are returned sorted by arrival time.
  */
 std::vector<JobSpec> parseJobTrace(std::istream &in);
 

@@ -13,34 +13,6 @@
 namespace mcdla
 {
 
-PoolAllocatorKind
-parsePoolAllocator(const std::string &name)
-{
-    if (name == "first-fit" || name == "firstfit" || name == "ff")
-        return PoolAllocatorKind::FirstFit;
-    if (name == "buddy")
-        return PoolAllocatorKind::Buddy;
-    fatal("unknown pool allocator '%s' (%s)", name.c_str(),
-          poolAllocatorTokenList().c_str());
-}
-
-const char *
-poolAllocatorToken(PoolAllocatorKind kind)
-{
-    switch (kind) {
-      case PoolAllocatorKind::FirstFit: return "first-fit";
-      case PoolAllocatorKind::Buddy: return "buddy";
-    }
-    panic("pool allocator %d has no token", static_cast<int>(kind));
-}
-
-const std::string &
-poolAllocatorTokenList()
-{
-    static const std::string list = "first-fit, buddy";
-    return list;
-}
-
 MemoryPoolAllocator::MemoryPoolAllocator(std::uint64_t capacity)
     : _capacity(capacity)
 {

@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/text.hh"
+
 namespace mcdla
 {
 
@@ -38,14 +40,14 @@ enum class PoolAllocatorKind
     Buddy,    ///< Power-of-two buddy system.
 };
 
-/** Parse an allocator token ("first-fit" / "buddy"); fatal. */
-PoolAllocatorKind parsePoolAllocator(const std::string &name);
+inline constexpr TokenRow<PoolAllocatorKind> kPoolAllocatorKindRows[] = {
+    {PoolAllocatorKind::FirstFit, "first-fit", "firstfit ff"},
+    {PoolAllocatorKind::Buddy, "buddy"},
+};
 
-/** Canonical CLI token of an allocator kind. */
-const char *poolAllocatorToken(PoolAllocatorKind kind);
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &poolAllocatorTokenList();
+/** --allocator vocabulary. */
+inline constexpr TokenTable<PoolAllocatorKind> kPoolAllocatorKinds{
+    "pool allocator", kPoolAllocatorKindRows};
 
 /** One carved-out block of the pool. */
 struct PoolBlock

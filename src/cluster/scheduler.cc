@@ -10,63 +10,6 @@
 namespace mcdla
 {
 
-SchedulerKind
-parseScheduler(const std::string &name)
-{
-    if (name == "fifo")
-        return SchedulerKind::Fifo;
-    if (name == "sjf" || name == "shortest-job-first")
-        return SchedulerKind::Sjf;
-    if (name == "backfill" || name == "best-fit"
-        || name == "bestfit-backfill")
-        return SchedulerKind::Backfill;
-    fatal("unknown scheduler '%s' (%s)", name.c_str(),
-          schedulerTokenList().c_str());
-}
-
-const char *
-schedulerToken(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::Fifo: return "fifo";
-      case SchedulerKind::Sjf: return "sjf";
-      case SchedulerKind::Backfill: return "backfill";
-    }
-    panic("scheduler %d has no token", static_cast<int>(kind));
-}
-
-const std::vector<SchedulerKind> &
-allSchedulers()
-{
-    static const std::vector<SchedulerKind> kinds = {
-        SchedulerKind::Fifo,
-        SchedulerKind::Sjf,
-        SchedulerKind::Backfill,
-    };
-    return kinds;
-}
-
-const char *
-schedulerDescription(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::Fifo:
-        return "strict arrival order; the head blocks the queue";
-      case SchedulerKind::Sjf:
-        return "shortest estimated solo runtime first";
-      case SchedulerKind::Backfill:
-        return "FIFO head, but short jobs that fit jump the queue";
-    }
-    panic("scheduler %d has no description", static_cast<int>(kind));
-}
-
-const std::string &
-schedulerTokenList()
-{
-    static const std::string list = "fifo, sjf, backfill";
-    return list;
-}
-
 bool
 JobScheduler::fits(const PendingJob &job, int free_devices,
                    const MemoryPoolAllocator &pool)

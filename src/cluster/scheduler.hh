@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cluster/pool_allocator.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -38,20 +39,18 @@ enum class SchedulerKind
     Backfill,
 };
 
-/** Parse a scheduler token ("fifo" / "sjf" / "backfill"); fatal. */
-SchedulerKind parseScheduler(const std::string &name);
+inline constexpr TokenRow<SchedulerKind> kSchedulerKindRows[] = {
+    {SchedulerKind::Fifo, "fifo", "", nullptr,
+     "strict arrival order; the head blocks the queue"},
+    {SchedulerKind::Sjf, "sjf", "shortest-job-first", nullptr,
+     "shortest estimated solo runtime first"},
+    {SchedulerKind::Backfill, "backfill", "best-fit bestfit-backfill",
+     nullptr, "FIFO head, but short jobs that fit jump the queue"},
+};
 
-/** Canonical CLI token of a scheduler kind. */
-const char *schedulerToken(SchedulerKind kind);
-
-/** Every scheduler the parser accepts. */
-const std::vector<SchedulerKind> &allSchedulers();
-
-/** One-line description (the --list-schedulers catalog). */
-const char *schedulerDescription(SchedulerKind kind);
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &schedulerTokenList();
+/** --scheduler vocabulary and the --list-schedulers catalog. */
+inline constexpr TokenTable<SchedulerKind> kSchedulerKinds{
+    "scheduler", kSchedulerKindRows};
 
 /** The scheduler's view of one waiting job. */
 struct PendingJob

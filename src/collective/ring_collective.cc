@@ -35,69 +35,7 @@ namespace
     twice the ring, must fit a Chunk's 32-bit count. */
 constexpr std::size_t kMaxRingChannels = UINT32_MAX / 2;
 
-struct AlgoToken
-{
-    CollectiveAlgorithm algo;
-    const char *token;
-};
-
-/** The one table every direction of the round-trip reads. */
-constexpr AlgoToken kAlgoTokens[] = {
-    {CollectiveAlgorithm::Ring, "ring"},
-    {CollectiveAlgorithm::Tree, "tree"},
-    {CollectiveAlgorithm::Hierarchical, "hierarchical"},
-};
-
 } // anonymous namespace
-
-CollectiveAlgorithm
-parseCollectiveAlgorithm(const std::string &name)
-{
-    for (const AlgoToken &entry : kAlgoTokens)
-        if (name == entry.token)
-            return entry.algo;
-    if (name == "hier") // common shorthand
-        return CollectiveAlgorithm::Hierarchical;
-    fatal("unknown collective algorithm '%s' (%s)", name.c_str(),
-          collectiveAlgorithmTokenList().c_str());
-}
-
-const char *
-collectiveAlgorithmToken(CollectiveAlgorithm algo)
-{
-    for (const AlgoToken &entry : kAlgoTokens)
-        if (entry.algo == algo)
-            return entry.token;
-    panic("collective algorithm %d has no token",
-          static_cast<int>(algo));
-}
-
-const std::vector<CollectiveAlgorithm> &
-allCollectiveAlgorithms()
-{
-    static const std::vector<CollectiveAlgorithm> algos = [] {
-        std::vector<CollectiveAlgorithm> all;
-        for (const AlgoToken &entry : kAlgoTokens)
-            all.push_back(entry.algo);
-        return all;
-    }();
-    return algos;
-}
-
-const std::string &
-collectiveAlgorithmTokenList()
-{
-    static const std::string list = [] {
-        std::string tokens;
-        for (const AlgoToken &entry : kAlgoTokens) {
-            if (!tokens.empty())
-                tokens += ", ";
-            tokens += entry.token;
-        }
-        return tokens;
-    }();
-    return list;
-}
 
 CollectiveEngine::CollectiveEngine(EventQueue &eq, std::string name,
                                    const Fabric &fabric,

@@ -30,6 +30,7 @@
 
 #include "interconnect/fabric.hh"
 #include "sim/sim_object.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -64,22 +65,15 @@ enum class CollectiveAlgorithm
     Hierarchical,
 };
 
-/// @name CollectiveAlgorithm round-trips (CLI vocabulary)
-/// @{
+inline constexpr TokenRow<CollectiveAlgorithm> kCollectiveRows[] = {
+    {CollectiveAlgorithm::Ring, "ring"},
+    {CollectiveAlgorithm::Tree, "tree"},
+    {CollectiveAlgorithm::Hierarchical, "hierarchical", "hier"},
+};
 
-/** Parse an algorithm token ("ring"/"tree"/"hierarchical"); fatal. */
-CollectiveAlgorithm parseCollectiveAlgorithm(const std::string &name);
-
-/** Canonical CLI token of an algorithm. */
-const char *collectiveAlgorithmToken(CollectiveAlgorithm algo);
-
-/** Every algorithm the parser accepts. */
-const std::vector<CollectiveAlgorithm> &allCollectiveAlgorithms();
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &collectiveAlgorithmTokenList();
-
-/// @}
+/** --collective vocabulary. */
+inline constexpr TokenTable<CollectiveAlgorithm> kCollectiveAlgorithms{
+    "collective algorithm", kCollectiveRows};
 
 /** Engine configuration. */
 struct CollectiveConfig

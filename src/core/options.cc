@@ -5,11 +5,8 @@
 
 #include "core/options.hh"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-
 #include "sim/logging.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -110,29 +107,15 @@ OptionParser::parse(int argc, const char *const *argv, std::ostream &err)
             }
             value = argv[++i];
         }
-        // Validate numeric options eagerly: an Int must be an integer
-        // as a whole (getInt() reads it with strtoll), a Double a
-        // finite number.
-        if (spec.kind == Kind::Int) {
-            char *end = nullptr;
-            errno = 0;
-            std::strtoll(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-                err << _program << ": option '--" << name
-                    << "' expects a number (an integer), got '" << value
-                    << "'\n";
-                return false;
-            }
-        } else if (spec.kind == Kind::Double) {
-            char *end = nullptr;
-            const double number = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0'
-                || !std::isfinite(number)) {
-                err << _program << ": option '--" << name
-                    << "' expects a number (finite), got '" << value
-                    << "'\n";
-                return false;
-            }
+        // Validate numeric options eagerly: an Int must be a 64-bit
+        // integer as a whole, a Double a finite number.
+        if ((spec.kind == Kind::Int && !readNumber<std::int64_t>(value))
+            || (spec.kind == Kind::Double && !readNumber<double>(value))) {
+            err << _program << ": option '--" << name
+                << "' expects a number ("
+                << (spec.kind == Kind::Int ? "an integer" : "finite")
+                << "), got '" << value << "'\n";
+            return false;
         }
         spec.value = std::move(value);
         spec.set = true;
@@ -149,15 +132,29 @@ OptionParser::getString(const std::string &name) const
 std::int64_t
 OptionParser::getInt(const std::string &name) const
 {
-    return std::strtoll(lookup(name, Kind::Int).value.c_str(), nullptr,
-                        10);
+    return readNumber<std::int64_t>(lookup(name, Kind::Int).value)
+        .value();
 }
 
 double
 OptionParser::getDouble(const std::string &name) const
 {
-    return std::strtod(lookup(name, Kind::Double).value.c_str(),
-                       nullptr);
+    return readNumber<double>(lookup(name, Kind::Double).value).value();
+}
+
+void
+OptionParser::checkIntRange(const std::string &name, std::int64_t value,
+                            std::int64_t min, std::int64_t max)
+{
+    if (value < min && min == 1)
+        fatal("--%s must be positive (got %lld)", name.c_str(),
+              static_cast<long long>(value));
+    if (value < min)
+        fatal("--%s must be >= %lld (got %lld)", name.c_str(),
+              static_cast<long long>(min), static_cast<long long>(value));
+    if (value > max)
+        fatal("--%s must be <= %lld (got %lld)", name.c_str(),
+              static_cast<long long>(max), static_cast<long long>(value));
 }
 
 bool

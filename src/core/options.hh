@@ -11,6 +11,7 @@
 #define MCDLA_CORE_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <string>
@@ -50,6 +51,22 @@ class OptionParser
     std::int64_t getInt(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getFlag(const std::string &name) const;
+
+    /**
+     * The checked integer read: getInt(name) as a T of at least
+     * @p min. Fatal naming the option when the value is smaller or
+     * does not fit T (a field's type is its upper bound).
+     */
+    template <typename T>
+    T
+    getInt(const std::string &name, T min) const
+    {
+        const std::int64_t value = getInt(name);
+        checkIntRange(name, value, static_cast<std::int64_t>(min),
+                      static_cast<std::int64_t>(
+                          std::numeric_limits<T>::max()));
+        return static_cast<T>(value);
+    }
     /// @}
 
     /** Whether the user supplied the option explicitly. */
@@ -76,6 +93,9 @@ class OptionParser
 
     Spec &lookup(const std::string &name, Kind kind);
     const Spec &lookup(const std::string &name, Kind kind) const;
+
+    static void checkIntRange(const std::string &name, std::int64_t value,
+                              std::int64_t min, std::int64_t max);
 
     std::string _program;
     std::string _description;

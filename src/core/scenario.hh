@@ -5,10 +5,9 @@
  * A Scenario names everything the simulator needs — design point,
  * workload, parallelization, batch, and a SystemConfig carrying any
  * device/fabric/memory overrides — so drivers, benches, and sweeps can
- * be written as plain data. The string round-trip helpers
- * (parseSystemDesign / systemDesignToken, parseParallelMode /
- * parallelModeToken) are the single source of truth for the CLI
- * vocabulary; no per-tool parsers exist anymore.
+ * be written as plain data. Every enum knob reads its CLI vocabulary
+ * from one TokenTable (sim/text.hh) next to the enum: kSystemDesigns,
+ * kParallelModes, kTopologyKinds and so on; no per-tool parsers exist.
  */
 
 #ifndef MCDLA_CORE_SCENARIO_HH
@@ -16,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "parallel/strategy.hh"
 #include "serving/batch_policy.hh"
@@ -29,36 +27,6 @@ namespace mcdla
 {
 
 class OptionParser;
-
-/// @name Design/mode string round-trips
-/// @{
-
-/** Parse a design token ("dc", "hc", "mc-s", ...); fatal if unknown. */
-SystemDesign parseSystemDesign(const std::string &name);
-
-/** Canonical CLI token of a design ("mc-b", "oracle", ...). */
-const char *systemDesignToken(SystemDesign design);
-
-/** Parse a parallelization token ("dp"/"mp"/"pp", long forms ok);
-    fatal. */
-ParallelMode parseParallelMode(const std::string &name);
-
-/** Canonical CLI token of a mode ("dp" / "mp" / "pp"). */
-const char *parallelModeToken(ParallelMode mode);
-
-/** Every mode the parser accepts. */
-const std::vector<ParallelMode> &allParallelModes();
-
-/** Comma-separated list of accepted mode tokens (for help text). */
-const std::string &parallelModeTokenList();
-
-/** Every design the parser accepts (evaluation set plus extras). */
-const std::vector<SystemDesign> &allSystemDesigns();
-
-/** Comma-separated list of accepted design tokens (for help text). */
-const std::string &systemDesignTokenList();
-
-/// @}
 
 /**
  * Raw per-direction x16 PCIe bandwidth of @p gen (bytes/s).

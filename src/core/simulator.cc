@@ -195,8 +195,8 @@ SweepRunner::resultRow(const Scenario &scenario,
                        const IterationResult &result)
 {
     return {scenario.workload,
-            std::string(systemDesignName(scenario.design)),
-            std::string(parallelModeName(scenario.mode)),
+            std::string(kSystemDesigns.name(scenario.design)),
+            std::string(kParallelModes.name(scenario.mode)),
             scenario.globalBatch,
             result.iterationSeconds() * 1e3,
             result.breakdown.computeSec * 1e3,
@@ -234,8 +234,8 @@ SweepCursor::next(const std::string &workload, SystemDesign design,
         || sc.mode != mode)
         panic("sweep cursor misaligned at %zu: consuming %s/%s/%s but "
               "the sweep ran %s",
-              _idx, workload.c_str(), systemDesignToken(design),
-              parallelModeToken(mode), sc.label().c_str());
+              _idx, workload.c_str(), kSystemDesigns.token(design),
+              kParallelModes.token(mode), sc.label().c_str());
     return _results[_idx++];
 }
 

@@ -6,6 +6,7 @@
 #ifndef MCDLA_INTERCONNECT_FABRIC_CONFIG_HH
 #define MCDLA_INTERCONNECT_FABRIC_CONFIG_HH
 
+#include "sim/text.hh"
 #include "sim/units.hh"
 
 namespace mcdla
@@ -28,6 +29,19 @@ enum class TopologyKind
     Torus2d,    ///< 2-D device torus (mesh + wraparound links).
     FatTree,    ///< Two-level fat-tree of switches over all nodes.
 };
+
+inline constexpr TokenRow<TopologyKind> kTopologyKindRows[] = {
+    {TopologyKind::Design, "design", "", "design default"},
+    {TopologyKind::Ring, "ring", "", "ring"},
+    {TopologyKind::FullSwitch, "full-switch", "", "fully-connected switch"},
+    {TopologyKind::Mesh2d, "mesh2d", "", "2d-mesh"},
+    {TopologyKind::Torus2d, "torus2d", "", "2d-torus"},
+    {TopologyKind::FatTree, "fat-tree", "", "fat-tree"},
+};
+
+/** --topology vocabulary; name() is the --list-topologies label. */
+inline constexpr TokenTable<TopologyKind> kTopologyKinds{
+    "topology", kTopologyKindRows};
 
 /** Parameters shared by every fabric builder. */
 struct FabricConfig

@@ -1,6 +1,6 @@
 /**
  * @file
- * Topology graph implementation and the TopologyKind CLI round-trips.
+ * Topology graph implementation.
  */
 
 #include "interconnect/topology.hh"
@@ -10,83 +10,6 @@
 
 namespace mcdla
 {
-
-namespace
-{
-
-struct KindToken
-{
-    TopologyKind kind;
-    const char *token;
-    const char *name;
-};
-
-/** The one table every direction of the round-trip reads. */
-constexpr KindToken kKindTokens[] = {
-    {TopologyKind::Design, "design", "design default"},
-    {TopologyKind::Ring, "ring", "ring"},
-    {TopologyKind::FullSwitch, "full-switch", "fully-connected switch"},
-    {TopologyKind::Mesh2d, "mesh2d", "2d-mesh"},
-    {TopologyKind::Torus2d, "torus2d", "2d-torus"},
-    {TopologyKind::FatTree, "fat-tree", "fat-tree"},
-};
-
-} // anonymous namespace
-
-const char *
-topologyKindName(TopologyKind kind)
-{
-    for (const KindToken &entry : kKindTokens)
-        if (entry.kind == kind)
-            return entry.name;
-    return "unknown";
-}
-
-const char *
-topologyKindToken(TopologyKind kind)
-{
-    for (const KindToken &entry : kKindTokens)
-        if (entry.kind == kind)
-            return entry.token;
-    panic("topology kind %d has no token", static_cast<int>(kind));
-}
-
-TopologyKind
-parseTopologyKind(const std::string &name)
-{
-    for (const KindToken &entry : kKindTokens)
-        if (name == entry.token || name == entry.name)
-            return entry.kind;
-    fatal("unknown topology '%s' (%s)", name.c_str(),
-          topologyKindTokenList().c_str());
-}
-
-const std::vector<TopologyKind> &
-allTopologyKinds()
-{
-    static const std::vector<TopologyKind> kinds = [] {
-        std::vector<TopologyKind> all;
-        for (const KindToken &entry : kKindTokens)
-            all.push_back(entry.kind);
-        return all;
-    }();
-    return kinds;
-}
-
-const std::string &
-topologyKindTokenList()
-{
-    static const std::string list = [] {
-        std::string tokens;
-        for (const KindToken &entry : kKindTokens) {
-            if (!tokens.empty())
-                tokens += ", ";
-            tokens += entry.token;
-        }
-        return tokens;
-    }();
-    return list;
-}
 
 const char *
 nodeKindTag(NodeKind kind)

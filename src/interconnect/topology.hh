@@ -37,26 +37,6 @@ namespace mcdla
 
 class Fabric;
 
-/// @name TopologyKind round-trips (CLI vocabulary)
-/// @{
-
-/** Human name of a topology kind ("2d-mesh", ...). */
-const char *topologyKindName(TopologyKind kind);
-
-/** Canonical CLI token ("design", "ring", "mesh2d", ...). */
-const char *topologyKindToken(TopologyKind kind);
-
-/** Parse a topology token; fatal if unknown. */
-TopologyKind parseTopologyKind(const std::string &name);
-
-/** Every kind the parser accepts. */
-const std::vector<TopologyKind> &allTopologyKinds();
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &topologyKindTokenList();
-
-/// @}
-
 /** Node type in the interconnect graph. */
 enum class NodeKind
 {

@@ -16,17 +16,6 @@
 namespace mcdla
 {
 
-const char *
-parallelModeName(ParallelMode mode)
-{
-    switch (mode) {
-      case ParallelMode::DataParallel: return "data-parallel";
-      case ParallelMode::ModelParallel: return "model-parallel";
-      case ParallelMode::Pipeline: return "pipeline-parallel";
-    }
-    return "unknown";
-}
-
 ParallelStrategy::ParallelStrategy(const Network &net, ParallelMode mode,
                                    int num_devices,
                                    std::int64_t global_batch,
@@ -266,7 +255,7 @@ ParallelStrategy::partition() const
 {
     if (!isPipeline())
         panic("stage partition requested for %s training",
-              parallelModeName(_mode));
+              kParallelModes.name(_mode));
     return _partition;
 }
 
@@ -281,7 +270,7 @@ ParallelStrategy::boundaryBytesPerMicrobatch(int boundary) const
 {
     if (!isPipeline())
         panic("boundary bytes requested for %s training",
-              parallelModeName(_mode));
+              kParallelModes.name(_mode));
     if (boundary < 0
         || static_cast<std::size_t>(boundary)
             >= _boundaryBytesPerSample.size())

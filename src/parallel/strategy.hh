@@ -44,6 +44,7 @@
 #include "device/compute_model.hh"
 #include "dnn/network.hh"
 #include "dnn/pipeline.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -58,7 +59,22 @@ enum class ParallelMode
     Pipeline,
 };
 
-const char *parallelModeName(ParallelMode mode);
+inline constexpr TokenRow<ParallelMode> kParallelModeRows[] = {
+    {ParallelMode::DataParallel, "dp", "data", "data-parallel"},
+    {ParallelMode::ModelParallel, "mp", "model", "model-parallel"},
+    {ParallelMode::Pipeline, "pp", "pipeline", "pipeline-parallel"},
+};
+
+/** --mode (and trace mode=) vocabulary. */
+inline constexpr TokenTable<ParallelMode> kParallelModes{
+    "mode", kParallelModeRows};
+
+/** Canonical CLI token of a mode (perfbench/ calls it by name). */
+inline const char *
+parallelModeToken(ParallelMode mode)
+{
+    return kParallelModes.token(mode);
+}
 
 /** Pipeline-mode knobs (ignored for dp/mp). */
 struct PipelineConfig

@@ -12,73 +12,6 @@
 namespace mcdla
 {
 
-BatchPolicyKind
-parseBatchPolicy(const std::string &name)
-{
-    if (name == "static")
-        return BatchPolicyKind::Static;
-    if (name == "dynamic")
-        return BatchPolicyKind::Dynamic;
-    if (name == "continuous")
-        return BatchPolicyKind::Continuous;
-    fatal("unknown batch policy '%s' (%s)", name.c_str(),
-          batchPolicyTokenList().c_str());
-}
-
-const char *
-batchPolicyToken(BatchPolicyKind kind)
-{
-    switch (kind) {
-      case BatchPolicyKind::Static: return "static";
-      case BatchPolicyKind::Dynamic: return "dynamic";
-      case BatchPolicyKind::Continuous: return "continuous";
-    }
-    panic("batch policy %d has no token", static_cast<int>(kind));
-}
-
-const std::vector<BatchPolicyKind> &
-allBatchPolicies()
-{
-    static const std::vector<BatchPolicyKind> kinds = {
-        BatchPolicyKind::Static,
-        BatchPolicyKind::Dynamic,
-        BatchPolicyKind::Continuous,
-    };
-    return kinds;
-}
-
-const std::string &
-batchPolicyTokenList()
-{
-    static const std::string list = [] {
-        std::string tokens;
-        for (BatchPolicyKind kind : allBatchPolicies()) {
-            if (!tokens.empty())
-                tokens += ", ";
-            tokens += batchPolicyToken(kind);
-        }
-        return tokens;
-    }();
-    return list;
-}
-
-const char *
-batchPolicyDescription(BatchPolicyKind kind)
-{
-    switch (kind) {
-      case BatchPolicyKind::Static:
-        return "full batches only; partial batches wait for "
-               "stragglers (tail flushes at stream drain)";
-      case BatchPolicyKind::Dynamic:
-        return "full batch, or whatever is queued once the oldest "
-               "request has waited the batch timeout";
-      case BatchPolicyKind::Continuous:
-        return "launch whatever is queued whenever the replica "
-               "idles; batches track the instantaneous load";
-    }
-    panic("batch policy %d has no description", static_cast<int>(kind));
-}
-
 namespace
 {
 
@@ -87,8 +20,6 @@ class StaticBatchPolicy : public BatchPolicy
   public:
     explicit StaticBatchPolicy(int max_batch) : BatchPolicy(max_batch)
     {}
-
-    const char *name() const override { return "static"; }
 
     int
     launchSamples(int queued_samples, double, bool drained) const
@@ -106,8 +37,6 @@ class DynamicBatchPolicy : public BatchPolicy
     DynamicBatchPolicy(int max_batch, double timeout_sec)
         : BatchPolicy(max_batch), _timeoutSec(timeout_sec)
     {}
-
-    const char *name() const override { return "dynamic"; }
 
     int
     launchSamples(int queued_samples, double oldest_wait_sec,
@@ -132,8 +61,6 @@ class ContinuousBatchPolicy : public BatchPolicy
     explicit ContinuousBatchPolicy(int max_batch)
         : BatchPolicy(max_batch)
     {}
-
-    const char *name() const override { return "continuous"; }
 
     int
     launchSamples(int queued_samples, double, bool) const override

@@ -22,8 +22,8 @@
 #define MCDLA_SERVING_BATCH_POLICY_HH
 
 #include <memory>
-#include <string>
-#include <vector>
+
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -36,27 +36,27 @@ enum class BatchPolicyKind
     Continuous,
 };
 
-/** Parse a policy token ("static"/"dynamic"/"continuous"); fatal. */
-BatchPolicyKind parseBatchPolicy(const std::string &name);
+inline constexpr TokenRow<BatchPolicyKind> kBatchPolicyKindRows[] = {
+    {BatchPolicyKind::Static, "static", "", nullptr,
+     "full batches only; partial batches wait for stragglers (tail "
+     "flushes at stream drain)"},
+    {BatchPolicyKind::Dynamic, "dynamic", "", nullptr,
+     "full batch, or whatever is queued once the oldest request has "
+     "waited the batch timeout"},
+    {BatchPolicyKind::Continuous, "continuous", "", nullptr,
+     "launch whatever is queued whenever the replica idles; batches "
+     "track the instantaneous load"},
+};
 
-/** Canonical CLI token of a batch policy. */
-const char *batchPolicyToken(BatchPolicyKind kind);
-
-/** Every batch policy the parser accepts. */
-const std::vector<BatchPolicyKind> &allBatchPolicies();
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &batchPolicyTokenList();
-
-/** One-line description (the --list-batch-policies catalog). */
-const char *batchPolicyDescription(BatchPolicyKind kind);
+/** --batch-policy vocabulary and the --list-batch-policies catalog. */
+inline constexpr TokenTable<BatchPolicyKind> kBatchPolicyKinds{
+    "batch policy", kBatchPolicyKindRows};
 
 /** Per-replica batch coalescing decision logic. */
 class BatchPolicy
 {
   public:
     virtual ~BatchPolicy() = default;
-    virtual const char *name() const = 0;
 
     /**
      * Samples to launch now, given an idle replica with

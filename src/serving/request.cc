@@ -17,147 +17,22 @@
 namespace mcdla
 {
 
-ArrivalKind
-parseArrivalKind(const std::string &name)
-{
-    if (name == "poisson")
-        return ArrivalKind::Poisson;
-    if (name == "bursty")
-        return ArrivalKind::Bursty;
-    if (name == "diurnal")
-        return ArrivalKind::Diurnal;
-    fatal("unknown arrival process '%s' (%s)", name.c_str(),
-          arrivalKindTokenList().c_str());
-}
-
-const char *
-arrivalKindToken(ArrivalKind kind)
-{
-    switch (kind) {
-      case ArrivalKind::Poisson: return "poisson";
-      case ArrivalKind::Bursty: return "bursty";
-      case ArrivalKind::Diurnal: return "diurnal";
-    }
-    panic("arrival process %d has no token", static_cast<int>(kind));
-}
-
-const std::vector<ArrivalKind> &
-allArrivalKinds()
-{
-    static const std::vector<ArrivalKind> kinds = {
-        ArrivalKind::Poisson,
-        ArrivalKind::Bursty,
-        ArrivalKind::Diurnal,
-    };
-    return kinds;
-}
-
-const std::string &
-arrivalKindTokenList()
-{
-    static const std::string list = [] {
-        std::string tokens;
-        for (ArrivalKind kind : allArrivalKinds()) {
-            if (!tokens.empty())
-                tokens += ", ";
-            tokens += arrivalKindToken(kind);
-        }
-        return tokens;
-    }();
-    return list;
-}
-
-namespace
-{
-
-std::int64_t
-parseInt(const std::string &value, const std::string &key, int line)
-{
-    try {
-        std::size_t used = 0;
-        const long long v = std::stoll(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal("request trace line %d: %s=%s is not an integer", line,
-              key.c_str(), value.c_str());
-    }
-}
-
-double
-parseDouble(const std::string &value, const std::string &key, int line)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal("request trace line %d: %s=%s is not a number", line,
-              key.c_str(), value.c_str());
-    }
-}
-
-} // anonymous namespace
-
 std::vector<Request>
 parseRequestTrace(std::istream &in)
 {
-    std::vector<Request> requests;
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (const auto hash = line.find('#'); hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream tokens(line);
-        std::string token;
-        Request request;
-        bool have_arrival = false;
-        bool any = false;
-        while (tokens >> token) {
-            const auto eq = token.find('=');
-            if (eq == std::string::npos)
-                fatal("request trace line %d: token '%s' is not "
-                      "key=value", line_no, token.c_str());
-            const std::string key = token.substr(0, eq);
-            const std::string value = token.substr(eq + 1);
-            any = true;
-            if (key == "arrival") {
-                request.arrivalSec = parseDouble(value, key, line_no);
-                if (request.arrivalSec < 0.0)
-                    fatal("request trace line %d: negative arrival "
-                          "time", line_no);
-                have_arrival = true;
-            } else if (key == "samples") {
-                request.samples =
-                    static_cast<int>(parseInt(value, key, line_no));
-            } else if (key == "name") {
-                request.name = value;
-            } else {
-                fatal("request trace line %d: unknown key '%s'",
-                      line_no, key.c_str());
-            }
-        }
-        if (!any)
-            continue; // blank / comment-only line
-        if (!have_arrival)
-            fatal("request trace line %d: arrival= is required",
-                  line_no);
-        if (request.samples < 1)
-            fatal("request trace line %d: non-positive sample count",
-                  line_no);
-        if (request.name.empty())
-            request.name = "req" + std::to_string(requests.size());
-        requests.push_back(std::move(request));
-    }
-    std::stable_sort(requests.begin(), requests.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrivalSec < b.arrivalSec;
-                     });
-    return requests;
+    return readTrace<Request>(
+        in, "request trace", "req",
+        [](Request &request, const TraceReader &trace,
+           const TraceReader::Field &field) {
+            if (field.key != "samples")
+                return false;
+            request.samples = trace.number<int>(field);
+            return true;
+        },
+        [](const Request &request, const TraceReader &trace) {
+            if (request.samples < 1)
+                trace.fail("non-positive sample count");
+        });
 }
 
 std::vector<Request>

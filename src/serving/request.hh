@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sim/random.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -34,17 +35,15 @@ enum class ArrivalKind
     Diurnal,
 };
 
-/** Parse an arrival token ("poisson" / "bursty" / "diurnal"); fatal. */
-ArrivalKind parseArrivalKind(const std::string &name);
+inline constexpr TokenRow<ArrivalKind> kArrivalKindRows[] = {
+    {ArrivalKind::Poisson, "poisson"},
+    {ArrivalKind::Bursty, "bursty"},
+    {ArrivalKind::Diurnal, "diurnal"},
+};
 
-/** Canonical CLI token of an arrival process. */
-const char *arrivalKindToken(ArrivalKind kind);
-
-/** Every arrival process the parser accepts. */
-const std::vector<ArrivalKind> &allArrivalKinds();
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &arrivalKindTokenList();
+/** --arrivals vocabulary. */
+inline constexpr TokenTable<ArrivalKind> kArrivalKinds{
+    "arrival process", kArrivalKindRows};
 
 /** One inference request submitted to the serving cluster. */
 struct Request
@@ -62,9 +61,10 @@ struct Request
  *
  *   arrival=0.015 samples=2 name=req7
  *
- * `arrival` is required; '#' starts a comment. Fatal on unknown keys
- * or malformed values (line number in the message). Requests are
- * returned sorted by arrival time.
+ * `arrival` is required; '#' starts a comment (readTrace in
+ * sim/text.hh). Values must be finite numbers that fit their field;
+ * anything else is one fatal line naming the trace line and key.
+ * Requests are returned sorted by arrival time.
  */
 std::vector<Request> parseRequestTrace(std::istream &in);
 

@@ -12,80 +12,12 @@
 namespace mcdla
 {
 
-RouterKind
-parseRouter(const std::string &name)
-{
-    if (name == "rr" || name == "round-robin")
-        return RouterKind::RoundRobin;
-    if (name == "least-loaded" || name == "ll")
-        return RouterKind::LeastLoaded;
-    if (name == "slo" || name == "slo-aware")
-        return RouterKind::SloAware;
-    fatal("unknown router '%s' (%s)", name.c_str(),
-          routerTokenList().c_str());
-}
-
-const char *
-routerToken(RouterKind kind)
-{
-    switch (kind) {
-      case RouterKind::RoundRobin: return "rr";
-      case RouterKind::LeastLoaded: return "least-loaded";
-      case RouterKind::SloAware: return "slo";
-    }
-    panic("router %d has no token", static_cast<int>(kind));
-}
-
-const std::vector<RouterKind> &
-allRouters()
-{
-    static const std::vector<RouterKind> kinds = {
-        RouterKind::RoundRobin,
-        RouterKind::LeastLoaded,
-        RouterKind::SloAware,
-    };
-    return kinds;
-}
-
-const std::string &
-routerTokenList()
-{
-    static const std::string list = [] {
-        std::string tokens;
-        for (RouterKind kind : allRouters()) {
-            if (!tokens.empty())
-                tokens += ", ";
-            tokens += routerToken(kind);
-        }
-        return tokens;
-    }();
-    return list;
-}
-
-const char *
-routerDescription(RouterKind kind)
-{
-    switch (kind) {
-      case RouterKind::RoundRobin:
-        return "cyclic assignment, load-blind";
-      case RouterKind::LeastLoaded:
-        return "fewest queued+in-flight samples; blind to per-replica "
-               "service speed";
-      case RouterKind::SloAware:
-        return "lowest predicted completion using each replica's "
-               "observed service rate; drives SLO admission";
-    }
-    panic("router %d has no description", static_cast<int>(kind));
-}
-
 namespace
 {
 
 class RoundRobinRouter : public ReplicaRouter
 {
   public:
-    const char *name() const override { return "rr"; }
-
     std::size_t
     route(const std::vector<ReplicaLoad> &replicas, int) override
     {
@@ -99,8 +31,6 @@ class RoundRobinRouter : public ReplicaRouter
 class LeastLoadedRouter : public ReplicaRouter
 {
   public:
-    const char *name() const override { return "least-loaded"; }
-
     std::size_t
     route(const std::vector<ReplicaLoad> &replicas, int) override
     {
@@ -127,8 +57,6 @@ class LeastLoadedRouter : public ReplicaRouter
 class SloAwareRouter : public ReplicaRouter
 {
   public:
-    const char *name() const override { return "slo"; }
-
     std::size_t
     route(const std::vector<ReplicaLoad> &replicas, int samples)
         override

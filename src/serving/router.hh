@@ -22,8 +22,9 @@
 #define MCDLA_SERVING_ROUTER_HH
 
 #include <memory>
-#include <string>
 #include <vector>
+
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -36,20 +37,20 @@ enum class RouterKind
     SloAware,
 };
 
-/** Parse a router token ("rr" / "least-loaded" / "slo"); fatal. */
-RouterKind parseRouter(const std::string &name);
+inline constexpr TokenRow<RouterKind> kRouterKindRows[] = {
+    {RouterKind::RoundRobin, "rr", "round-robin", nullptr,
+     "cyclic assignment, load-blind"},
+    {RouterKind::LeastLoaded, "least-loaded", "ll", nullptr,
+     "fewest queued+in-flight samples; blind to per-replica service "
+     "speed"},
+    {RouterKind::SloAware, "slo", "slo-aware", nullptr,
+     "lowest predicted completion using each replica's observed "
+     "service rate; drives SLO admission"},
+};
 
-/** Canonical CLI token of a router kind. */
-const char *routerToken(RouterKind kind);
-
-/** Every router the parser accepts. */
-const std::vector<RouterKind> &allRouters();
-
-/** Comma-separated accepted tokens (help text). */
-const std::string &routerTokenList();
-
-/** One-line description (the --list-batch-policies catalog). */
-const char *routerDescription(RouterKind kind);
+/** --router vocabulary and its --list-batch-policies catalog. */
+inline constexpr TokenTable<RouterKind> kRouterKinds{"router",
+                                                     kRouterKindRows};
 
 /** The router's view of one replica's instantaneous load. */
 struct ReplicaLoad
@@ -85,7 +86,6 @@ class ReplicaRouter
 {
   public:
     virtual ~ReplicaRouter() = default;
-    virtual const char *name() const = 0;
 
     /**
      * Replica index the @p samples -sample request joins, given

@@ -270,8 +270,8 @@ ServingCluster::onRequestArrival(std::size_t index)
         views.push_back(loadView(replica));
     const std::size_t r = _router->route(views, samples);
     if (r >= _replicas.size())
-        panic("router %s picked replica %zu of %zu", _router->name(),
-              r, _replicas.size());
+        panic("router %s picked replica %zu of %zu",
+              kRouterKinds.token(_cfg.base.router), r, _replicas.size());
 
     // SLO-headroom admission: when even the chosen replica cannot
     // plausibly make the deadline, shed at the door rather than let a

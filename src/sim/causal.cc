@@ -14,6 +14,7 @@
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/simcheck.hh"
+#include "sim/text.hh"
 #include "sim/trace.hh"
 
 namespace mcdla
@@ -205,13 +206,13 @@ parseWhatIfSpec(const std::string &spec)
         } else {
             change.cls = item.substr(0, colon);
             const std::string factor = item.substr(colon + 1);
-            char *parse_end = nullptr;
-            change.factor = std::strtod(factor.c_str(), &parse_end);
-            if (factor.empty() || parse_end == nullptr
-                || *parse_end != '\0')
+            const std::optional<double> value = readNumber<double>(factor);
+            if (!value)
                 fatal("--whatif: bad factor '%s' in '%s' (want "
-                      "class:factor, e.g. compute:0.5)",
+                      "class:factor with a finite factor, e.g. "
+                      "compute:0.5)",
                       factor.c_str(), item.c_str());
+            change.factor = *value;
             if (change.factor <= 0.0)
                 fatal("--whatif: factor must be positive (got %g in "
                       "'%s')",

@@ -10,22 +10,6 @@
 namespace mcdla
 {
 
-const char *
-systemDesignName(SystemDesign design)
-{
-    switch (design) {
-      case SystemDesign::DcDla: return "DC-DLA";
-      case SystemDesign::HcDla: return "HC-DLA";
-      case SystemDesign::McDlaS: return "MC-DLA(S)";
-      case SystemDesign::McDlaL: return "MC-DLA(L)";
-      case SystemDesign::McDlaB: return "MC-DLA(B)";
-      case SystemDesign::DcDlaOracle: return "DC-DLA(O)";
-      case SystemDesign::McDlaSA: return "MC-DLA(SA)";
-      case SystemDesign::McDlaX: return "MC-DLA(X)";
-    }
-    return "unknown";
-}
-
 System::System(EventQueue &eq, SystemConfig cfg)
     : _eq(eq), _cfg(std::move(cfg))
 {
@@ -46,8 +30,8 @@ System::System(EventQueue &eq, SystemConfig cfg)
         if (!designHasMemoryNodes(_cfg.design))
             fatal("--topology %s requires a memory-centric design "
                   "(%s has no memory-nodes to rewire)",
-                  topologyKindToken(_cfg.fabric.topology),
-                  systemDesignName(_cfg.design));
+                  kTopologyKinds.token(_cfg.fabric.topology),
+                  kSystemDesigns.name(_cfg.design));
         _fabric = buildTopologyFabric(eq, _cfg.fabric,
                                       _cfg.fabric.topology);
     } else {

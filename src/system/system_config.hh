@@ -12,6 +12,7 @@
 #include "memory/address_map.hh"
 #include "memory/memory_node.hh"
 #include "sim/event_queue_backend.hh"
+#include "sim/text.hh"
 #include "vmem/offload_plan.hh"
 #include "vmem/paging/paging_config.hh"
 
@@ -41,8 +42,27 @@ enum class SystemDesign
     McDlaX,
 };
 
-/** Paper-style short name ("MC-DLA(B)" ...). */
-const char *systemDesignName(SystemDesign design);
+inline constexpr TokenRow<SystemDesign> kSystemDesignRows[] = {
+    {SystemDesign::DcDla, "dc", "", "DC-DLA"},
+    {SystemDesign::HcDla, "hc", "", "HC-DLA"},
+    {SystemDesign::McDlaS, "mc-s", "", "MC-DLA(S)"},
+    {SystemDesign::McDlaL, "mc-l", "", "MC-DLA(L)"},
+    {SystemDesign::McDlaB, "mc-b", "", "MC-DLA(B)"},
+    {SystemDesign::DcDlaOracle, "oracle", "", "DC-DLA(O)"},
+    {SystemDesign::McDlaSA, "mc-sa", "", "MC-DLA(SA)"},
+    {SystemDesign::McDlaX, "mc-x", "", "MC-DLA(X)"},
+};
+
+/** --design vocabulary; name() is the paper's label ("MC-DLA(B)"). */
+inline constexpr TokenTable<SystemDesign> kSystemDesigns{
+    "design", kSystemDesignRows};
+
+/** Canonical CLI token of a design (perfbench/ calls it by name). */
+inline const char *
+systemDesignToken(SystemDesign design)
+{
+    return kSystemDesigns.token(design);
+}
 
 /** All six designs in the paper's plotting order. */
 inline constexpr SystemDesign kAllDesigns[] = {

@@ -275,7 +275,7 @@ TrainingSession::buildPipelineSchedule()
         if (!route.valid())
             fatal("%s: no device-to-device path from %d to %d for "
                   "pipeline transfers",
-                  systemDesignName(_system.config().design),
+                  kSystemDesigns.name(_system.config().design),
                   sysDev(src), sysDev(dst));
         _p2pRoutes.emplace(src * n + dst,
                            std::vector<Route>{std::move(route)});
@@ -579,14 +579,14 @@ TrainingSession::allocateBuffers()
                       "capacity %s for %s (batch %lld, %s, %d stages x "
                       "%d microbatches) — the memory capacity wall; "
                       "raise --microbatches or --pipeline-stages",
-                      systemDesignName(_system.config().design), d,
+                      kSystemDesigns.name(_system.config().design), d,
                       formatBytes(
                           static_cast<double>(footprint)).c_str(),
                       formatBytes(static_cast<double>(
                           space.localCapacity())).c_str(),
                       _net.name().c_str(),
                       static_cast<long long>(_strategy.globalBatch()),
-                      parallelModeName(_strategy.mode()), P, M);
+                      kParallelModes.name(_strategy.mode()), P, M);
             }
             _localPlacements.push_back(space.mallocLocal(footprint));
             if (d >= P)
@@ -615,13 +615,13 @@ TrainingSession::allocateBuffers()
                   "capacity %s for %s (batch %lld, %s) — the memory "
                   "capacity wall; reduce the batch size or enable a "
                   "larger backing store",
-                  systemDesignName(_system.config().design),
+                  kSystemDesigns.name(_system.config().design),
                   formatBytes(static_cast<double>(footprint)).c_str(),
                   formatBytes(static_cast<double>(
                       space.localCapacity())).c_str(),
                   _net.name().c_str(),
                   static_cast<long long>(_strategy.globalBatch()),
-                  parallelModeName(_strategy.mode()));
+                  kParallelModes.name(_strategy.mode()));
         }
         _localPlacements.push_back(space.mallocLocal(footprint));
 

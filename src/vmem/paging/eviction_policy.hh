@@ -31,7 +31,7 @@ class EvictionPolicy
     virtual ~EvictionPolicy() = default;
 
     virtual EvictionPolicyKind kind() const = 0;
-    const char *name() const { return evictionPolicyToken(kind()); }
+    const char *name() const { return kEvictionPolicyKinds.token(kind()); }
 
     /**
      * Choose the next victim among evictable (Resident, unpinned)

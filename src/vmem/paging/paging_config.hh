@@ -17,10 +17,10 @@
 #define MCDLA_VMEM_PAGING_PAGING_CONFIG_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "dnn/layer.hh"
+#include "sim/text.hh"
 
 namespace mcdla
 {
@@ -54,16 +54,24 @@ enum class EvictionPolicyKind
                     ///< the fwd/bwd stack access pattern).
 };
 
-/// @name Policy string round-trips (CLI vocabulary)
-/// @{
-PrefetchPolicyKind parsePrefetchPolicy(const std::string &name);
-const char *prefetchPolicyToken(PrefetchPolicyKind kind);
-const std::string &prefetchPolicyTokenList();
+inline constexpr TokenRow<PrefetchPolicyKind> kPrefetchPolicyKindRows[] = {
+    {PrefetchPolicyKind::StaticPlan, "static-plan"},
+    {PrefetchPolicyKind::OnDemand, "on-demand"},
+    {PrefetchPolicyKind::History, "history"},
+};
 
-EvictionPolicyKind parseEvictionPolicy(const std::string &name);
-const char *evictionPolicyToken(EvictionPolicyKind kind);
-const std::string &evictionPolicyTokenList();
-/// @}
+/** --prefetch-policy vocabulary. */
+inline constexpr TokenTable<PrefetchPolicyKind> kPrefetchPolicyKinds{
+    "prefetch policy", kPrefetchPolicyKindRows};
+
+inline constexpr TokenRow<EvictionPolicyKind> kEvictionPolicyKindRows[] = {
+    {EvictionPolicyKind::Lru, "lru"},
+    {EvictionPolicyKind::LastForwardUse, "last-fwd-use"},
+};
+
+/** --eviction-policy vocabulary. */
+inline constexpr TokenTable<EvictionPolicyKind> kEvictionPolicyKinds{
+    "eviction policy", kEvictionPolicyKindRows};
 
 /** Paging knobs carried by SystemConfig. */
 struct PagingConfig

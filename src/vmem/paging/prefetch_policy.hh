@@ -40,7 +40,7 @@ class PrefetchPolicy
     virtual ~PrefetchPolicy() = default;
 
     virtual PrefetchPolicyKind kind() const = 0;
-    const char *name() const { return prefetchPolicyToken(kind()); }
+    const char *name() const { return kPrefetchPolicyKinds.token(kind()); }
 
     /**
      * Whether residency is driven by faults and capacity pressure

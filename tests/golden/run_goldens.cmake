@@ -112,6 +112,13 @@ if(SUITE STREQUAL "sim")
          --metrics-csv dp_metrics.csv
          --critical-path-csv dp_critical_path.csv)
 
+  # The same run's slack histogram and causal summary. A case of its
+  # own, so dp_observed's stdout keeps its pinned "wrote" lines.
+  golden_case(dp_causal NO_STDOUT
+    OUTPUTS dp_slack.csv dp_causal.json
+    ARGS --workload AlexNet --design mc-b --slack-csv dp_slack.csv
+         --causal-json dp_causal.json)
+
   golden_case(cluster_observed
     OUTPUTS cluster_metrics.csv
     HASHED cluster.trace.json

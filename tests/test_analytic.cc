@@ -46,9 +46,9 @@ TEST_P(AnalyticAgainstDes, MakespanFallsBetweenBounds)
     // The DES includes scheduling/latency effects the bounds ignore;
     // allow a small modelling margin on each side.
     EXPECT_GE(r.iterationSeconds(), est.lowerBoundSec() * 0.90)
-        << systemDesignName(c.design);
+        << kSystemDesigns.name(c.design);
     EXPECT_LE(r.iterationSeconds(), est.upperBoundSec() * 1.35)
-        << systemDesignName(c.design);
+        << kSystemDesigns.name(c.design);
 }
 
 TEST_P(AnalyticAgainstDes, ComputeTotalsAgree)
@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
              ParallelMode::DataParallel}),
     [](const auto &test_info) {
         std::string name = test_info.param.workload + "_"
-            + systemDesignName(test_info.param.design) + "_"
+            + kSystemDesigns.name(test_info.param.design) + "_"
             + (test_info.param.mode == ParallelMode::DataParallel ? "dp"
                                                              : "mp");
         for (char &c : name)

@@ -343,6 +343,10 @@ TEST(Causal, WhatIfSpecParsing)
     LogConfig::throwOnError = true;
     EXPECT_THROW(parseWhatIfSpec("compute:zero"), FatalError);
     EXPECT_THROW(parseWhatIfSpec("compute:-1"), FatalError);
+    // A factor must be finite as well as positive.
+    EXPECT_THROW(parseWhatIfSpec("compute:nan"), FatalError);
+    EXPECT_THROW(parseWhatIfSpec("compute:inf"), FatalError);
+    EXPECT_THROW(parseWhatIfSpec("chan:0.5,compute:1e999"), FatalError);
     EXPECT_THROW(parseWhatIfSpec(","), FatalError);
     LogConfig::throwOnError = false;
 }

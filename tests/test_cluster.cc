@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cluster/cluster.hh"
 #include "cluster/job.hh"
@@ -126,10 +128,11 @@ TEST_F(ClusterTest, BuddySeedsNonPowerOfTwoCapacity)
 
 TEST_F(ClusterTest, PoolTokensRoundTrip)
 {
-    for (PoolAllocatorKind kind :
-         {PoolAllocatorKind::FirstFit, PoolAllocatorKind::Buddy})
-        EXPECT_EQ(parsePoolAllocator(poolAllocatorToken(kind)), kind);
-    EXPECT_THROW(parsePoolAllocator("slab"), FatalError);
+    for (const auto &row : kPoolAllocatorKinds.all())
+        EXPECT_EQ(kPoolAllocatorKinds.parse(row.token), row.value);
+    EXPECT_EQ(kPoolAllocatorKinds.parse("ff"), PoolAllocatorKind::FirstFit);
+    EXPECT_EQ(kPoolAllocatorKinds.all().size(), 2u);
+    EXPECT_THROW(kPoolAllocatorKinds.parse("slab"), FatalError);
 }
 
 // ---------------------------------------------------------- schedulers
@@ -197,11 +200,14 @@ TEST_F(ClusterTest, BackfillSkipsABlockedHead)
 
 TEST_F(ClusterTest, SchedulerTokensRoundTrip)
 {
-    for (SchedulerKind kind :
-         {SchedulerKind::Fifo, SchedulerKind::Sjf,
-          SchedulerKind::Backfill})
-        EXPECT_EQ(parseScheduler(schedulerToken(kind)), kind);
-    EXPECT_THROW(parseScheduler("gang"), FatalError);
+    for (const auto &row : kSchedulerKinds.all()) {
+        EXPECT_EQ(kSchedulerKinds.parse(row.token), row.value);
+        EXPECT_STRNE(kSchedulerKinds.description(row.value), "");
+    }
+    EXPECT_EQ(kSchedulerKinds.parse("bestfit-backfill"),
+              SchedulerKind::Backfill);
+    EXPECT_EQ(kSchedulerKinds.all().size(), 3u);
+    EXPECT_THROW(kSchedulerKinds.parse("gang"), FatalError);
 }
 
 // ----------------------------------------------------------- job specs
@@ -235,6 +241,39 @@ TEST_F(ClusterTest, JobTraceParsesAndRoundTrips)
     EXPECT_THROW(parseJobTrace(bad), FatalError);
     std::istringstream missing("workload=X\n");
     EXPECT_THROW(parseJobTrace(missing), FatalError);
+
+    // A non-finite arrival or a count that does not fit its field is
+    // one fatal line naming the trace line and the key.
+    const std::pair<const char *, const char *> rejected[] = {
+        {"arrival=nan workload=X", "line 2: arrival=nan"},
+        {"arrival=inf workload=X", "line 2: arrival=inf"},
+        {"arrival=-1 workload=X", "line 2: negative arrival"},
+        {"arrival=0 workload=X devices=4294967298",
+         "line 2: devices=4294967298"},
+        {"arrival=0 workload=X iterations=4294967297",
+         "line 2: iterations=4294967297"},
+        {"arrival=0 workload=X mode=pp stages=2147483648",
+         "line 2: stages=2147483648"},
+        {"arrival=0 workload=X microbatches=-4294967295",
+         "line 2: microbatches=-4294967295"},
+        {"arrival=0 workload=X batch=99999999999999999999",
+         "line 2: batch=99999999999999999999"},
+        {"arrival=0 workload", "line 2: token 'workload'"},
+        {"arrival=0", "line 2: workload= is required"},
+    };
+    for (const auto &[line, message] : rejected) {
+        std::istringstream text(std::string("# header\n") + line + "\n");
+        try {
+            parseJobTrace(text);
+            ADD_FAILURE() << line << " accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("job trace ") + message),
+                      std::string::npos)
+                << what;
+            EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+        }
+    }
 }
 
 TEST_F(ClusterTest, SyntheticStreamIsSeedDeterministic)

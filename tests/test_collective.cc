@@ -504,7 +504,7 @@ TEST(Collective, AbandonedEngineReleasesItsCompletion)
         }
         EXPECT_EQ(*token, 0);
         EXPECT_EQ(token.use_count(), 1)
-            << collectiveAlgorithmToken(algo);
+            << kCollectiveAlgorithms.token(algo);
     }
 }
 

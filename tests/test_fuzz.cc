@@ -130,8 +130,9 @@ TEST_P(ServingFuzz, SeededStreamsRoundTripThroughTraceText)
     // of a synthesized stream must parse back bit-identically (names,
     // double-precision arrivals, sample counts), in arrival order.
     Random pick(GetParam() * 131 + 7);
-    const ArrivalKind kind = allArrivalKinds()[pick.below(
-        allArrivalKinds().size())];
+    const ArrivalKind kind =
+        kArrivalKinds.all()[pick.below(kArrivalKinds.all().size())]
+            .value;
     const int count = 8 + static_cast<int>(pick.below(56));
     const double rate =
         50.0 + static_cast<double>(pick.below(9000));
@@ -163,10 +164,13 @@ TEST_P(ServingFuzz, ServingScenarioLabelsNameTheirKnobs)
     sc.serve = true;
     sc.replicas = 1 + static_cast<int>(pick.below(8));
     sc.batchPolicy =
-        allBatchPolicies()[pick.below(allBatchPolicies().size())];
-    sc.router = allRouters()[pick.below(allRouters().size())];
+        kBatchPolicyKinds.all()[pick.below(kBatchPolicyKinds.all().size())]
+            .value;
+    sc.router =
+        kRouterKinds.all()[pick.below(kRouterKinds.all().size())].value;
     sc.arrivals =
-        allArrivalKinds()[pick.below(allArrivalKinds().size())];
+        kArrivalKinds.all()[pick.below(kArrivalKinds.all().size())]
+            .value;
     sc.sloMs = 5.0 + static_cast<double>(pick.below(200));
     sc.requestRate = 100.0 + static_cast<double>(pick.below(8000));
 
@@ -174,11 +178,12 @@ TEST_P(ServingFuzz, ServingScenarioLabelsNameTheirKnobs)
     EXPECT_NE(label.find("/serve/r" + std::to_string(sc.replicas)),
               std::string::npos)
         << label;
-    EXPECT_NE(label.find(batchPolicyToken(sc.batchPolicy)),
+    EXPECT_NE(label.find(kBatchPolicyKinds.token(sc.batchPolicy)),
               std::string::npos);
-    EXPECT_NE(label.find(routerToken(sc.router)), std::string::npos);
+    EXPECT_NE(label.find(kRouterKinds.token(sc.router)),
+              std::string::npos);
     if (sc.arrivals != ArrivalKind::Poisson) {
-        EXPECT_NE(label.find(arrivalKindToken(sc.arrivals)),
+        EXPECT_NE(label.find(kArrivalKinds.token(sc.arrivals)),
                   std::string::npos);
     }
 }

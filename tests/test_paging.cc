@@ -125,16 +125,15 @@ TEST(EvictionPolicy, LastForwardUsePrefersRetiredTriggers)
 
 TEST(PagingConfig, PolicyTokensRoundTrip)
 {
-    for (PrefetchPolicyKind kind : {PrefetchPolicyKind::StaticPlan,
-                                    PrefetchPolicyKind::OnDemand,
-                                    PrefetchPolicyKind::History})
-        EXPECT_EQ(parsePrefetchPolicy(prefetchPolicyToken(kind)), kind);
-    for (EvictionPolicyKind kind : {EvictionPolicyKind::Lru,
-                                    EvictionPolicyKind::LastForwardUse})
-        EXPECT_EQ(parseEvictionPolicy(evictionPolicyToken(kind)), kind);
+    for (const auto &row : kPrefetchPolicyKinds.all())
+        EXPECT_EQ(kPrefetchPolicyKinds.parse(row.token), row.value);
+    for (const auto &row : kEvictionPolicyKinds.all())
+        EXPECT_EQ(kEvictionPolicyKinds.parse(row.token), row.value);
+    EXPECT_EQ(kPrefetchPolicyKinds.all().size(), 3u);
+    EXPECT_EQ(kEvictionPolicyKinds.all().size(), 2u);
     LogConfig::throwOnError = true;
-    EXPECT_THROW(parsePrefetchPolicy("bogus"), FatalError);
-    EXPECT_THROW(parseEvictionPolicy("bogus"), FatalError);
+    EXPECT_THROW(kPrefetchPolicyKinds.parse("bogus"), FatalError);
+    EXPECT_THROW(kEvictionPolicyKinds.parse("bogus"), FatalError);
     LogConfig::throwOnError = false;
 }
 

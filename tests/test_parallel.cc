@@ -210,9 +210,9 @@ TEST(ModelParallel, MoreFrequentSyncThanDataParallel)
 
 TEST(Strategy, ModeNames)
 {
-    EXPECT_STREQ(parallelModeName(ParallelMode::DataParallel),
+    EXPECT_STREQ(kParallelModes.name(ParallelMode::DataParallel),
                  "data-parallel");
-    EXPECT_STREQ(parallelModeName(ParallelMode::ModelParallel),
+    EXPECT_STREQ(kParallelModes.name(ParallelMode::ModelParallel),
                  "model-parallel");
 }
 

@@ -272,12 +272,12 @@ TEST(PipelineStrategy, RejectsDegenerateConfigs)
 
 TEST(PipelineScenario, TokensAndLabelRoundTrip)
 {
-    EXPECT_EQ(parseParallelMode("pp"), ParallelMode::Pipeline);
-    EXPECT_EQ(parseParallelMode("pipeline"), ParallelMode::Pipeline);
-    EXPECT_EQ(parseParallelMode("pipeline-parallel"),
+    EXPECT_EQ(kParallelModes.parse("pp"), ParallelMode::Pipeline);
+    EXPECT_EQ(kParallelModes.parse("pipeline"), ParallelMode::Pipeline);
+    EXPECT_EQ(kParallelModes.parse("pipeline-parallel"),
               ParallelMode::Pipeline);
     EXPECT_STREQ(parallelModeToken(ParallelMode::Pipeline), "pp");
-    EXPECT_STREQ(parallelModeName(ParallelMode::Pipeline),
+    EXPECT_STREQ(kParallelModes.name(ParallelMode::Pipeline),
                  "pipeline-parallel");
 
     Scenario sc;
@@ -421,7 +421,7 @@ INSTANTIATE_TEST_SUITE_P(
                    ParallelMode::ModelParallel}),
     [](const auto &test_info) {
         std::string name = test_info.param.workload + "_"
-            + systemDesignName(test_info.param.design) + "_"
+            + kSystemDesigns.name(test_info.param.design) + "_"
             + parallelModeToken(test_info.param.mode) + "_s"
             + std::to_string(test_info.param.stages) + "_mb"
             + std::to_string(test_info.param.microbatches);

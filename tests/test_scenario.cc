@@ -36,30 +36,39 @@ class ThrowingErrors : public ::testing::Test
 
 TEST(Scenario, DesignTokenRoundTripsForEveryDesign)
 {
-    for (SystemDesign design : allSystemDesigns()) {
-        EXPECT_EQ(parseSystemDesign(systemDesignToken(design)), design);
+    for (const auto &row : kSystemDesigns.all()) {
+        EXPECT_EQ(kSystemDesigns.parse(row.token), row.value);
+        EXPECT_STREQ(systemDesignToken(row.value), row.token);
         // The paper-style long names parse too.
-        EXPECT_EQ(parseSystemDesign(systemDesignName(design)), design);
+        EXPECT_EQ(kSystemDesigns.parse(kSystemDesigns.name(row.value)),
+                  row.value);
     }
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::McDlaB), "MC-DLA(B)");
 }
 
 TEST(Scenario, AllSystemDesignsCoversTheEvaluationSet)
 {
-    const std::vector<SystemDesign> &designs = allSystemDesigns();
+    const auto designs = kSystemDesigns.all();
     for (SystemDesign design : kAllDesigns)
-        EXPECT_NE(std::find(designs.begin(), designs.end(), design),
+        EXPECT_NE(std::find_if(designs.begin(), designs.end(),
+                               [design](const auto &row) {
+                                   return row.value == design;
+                               }),
                   designs.end());
     EXPECT_EQ(designs.size(), 8u);
 }
 
 TEST(Scenario, ModeTokenRoundTrips)
 {
-    for (ParallelMode mode : allParallelModes()) {
-        EXPECT_EQ(parseParallelMode(parallelModeToken(mode)), mode);
-        EXPECT_EQ(parseParallelMode(parallelModeName(mode)), mode);
+    for (const auto &row : kParallelModes.all()) {
+        EXPECT_EQ(kParallelModes.parse(row.token), row.value);
+        EXPECT_STREQ(parallelModeToken(row.value), row.token);
+        EXPECT_EQ(kParallelModes.parse(kParallelModes.name(row.value)),
+                  row.value);
     }
-    EXPECT_EQ(allParallelModes().size(), 3u);
-    EXPECT_EQ(parallelModeTokenList(), "dp, mp, pp");
+    EXPECT_EQ(kParallelModes.parse("model"), ParallelMode::ModelParallel);
+    EXPECT_EQ(kParallelModes.all().size(), 3u);
+    EXPECT_EQ(kParallelModes.list(), "dp, mp, pp");
 }
 
 class ScenarioErrors : public ThrowingErrors
@@ -67,12 +76,22 @@ class ScenarioErrors : public ThrowingErrors
 
 TEST_F(ScenarioErrors, UnknownDesignIsFatal)
 {
-    EXPECT_THROW(parseSystemDesign("warp-drive"), FatalError);
+    try {
+        kSystemDesigns.parse("warp-drive");
+        ADD_FAILURE() << "warp-drive parsed";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: unknown design 'warp-drive' (dc, "
+                               "hc, mc-s, mc-l, mc-b, oracle, mc-sa, "
+                               "mc-x)");
+    }
 }
 
 TEST_F(ScenarioErrors, UnknownModeIsFatal)
 {
-    EXPECT_THROW(parseParallelMode("tensor"), FatalError);
+    EXPECT_THROW(kParallelModes.parse("tensor"), FatalError);
+    // A prefix of a token or an alias is not a spelling of it.
+    EXPECT_THROW(kParallelModes.parse("d"), FatalError);
+    EXPECT_THROW(kParallelModes.parse("dat"), FatalError);
 }
 
 TEST(Scenario, LabelNamesTheRun)
@@ -197,6 +216,34 @@ TEST_F(ScenarioErrors, FromOptionsRejectsBadValues)
             << message;
         EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1)
             << message;
+    }
+    // An integer that parses but does not fit its field is one fatal
+    // line naming the option, not a silently truncated value.
+    const std::pair<const char *, const char *> out_of_range[] = {
+        {"iterations", "4294967297"}, {"devices", "4294967304"},
+        {"dimm-gib", "4294967304"},   {"replicas", "4294967298"},
+        {"requests", "4294967552"},   {"microbatches", "-4294967295"},
+        {"iterations", "0"},          {"pipeline-stages", "-1"},
+        {"switch-radix", "1"},        {"seed", "-3"},
+    };
+    for (const auto &[name, value] : out_of_range) {
+        OptionParser opts("t", "test");
+        Scenario::addOptions(opts);
+        const std::string flag = std::string("--") + name;
+        const char *argv[] = {"t", flag.c_str(), value};
+        std::ostringstream err;
+        ASSERT_TRUE(opts.parse(3, argv, err)) << err.str();
+        try {
+            Scenario::fromOptions(opts);
+            ADD_FAILURE() << flag << " " << value << " accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("fatal: " + flag + " must be ", 0), 0u)
+                << what;
+            EXPECT_NE(what.find(std::string("(got ") + value + ")"),
+                      std::string::npos)
+                << what;
+        }
     }
     // cDMA's compression ratio divides every transfer size.
     for (const char *value : {"0", "-2"}) {

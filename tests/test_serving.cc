@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cluster/cluster.hh"
 #include "core/options.hh"
@@ -40,13 +42,14 @@ class ServingTest : public ::testing::Test
 
 TEST_F(ServingTest, SynthesisIsSeededAndSortedForEveryArrivalKind)
 {
-    for (ArrivalKind kind : allArrivalKinds()) {
+    for (const auto &row : kArrivalKinds.all()) {
+        const ArrivalKind kind = row.value;
         Random a(7), b(7), c(8);
         const auto x = synthesizeRequests(64, 500.0, kind, a);
         const auto y = synthesizeRequests(64, 500.0, kind, b);
         const auto z = synthesizeRequests(64, 500.0, kind, c);
 
-        ASSERT_EQ(x.size(), 64u) << arrivalKindToken(kind);
+        ASSERT_EQ(x.size(), 64u) << row.token;
         ASSERT_EQ(y.size(), 64u);
         bool differs = false;
         for (std::size_t i = 0; i < x.size(); ++i) {
@@ -61,15 +64,15 @@ TEST_F(ServingTest, SynthesisIsSeededAndSortedForEveryArrivalKind)
                 differs = true;
         }
         // Different seed: a different stream.
-        EXPECT_TRUE(differs) << arrivalKindToken(kind);
+        EXPECT_TRUE(differs) << row.token;
     }
 }
 
 TEST_F(ServingTest, ArrivalKindTokensRoundTrip)
 {
-    for (ArrivalKind kind : allArrivalKinds())
-        EXPECT_EQ(parseArrivalKind(arrivalKindToken(kind)), kind);
-    EXPECT_THROW(parseArrivalKind("fractal"), FatalError);
+    for (const auto &row : kArrivalKinds.all())
+        EXPECT_EQ(kArrivalKinds.parse(row.token), row.value);
+    EXPECT_THROW(kArrivalKinds.parse("fractal"), FatalError);
 }
 
 TEST_F(ServingTest, RequestTraceRoundTripsExactly)
@@ -118,15 +121,38 @@ TEST_F(ServingTest, RequestTraceParserSortsCommentsAndRejects)
         std::istringstream in("arrival=soon\n");
         EXPECT_THROW(parseRequestTrace(in), FatalError);
     }
+    // A non-finite arrival or a sample count that does not fit an int
+    // is one fatal line naming the trace line and the key.
+    const std::pair<const char *, const char *> rejected[] = {
+        {"arrival=nan", "line 1: arrival=nan"},
+        {"arrival=-inf", "line 1: arrival=-inf"},
+        {"arrival=1e999", "line 1: arrival=1e999"},
+        {"arrival=0 samples=4294967297", "line 1: samples=4294967297"},
+        {"arrival=0 samples=0", "line 1: non-positive sample count"},
+    };
+    for (const auto &[line, message] : rejected) {
+        std::istringstream in(std::string(line) + "\n");
+        try {
+            parseRequestTrace(in);
+            ADD_FAILURE() << line << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("request trace ") + message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ----------------------------------------------------- batch policies
 
 TEST_F(ServingTest, BatchPolicyTokensRoundTrip)
 {
-    for (BatchPolicyKind kind : allBatchPolicies())
-        EXPECT_EQ(parseBatchPolicy(batchPolicyToken(kind)), kind);
-    EXPECT_THROW(parseBatchPolicy("quantum"), FatalError);
+    for (const auto &row : kBatchPolicyKinds.all()) {
+        EXPECT_EQ(kBatchPolicyKinds.parse(row.token), row.value);
+        EXPECT_STRNE(kBatchPolicyKinds.description(row.value), "");
+    }
+    EXPECT_THROW(kBatchPolicyKinds.parse("quantum"), FatalError);
 }
 
 TEST_F(ServingTest, StaticPolicyLaunchesOnlyFullBatchesUntilDrained)
@@ -168,12 +194,14 @@ TEST_F(ServingTest, ContinuousPolicyLaunchesWhateverIsQueued)
 
 TEST_F(ServingTest, RouterTokensRoundTrip)
 {
-    for (RouterKind kind : allRouters())
-        EXPECT_EQ(parseRouter(routerToken(kind)), kind);
-    EXPECT_EQ(parseRouter("round-robin"), RouterKind::RoundRobin);
-    EXPECT_EQ(parseRouter("ll"), RouterKind::LeastLoaded);
-    EXPECT_EQ(parseRouter("slo-aware"), RouterKind::SloAware);
-    EXPECT_THROW(parseRouter("oracle"), FatalError);
+    for (const auto &row : kRouterKinds.all()) {
+        EXPECT_EQ(kRouterKinds.parse(row.token), row.value);
+        EXPECT_STRNE(kRouterKinds.description(row.value), "");
+    }
+    EXPECT_EQ(kRouterKinds.parse("round-robin"), RouterKind::RoundRobin);
+    EXPECT_EQ(kRouterKinds.parse("ll"), RouterKind::LeastLoaded);
+    EXPECT_EQ(kRouterKinds.parse("slo-aware"), RouterKind::SloAware);
+    EXPECT_THROW(kRouterKinds.parse("oracle"), FatalError);
 }
 
 std::vector<ReplicaLoad>

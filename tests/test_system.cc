@@ -24,12 +24,12 @@ makeSystem(EventQueue &eq, SystemDesign design)
 
 TEST(SystemDesigns, Names)
 {
-    EXPECT_STREQ(systemDesignName(SystemDesign::DcDla), "DC-DLA");
-    EXPECT_STREQ(systemDesignName(SystemDesign::HcDla), "HC-DLA");
-    EXPECT_STREQ(systemDesignName(SystemDesign::McDlaS), "MC-DLA(S)");
-    EXPECT_STREQ(systemDesignName(SystemDesign::McDlaL), "MC-DLA(L)");
-    EXPECT_STREQ(systemDesignName(SystemDesign::McDlaB), "MC-DLA(B)");
-    EXPECT_STREQ(systemDesignName(SystemDesign::DcDlaOracle),
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::DcDla), "DC-DLA");
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::HcDla), "HC-DLA");
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::McDlaS), "MC-DLA(S)");
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::McDlaL), "MC-DLA(L)");
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::McDlaB), "MC-DLA(B)");
+    EXPECT_STREQ(kSystemDesigns.name(SystemDesign::DcDlaOracle),
                  "DC-DLA(O)");
 }
 

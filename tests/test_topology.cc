@@ -375,13 +375,13 @@ TEST_F(TopologyTest, FatTreeSeatsNodesAndRoutes)
 
 TEST_F(TopologyTest, TopologyKindRoundTrips)
 {
-    for (TopologyKind kind : allTopologyKinds()) {
-        EXPECT_EQ(parseTopologyKind(topologyKindToken(kind)), kind);
-        EXPECT_EQ(parseTopologyKind(topologyKindName(kind)), kind);
+    for (const auto &row : kTopologyKinds.all()) {
+        EXPECT_EQ(kTopologyKinds.parse(row.token), row.value);
+        EXPECT_EQ(kTopologyKinds.parse(kTopologyKinds.name(row.value)),
+                  row.value);
     }
-    EXPECT_THROW(parseTopologyKind("hypercube"), FatalError);
-    EXPECT_NE(topologyKindTokenList().find("fat-tree"),
-              std::string::npos);
+    EXPECT_THROW(kTopologyKinds.parse("hypercube"), FatalError);
+    EXPECT_NE(kTopologyKinds.list().find("fat-tree"), std::string::npos);
 }
 
 // --------------------------------------------------- config validation
@@ -487,13 +487,11 @@ TEST_F(TopologyTest, HierarchicalBeatsFlatRingOnScaleOutFabric)
 
 TEST_F(TopologyTest, CollectiveAlgorithmRoundTrips)
 {
-    for (CollectiveAlgorithm algo : allCollectiveAlgorithms())
-        EXPECT_EQ(parseCollectiveAlgorithm(
-                      collectiveAlgorithmToken(algo)),
-                  algo);
-    EXPECT_EQ(parseCollectiveAlgorithm("hier"),
+    for (const auto &row : kCollectiveAlgorithms.all())
+        EXPECT_EQ(kCollectiveAlgorithms.parse(row.token), row.value);
+    EXPECT_EQ(kCollectiveAlgorithms.parse("hier"),
               CollectiveAlgorithm::Hierarchical);
-    EXPECT_THROW(parseCollectiveAlgorithm("butterfly"), FatalError);
+    EXPECT_THROW(kCollectiveAlgorithms.parse("butterfly"), FatalError);
 }
 
 TEST_F(TopologyTest, TreeCollectiveCompletesEveryKind)
@@ -538,7 +536,7 @@ TEST_F(TopologyTest, TrainingRunsOnGenericTopologies)
         sc.globalBatch = 64;
         sc.base.fabric.topology = kind;
         const IterationResult result = sim.run(sc);
-        EXPECT_GT(result.makespan, 0u) << topologyKindToken(kind);
+        EXPECT_GT(result.makespan, 0u) << kTopologyKinds.token(kind);
         EXPECT_GT(result.syncBytes, 0.0);
     }
 }
@@ -574,10 +572,10 @@ TEST_F(TopologyTest, CompactPlacementUsesRealHopCounts)
 
 TEST_F(TopologyTest, PlacementTokenRoundTrips)
 {
-    EXPECT_EQ(parseJobPlacement("first"), JobPlacement::First);
-    EXPECT_EQ(parseJobPlacement("compact"), JobPlacement::Compact);
-    EXPECT_STREQ(jobPlacementToken(JobPlacement::Compact), "compact");
-    EXPECT_THROW(parseJobPlacement("spread"), FatalError);
+    EXPECT_EQ(kJobPlacements.parse("first"), JobPlacement::First);
+    EXPECT_EQ(kJobPlacements.parse("compact"), JobPlacement::Compact);
+    EXPECT_STREQ(kJobPlacements.token(JobPlacement::Compact), "compact");
+    EXPECT_THROW(kJobPlacements.parse("spread"), FatalError);
 }
 
 TEST_F(TopologyTest, CompactClusterRunsJobsOnAdjacentDevices)

@@ -89,7 +89,7 @@ TEST(Training, McdlaGeneratesNoHostTraffic)
                            SystemDesign::McDlaB}) {
         const IterationResult r =
             runOnce(d, net, ParallelMode::DataParallel, 64);
-        EXPECT_DOUBLE_EQ(r.hostBytes, 0.0) << systemDesignName(d);
+        EXPECT_DOUBLE_EQ(r.hostBytes, 0.0) << kSystemDesigns.name(d);
         EXPECT_DOUBLE_EQ(r.hostAvgBwPerSocket, 0.0);
         EXPECT_GT(r.breakdown.vmemSec, 0.0);
     }
@@ -318,7 +318,7 @@ INSTANTIATE_TEST_SUITE_P(
                           ParallelMode::ModelParallel)),
     [](const auto &test_info) {
         std::string name = std::get<0>(test_info.param) + "_"
-            + systemDesignName(std::get<1>(test_info.param)) + "_"
+            + kSystemDesigns.name(std::get<1>(test_info.param)) + "_"
             + (std::get<2>(test_info.param) == ParallelMode::DataParallel
                    ? "dp"
                    : "mp");

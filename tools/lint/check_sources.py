@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for the mcdla simulator sources.
 
-Four repo hazards that clang-tidy cannot know about:
+Five repo hazards that clang-tidy cannot know about:
 
   rng        Simulation randomness must flow through the seeded
              xoshiro256** in sim/random.hh. Any other entropy source
@@ -22,6 +22,12 @@ Four repo hazards that clang-tidy cannot know about:
              FlowPool belongs to the engine that sends its flows). A
              `thread_local` pool outlives the run that filled it, so an
              abandoned run leaks its handlers into the next one.
+
+  number     Numbers from outside text are read by readNumber<T> in
+             sim/text.hh, which takes the whole string, refuses nan and
+             inf and checks that the value fits its type. A bare
+             strtod/strtoll/std::stoi/atoi accepts trailing junk or
+             "nan", or truncates into a narrower field.
 
 A finding can be waived on its line with `// lint:allow(<rule>)`.
 Exit status is the number of findings (0 = clean).
@@ -60,6 +66,15 @@ LINE_RULES = {
         "keep simulation state in the objects of one run, not in "
         "thread_local storage",
     ),
+    "number": (
+        re.compile(
+            r"\bstrto(?:d|f|ld|l|ll|ul|ull)\s*\(|"
+            r"\bstd::sto(?:d|f|ld|i|l|ll|ul|ull)\s*\(|"
+            r"\bato(?:f|i|l|ll)\s*\("
+        ),
+        "read numbers with readNumber<T> in sim/text.hh (whole string, "
+        "finite, fits the type)",
+    ),
 }
 
 # Files where a rule's pattern is the implementation itself.
@@ -67,6 +82,7 @@ EXEMPT = {
     "rng": ("src/sim/random.hh",),
     "schedule": ("src/sim/event_queue.hh", "src/sim/event_queue.cc"),
     "json": ("src/sim/json.hh", "src/sim/json.cc"),
+    "number": ("src/sim/text.cc",),
 }
 
 ALLOW = re.compile(r"//\s*lint:allow\((?P<rule>[\w-]+)\)")

@@ -124,10 +124,8 @@ Observers::Observers(const OptionParser &opts)
         trace.enableCategories(cats);
     }
     if (attached.metrics != nullptr) {
-        const std::int64_t period_us = opts.getInt("metrics-period-us");
-        if (period_us < 1)
-            fatal("--metrics-period-us must be positive (got %lld)",
-                  static_cast<long long>(period_us));
+        const auto period_us =
+            opts.getInt<std::int64_t>("metrics-period-us", 1);
         metrics.setPeriod(static_cast<Tick>(period_us) * ticksPerUs);
     }
 }
@@ -253,7 +251,7 @@ serveFromOptions(const OptionParser &opts, const Scenario &prototype,
     ServingConfig cfg;
     static_cast<ObserverSet &>(cfg) = observers;
     cfg.base = prototype;
-    cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
+    cfg.allocator = kPoolAllocatorKinds.parse(opts.getString("allocator"));
     cfg.progress = progress;
     if (!opts.getString("job-trace").empty())
         cfg.trainingJobs = loadJobTrace(opts.getString("job-trace"));
@@ -281,16 +279,16 @@ clusterFromOptions(const OptionParser &opts, const Scenario &prototype,
     ClusterConfig cfg;
     static_cast<ObserverSet &>(cfg) = observers;
     cfg.base = prototype;
-    cfg.scheduler = parseScheduler(opts.getString("scheduler"));
-    cfg.allocator = parsePoolAllocator(opts.getString("allocator"));
-    cfg.placement = parseJobPlacement(opts.getString("placement"));
+    cfg.scheduler = kSchedulerKinds.parse(opts.getString("scheduler"));
+    cfg.allocator = kPoolAllocatorKinds.parse(opts.getString("allocator"));
+    cfg.placement = kJobPlacements.parse(opts.getString("placement"));
     cfg.progress = progress;
     std::vector<JobSpec> jobs;
     if (!opts.getString("job-trace").empty()) {
         jobs = loadJobTrace(opts.getString("job-trace"));
     } else {
         const int count =
-            opts.wasSet("jobs") ? static_cast<int>(opts.getInt("jobs")) : 8;
+            opts.wasSet("jobs") ? opts.getInt<int>("jobs", 0) : 8;
         Random rng(prototype.seed);
         jobs = synthesizeJobs(count, opts.getDouble("arrival-rate"),
                               prototype.base.fabric.numDevices, rng);
@@ -343,9 +341,11 @@ auditRunOnce(const OptionParser &opts, const Scenario &prototype)
 int
 auditDeterminism(const OptionParser &opts, const Scenario &prototype)
 {
-    const char *mode = prototype.serve ? "serve"
-        : opts.getFlag("cluster")      ? "cluster"
-                                       : parallelModeName(prototype.mode);
+    const char *mode = kParallelModes.name(prototype.mode);
+    if (prototype.serve)
+        mode = "serve";
+    else if (opts.getFlag("cluster"))
+        mode = "cluster";
     const AuditRun first = auditRunOnce(opts, prototype);
     const AuditRun second = auditRunOnce(opts, prototype);
     if (first.streamHash != second.streamHash
@@ -386,12 +386,12 @@ main(int argc, char **argv)
     opts.addFlag("cluster",
                  "multi-job cluster mode (see --scheduler/--allocator)");
     opts.addString("scheduler", "fifo",
-                   "cluster job scheduler: " + schedulerTokenList());
+                   "cluster job scheduler: " + kSchedulerKinds.list());
     opts.addString("allocator", "first-fit",
-                   "cluster pool allocator: " + poolAllocatorTokenList());
+                   "cluster pool allocator: " + kPoolAllocatorKinds.list());
     opts.addString("placement", "first",
                    "cluster device placement: "
-                       + jobPlacementTokenList());
+                       + kJobPlacements.list());
     opts.addDouble("arrival-rate", 25.0,
                    "synthetic job arrival rate, jobs/sec (--cluster)");
     opts.addString("job-trace", "",
@@ -490,15 +490,15 @@ main(int argc, char **argv)
     if (opts.getFlag("list-designs")) {
         TablePrinter table({"Token", "Design", "Backing store",
                             "Page policy"});
-        for (SystemDesign design : allSystemDesigns()) {
+        for (const auto &row : kSystemDesigns.all()) {
+            const SystemDesign design = row.value;
             SystemConfig cfg;
             cfg.design = design;
             const char *backing = !designVirtualizesMemory(design)
                 ? "none (infinite local)"
                 : (designUsesHostMemory(design) ? "host DRAM"
                                                 : "memory nodes");
-            table.addRow({systemDesignToken(design),
-                          systemDesignName(design), backing,
+            table.addRow({row.token, kSystemDesigns.name(design), backing,
                           designVirtualizesMemory(design)
                               ? pagePolicyName(cfg.pagePolicy())
                               : "-"});
@@ -511,17 +511,17 @@ main(int argc, char **argv)
         // scale so the catalog shows real node/link/ring counts.
         TablePrinter table({"Token", "Topology", "Nodes", "Links",
                             "Rings", "Notes"});
-        for (TopologyKind kind : allTopologyKinds()) {
-            if (kind == TopologyKind::Design) {
-                table.addRow({topologyKindToken(kind),
-                              topologyKindName(kind), "-", "-", "-",
+        for (const auto &row : kTopologyKinds.all()) {
+            if (row.value == TopologyKind::Design) {
+                table.addRow({row.token, kTopologyKinds.name(row.value),
+                              "-", "-", "-",
                               "the system design's own wiring"});
                 continue;
             }
             EventQueue eq;
             FabricConfig cfg; // default radix 18: fat-tree shows its
                               // two-level leaf/spine structure at n=8
-            auto fab = buildTopologyFabric(eq, cfg, kind);
+            auto fab = buildTopologyFabric(eq, cfg, row.value);
             const Topology &topo = fab->topology();
             std::string nodes;
             for (NodeKind nk : {NodeKind::Device, NodeKind::MemoryNode,
@@ -533,8 +533,7 @@ main(int argc, char **argv)
                     nodes += "+";
                 nodes += std::to_string(count) + nodeKindTag(nk);
             }
-            table.addRow({topologyKindToken(kind),
-                          topologyKindName(kind), nodes,
+            table.addRow({row.token, kTopologyKinds.name(row.value), nodes,
                           std::to_string(topo.links().size()),
                           std::to_string(fab->rings().size()),
                           fab->router().fullyConnected()
@@ -543,30 +542,31 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
         std::cout << "\nUse --topology <token> with a memory-centric "
-                     "design (and --collective ring|tree|hierarchical "
-                     "to pick the collective algorithm).\n";
+                     "design (and --collective "
+                  << kCollectiveAlgorithms.list("|")
+                  << " to pick the collective algorithm).\n";
         return 0;
     }
     if (opts.getFlag("list-schedulers")) {
         TablePrinter table({"Token", "Scheduler"});
-        for (SchedulerKind kind : allSchedulers())
-            table.addRow({schedulerToken(kind),
-                          schedulerDescription(kind)});
+        for (const auto &row : kSchedulerKinds.all())
+            table.addRow(
+                {row.token, kSchedulerKinds.description(row.value)});
         table.print(std::cout);
         std::cout << "\nUse --scheduler <token> with --cluster.\n";
         return 0;
     }
     if (opts.getFlag("list-batch-policies")) {
         TablePrinter policies({"Token", "Batch policy"});
-        for (BatchPolicyKind kind : allBatchPolicies())
-            policies.addRow({batchPolicyToken(kind),
-                             batchPolicyDescription(kind)});
+        for (const auto &row : kBatchPolicyKinds.all())
+            policies.addRow(
+                {row.token, kBatchPolicyKinds.description(row.value)});
         policies.print(std::cout);
         std::cout << '\n';
         TablePrinter routers({"Token", "Router"});
-        for (RouterKind kind : allRouters())
-            routers.addRow({routerToken(kind),
-                            routerDescription(kind)});
+        for (const auto &row : kRouterKinds.all())
+            routers.addRow(
+                {row.token, kRouterKinds.description(row.value)});
         routers.print(std::cout);
         std::cout << "\nUse --batch-policy/--router <token> with "
                      "--serve.\n";
@@ -578,6 +578,9 @@ main(int argc, char **argv)
         simcheck::setEnabled(true);
 
     const Scenario prototype = Scenario::fromOptions(opts);
+    // A bad --whatif spec fails before the run, not after it.
+    if (!opts.getString("whatif").empty())
+        parseWhatIfSpec(opts.getString("whatif"));
 
     if (opts.getFlag("audit-determinism")) {
         if (prototype.workload == "all")
@@ -599,11 +602,11 @@ main(int argc, char **argv)
         const ServingReport report = serveFromOptions(
             opts, prototype, obs.attached, LogConfig::verbose);
 
-        std::cout << systemDesignName(prototype.design) << " serving, "
+        std::cout << kSystemDesigns.name(prototype.design) << " serving, "
                   << prototype.workload << " x" << prototype.replicas
                   << " replicas (max batch " << prototype.globalBatch
-                  << "), " << batchPolicyToken(report.batchPolicy)
-                  << " batching, " << routerToken(report.router)
+                  << "), " << kBatchPolicyKinds.token(report.batchPolicy)
+                  << " batching, " << kRouterKinds.token(report.router)
                   << " router, SLO " << prototype.sloMs << " ms";
         if (!report.trainingJobs.empty())
             std::cout << ", " << report.trainingJobs.size()
@@ -704,12 +707,13 @@ main(int argc, char **argv)
         const ClusterReport report = clusterFromOptions(
             opts, prototype, obs.attached, LogConfig::verbose);
 
-        std::cout << systemDesignName(prototype.design) << " cluster, "
+        std::cout << kSystemDesigns.name(prototype.design) << " cluster, "
                   << prototype.base.fabric.numDevices << " devices, "
-                  << schedulerToken(report.scheduler) << " scheduler, "
-                  << poolAllocatorToken(report.allocator)
+                  << kSchedulerKinds.token(report.scheduler)
+                  << " scheduler, "
+                  << kPoolAllocatorKinds.token(report.allocator)
                   << " pool allocator, "
-                  << jobPlacementToken(report.placement)
+                  << kJobPlacements.token(report.placement)
                   << " placement\n\n";
         TablePrinter table({"Job", "Workload", "Devs", "Arrive(s)",
                             "Queue(s)", "Service(s)", "JCT(s)",
@@ -799,7 +803,7 @@ main(int argc, char **argv)
               "each observer file gains a per-workload suffix.");
 
     SweepRunner runner(SweepConfig{
-        observed ? 1 : static_cast<int>(opts.getInt("jobs")),
+        observed ? 1 : opts.getInt<int>("jobs", 0),
         /*progress=*/false});
 
     // Keep the raw IterationResults so --channel-csv can emit the
@@ -845,8 +849,8 @@ main(int argc, char **argv)
                           results.cell(r, 10)))});
     }
 
-    std::cout << systemDesignName(prototype.design) << ", "
-              << parallelModeName(prototype.mode) << ", batch "
+    std::cout << kSystemDesigns.name(prototype.design) << ", "
+              << kParallelModes.name(prototype.mode) << ", batch "
               << prototype.globalBatch << ", "
               << prototype.base.fabric.numDevices << " devices ("
               << opts.getString("device-gen") << "-class)\n\n";
