@@ -8,52 +8,86 @@
  * over all batches).
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/mcdla.hh"
 
 using namespace mcdla;
 
+namespace
+{
+
+constexpr std::int64_t kBatches[] = {128, 256, 1024, 2048};
+constexpr ParallelMode kModes[] = {ParallelMode::DataParallel,
+                                   ParallelMode::ModelParallel};
+constexpr SystemDesign kDesigns[] = {SystemDesign::DcDla,
+                                     SystemDesign::McDlaB};
+
+/** A run whose working set exceeds the 16 GiB device even with
+    virtualization stops with a fatal: the capacity wall. */
+bool
+hitWall(const std::exception_ptr &error)
+{
+    if (!error)
+        return false;
+    try {
+        std::rethrow_exception(error);
+    } catch (const FatalError &) {
+        return true;
+    }
+}
+
+} // anonymous namespace
+
 int
 main()
 {
     LogConfig::verbose = false;
-    const std::int64_t batches[] = {128, 256, 1024, 2048};
+
+    // The whole (batch x workload x mode x design) grid as one sweep
+    // across every core.
+    std::vector<Scenario> scenarios;
+    for (std::int64_t batch : kBatches)
+        for (const BenchmarkInfo &info : benchmarkCatalog())
+            for (ParallelMode mode : kModes)
+                for (SystemDesign design : kDesigns) {
+                    Scenario sc;
+                    sc.design = design;
+                    sc.workload = info.name;
+                    sc.mode = mode;
+                    sc.globalBatch = batch;
+                    scenarios.push_back(std::move(sc));
+                }
+    SweepRunner runner(SweepConfig{/*threads=*/0, /*progress=*/false});
+    std::vector<std::exception_ptr> errors;
+    LogConfig::throwOnError = true;
+    const std::vector<IterationResult> results =
+        runner.run(scenarios, &errors);
+    LogConfig::throwOnError = false;
 
     std::cout << "=== Figure 14: MC-DLA(B) speedup over DC-DLA vs "
                  "batch size ===\n\n";
 
-    Simulator sim;
+    SweepCursor cursor(scenarios, results);
+    std::size_t index = 0;
     std::vector<double> all_speedups;
-    for (std::int64_t batch : batches) {
+    for (std::int64_t batch : kBatches) {
         TablePrinter table({"Workload", "Data-parallel",
                             "Model-parallel"});
         std::vector<double> dp_speedups, mp_speedups;
         for (const BenchmarkInfo &info : benchmarkCatalog()) {
             std::vector<std::string> row{info.name};
-            for (ParallelMode mode : {ParallelMode::DataParallel,
-                                      ParallelMode::ModelParallel}) {
-                double dc = 0.0, mc = 0.0;
-                bool wall = false;
-                LogConfig::throwOnError = true;
-                try {
-                    for (SystemDesign design :
-                         {SystemDesign::DcDla, SystemDesign::McDlaB}) {
-                        Scenario sc;
-                        sc.design = design;
-                        sc.workload = info.name;
-                        sc.mode = mode;
-                        sc.globalBatch = batch;
-                        const IterationResult r = sim.run(sc);
-                        (design == SystemDesign::DcDla ? dc : mc) =
-                            r.iterationSeconds();
-                    }
-                } catch (const FatalError &) {
-                    // Working set exceeds the 16 GiB device even with
-                    // virtualization: the capacity wall.
-                    wall = true;
-                }
-                LogConfig::throwOnError = false;
+            for (ParallelMode mode : kModes) {
+                const double dc =
+                    cursor.next(info.name, SystemDesign::DcDla, mode)
+                        .iterationSeconds();
+                const double mc =
+                    cursor.next(info.name, SystemDesign::McDlaB, mode)
+                        .iterationSeconds();
+                const bool wall =
+                    hitWall(errors[index]) || hitWall(errors[index + 1]);
+                index += 2;
                 if (wall) {
                     row.push_back("wall");
                     continue;

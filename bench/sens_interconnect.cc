@@ -28,10 +28,36 @@ struct Variant
     std::int64_t batch = kDefaultBatch;
 };
 
-Simulator sim;
+constexpr ParallelMode kModes[] = {ParallelMode::DataParallel,
+                                   ParallelMode::ModelParallel};
+constexpr SystemDesign kDesigns[] = {SystemDesign::DcDla,
+                                     SystemDesign::McDlaB};
 
+/** Appends the variant's (workload x mode x design) grid. */
+void
+addScenarios(const Variant &variant, std::vector<Scenario> &scenarios)
+{
+    for (const BenchmarkInfo &info : benchmarkCatalog()) {
+        if (variant.cnnsOnly && info.recurrent)
+            continue;
+        for (ParallelMode mode : kModes)
+            for (SystemDesign design : kDesigns) {
+                Scenario sc;
+                sc.design = design;
+                sc.workload = info.name;
+                sc.mode = mode;
+                sc.base = variant.base;
+                sc.globalBatch = variant.batch;
+                scenarios.push_back(std::move(sc));
+            }
+    }
+}
+
+/** Prints the variant's table from the sweep and returns its harmonic
+    mean MC-DLA(B) speedup over DC-DLA (both modes summed). */
 double
-mcdlaSpeedup(const Variant &variant, std::ostream &os)
+mcdlaSpeedup(const Variant &variant, SweepCursor &cursor,
+             std::ostream &os)
 {
     std::vector<double> speedups;
     os << "-- " << variant.name << " --\n";
@@ -41,21 +67,11 @@ mcdlaSpeedup(const Variant &variant, std::ostream &os)
         if (variant.cnnsOnly && info.recurrent)
             continue;
         double dc = 0.0, mc = 0.0;
-        for (ParallelMode mode : {ParallelMode::DataParallel,
-                                  ParallelMode::ModelParallel}) {
-            for (SystemDesign design :
-                 {SystemDesign::DcDla, SystemDesign::McDlaB}) {
-                Scenario sc;
-                sc.design = design;
-                sc.workload = info.name;
-                sc.mode = mode;
-                sc.base = variant.base;
-                sc.globalBatch = variant.batch;
-                const IterationResult r = sim.run(sc);
+        for (ParallelMode mode : kModes)
+            for (SystemDesign design : kDesigns)
                 (design == SystemDesign::DcDla ? dc : mc) +=
-                    r.iterationSeconds();
-            }
-        }
+                    cursor.next(info.name, design, mode)
+                        .iterationSeconds();
         speedups.push_back(dc / mc);
         table.addRow({info.name, TablePrinter::num(dc * 1e3, 1),
                       TablePrinter::num(mc * 1e3, 1),
@@ -74,16 +90,11 @@ int
 main()
 {
     LogConfig::verbose = false;
-    std::cout << "=== Section V-B sensitivity studies (batch "
-              << kDefaultBatch << ", both parallel modes summed) "
-                 "===\n\n";
 
     Variant baseline{"Baseline (PCIe gen3, V100-class)", {}, false};
-    const double base_speedup = mcdlaSpeedup(baseline, std::cout);
 
     Variant gen4{"DC-DLA with PCIe gen4 (32 GB/s raw)", {}, false};
     gen4.base.fabric.pcieRawBandwidth = 32.0 * kGB;
-    const double gen4_speedup = mcdlaSpeedup(gen4, std::cout);
 
     // "Faster device-node configuration" (the paper's TPUv2-class
     // point): twice the baseline compute and memory bandwidth.
@@ -91,17 +102,33 @@ main()
                  false};
     fast.base.device.macsPerPe = 250;
     fast.base.device.memBandwidth = 1800.0 * kGB;
-    mcdlaSpeedup(fast, std::cout);
 
     Variant dgx2{"DGX-2-class node (16 devices, batch 1024)", {},
                  false};
     dgx2.base.fabric.numDevices = 16;
     dgx2.batch = 1024;
-    mcdlaSpeedup(dgx2, std::cout);
 
     Variant cdma{"cDMA compression 2.6x (CNNs only)", {}, true};
     cdma.base.dmaCompressionRatio = 2.6;
-    mcdlaSpeedup(cdma, std::cout);
+
+    // Every variant's grid as one sweep across every core.
+    const std::vector<Variant> variants = {baseline, gen4, fast, dgx2,
+                                           cdma};
+    std::vector<Scenario> scenarios;
+    for (const Variant &variant : variants)
+        addScenarios(variant, scenarios);
+    SweepRunner runner(SweepConfig{/*threads=*/0, /*progress=*/false});
+    const std::vector<IterationResult> results = runner.run(scenarios);
+    SweepCursor cursor(scenarios, results);
+
+    std::cout << "=== Section V-B sensitivity studies (batch "
+              << kDefaultBatch << ", both parallel modes summed) "
+                 "===\n\n";
+    std::vector<double> means;
+    for (const Variant &variant : variants)
+        means.push_back(mcdlaSpeedup(variant, cursor, std::cout));
+    const double base_speedup = means[0];
+    const double gen4_speedup = means[1];
 
     std::cout << "Paper reference points: baseline 2.8x; PCIe gen4 "
                  "narrows to 2.1x; a faster device widens to 3.2x; "

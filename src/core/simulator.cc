@@ -124,11 +124,10 @@ Simulator::run(const Scenario &scenario, const Network &net,
 SweepRunner::SweepRunner(SweepConfig cfg) : _cfg(cfg) {}
 
 std::vector<IterationResult>
-SweepRunner::run(const std::vector<Scenario> &scenarios)
+SweepRunner::run(const std::vector<Scenario> &scenarios,
+                 std::vector<std::exception_ptr> *errors)
 {
     std::vector<IterationResult> results(scenarios.size());
-    if (scenarios.empty())
-        return results;
 
     // Build every distinct workload up front, serially: worker threads
     // then only read the cache, and the build order is deterministic.
@@ -146,7 +145,7 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
-    std::vector<std::exception_ptr> errors(scenarios.size());
+    std::vector<std::exception_ptr> failures(scenarios.size());
 
     auto worker = [&] {
         for (std::size_t i = next.fetch_add(1); i < scenarios.size();
@@ -154,7 +153,7 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
             try {
                 results[i] = _sim.run(scenarios[i]);
             } catch (...) {
-                errors[i] = std::current_exception();
+                failures[i] = std::current_exception();
             }
             const std::size_t done = completed.fetch_add(1) + 1;
             if (_cfg.progress)
@@ -174,9 +173,12 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
             t.join();
     }
 
-    for (const std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
+    if (errors != nullptr)
+        *errors = std::move(failures);
+    else
+        for (const std::exception_ptr &error : failures)
+            if (error)
+                std::rethrow_exception(error);
     return results;
 }
 

@@ -14,6 +14,7 @@
 #ifndef MCDLA_CORE_SIMULATOR_HH
 #define MCDLA_CORE_SIMULATOR_HH
 
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -129,10 +130,13 @@ class SweepRunner
      * Run every scenario; results arrive in scenario order no matter
      * how many threads execute. An error in any scenario (with
      * LogConfig::throwOnError) is rethrown after the pool drains,
-     * lowest scenario index first.
+     * lowest scenario index first; given @p errors, each scenario's
+     * error is left there instead (null where it ran), next to its
+     * default result.
      */
     std::vector<IterationResult>
-    run(const std::vector<Scenario> &scenarios);
+    run(const std::vector<Scenario> &scenarios,
+        std::vector<std::exception_ptr> *errors = nullptr);
 
     /** Run and collect into the standard result table. */
     ResultSet runToResults(const std::vector<Scenario> &scenarios);

@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "sim/causal.hh"
@@ -237,13 +238,16 @@ void
 Channel::arm(Arrival &arrival)
 {
     arrival.armed = true;
-    const Channel &from = upstream(arrival.chunk);
-    CausalScope wire_scope(
-        eventQueue().causalRecorder(),
-        CausalRecorder::Origin{arrival.causalParent,
-                               arrival.when - from._latency,
-                               arrival.causalCtx},
-        WaitKind::Wire, from.name());
+    std::optional<CausalScope> wire_scope;
+    if (CausalRecorder *rec = eventQueue().causalRecorder()) {
+        const Channel &from = upstream(arrival.chunk);
+        wire_scope.emplace(
+            rec,
+            CausalRecorder::Origin{arrival.causalParent,
+                                   arrival.when - from._latency,
+                                   arrival.causalCtx},
+            WaitKind::Wire, from.name());
+    }
     eventQueue().scheduleOwnedAt(arrival.when, arrival.seq, _owner,
                                  kArrive);
 }

@@ -32,6 +32,7 @@
 #define MCDLA_SIM_CAUSAL_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -272,21 +273,21 @@ class CausalScope
 {
   public:
     CausalScope(CausalRecorder *rec, WaitKind kind)
-        : CausalScope(rec, kind, false, CausalCtx::None, "")
+        : CausalScope(rec, kind, false, CausalCtx::None, nullptr)
     {}
 
     CausalScope(CausalRecorder *rec, WaitKind kind, CausalCtx ctx)
-        : CausalScope(rec, kind, true, ctx, "")
+        : CausalScope(rec, kind, true, ctx, nullptr)
     {}
 
     CausalScope(CausalRecorder *rec, WaitKind kind,
                 const std::string &resource)
-        : CausalScope(rec, kind, false, CausalCtx::None, resource)
+        : CausalScope(rec, kind, false, CausalCtx::None, &resource)
     {}
 
     CausalScope(CausalRecorder *rec, WaitKind kind, CausalCtx ctx,
                 const std::string &resource)
-        : CausalScope(rec, kind, true, ctx, resource)
+        : CausalScope(rec, kind, true, ctx, &resource)
     {}
 
     /** Events scheduled in this scope record @p origin (captured
@@ -295,7 +296,7 @@ class CausalScope
     CausalScope(CausalRecorder *rec, const CausalRecorder::Origin &origin,
                 WaitKind kind, const std::string &resource)
         : CausalScope(rec, kind, true,
-                      CausalRecorder::ctxFromRaw(origin.ctx), resource)
+                      CausalRecorder::ctxFromRaw(origin.ctx), &resource)
     {
         if (_rec == nullptr)
             return;
@@ -307,7 +308,7 @@ class CausalScope
     ~CausalScope()
     {
         if (_rec != nullptr)
-            _rec->_scope = _saved;
+            _rec->_scope = *_saved;
     }
 
     CausalScope(const CausalScope &) = delete;
@@ -315,24 +316,26 @@ class CausalScope
 
   private:
     CausalScope(CausalRecorder *rec, WaitKind kind, bool has_ctx,
-                CausalCtx ctx, const std::string &resource)
+                CausalCtx ctx, const std::string *resource)
         : _rec(rec)
     {
         if (_rec == nullptr)
             return;
-        _saved = _rec->_scope;
+        _saved.emplace(_rec->_scope);
         _rec->_scope.hasKind = true;
         _rec->_scope.kind = kind;
         if (has_ctx) {
             _rec->_scope.hasCtx = true;
             _rec->_scope.ctx = ctx;
         }
-        if (!resource.empty())
-            _rec->_scope.resource = _rec->internResource(resource);
+        if (resource != nullptr && !resource->empty())
+            _rec->_scope.resource = _rec->internResource(*resource);
     }
 
     CausalRecorder *_rec;
-    CausalRecorder::ScopeState _saved;
+    /** The recorder's scope state to restore; saved only with a
+        recorder, so a scope without one costs a pointer test. */
+    std::optional<CausalRecorder::ScopeState> _saved;
 };
 
 /** One --whatif change: scale every edge of @p cls by @p factor. */

@@ -1,62 +1,58 @@
-# Golden-output check. Runs each pinned scenario in WORK_DIR and
-# compares its stdout and CSV outputs byte for byte with the files
-# checked in next to this script; outputs too large to check in (traces)
-# are compared by SHA-256 instead. SUITE picks the cases: "sim" (the
-# default) runs mcdla_sim's modes, "figures" the paper-figure benches
-# that sit next to mcdla_sim in the build tree, "audit" the determinism
-# audit's event counts, peak depths and stream hashes on both
-# event-queue backends.
-# With -DREGEN=ON the fresh outputs and digests overwrite the
-# checked-in files instead; tools/regen_goldens.sh wraps that mode.
+# Golden-output check. Runs pinned scenarios in WORK_DIR and compares
+# their stdout and output files byte for byte with the files checked in
+# next to this script; outputs too large to check in (traces) are
+# compared by SHA-256 instead. One run checks one program, or one suite
+# of mcdla_sim cases:
+#  - PROGRAM=<bench or example> runs it with ARGS (a space-separated
+#    string) and compares its stdout as <program>.stdout and every file
+#    it writes, those named in HASHED (space-separated) by digest;
+#  - SUITE=mcdla_sim runs mcdla_sim's modes and observers, SUITE=audit
+#    the determinism audit's event counts, peak depths and stream hashes
+#    on both event-queue backends, and SUITE=trace two traced runs whose
+#    Perfetto JSON must parse strictly under PYTHON (when given).
+# With MCDLA_REGEN_GOLDENS set in the environment, the fresh outputs and
+# digests overwrite the checked-in files instead;
+# tools/regen_goldens.sh runs every golden ctest that way.
 #
-#   cmake -DMCDLA_SIM=<mcdla_sim> -DWORK_DIR=<scratch dir> \
-#         [-DSUITE=sim|figures|audit] [-DREGEN=ON] \
+#   cmake -DWORK_DIR=<scratch dir> -DPROGRAM=<program> [-DARGS=<args>] \
+#         [-DHASHED=<files>] -P tests/golden/run_goldens.cmake
+#   cmake -DWORK_DIR=<scratch dir> -DMCDLA_SIM=<mcdla_sim> \
+#         -DSUITE=mcdla_sim|audit|trace [-DPYTHON=<python3>] \
 #         -P tests/golden/run_goldens.cmake
 
-foreach(var MCDLA_SIM WORK_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "run_goldens.cmake: -D${var}=... is required")
-  endif()
-endforeach()
-
-if(NOT DEFINED SUITE)
-  set(SUITE sim)
+if(NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "run_goldens.cmake: -DWORK_DIR=... is required")
+endif()
+if(NOT DEFINED PROGRAM AND NOT DEFINED MCDLA_SIM)
+  message(FATAL_ERROR
+    "run_goldens.cmake: -DPROGRAM=... or -DMCDLA_SIM=... is required")
+endif()
+set(REGEN FALSE)
+if(DEFINED ENV{MCDLA_REGEN_GOLDENS})
+  set(REGEN TRUE)
 endif()
 
 set(golden_dir ${CMAKE_CURRENT_LIST_DIR})
-get_filename_component(bin_dir ${MCDLA_SIM} DIRECTORY)
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(mismatches "")
 
-# golden_case(<name> [NO_STDOUT] [PROGRAM <bench>] OUTPUTS <files>
-#             HASHED <files> ARGS <args>):
-# runs mcdla_sim --quiet, or the build tree's <bench> as given, and
-# compares the run's stdout as <name>.stdout (unless NO_STDOUT), plus
-# each OUTPUTS file.
-# The HASHED files are compared by digest against <name>.sha256, one
-# "<sha256>  <file>" line each (the sha256sum format). Output paths stay
-# relative so the "wrote <file>" lines are stable.
-macro(golden_case name)
-  cmake_parse_arguments(case "NO_STDOUT" "PROGRAM" "OUTPUTS;HASHED;ARGS"
-    ${ARGN})
-  if(case_PROGRAM)
-    set(command ${bin_dir}/${case_PROGRAM} ${case_ARGS})
-  else()
-    set(command ${MCDLA_SIM} ${case_ARGS} --quiet)
-  endif()
-  execute_process(COMMAND ${command}
+# golden_run(<name> <command>...): runs the command in WORK_DIR with its
+# stdout in <name>.stdout; a non-zero exit fails the check.
+macro(golden_run name)
+  execute_process(COMMAND ${ARGN}
     WORKING_DIRECTORY ${WORK_DIR}
     OUTPUT_FILE ${WORK_DIR}/${name}.stdout
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "golden ${name}: ${command} exited with ${rc}")
+    message(FATAL_ERROR "golden ${name}: ${ARGN} exited with ${rc}")
   endif()
-  set(compared ${case_OUTPUTS})
-  if(NOT case_NO_STDOUT)
-    list(PREPEND compared ${name}.stdout)
-  endif()
-  foreach(out ${compared})
+endmacro()
+
+# golden_compare(<files>): compares each WORK_DIR file with its golden,
+# or with REGEN overwrites the golden.
+macro(golden_compare)
+  foreach(out ${ARGN})
     if(REGEN)
       configure_file(${WORK_DIR}/${out} ${golden_dir}/${out} COPYONLY)
     else()
@@ -68,29 +64,64 @@ macro(golden_case name)
       endif()
     endif()
   endforeach()
-  if(case_HASHED)
-    set(digests "")
-    foreach(out ${case_HASHED})
-      file(SHA256 ${WORK_DIR}/${out} digest)
-      string(APPEND digests "${digest}  ${out}\n")
-    endforeach()
-    file(WRITE ${WORK_DIR}/${name}.sha256 "${digests}")
-    if(REGEN)
-      configure_file(${WORK_DIR}/${name}.sha256 ${golden_dir}/${name}.sha256
-        COPYONLY)
-    else()
-      set(expected "")
-      if(EXISTS ${golden_dir}/${name}.sha256)
-        file(READ ${golden_dir}/${name}.sha256 expected)
-      endif()
-      if(NOT expected STREQUAL digests)
-        list(APPEND mismatches ${name}.sha256)
-      endif()
+endmacro()
+
+# golden_hash(<name> <files>): compares the files by digest against
+# <name>.sha256, one "<sha256>  <file>" line each (the sha256sum
+# format), or with REGEN overwrites it.
+macro(golden_hash name)
+  set(digests "")
+  foreach(out ${ARGN})
+    file(SHA256 ${WORK_DIR}/${out} digest)
+    string(APPEND digests "${digest}  ${out}\n")
+  endforeach()
+  file(WRITE ${WORK_DIR}/${name}.sha256 "${digests}")
+  if(REGEN)
+    configure_file(${WORK_DIR}/${name}.sha256 ${golden_dir}/${name}.sha256
+      COPYONLY)
+  else()
+    set(expected "")
+    if(EXISTS ${golden_dir}/${name}.sha256)
+      file(READ ${golden_dir}/${name}.sha256 expected)
+    endif()
+    if(NOT expected STREQUAL digests)
+      list(APPEND mismatches ${name}.sha256)
     endif()
   endif()
 endmacro()
 
-if(SUITE STREQUAL "sim")
+# golden_case(<name> [NO_STDOUT] OUTPUTS <files> HASHED <files>
+#             ARGS <args>):
+# runs mcdla_sim --quiet and compares the run's stdout as <name>.stdout
+# (unless NO_STDOUT), each OUTPUTS file, and the HASHED files by
+# digest. Output paths stay relative so the "wrote <file>" lines are
+# stable.
+macro(golden_case name)
+  cmake_parse_arguments(case "NO_STDOUT" "" "OUTPUTS;HASHED;ARGS"
+    ${ARGN})
+  golden_run(${name} ${MCDLA_SIM} ${case_ARGS} --quiet)
+  if(NOT case_NO_STDOUT)
+    golden_compare(${name}.stdout)
+  endif()
+  golden_compare(${case_OUTPUTS})
+  if(case_HASHED)
+    golden_hash(${name} ${case_HASHED})
+  endif()
+endmacro()
+
+if(DEFINED PROGRAM)
+  get_filename_component(name ${PROGRAM} NAME)
+  separate_arguments(args UNIX_COMMAND "${ARGS}")
+  golden_run(${name} ${PROGRAM} ${args})
+  file(GLOB outputs LIST_DIRECTORIES false RELATIVE ${WORK_DIR}
+    ${WORK_DIR}/*)
+  separate_arguments(hashed UNIX_COMMAND "${HASHED}")
+  if(hashed)
+    list(REMOVE_ITEM outputs ${hashed})
+    golden_hash(${name} ${hashed})
+  endif()
+  golden_compare(${outputs})
+elseif(SUITE STREQUAL "mcdla_sim")
   golden_case(cluster
     OUTPUTS cluster_jobs.csv cluster_pool.csv
     ARGS --cluster --jobs 6 --seed 3 --scheduler backfill
@@ -102,6 +133,14 @@ if(SUITE STREQUAL "sim")
     ARGS --serve --workload AlexNet --replicas 2
          --job-trace ${golden_dir}/serve_jobs.trace
          --csv serve_requests.csv --replica-csv serve_replicas.csv)
+
+  # The blocked four-job mix under FIFO and under backfill.
+  foreach(scheduler fifo backfill)
+    golden_case(cluster_mix_${scheduler}
+      ARGS --cluster --design mc-b --allocator first-fit
+           --scheduler ${scheduler}
+           --job-trace ${golden_dir}/cluster_mix.trace)
+  endforeach()
 
   # The observers: trace, metrics and critical path of one iteration,
   # then trace and metrics of a cluster and a serve run.
@@ -235,19 +274,34 @@ elseif(SUITE STREQUAL "audit")
       endif()
     endforeach()
   endif()
-elseif(SUITE STREQUAL "figures")
-  # The paper's headline tables and two ablations; fig13 and fig11 run
-  # their grids on a thread pool, and their output must not depend on
-  # it.
-  golden_case(fig13 PROGRAM fig13_performance)
-  golden_case(fig11 PROGRAM fig11_latency_breakdown)
-  golden_case(abl_page_policy PROGRAM abl_page_policy)
-  golden_case(abl_pipeline PROGRAM abl_pipeline
-    OUTPUTS abl_pipeline.csv
-    ARGS --smoke --csv abl_pipeline.csv)
+elseif(SUITE STREQUAL "trace")
+  # A traced cluster and a traced serving run. Only their exit status
+  # and, with PYTHON, the strict parse of each trace (json.load, the
+  # parser of python -m json.tool, without its slow reprinting) are
+  # checked: a JSON-escaping bug fails here instead of rendering a
+  # blank Perfetto tab.
+  golden_case(trace_cluster NO_STDOUT
+    ARGS --design mc-b --cluster --jobs 4 --arrival-rate 50 --seed 3
+         --trace trace_cluster.json --metrics-csv metrics_cluster.csv)
+  golden_case(trace_serve NO_STDOUT
+    ARGS --design mc-b --serve --workload AlexNet --replicas 2
+         --requests 30 --request-rate 200 --slo-ms 50 --seed 2
+         --trace trace_serve.json)
+  if(PYTHON)
+    foreach(trace trace_cluster.json trace_serve.json)
+      execute_process(COMMAND ${PYTHON} -c
+          "import json, sys; json.load(open(sys.argv[1]))" ${trace}
+        WORKING_DIRECTORY ${WORK_DIR}
+        OUTPUT_QUIET
+        RESULT_VARIABLE rc)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${trace} is not strict JSON")
+      endif()
+    endforeach()
+  endif()
 else()
   message(FATAL_ERROR "run_goldens.cmake: unknown SUITE '${SUITE}' "
-    "(sim, figures, audit)")
+    "(mcdla_sim, audit, trace)")
 endif()
 
 if(mismatches)

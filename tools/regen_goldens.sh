@@ -1,7 +1,8 @@
 #!/bin/sh
-# Regenerate the golden outputs in tests/golden/ (mcdla_sim, the
-# paper-figure benches and the determinism audit) from a build tree,
-# then show what changed.
+# Build everything, regenerate every golden output in tests/golden/
+# (mcdla_sim's modes, the determinism audit, and each bench and
+# example) by running the ctests labelled "golden" with
+# MCDLA_REGEN_GOLDENS set, then show what changed.
 # Review the diff before committing it: the goldens are the spec that
 # refactors must reproduce byte for byte.
 #
@@ -9,14 +10,11 @@
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
-build=$(cd "${1:-$root/build}" && pwd)
+build=${1:-$root/build}
 
-cmake --build "$build" --target mcdla_sim fig13_performance \
-    fig11_latency_breakdown abl_page_policy abl_pipeline
-for suite in sim figures audit; do
-    cmake -DMCDLA_SIM="$build/mcdla_sim" \
-        -DWORK_DIR="$build/golden-regen-$suite" -DSUITE=$suite \
-        -DREGEN=ON -P "$root/tests/golden/run_goldens.cmake"
-done
+cmake -S "$root" -B "$build" > /dev/null
+cmake --build "$build" -j
+(cd "$build" &&
+    MCDLA_REGEN_GOLDENS=1 ctest -L golden -j "$(nproc)" --output-on-failure)
 git -C "$root" status --short -- tests/golden
 git -C "$root" diff --stat -- tests/golden
