@@ -204,6 +204,12 @@ elseif(SUITE STREQUAL "mcdla_sim")
       OUTPUTS ${mode}.csv
       ARGS --workload AlexNet --mode ${mode} --csv ${mode}.csv)
   endforeach()
+
+  # The --stats dump of one iteration: devices, DMA engines, the
+  # collective engine and sockets/PCIe on DC-DLA; DIMM buses, ring
+  # links and the pagers on MC-DLA(B).
+  golden_case(stats_dc ARGS --workload AlexNet --design dc --stats)
+  golden_case(stats_mcb ARGS --workload AlexNet --design mc-b --stats)
 elseif(SUITE STREQUAL "audit")
   # audit_run(<name> <args>): runs `mcdla_sim <args> --audit-determinism`
   # (the scenario twice from fresh state; a non-zero exit means the two
