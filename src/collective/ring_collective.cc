@@ -44,8 +44,6 @@ CollectiveEngine::CollectiveEngine(EventQueue &eq, std::string name,
 {
     for (const RingPath &ring : fabric.rings())
         _rings.push_back(&ring);
-    stats().scalar("ops", "collective operations completed");
-    stats().scalar("bytes", "collective payload bytes launched");
     if (_cfg.chunkBytes <= 0.0)
         fatal("collective chunk size must be positive");
 }
@@ -69,7 +67,6 @@ CollectiveEngine::launchOn(const std::vector<const RingPath *> &rings,
                              WaitKind::Collective,
                              CausalCtx::Collective, name());
     _bytesLaunched += total_bytes;
-    stats().scalar("bytes") += total_bytes;
 
     CollectiveOp *op = acquire(_collectiveOps, _freeCollectiveOps);
     op->done = std::move(on_done);
@@ -268,7 +265,6 @@ CollectiveEngine::finish(CollectiveOp *op)
     EventQueue::Callback done = std::move(op->done);
     _freeCollectiveOps.push_back(op);
     ++_opsCompleted;
-    ++stats().scalar("ops");
     if (done)
         done();
 }

@@ -72,7 +72,6 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 #include "sim/units.hh"
 #include "system/analytic_model.hh"
 #include "system/energy_model.hh"

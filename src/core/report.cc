@@ -149,18 +149,93 @@ ResultSet::writeJson(std::ostream &os) const
     os << "]\n";
 }
 
+namespace
+{
+
+/** One `<owner>.<stat> <value> # <desc>` line; counters print as
+    doubles, like every value of the dump. */
 void
-dumpSystemStats(System &system, std::ostream &os)
+statLine(std::ostream &os, const std::string &owner, const char *stat,
+         double value, const char *desc)
+{
+    os << owner << '.' << stat << ' ' << value << " # " << desc << '\n';
+}
+
+} // anonymous namespace
+
+void
+dumpSystemStats(System &system, const TrainingSession &session,
+                std::ostream &os)
 {
     os << "---------- Begin Simulation Statistics ----------\n";
     for (int d = 0; d < system.numDevices(); ++d) {
-        system.device(d).stats().dump(os);
-        system.dma(d).stats().dump(os);
+        const DeviceNode &dev = system.device(d);
+        statLine(os, dev.name(), "compute_busy_ticks",
+                 static_cast<double>(dev.computeBusyTicks()),
+                 "total ticks the compute engine was busy");
+        statLine(os, dev.name(), "ops_executed",
+                 static_cast<double>(dev.opsExecuted()),
+                 "layer passes executed");
+        const DmaEngine &dma = system.dma(d);
+        statLine(os, dma.name(), "bytes_offloaded", dma.bytesOffloaded(),
+                 "devicelocal -> backing store");
+        statLine(os, dma.name(), "bytes_prefetched",
+                 dma.bytesPrefetched(), "backing store -> devicelocal");
+        statLine(os, dma.name(), "transfers",
+                 static_cast<double>(dma.transfers()),
+                 "DMA operations issued");
     }
-    system.collectives().stats().dump(os);
-    for (Channel *ch : system.fabric().channels())
-        ch->stats().dump(os);
+    const CollectiveEngine &nccl = system.collectives();
+    statLine(os, nccl.name(), "ops",
+             static_cast<double>(nccl.opsCompleted()),
+             "collective operations completed");
+    statLine(os, nccl.name(), "bytes", nccl.bytesLaunched(),
+             "collective payload bytes launched");
+    for (const Channel *ch : system.fabric().channels()) {
+        statLine(os, ch->name(), "bytes", ch->bytesTransferred(),
+                 "payload bytes delivered");
+        statLine(os, ch->name(), "transfers",
+                 static_cast<double>(ch->transfers()), "transfer count");
+        statLine(os, ch->name(), "busy_seconds",
+                 ticksToSeconds(ch->busyTicks()), "occupied time");
+    }
     os << "---------- End Simulation Statistics ----------\n";
+    for (const auto &pager : session.pagers()) {
+        const PagingCounters c = pager->counters();
+        const std::string &name = pager->name();
+        statLine(os, name, "demand_hits",
+                 static_cast<double>(c.demandHits),
+                 "stash reads that found pages ready");
+        statLine(os, name, "demand_misses",
+                 static_cast<double>(c.demandMisses),
+                 "stash reads that stalled compute");
+        statLine(os, name, "fills", static_cast<double>(c.fills),
+                 "page fill DMAs requested");
+        statLine(os, name, "demand_fills",
+                 static_cast<double>(c.demandFills),
+                 "fills requested by a page fault");
+        statLine(os, name, "writebacks",
+                 static_cast<double>(c.writebacks),
+                 "page writeback DMAs issued");
+        statLine(os, name, "clean_drops",
+                 static_cast<double>(c.cleanDrops),
+                 "evictions with a valid backing copy");
+        statLine(os, name, "early_evictions",
+                 static_cast<double>(c.earlyEvictions),
+                 "evictions before the group's last forward use");
+        statLine(os, name, "stall_ticks",
+                 static_cast<double>(pager->stallTicks()),
+                 "compute stall ticks blamed on paging");
+        statLine(os, name, "bytes_filled", c.bytesFilled,
+                 "wire bytes filled into HBM");
+        statLine(os, name, "bytes_written_back", c.bytesWrittenBack,
+                 "wire bytes written back");
+        statLine(os, name, "hit_rate", c.hitRate(),
+                 "fraction of stash reads that never stalled");
+        statLine(os, name, "peak_resident_bytes",
+                 static_cast<double>(c.peakResidentBytes),
+                 "peak stash HBM occupancy");
+    }
 }
 
 const std::vector<std::string> &

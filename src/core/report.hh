@@ -28,6 +28,7 @@ namespace mcdla
 {
 
 class System;
+class TrainingSession;
 struct IterationResult;
 
 /** Open @p path for writing, or stop with one fatal line naming it. */
@@ -79,9 +80,13 @@ class ResultSet
 
 /**
  * Dump the statistics of every component of a system (devices, DMA
- * engines, channels, collective engine) in gem5-style text form.
+ * engines, collective engine, channels) and of @p session's pagers in
+ * gem5-style `name value # desc` text. Device, channel and pager
+ * counters cover the last iteration; DMA and collective counters are
+ * lifetime totals.
  */
-void dumpSystemStats(System &system, std::ostream &os);
+void dumpSystemStats(System &system, const TrainingSession &session,
+                     std::ostream &os);
 
 /// @name Per-channel utilization emission
 /// @{

@@ -112,10 +112,8 @@ Simulator::run(const Scenario &scenario, const Network &net,
             hooks.metrics->start(eq);
         result = session.run();
     }
-    if (hooks.stats != nullptr) {
-        dumpSystemStats(system, *hooks.stats);
-        session.dumpPagingStats(*hooks.stats);
-    }
+    if (hooks.stats != nullptr)
+        dumpSystemStats(system, session, *hooks.stats);
     if (hooks.postRun)
         hooks.postRun(system, result);
     return result;

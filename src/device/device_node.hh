@@ -31,13 +31,8 @@ class DeviceNode : public SimObject
      * @param cfg Device configuration.
      */
     DeviceNode(EventQueue &eq, std::string name, const DeviceConfig &cfg)
-        : SimObject(eq, std::move(name)), _cfg(cfg), _model(cfg),
-          _busyUntil(0)
-    {
-        stats().scalar("compute_busy_ticks",
-                       "total ticks the compute engine was busy");
-        stats().scalar("ops_executed", "layer passes executed");
-    }
+        : SimObject(eq, std::move(name)), _cfg(cfg), _model(cfg)
+    {}
 
     const DeviceConfig &config() const { return _cfg; }
     const ComputeModel &computeModel() const { return _model; }
@@ -55,14 +50,27 @@ class DeviceNode : public SimObject
     {
         const Tick start = std::max(earliest, _busyUntil);
         _busyUntil = start + duration;
-        stats().scalar("compute_busy_ticks")
-            += static_cast<double>(duration);
-        ++stats().scalar("ops_executed");
+        _computeBusyTicks += duration;
+        ++_opsExecuted;
         return _busyUntil;
     }
 
     /** Next tick at which the compute engine is free. */
     Tick computeFreeAt() const { return _busyUntil; }
+
+    /** Ticks the compute engine was busy since resetStats(). */
+    Tick computeBusyTicks() const { return _computeBusyTicks; }
+
+    /** Layer passes executed since resetStats(). */
+    std::uint64_t opsExecuted() const { return _opsExecuted; }
+
+    /** Clear the busy-time and op counters. */
+    void
+    resetStats()
+    {
+        _computeBusyTicks = 0;
+        _opsExecuted = 0;
+    }
 
     /** Clear occupancy between iterations. */
     void
@@ -74,7 +82,9 @@ class DeviceNode : public SimObject
   private:
     DeviceConfig _cfg;
     ComputeModel _model;
-    Tick _busyUntil;
+    Tick _busyUntil = 0;
+    Tick _computeBusyTicks = 0;
+    std::uint64_t _opsExecuted = 0;
 };
 
 } // namespace mcdla

@@ -25,14 +25,6 @@ Channel::Channel(EventQueue &eq, std::string name, double bandwidth,
     if (bandwidth <= 0.0)
         fatal("channel '%s' requires positive bandwidth",
               this->name().c_str());
-    stats().formula("bytes", [this] { return _bytesTransferred; },
-                    "payload bytes delivered");
-    stats().formula("transfers",
-                    [this] { return static_cast<double>(_transfers); },
-                    "transfer count");
-    stats().formula("busy_seconds",
-                    [this] { return ticksToSeconds(_busyTicks); },
-                    "occupied time");
 }
 
 void
@@ -400,7 +392,6 @@ Channel::resetStats()
 {
     // Due arrivals count toward the peak being cleared.
     admitArrivals();
-    SimObject::resetStats();
     _bytesTransferred = 0.0;
     _transfers = 0;
     _busyTicks = 0;

@@ -143,7 +143,7 @@ static_assert(std::is_trivially_copyable_v<Chunk>,
  * A unidirectional, FIFO, fixed-bandwidth communication resource.
  *
  * Waiting transfers are stored as runs ("trains") of equal chunks.
- * queueDepth(), peakQueueDepth() and the stats count transfers, not
+ * queueDepth(), peakQueueDepth() and transfers() count transfers, not
  * FIFO entries.
  *
  * EventOwner is the first base, so the queue dispatches the channel's
@@ -174,10 +174,13 @@ class Channel : private EventOwner, public SimObject
      */
     void submit(const Chunk &chunk);
 
-    /** Total payload bytes delivered so far. */
+    /** Payload bytes started since resetStats(). */
     double bytesTransferred() const { return _bytesTransferred; }
 
-    /** Total ticks the channel was occupied. */
+    /** Transfers started since resetStats(). */
+    std::uint64_t transfers() const { return _transfers; }
+
+    /** Ticks the channel was occupied since resetStats(). */
     Tick busyTicks() const { return _busyTicks; }
 
     /** Occupied fraction of [0, horizon]. */
@@ -227,7 +230,7 @@ class Channel : private EventOwner, public SimObject
     double peakBandwidth() const;
 
     /** Clear statistics (not queued work). */
-    void resetStats() override;
+    void resetStats();
 
     /**
      * SimCheck: byte conservation. Everything ever submitted is either
@@ -409,7 +412,7 @@ class Channel : private EventOwner, public SimObject
     double _occupancyBytes = 0.0;
     Tick _occupancy = 0;
 
-    // Resettable totals; the "bytes" and "transfers" stats read them.
+    // Totals since resetStats().
     double _bytesTransferred = 0.0;
     std::uint64_t _transfers = 0;
     Tick _busyTicks = 0;

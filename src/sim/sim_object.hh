@@ -2,10 +2,10 @@
  * @file
  * Base class for simulated components.
  *
- * A SimObject has a hierarchical name, a reference to the EventQueue that
- * drives it, and an owned StatSet. Components (channels, devices, memory
- * nodes, engines) derive from it so experiments can enumerate and dump
- * per-component statistics uniformly.
+ * A SimObject has a hierarchical name and a reference to the EventQueue
+ * that drives it. Components (channels, devices, engines) derive from
+ * it. Each keeps its statistics as typed counters with accessors of its
+ * own; core/report's dumpSystemStats() writes them as `--stats` text.
  */
 
 #ifndef MCDLA_SIM_SIM_OBJECT_HH
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "event_queue.hh"
-#include "stats.hh"
 #include "units.hh"
 
 namespace mcdla
@@ -29,10 +28,8 @@ class SimObject
      * @param name Hierarchical instance name (e.g. "system.dev0.hbm").
      */
     SimObject(EventQueue &eq, std::string name)
-        : _eq(eq), _name(std::move(name)), _stats(_name + ".")
+        : _eq(eq), _name(std::move(name))
     {}
-
-    virtual ~SimObject() = default;
 
     SimObject(const SimObject &) = delete;
     SimObject &operator=(const SimObject &) = delete;
@@ -42,19 +39,12 @@ class SimObject
     const EventQueue &eventQueue() const { return _eq; }
     Tick now() const { return _eq.now(); }
 
-    StatSet &stats() { return _stats; }
-    const StatSet &stats() const { return _stats; }
-
-    /** Hook invoked by owners when a simulation run starts. */
-    virtual void startup() {}
-
-    /** Reset component statistics (not structural state). */
-    virtual void resetStats() { _stats.reset(); }
+  protected:
+    ~SimObject() = default;
 
   private:
     EventQueue &_eq;
     std::string _name;
-    StatSet _stats;
 };
 
 } // namespace mcdla

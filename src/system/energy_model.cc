@@ -22,8 +22,8 @@ estimateEnergy(System &system, const IterationResult &r,
 
     // Devices: busy time at TDP, remainder at idle power.
     for (int d = 0; d < system.numDevices(); ++d) {
-        const double busy_s = ticksToSeconds(static_cast<Tick>(
-            system.device(d).stats().value("compute_busy_ticks")));
+        const double busy_s =
+            ticksToSeconds(system.device(d).computeBusyTicks());
         const double busy = std::min(busy_s, span);
         report.deviceJoules += busy * cfg.deviceTdpWatts
             + (span - busy) * cfg.deviceIdleWatts;

@@ -141,8 +141,6 @@ System::resetStats()
         dev->resetStats();
         dev->resetOccupancy();
     }
-    for (auto &dma : _dmas)
-        dma->resetStats();
 }
 
 } // namespace mcdla

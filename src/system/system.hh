@@ -57,7 +57,8 @@ class System
     /** Total memory capacity exposed to all devices (local + remote). */
     std::uint64_t totalExposedMemory() const;
 
-    /** Reset all per-iteration statistics. */
+    /** Reset the channels' and devices' statistics and the devices'
+        occupancy; DMA and collective counters are lifetime totals. */
     void resetStats();
 
   private:

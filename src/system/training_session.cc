@@ -711,13 +711,6 @@ TrainingSession::pager(int dev)
     return *_pagers.at(static_cast<std::size_t>(dev));
 }
 
-void
-TrainingSession::dumpPagingStats(std::ostream &os) const
-{
-    for (const auto &pager : _pagers)
-        pager->stats().dump(os);
-}
-
 std::uint64_t
 TrainingSession::hbmResidentBytes() const
 {
@@ -999,7 +992,6 @@ TrainingSession::startIteration(
         DeviceNode &device = _system.device(sysDev(d));
         device.resetStats();
         device.resetOccupancy();
-        _system.dma(sysDev(d)).resetStats();
     }
 
     _onIterationDone = std::move(on_done);
@@ -1027,6 +1019,12 @@ TrainingSession::setupIteration()
     _startTick = eq.now();
     _eventsBefore = eq.executedCount();
     _hostBytesBefore = _system.fabric().hostBytes();
+    _dmaBytesBefore.clear();
+    for (int d = 0; d < n; ++d) {
+        const DmaEngine &dma = _system.dma(sysDev(d));
+        _dmaBytesBefore.push_back(dma.bytesOffloaded()
+                                  + dma.bytesPrefetched());
+    }
     _chanBytesBefore.clear();
     _chanBusyBefore.clear();
     for (const Channel *ch : _system.fabric().channels()) {
@@ -1134,9 +1132,9 @@ TrainingSession::collectResult()
             / static_cast<double>(sockets);
     }
     result.hostPeakBwPerSocket = _system.fabric().hostPeakBandwidth();
-    result.offloadBytesPerDevice =
-        _system.dma(sysDev(report)).bytesOffloaded()
-        + _system.dma(sysDev(report)).bytesPrefetched();
+    const DmaEngine &dma = _system.dma(sysDev(report));
+    result.offloadBytesPerDevice = dma.bytesOffloaded()
+        + dma.bytesPrefetched() - _dmaBytesBefore[ureport];
     result.syncBytes = _iterSyncBytes;
     result.eventsExecuted = eq.executedCount() - _eventsBefore;
     result.paging = _pagers[ureport]->counters();

@@ -105,6 +105,8 @@ struct IterationResult
     double hostBytes = 0.0;        ///< Traffic through host sockets.
     double hostAvgBwPerSocket = 0.0;  ///< Figure 12 "avg" series.
     double hostPeakBwPerSocket = 0.0; ///< Figure 12 "max" series.
+    /** Bytes the reported device's DMA engine offloaded plus
+        prefetched during this iteration. */
     double offloadBytesPerDevice = 0.0;
     double syncBytes = 0.0;        ///< Collective/p2p payload launched.
     std::uint64_t eventsExecuted = 0;
@@ -234,8 +236,13 @@ class TrainingSession
      */
     DevicePager &pager(int dev);
 
-    /** Dump every device's paging statistics (gem5-style). */
-    void dumpPagingStats(std::ostream &os) const;
+    /** Every owned device's pager, session device order (empty
+        before the first iteration). */
+    const std::vector<std::unique_ptr<DevicePager>> &
+    pagers() const
+    {
+        return _pagers;
+    }
 
   private:
     /// One pipeline point-to-point transfer attached to an op.
@@ -405,6 +412,10 @@ class TrainingSession
     /// Host-socket byte counter at iteration start (the fabric is
     /// shared under multi-tenancy, so hostBytes reports a delta).
     double _hostBytesBefore = 0.0;
+    /// Each owned device's DMA bytes (offloaded + prefetched) at
+    /// iteration start: the engines keep lifetime totals, so
+    /// offloadBytesPerDevice reports a delta.
+    std::vector<double> _dmaBytesBefore;
     /// Per-channel byte/busy snapshots at iteration start, fabric
     /// channel order (channel counters are cumulative on a shared
     /// fabric; the iteration reports deltas).

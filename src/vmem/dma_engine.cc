@@ -24,9 +24,6 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
     if (_chunkBytes <= 0.0)
         fatal("dma engine '%s': chunk size must be positive",
               this->name().c_str());
-    stats().scalar("bytes_offloaded", "devicelocal -> backing store");
-    stats().scalar("bytes_prefetched", "backing store -> devicelocal");
-    stats().scalar("transfers", "DMA operations issued");
 }
 
 void
@@ -50,14 +47,11 @@ DmaEngine::transfer(double bytes, DmaDirection direction,
         panic("dma engine '%s': %zu fractions for %zu paths",
               name().c_str(), fractions.size(), _paths.size());
 
-    ++stats().scalar("transfers");
-    if (direction == DmaDirection::LocalToRemote) {
+    ++_transfers;
+    if (direction == DmaDirection::LocalToRemote)
         _bytesOffloaded += bytes;
-        stats().scalar("bytes_offloaded") += bytes;
-    } else {
+    else
         _bytesPrefetched += bytes;
-        stats().scalar("bytes_prefetched") += bytes;
-    }
 
     // One leg per path with a share; the flow completes once, in the
     // event of its latest chunk delivery.

@@ -15,6 +15,7 @@
 #ifndef MCDLA_VMEM_DMA_ENGINE_HH
 #define MCDLA_VMEM_DMA_ENGINE_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -75,8 +76,15 @@ class DmaEngine : public SimObject
         transfer(bytes, direction, {}, std::move(on_done));
     }
 
+    /// @name Lifetime totals (never reset)
+    /// @{
+    /** Bytes moved devicelocal -> backing store. */
     double bytesOffloaded() const { return _bytesOffloaded; }
+    /** Bytes moved backing store -> devicelocal. */
     double bytesPrefetched() const { return _bytesPrefetched; }
+    /** DMA operations issued with a positive payload. */
+    std::uint64_t transfers() const { return _transfers; }
+    /// @}
 
   private:
     /** Complete a transfer that moves nothing in a zero-delay event
@@ -90,6 +98,7 @@ class DmaEngine : public SimObject
     std::vector<FlowLeg> _legs;
     double _bytesOffloaded = 0.0;
     double _bytesPrefetched = 0.0;
+    std::uint64_t _transfers = 0;
 };
 
 } // namespace mcdla

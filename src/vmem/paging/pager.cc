@@ -36,8 +36,7 @@ DevicePager::DevicePager(std::string name, Wiring wiring)
       _fault(*wiring.runtime, *wiring.remotePtrs, _wireBytes,
              _groupLayer, *wiring.net, wiring.tracker),
       _policy(makePrefetchPolicy(wiring.config.prefetch)),
-      _evict(makeEvictionPolicy(wiring.config.eviction)),
-      _stats(_name + ".")
+      _evict(makeEvictionPolicy(wiring.config.eviction))
 {
     // Register one page group per offloaded layer; its last forward
     // use is the op the static plan writes it back after.
@@ -56,26 +55,6 @@ DevicePager::DevicePager(std::string name, Wiring wiring)
             it->second);
     }
 
-    _stats.scalar("demand_hits", "stash reads that found pages ready");
-    _stats.scalar("demand_misses", "stash reads that stalled compute");
-    _stats.scalar("fills", "page fill DMAs requested");
-    _stats.scalar("demand_fills", "fills requested by a page fault");
-    _stats.scalar("writebacks", "page writeback DMAs issued");
-    _stats.scalar("clean_drops", "evictions with a valid backing copy");
-    _stats.scalar("early_evictions",
-                  "evictions before the group's last forward use");
-    _stats.scalar("stall_ticks", "compute stall ticks blamed on paging");
-    _stats.scalar("bytes_filled", "wire bytes filled into HBM");
-    _stats.scalar("bytes_written_back", "wire bytes written back");
-    _stats.formula(
-        "hit_rate", [this] { return counters().hitRate(); },
-        "fraction of stash reads that never stalled");
-    _stats.formula(
-        "peak_resident_bytes",
-        [this] {
-            return static_cast<double>(_table.peakUsedBytes());
-        },
-        "peak stash HBM occupancy");
 }
 
 Tick
@@ -87,7 +66,8 @@ DevicePager::now() const
 void
 DevicePager::beginIteration(TraceSink *trace)
 {
-    _stats.reset();
+    _counters = {};
+    _stallTicks = 0;
     _table.resetIteration();
     // "dev<N>.pager" → DMA track "dev<N>.dma" on the vmem process.
     std::string track = _name;
@@ -181,9 +161,9 @@ DevicePager::demand(std::size_t op)
 
         if (_accounted.insert(accountKey(op, layer)).second) {
             if (gate != nullptr)
-                ++_stats.scalar("demand_misses");
+                ++_counters.demandMisses;
             else
-                ++_stats.scalar("demand_hits");
+                ++_counters.demandHits;
             _policy->accessed(*this, layer);
         }
         if (gate != nullptr)
@@ -195,17 +175,17 @@ DevicePager::demand(std::size_t op)
 void
 DevicePager::noteStall(Tick ticks)
 {
-    _stats.scalar("stall_ticks") += static_cast<double>(ticks);
+    _stallTicks += ticks;
 }
 
 void
 DevicePager::planWriteback(LayerId layer)
 {
     _table.beginEvict(layer);
-    ++_stats.scalar("writebacks");
+    ++_counters.writebacks;
     _fault.writeback(layer, [this, layer] {
         _table.finishEvict(layer);
-        _stats.scalar("bytes_written_back") +=
+        _counters.bytesWrittenBack +=
             _wireBytes.at(static_cast<std::size_t>(layer));
     });
 }
@@ -219,13 +199,13 @@ DevicePager::requestFill(LayerId layer, bool demand)
             [this, layer] { _table.beginFill(layer); },
             [this, layer] {
                 _table.finishFill(layer, now());
-                _stats.scalar("bytes_filled") +=
+                _counters.bytesFilled +=
                     _wireBytes.at(static_cast<std::size_t>(layer));
             });
         if (issued) {
-            ++_stats.scalar("fills");
+            ++_counters.fills;
             if (demand)
-                ++_stats.scalar("demand_fills");
+                ++_counters.demandFills;
         }
         return;
     }
@@ -238,7 +218,7 @@ DevicePager::requestFill(LayerId layer, bool demand)
             for (auto &pending : _pendingFills) {
                 if (pending.first == layer && !pending.second) {
                     pending.second = true;
-                    ++_stats.scalar("demand_fills");
+                    ++_counters.demandFills;
                     break;
                 }
             }
@@ -270,9 +250,9 @@ DevicePager::requestFill(LayerId layer, bool demand)
               static_cast<unsigned long long>(_table.capacity()));
 
     _demandFillLatch.emplace(layer, std::make_shared<Latch>());
-    ++_stats.scalar("fills");
+    ++_counters.fills;
     if (demand)
-        ++_stats.scalar("demand_fills");
+        ++_counters.demandFills;
     _pendingFills.emplace_back(layer, demand);
     pumpFills();
 }
@@ -282,13 +262,13 @@ DevicePager::evictOne(LayerId victim)
 {
     PageEntry &entry = _table.entry(victim);
     if (entry.lastForwardUseOp >= _frontier)
-        ++_stats.scalar("early_evictions");
+        ++_counters.earlyEvictions;
     if (entry.dirty) {
         _table.beginEvict(victim);
-        ++_stats.scalar("writebacks");
+        ++_counters.writebacks;
         _fault.issueWritebackDma(victim, [this, victim] {
             _table.finishEvict(victim);
-            _stats.scalar("bytes_written_back") +=
+            _counters.bytesWrittenBack +=
                 _wireBytes.at(static_cast<std::size_t>(victim));
             pumpFills();
         });
@@ -296,7 +276,7 @@ DevicePager::evictOne(LayerId victim)
         // The backing store still holds a valid copy (stashes are
         // immutable): the frames free instantly.
         _table.discard(victim);
-        ++_stats.scalar("clean_drops");
+        ++_counters.cleanDrops;
     }
 }
 
@@ -332,7 +312,7 @@ DevicePager::pumpFills()
             _table.beginFill(layer);
             _fault.issueFillDma(layer, demand, [this, layer] {
                 _table.finishFill(layer, now());
-                _stats.scalar("bytes_filled") +=
+                _counters.bytesFilled +=
                     _wireBytes.at(static_cast<std::size_t>(layer));
                 auto latch_it = _demandFillLatch.find(layer);
                 if (latch_it == _demandFillLatch.end())
@@ -394,21 +374,8 @@ DevicePager::releaseRead(LayerId layer)
 PagingCounters
 DevicePager::counters() const
 {
-    PagingCounters c;
-    auto count = [this](const char *name) {
-        return static_cast<std::uint64_t>(_stats.value(name));
-    };
-    c.demandHits = count("demand_hits");
-    c.demandMisses = count("demand_misses");
-    c.fills = count("fills");
-    c.demandFills = count("demand_fills");
-    c.writebacks = count("writebacks");
-    c.cleanDrops = count("clean_drops");
-    c.earlyEvictions = count("early_evictions");
-    c.stallSec = ticksToSeconds(
-        static_cast<Tick>(_stats.value("stall_ticks")));
-    c.bytesFilled = _stats.value("bytes_filled");
-    c.bytesWrittenBack = _stats.value("bytes_written_back");
+    PagingCounters c = _counters;
+    c.stallSec = ticksToSeconds(_stallTicks);
     c.peakResidentBytes = _table.peakUsedBytes();
     return c;
 }

@@ -23,12 +23,14 @@
 #ifndef MCDLA_VMEM_PAGING_PAGER_HH
 #define MCDLA_VMEM_PAGING_PAGER_HH
 
+#include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
-#include "sim/stats.hh"
 #include "vmem/paging/eviction_policy.hh"
 #include "vmem/paging/fault_handler.hh"
 #include "vmem/paging/page_table.hh"
@@ -113,14 +115,17 @@ class DevicePager
     /** Attribute a compute stall of @p ticks to paging. */
     void noteStall(Tick ticks);
 
-    StatSet &stats() { return _stats; }
+    const std::string &name() const { return _name; }
     const PageTable &pageTable() const { return _table; }
     const PagingConfig &config() const { return _cfg; }
     const PagingSchedule &schedule() const { return *_schedule; }
     PrefetchPolicy &prefetchPolicy() { return *_policy; }
 
-    /** Snapshot of the counters (for IterationResult). */
+    /** This iteration's counters (for IterationResult and --stats). */
     PagingCounters counters() const;
+
+    /** This iteration's compute stall blamed on paging, in ticks. */
+    Tick stallTicks() const { return _stallTicks; }
 
     /** Whether no DMA of this pager is in flight. */
     bool dmaIdle() const { return _fault.dmaIdle(); }
@@ -168,7 +173,10 @@ class DevicePager
     FaultHandler _fault;
     std::unique_ptr<PrefetchPolicy> _policy;
     std::unique_ptr<EvictionPolicy> _evict;
-    StatSet _stats;
+    /** Counters since beginIteration(); stallSec and
+        peakResidentBytes are filled in by counters(). */
+    PagingCounters _counters;
+    Tick _stallTicks = 0;
 
     std::size_t _frontier = 0;
     /** (op << 32 | layer) pairs whose hit/miss was already counted. */

@@ -395,6 +395,30 @@ TEST_F(ClusterTest, SingleJobReproducesStandaloneExactly)
     EXPECT_DOUBLE_EQ(outcome.queueSec(), 0.0);
 }
 
+TEST_F(ClusterTest, OffloadBytesIgnoreAnEarlierJobOnTheSameDevices)
+{
+    // The second job queues behind the first for all eight devices and
+    // reuses their DMA engines; its iteration reports only its own
+    // offload and prefetch bytes.
+    ClusterConfig cfg;
+    cfg.base.design = SystemDesign::McDlaB;
+    const JobSpec job = makeJob("second", "AlexNet", 128, 8, 0.0);
+
+    Cluster alone(cfg, {job});
+    const ClusterReport solo = alone.run();
+    Cluster after(cfg, {makeJob("first", "AlexNet", 128, 8, 0.0), job});
+    const ClusterReport report = after.run();
+
+    ASSERT_EQ(solo.completedJobs(), 1u);
+    ASSERT_EQ(report.completedJobs(), 2u);
+    EXPECT_GT(report.jobs[1].queueSec(), 0.0);
+    const double alone_bytes =
+        solo.jobs[0].lastIteration.offloadBytesPerDevice;
+    EXPECT_GT(alone_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(report.jobs[1].lastIteration.offloadBytesPerDevice,
+                     alone_bytes);
+}
+
 TEST_F(ClusterTest, BackfillBeatsFifoOnABlockedMix)
 {
     // A 6-device job holds the machine while an 8-device job queues;

@@ -312,7 +312,7 @@ pinnedState(Tick done, const CollectiveEngine &engine,
                {}};
     for (const Channel *ch : channels) {
         out.bytes.push_back(ch->bytesTransferred());
-        out.transfers.push_back(ch->stats().value("transfers"));
+        out.transfers.push_back(static_cast<double>(ch->transfers()));
     }
     return out;
 }
@@ -333,7 +333,7 @@ busyChannels(const Fabric &fab)
 {
     std::vector<Channel *> out;
     for (Channel *ch : fab.channels())
-        if (ch->stats().value("transfers") > 0)
+        if (ch->transfers() > 0)
             out.push_back(ch);
     return out;
 }

@@ -246,8 +246,13 @@ TEST(DeviceNode, TracksBusyStats)
     DeviceNode dev(eq, "dev0", DeviceConfig{});
     dev.occupyCompute(0, 100);
     dev.occupyCompute(0, 50);
-    EXPECT_DOUBLE_EQ(dev.stats().value("compute_busy_ticks"), 150.0);
-    EXPECT_DOUBLE_EQ(dev.stats().value("ops_executed"), 2.0);
+    EXPECT_EQ(dev.computeBusyTicks(), 150u);
+    EXPECT_EQ(dev.opsExecuted(), 2u);
+    dev.resetStats();
+    EXPECT_EQ(dev.computeBusyTicks(), 0u);
+    EXPECT_EQ(dev.opsExecuted(), 0u);
+    // Occupancy is not a statistic.
+    EXPECT_EQ(dev.computeFreeAt(), 150u);
 }
 
 } // anonymous namespace

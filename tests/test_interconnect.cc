@@ -153,8 +153,10 @@ TEST(Channel, ResetStatsClearsCounters)
     TestPaths paths;
     paths.send({&ch}, 1e3);
     eq.run();
+    EXPECT_EQ(ch.transfers(), 1u);
     ch.resetStats();
     EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 0.0);
+    EXPECT_EQ(ch.transfers(), 0u);
     EXPECT_EQ(ch.busyTicks(), 0u);
 }
 
@@ -254,8 +256,8 @@ runTrain(const std::vector<int> &tags, bool unmerged)
         run.depths.push_back(ch.queueDepth());
     }
     run.peakDepth = ch.peakQueueDepth();
-    run.bytes = ch.stats().value("bytes");
-    run.transfers = ch.stats().value("transfers");
+    run.bytes = ch.bytesTransferred();
+    run.transfers = static_cast<double>(ch.transfers());
     return run;
 }
 

@@ -393,7 +393,7 @@ TEST(Paging, SessionExposesPagers)
     EXPECT_EQ(pager.config().prefetch, PrefetchPolicyKind::StaticPlan);
     EXPECT_GT(pager.pageTable().entries().size(), 0u);
     std::ostringstream os;
-    session.dumpPagingStats(os);
+    dumpSystemStats(system, session, os);
     EXPECT_NE(os.str().find("dev0.pager.demand_hits"),
               std::string::npos);
     EXPECT_NE(os.str().find("dev7.pager.hit_rate"), std::string::npos);

@@ -171,7 +171,7 @@ TEST(SystemStats, DumpCoversComponents)
                             128);
     session.run();
     std::ostringstream os;
-    dumpSystemStats(system, os);
+    dumpSystemStats(system, session, os);
     const std::string text = os.str();
     EXPECT_NE(text.find("dev0.compute_busy_ticks"), std::string::npos);
     EXPECT_NE(text.find("dev0.dma.bytes_offloaded"),

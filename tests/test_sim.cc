@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the simulation core: event queue, units, stats,
+ * Unit tests for the simulation core: event queue, units,
  * logging, and the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simcheck.hh"
-#include "sim/stats.hh"
 #include "sim/units.hh"
 
 namespace mcdla
@@ -344,90 +342,6 @@ TEST_F(ThrowingErrors, SchedulingAnOwnedEventInThePastPanicsUnderSimCheck)
         EXPECT_NE(msg.find("owner.kind1"), std::string::npos) << msg;
     }
     simcheck::setEnabled(was_enabled);
-}
-
-// ----------------------------------------------------------------- stats
-
-TEST(Stats, ScalarAccumulates)
-{
-    StatSet stats("test.");
-    Scalar &s = stats.scalar("count", "a counter");
-    s += 2.0;
-    ++s;
-    EXPECT_DOUBLE_EQ(stats.value("count"), 3.0);
-    s = 10.0;
-    EXPECT_DOUBLE_EQ(stats.value("count"), 10.0);
-}
-
-TEST(Stats, ScalarIsIdempotentByName)
-{
-    StatSet stats;
-    stats.scalar("x") += 1.0;
-    stats.scalar("x") += 1.0;
-    EXPECT_DOUBLE_EQ(stats.value("x"), 2.0);
-}
-
-TEST(Stats, FormulaEvaluatesLazily)
-{
-    StatSet stats;
-    Scalar &s = stats.scalar("bytes");
-    stats.formula("kib", [&s] { return s.value() / 1024.0; });
-    s = 2048.0;
-    EXPECT_DOUBLE_EQ(stats.value("kib"), 2.0);
-}
-
-TEST(Stats, DistributionSummaries)
-{
-    StatSet stats;
-    Distribution &d = stats.distribution("lat", 100.0, 10);
-    d.sample(5.0);
-    d.sample(95.0);
-    d.sample(50.0, 2);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.min(), 5.0);
-    EXPECT_DOUBLE_EQ(d.max(), 95.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 50.0);
-    EXPECT_EQ(d.overflow(), 0u);
-    d.sample(150.0);
-    EXPECT_EQ(d.overflow(), 1u);
-}
-
-TEST(Stats, ResetZeroesValues)
-{
-    StatSet stats;
-    stats.scalar("x") = 5.0;
-    stats.distribution("d", 10.0).sample(3.0);
-    stats.reset();
-    EXPECT_DOUBLE_EQ(stats.value("x"), 0.0);
-    EXPECT_EQ(stats.distribution("d", 10.0).count(), 0u);
-}
-
-TEST(Stats, DumpEmitsPrefixedLines)
-{
-    StatSet stats("chan.");
-    stats.scalar("bytes", "payload") = 42.0;
-    std::ostringstream os;
-    stats.dump(os);
-    EXPECT_NE(os.str().find("chan.bytes 42"), std::string::npos);
-    EXPECT_NE(os.str().find("payload"), std::string::npos);
-}
-
-TEST_F(ThrowingErrors, UnknownStatIsFatal)
-{
-    StatSet stats;
-    EXPECT_THROW(stats.value("nope"), FatalError);
-}
-
-TEST(Stats, HasChecksAllKinds)
-{
-    StatSet stats;
-    stats.scalar("s");
-    stats.formula("f", [] { return 1.0; });
-    stats.distribution("d", 1.0);
-    EXPECT_TRUE(stats.has("s"));
-    EXPECT_TRUE(stats.has("f"));
-    EXPECT_TRUE(stats.has("d"));
-    EXPECT_FALSE(stats.has("missing"));
 }
 
 // --------------------------------------------------------------- logging

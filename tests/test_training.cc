@@ -124,6 +124,23 @@ TEST(Training, OffloadTrafficMatchesPlan)
     EXPECT_NEAR(r.offloadBytesPerDevice, expected, expected * 0.01);
 }
 
+TEST(Training, OffloadBytesAreCountedPerIteration)
+{
+    // The DMA engines keep lifetime totals; each iteration reports
+    // only the bytes it moved, so a second iteration repeats the first.
+    auto offload = [](int iterations) {
+        Scenario sc;
+        sc.design = SystemDesign::McDlaB;
+        sc.workload = "AlexNet";
+        sc.globalBatch = 128;
+        sc.iterations = iterations;
+        return Simulator().run(sc).offloadBytesPerDevice;
+    };
+    const double one = offload(1);
+    EXPECT_GT(one, 0.0);
+    EXPECT_DOUBLE_EQ(offload(2), one);
+}
+
 TEST(Training, ComputeTimeIsDesignInvariant)
 {
     const Network net = buildBenchmark("GoogLeNet");
