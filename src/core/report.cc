@@ -199,7 +199,6 @@ dumpSystemStats(System &system, const TrainingSession &session,
         statLine(os, ch->name(), "busy_seconds",
                  ticksToSeconds(ch->busyTicks()), "occupied time");
     }
-    os << "---------- End Simulation Statistics ----------\n";
     for (const auto &pager : session.pagers()) {
         const PagingCounters c = pager->counters();
         const std::string &name = pager->name();
@@ -236,6 +235,7 @@ dumpSystemStats(System &system, const TrainingSession &session,
                  static_cast<double>(c.peakResidentBytes),
                  "peak stash HBM occupancy");
     }
+    os << "---------- End Simulation Statistics ----------\n";
 }
 
 const std::vector<std::string> &

@@ -397,6 +397,9 @@ TEST(Paging, SessionExposesPagers)
     EXPECT_NE(os.str().find("dev0.pager.demand_hits"),
               std::string::npos);
     EXPECT_NE(os.str().find("dev7.pager.hit_rate"), std::string::npos);
+    // The pager lines sit inside the statistics frame.
+    EXPECT_LT(os.str().find("dev7.pager.peak_resident_bytes"),
+              os.str().find("End Simulation Statistics"));
 }
 
 } // anonymous namespace
