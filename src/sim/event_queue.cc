@@ -458,44 +458,6 @@ EventQueue::run()
     return n;
 }
 
-std::uint64_t
-EventQueue::runUntil(Tick limit)
-{
-    std::uint64_t n = 0;
-    while (!keysEmpty()) {
-        const EventItem head = peekKey();
-        if (head.slot & kOwnedTag) {
-            if (head.when > limit)
-                break;
-            popKey();
-            --_live;
-            executeOwned(head);
-            ++n;
-            continue;
-        }
-        if (slotAt(head.slot).cancelled) {
-            popKey();
-            releaseSlot(head.slot);
-            continue;
-        }
-        if (_live == _weakLive) {
-            discardPending();
-            break;
-        }
-        if (head.when > limit)
-            break;
-        popKey();
-        --_live;
-        if (slotAt(head.slot).weak)
-            --_weakLive;
-        executeItem(head);
-        ++n;
-    }
-    if (_now < limit)
-        _now = limit;
-    return n;
-}
-
 void
 EventQueue::reset()
 {

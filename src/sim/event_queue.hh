@@ -212,8 +212,7 @@ class EventQueue
 
     /**
      * The seq of the executing event; UINT64_MAX between events, so a
-     * key (now(), seq) reserved earlier counts as due at top level
-     * (after runUntil(), every tick up to now() has run).
+     * key (now(), seq) reserved earlier counts as due at top level.
      */
     std::uint64_t currentSeq() const { return _currentSeq; }
 
@@ -265,14 +264,6 @@ class EventQueue
      * @return The number of events executed.
      */
     std::uint64_t run();
-
-    /**
-     * Run until simulated time would exceed @p limit; events scheduled at
-     * exactly @p limit still execute.
-     *
-     * @return The number of events executed.
-     */
-    std::uint64_t runUntil(Tick limit);
 
     /** Execute only the next pending event, if any. */
     bool step();

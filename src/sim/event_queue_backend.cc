@@ -111,25 +111,6 @@ HeapEventQueueBackend::insertFront(const EventItem &item)
 }
 
 void
-HeapEventQueueBackend::rebase(Tick when)
-{
-    // Re-bucket everything; place() keeps the new bucket 0 in seq
-    // order.
-    std::vector<EventItem> items(_front.begin() + _frontHead,
-                                 _front.end());
-    for (std::vector<EventItem> &bucket : _buckets) {
-        items.insert(items.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-    }
-    _front.clear();
-    _frontHead = 0;
-    _mask = 0;
-    _base = when;
-    for (const EventItem &item : items)
-        place(item);
-}
-
-void
 HeapEventQueueBackend::clear()
 {
     _front.clear();

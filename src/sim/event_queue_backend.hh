@@ -25,6 +25,7 @@
 #ifndef MCDLA_SIM_EVENT_QUEUE_BACKEND_HH
 #define MCDLA_SIM_EVENT_QUEUE_BACKEND_HH
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,9 +63,10 @@ eventItemBefore(const EventItem &a, const EventItem &b)
  * A priority structure over EventItems.
  *
  * Contract: pop() returns items in exact (when, seq) order; peek()
- * and pop() must not be called on an empty backend; pushed items are
- * never earlier than the last popped item (the kernel clamps
- * past-tick schedules to now() first). Seqs are unique but may arrive
+ * and pop() must not be called on an empty backend; while it is not
+ * empty, pushed items are never earlier than the last item peek() or
+ * pop() returned (the kernel clamps past-tick schedules to now() first
+ * and pops every item it peeks); an empty backend takes any tick. Seqs are unique but may arrive
  * out of order: a key with a reserved seq can follow newer keys of
  * the same tick. peek() may reorganise the structure, so it is not
  * const.
@@ -126,10 +128,12 @@ class HeapEventQueueBackend final : public EventQueueBackend
     void
     push(const EventItem &item) override
     {
+        // An emptied heap restarts from tick 0: its next pushes may
+        // come in any tick order, and its old base may be the tick of
+        // a popped key past now(), a cancelled event's.
         if (_size == 0)
-            _base = item.when;
-        else if (item.when < _base)
-            rebase(item.when);
+            _base = 0;
+        assert(item.when >= _base);
         ++_size;
         place(item);
     }
@@ -198,11 +202,6 @@ class HeapEventQueueBackend final : public EventQueueBackend
         of the lowest non-empty bucket and spread that bucket over
         the ones below it. Precondition: bucket 0 drained, !empty(). */
     void settle();
-
-    /** Move the base down to @p when, re-bucketing every item: the
-        O(n) path for a push below the base, which only follows a
-        runUntil() that peeked past its limit. */
-    void rebase(Tick when);
 
     /** Bucket 0, drained from _frontHead. */
     std::vector<EventItem> _front;

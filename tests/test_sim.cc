@@ -142,27 +142,6 @@ TEST(EventQueue, DescheduleOfInvalidIdFails)
     EXPECT_FALSE(eq.deschedule(9999));
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(30, [&] { ++fired; });
-    EXPECT_EQ(eq.runUntil(20), 2u);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.run(), 1u);
-    EXPECT_EQ(fired, 3);
-}
-
-TEST(EventQueue, RunUntilAdvancesTimeWithoutEvents)
-{
-    EventQueue eq;
-    eq.runUntil(500);
-    EXPECT_EQ(eq.now(), 500u);
-}
-
 TEST(EventQueue, PendingCountTracksLiveEvents)
 {
     EventQueue eq;
@@ -284,25 +263,6 @@ TEST(OwnedEvents, FireInSeqOrderAmongCallbacks)
     EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2}));
     EXPECT_EQ(eq.executedCount(), 4u);
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(OwnedEvents, RunUntilStopsBeforeALaterOwnedEventAndResumesIt)
-{
-    EventQueue eq;
-    LoggingOwner owner(eq);
-    eq.scheduleOwned(10, owner.id, 0);
-    eq.scheduleOwned(30, owner.id, 1);
-    bool plain = false;
-    eq.schedule(20, [&plain] { plain = true; });
-    EXPECT_EQ(eq.runUntil(25), 2u);
-    EXPECT_EQ(owner.fired, (Fired{{10, 0}}));
-    EXPECT_TRUE(plain);
-    EXPECT_EQ(eq.now(), 25u);
-    EXPECT_EQ(eq.pendingCount(), 1u);
-    EXPECT_EQ(eq.runUntil(29), 0u);
-    EXPECT_EQ(eq.run(), 1u);
-    EXPECT_EQ(owner.fired, (Fired{{10, 0}, {30, 1}}));
-    EXPECT_EQ(eq.now(), 30u);
 }
 
 TEST(OwnedEvents, KeepRunGoingWhileOnlyWeakEventsRemainOtherwise)

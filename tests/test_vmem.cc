@@ -211,7 +211,8 @@ TEST_F(DmaTest, AbandonedTransferReleasesItsCompletion)
         DmaEngine dma(eq, "dma0", fabric->vmemPaths(0));
         dma.transfer(150e6, DmaDirection::LocalToRemote,
                      [token] { ++*token; });
-        eq.runUntil(secondsToTicks(100e-6));
+        while (eq.now() < secondsToTicks(100e-6))
+            ASSERT_TRUE(eq.step());
         ASSERT_FALSE(eq.empty());
     }
     EXPECT_EQ(token.use_count(), 1);
