@@ -96,7 +96,8 @@ struct ChannelUsage
  * multi-tenant cluster they include co-located jobs' traffic/events
  * during this job's iteration window (the machine's view, not an
  * attribution). Per-device fields (breakdown, paging, offload bytes)
- * are exact for the owning session either way.
+ * are exact for the owning session either way; all of them cover this
+ * iteration alone.
  */
 struct IterationResult
 {
