@@ -66,10 +66,10 @@ eventItemBefore(const EventItem &a, const EventItem &b)
  * and pop() must not be called on an empty backend; while it is not
  * empty, pushed items are never earlier than the last item peek() or
  * pop() returned (the kernel clamps past-tick schedules to now() first
- * and pops every item it peeks); an empty backend takes any tick. Seqs are unique but may arrive
- * out of order: a key with a reserved seq can follow newer keys of
- * the same tick. peek() may reorganise the structure, so it is not
- * const.
+ * and pops every item it peeks); an empty backend takes any tick.
+ * Seqs are unique but may arrive out of order: a key with a reserved
+ * seq can follow newer keys of the same tick. peek() may reorganise
+ * the structure, so it is not const.
  */
 class EventQueueBackend
 {
