@@ -210,6 +210,13 @@ elseif(SUITE STREQUAL "mcdla_sim")
   # links and the pagers on MC-DLA(B).
   golden_case(stats_dc ARGS --workload AlexNet --design dc --stats)
   golden_case(stats_mcb ARGS --workload AlexNet --design mc-b --stats)
+
+  # Three iterations of one run: the result of the last iteration and
+  # its per-channel usage.
+  golden_case(iter3_dc
+    OUTPUTS iter3_dc.csv iter3_dc_channels.csv
+    ARGS --workload GoogLeNet --design dc --iterations 3
+         --csv iter3_dc.csv --channel-csv iter3_dc_channels.csv)
 elseif(SUITE STREQUAL "audit")
   # audit_run(<name> <args>): runs `mcdla_sim <args> --audit-determinism`
   # (the scenario twice from fresh state; a non-zero exit means the two
