@@ -241,13 +241,11 @@ dumpSystemStats(System &system, const TrainingSession &session,
 const std::vector<std::string> &
 channelUsageColumns()
 {
-    // peak_queue_since_reset is named for its window: unlike the
-    // per-iteration byte/busy deltas, a max cannot be delta'd, so it
-    // covers everything since the last stats reset (the iteration for
-    // standalone runs, the machine's lifetime under multi-tenancy).
+    // Unlike the per-iteration byte/busy deltas, peak_queue covers the
+    // whole run so far: a max cannot be delta'd.
     static const std::vector<std::string> columns = {
         "scenario", "channel",     "gigabytes",
-        "busy_ms",  "utilization", "peak_queue_since_reset"};
+        "busy_ms",  "utilization", "peak_queue"};
     return columns;
 }
 

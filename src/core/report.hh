@@ -81,8 +81,8 @@ class ResultSet
 /**
  * Dump the statistics of every component of a system (devices, DMA
  * engines, collective engine, channels) and of @p session's pagers in
- * gem5-style `name value # desc` text. Device, channel and pager
- * counters cover the last iteration; DMA and collective counters are
+ * gem5-style `name value # desc` text. Device and pager counters
+ * cover the last iteration; DMA, collective and channel counters are
  * lifetime totals.
  */
 void dumpSystemStats(System &system, const TrainingSession &session,
@@ -94,9 +94,9 @@ void dumpSystemStats(System &system, const TrainingSession &session,
 /**
  * Columns of per-channel link-utilization rows: scenario label,
  * channel name, gigabytes moved, busy milliseconds, utilization of
- * the iteration, and the peak FIFO backlog — enough to name the
- * bottleneck *link* of a run, which the per-stage latency breakdown
- * cannot see.
+ * the iteration, and the run-wide peak FIFO backlog — enough to name
+ * the bottleneck *link* of a run, which the per-stage latency
+ * breakdown cannot see.
  */
 const std::vector<std::string> &channelUsageColumns();
 

@@ -3,15 +3,15 @@
  * DeviceNode: one accelerator inside the system simulation.
  *
  * A device-node couples a DeviceConfig, its ComputeModel, and bookkeeping
- * for local memory capacity. Its serial compute engine is driven by the
- * TrainingSession (system library); this class tracks occupancy so an
- * iteration can report per-device compute-busy statistics.
+ * for local memory capacity. Its serial compute stream is scheduled by
+ * the TrainingSession (system library), which reports each issued op
+ * here; the busy time and op count are per-iteration counters that the
+ * owning session clears at every iteration start.
  */
 
 #ifndef MCDLA_DEVICE_DEVICE_NODE_HH
 #define MCDLA_DEVICE_DEVICE_NODE_HH
 
-#include <algorithm>
 #include <cstdint>
 
 #include "device/compute_model.hh"
@@ -40,23 +40,14 @@ class DeviceNode : public SimObject
     /** Local memory capacity in bytes. */
     std::uint64_t memCapacity() const { return _cfg.memCapacity; }
 
-    /**
-     * Reserve the serial compute engine for @p duration starting no
-     * earlier than @p earliest, returning the completion tick. The engine
-     * executes strictly in call order (one CUDA-stream semantics).
-     */
-    Tick
-    occupyCompute(Tick earliest, Tick duration)
+    /** Count one layer pass of @p duration ticks on the compute
+        stream. */
+    void
+    occupyCompute(Tick duration)
     {
-        const Tick start = std::max(earliest, _busyUntil);
-        _busyUntil = start + duration;
         _computeBusyTicks += duration;
         ++_opsExecuted;
-        return _busyUntil;
     }
-
-    /** Next tick at which the compute engine is free. */
-    Tick computeFreeAt() const { return _busyUntil; }
 
     /** Ticks the compute engine was busy since resetStats(). */
     Tick computeBusyTicks() const { return _computeBusyTicks; }
@@ -72,17 +63,9 @@ class DeviceNode : public SimObject
         _opsExecuted = 0;
     }
 
-    /** Clear occupancy between iterations. */
-    void
-    resetOccupancy()
-    {
-        _busyUntil = 0;
-    }
-
   private:
     DeviceConfig _cfg;
     ComputeModel _model;
-    Tick _busyUntil = 0;
     Tick _computeBusyTicks = 0;
     std::uint64_t _opsExecuted = 0;
 };

@@ -387,18 +387,4 @@ Channel::simcheckVerifyConservation() const
                        _conservedQueued);
 }
 
-void
-Channel::resetStats()
-{
-    // Due arrivals count toward the peak being cleared.
-    admitArrivals();
-    _bytesTransferred = 0.0;
-    _transfers = 0;
-    _busyTicks = 0;
-    _peakQueueDepth = 0;
-    _currentWindowStart = now();
-    _currentWindowBytes = 0.0;
-    _maxWindowBytes = 0.0;
-}
-
 } // namespace mcdla

@@ -174,13 +174,13 @@ class Channel : private EventOwner, public SimObject
      */
     void submit(const Chunk &chunk);
 
-    /** Payload bytes started since resetStats(). */
+    /** Payload bytes started since construction. */
     double bytesTransferred() const { return _bytesTransferred; }
 
-    /** Transfers started since resetStats(). */
+    /** Transfers started since construction. */
     std::uint64_t transfers() const { return _transfers; }
 
-    /** Ticks the channel was occupied since resetStats(). */
+    /** Ticks the channel was occupied since construction. */
     Tick busyTicks() const { return _busyTicks; }
 
     /** Occupied fraction of [0, horizon]. */
@@ -211,7 +211,7 @@ class Channel : private EventOwner, public SimObject
         return _queue.size();
     }
 
-    /** Deepest backlog observed since the last stats reset (occupancy
+    /** Deepest backlog observed since construction (occupancy
         pressure: how many transfers were stacked behind the wire). */
     std::size_t
     peakQueueDepth() const
@@ -226,11 +226,9 @@ class Channel : private EventOwner, public SimObject
      */
     void enablePeakTracking(Tick window);
 
-    /** Peak windowed bandwidth observed (bytes/sec); 0 if not tracked. */
+    /** Peak windowed bandwidth observed since construction
+        (bytes/sec); 0 if not tracked. */
     double peakBandwidth() const;
-
-    /** Clear statistics (not queued work). */
-    void resetStats();
 
     /**
      * SimCheck: byte conservation. Everything ever submitted is either
@@ -412,14 +410,13 @@ class Channel : private EventOwner, public SimObject
     double _occupancyBytes = 0.0;
     Tick _occupancy = 0;
 
-    // Totals since resetStats().
+    // Lifetime totals.
     double _bytesTransferred = 0.0;
     std::uint64_t _transfers = 0;
     Tick _busyTicks = 0;
     std::size_t _peakQueueDepth = 0;
 
-    // Conservation ledger (lifetime totals, independent of the
-    // resettable stats above): enqueued = delivered + wire + queued.
+    // Conservation ledger: enqueued = delivered + wire + queued.
     double _conservedEnqueued = 0.0;
     double _conservedDelivered = 0.0;
     double _conservedWire = 0.0;

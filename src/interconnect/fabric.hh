@@ -238,7 +238,8 @@ class Fabric
         return total;
     }
 
-    /** Peak windowed host-socket bandwidth across sockets (bytes/s). */
+    /** Peak windowed host-socket bandwidth across sockets since
+        construction (bytes/s). */
     double
     hostPeakBandwidth() const
     {
@@ -246,14 +247,6 @@ class Fabric
         for (const Channel *ch : _socketChannels)
             peak = std::max(peak, ch->peakBandwidth());
         return peak;
-    }
-
-    /** Reset statistics on every channel. */
-    void
-    resetStats()
-    {
-        for (const auto &ch : _channels)
-            ch->resetStats();
     }
     /// @}
 

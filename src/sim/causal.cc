@@ -120,11 +120,8 @@ void
 CausalRecorder::simcheckVerify() const
 {
     std::uint64_t executed = 0;
-    std::uint64_t cancelled = 0;
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         const Node &node = _nodes[i];
-        if (node.cancelled)
-            ++cancelled;
         if (!node.executed)
             continue;
         ++executed;
@@ -159,27 +156,12 @@ CausalRecorder::simcheckVerify() const
                            "edge %lld -> %zu runs backwards in time",
                            static_cast<long long>(node.parent), i);
     }
-    if (executed != _executed || cancelled != _cancelled)
+    if (executed != _executed)
         simcheck::fail("causal", 0,
-                       "node ledger drift: counted %llu executed / "
-                       "%llu cancelled, recorded %llu / %llu",
+                       "node ledger drift: counted %llu executed, "
+                       "recorded %llu",
                        static_cast<unsigned long long>(executed),
-                       static_cast<unsigned long long>(cancelled),
-                       static_cast<unsigned long long>(_executed),
-                       static_cast<unsigned long long>(_cancelled));
-}
-
-void
-CausalRecorder::reset()
-{
-    _nodes.clear();
-    _current = -1;
-    _executed = 0;
-    _cancelled = 0;
-    _resourceNames.clear();
-    _labelNames.clear();
-    _resourceIds.clear();
-    _labelIds.clear();
+                       static_cast<unsigned long long>(_executed));
 }
 
 // ---------------------------------------------------------------------
@@ -619,7 +601,6 @@ CausalAnalysis::writeJson(std::ostream &os) const
     jsonNumber(os, ticksToSeconds(_makespan) * 1e3);
     os << ",\n  \"nodes\": " << nodes.size()
        << ",\n  \"executed\": " << _rec.executedCount()
-       << ",\n  \"cancelled\": " << _rec.cancelledCount()
        << ",\n  \"roots\": " << roots << ",\n  \"edges\": " << edges
        << ",\n  \"critical_path\": {\"edges\": " << _path.size()
        << ", \"origin_ms\": ";

@@ -15,8 +15,8 @@
  * binding-dependency DAG, and walking it back from the final event
  * yields the simulated-time critical path.
  *
- * The recorder is purely an observer: it never schedules, cancels, or
- * reorders anything, so execution with it attached is event-for-event
+ * The recorder is purely an observer: it never schedules or reorders
+ * anything, so execution with it attached is event-for-event
  * identical to execution without it (the determinism-audit stream hash
  * is unchanged). Detached, the kernel pays one branch per schedule.
  *
@@ -45,9 +45,6 @@ namespace mcdla
 
 class ResultSet;
 class TraceSink;
-
-/** Opaque handle identifying a scheduled event (see event_queue.hh). */
-using EventId = std::uint64_t;
 
 /**
  * What the edge from parent to child *is*, physically: the typed wait
@@ -116,14 +113,13 @@ class CausalRecorder
         WaitKind kind = WaitKind::Control;
         CausalCtx ctx = CausalCtx::None;
         bool executed = false;
-        bool cancelled = false;
         bool weak = false;
     };
 
     /// @name EventQueue hooks (no-ops must never reach here: the
     /// queue guards every call on the attached pointer). The queue
     /// stores the node index returned by noteSchedule in the event's
-    /// pooled slot and hands it back on execute/deschedule; -1 means
+    /// pooled slot and hands it back on execute; -1 means
     /// "not recorded" (scheduled before the recorder attached) and is
     /// ignored — such events' children become roots.
     /// @{
@@ -146,19 +142,6 @@ class CausalRecorder
     }
 
     void noteExecuteEnd() { _current = -1; }
-
-    void
-    noteDeschedule(std::int64_t node)
-    {
-        if (node < 0
-            || static_cast<std::size_t>(node) >= _nodes.size())
-            return;
-        Node &entry = _nodes[static_cast<std::size_t>(node)];
-        if (!entry.cancelled && !entry.executed) {
-            entry.cancelled = true;
-            ++_cancelled;
-        }
-    }
     /// @}
 
     /**
@@ -218,20 +201,17 @@ class CausalRecorder
     }
     std::uint64_t scheduled() const { return _nodes.size(); }
     std::uint64_t executedCount() const { return _executed; }
-    std::uint64_t cancelledCount() const { return _cancelled; }
     /// @}
 
     /**
      * SimCheck: DAG conservation and monotonicity. Every executed
      * node's parent executed, was executing at the child's schedule
      * tick (parent.fire == child.sched), and fired no later than the
-     * child; node counts partition into executed + cancelled +
-     * discarded. Panics (SimCheck[causal]) on violation.
+     * child; the executed nodes are exactly those noteExecute()
+     * counted (the rest are pending or discarded weak events). Panics
+     * (SimCheck[causal]) on violation.
      */
     void simcheckVerify() const;
-
-    /** Drop all recorded state (scope tags are kept). */
-    void reset();
 
   private:
     friend class CausalScope;
@@ -256,7 +236,6 @@ class CausalRecorder
     std::vector<Node> _nodes;
     std::int64_t _current = -1; ///< Node executing now (-1 = none).
     std::uint64_t _executed = 0;
-    std::uint64_t _cancelled = 0;
     ScopeState _scope;
     std::vector<std::string> _resourceNames;   // [0] = ""
     std::vector<std::string> _labelNames;      // [0] = ""

@@ -174,8 +174,6 @@ EventQueue::recordOwned(std::uint32_t key, std::uint64_t seq)
     Slot &slot = slotAt(slot_index);
     slot.owned = key;
     slot.weak = false;
-    slot.cancelled = false;
-    slot.allocated = true;
     _schedLabelScratch.clear();
     appendOwnedLabel(key, seq, _schedLabelScratch);
     slot.causalNode =
@@ -183,7 +181,7 @@ EventQueue::recordOwned(std::uint32_t key, std::uint64_t seq)
     return slot_index;
 }
 
-EventId
+void
 EventQueue::scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
                           EventLabel &&label, bool weak)
 {
@@ -196,8 +194,6 @@ EventQueue::scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
     Slot &slot = slotAt(slot_index);
     slot.cb = std::move(cb);
     slot.weak = weak;
-    slot.cancelled = false;
-    slot.allocated = true;
     slot.causalNode = -1;
     if (_causal) {
         _schedLabelScratch.clear();
@@ -212,32 +208,30 @@ EventQueue::scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
         ++_weakLive;
     if (_profiler)
         _profiler->noteSchedule(keyCount());
-    return makeId(slot.gen, slot_index);
 }
 
-EventId
+void
 EventQueue::schedule(Tick when, Callback &&cb, EventLabel &&label)
 {
-    return scheduleEntry(when, _nextSeq++, std::move(cb),
-                         std::move(label), false);
+    scheduleEntry(when, _nextSeq++, std::move(cb), std::move(label),
+                  false);
 }
 
-EventId
+void
 EventQueue::scheduleWeak(Tick when, Callback &&cb, EventLabel &&label)
 {
-    return scheduleEntry(when, _nextSeq++, std::move(cb),
-                         std::move(label), true);
+    scheduleEntry(when, _nextSeq++, std::move(cb), std::move(label),
+                  true);
 }
 
-EventId
+void
 EventQueue::scheduleAt(Tick when, std::uint64_t seq, Callback &&cb,
                        EventLabel &&label)
 {
     assert(seq < _nextSeq);
     if (when < _now || (when == _now && seq <= _currentSeq))
         when = reservedPast(when, seq, label.str());
-    return scheduleEntry(when, seq, std::move(cb), std::move(label),
-                         false);
+    scheduleEntry(when, seq, std::move(cb), std::move(label), false);
 }
 
 std::uint32_t
@@ -258,14 +252,6 @@ EventQueue::allocSlot()
 }
 
 void
-EventQueue::retireSlot(Slot &slot)
-{
-    slot.allocated = false;
-    if (++slot.gen == 0)
-        slot.gen = 1; // Skip 0 on wrap: ids of gen 0 are invalid.
-}
-
-void
 EventQueue::recycleSlot(std::uint32_t index)
 {
     Slot &slot = slotAt(index);
@@ -274,46 +260,7 @@ EventQueue::recycleSlot(std::uint32_t index)
     slot.owned = 0;
     slot.causalNode = -1;
     slot.weak = false;
-    slot.cancelled = false;
     _freeSlots.push_back(index);
-}
-
-void
-EventQueue::releaseSlot(std::uint32_t index)
-{
-    retireSlot(slotAt(index));
-    recycleSlot(index);
-}
-
-bool
-EventQueue::deschedule(EventId id)
-{
-    if (id == invalidEventId)
-        return false;
-    const std::uint32_t slot_index = slotOf(id);
-    const std::uint32_t gen = genOf(id);
-    if (slot_index >= _slotCount)
-        return false;
-    Slot &slot = slotAt(slot_index);
-    // A stale handle — the event already executed (slot retired at pop
-    // time, generation bumped) or was already cancelled — is refused
-    // without touching any state.
-    if (!slot.allocated || slot.gen != gen || slot.cancelled)
-        return false;
-    // Tombstone: the backend item stays where it is and is discarded
-    // when popped; the payload is destroyed right here so captures
-    // (and the slot's share of pool memory) free immediately.
-    slot.cancelled = true;
-    slot.cb = Callback();
-    slot.label = EventLabel();
-    --_live;
-    if (slot.weak)
-        --_weakLive;
-    if (_profiler)
-        _profiler->noteDeschedule();
-    if (_causal)
-        _causal->noteDeschedule(slot.causalNode);
-    return true;
 }
 
 void
@@ -330,11 +277,8 @@ EventQueue::executeItem(const EventItem &item)
     const CurrentSeqScope current(_currentSeq, item.seq);
     // Run the callback where it sits: slot chunks never move, so
     // scheduling from inside (even growing the pool) leaves it in
-    // place. The slot is retired first, so the callback's own id is
-    // stale (a self-deschedule is refused) and a reset() from inside
-    // skips it; it joins the free list only once the call is over,
+    // place. The slot joins the free list only once the call is over,
     // unwinding included.
-    retireSlot(slot);
     struct Recycle
     {
         EventQueue &eq;
@@ -404,13 +348,13 @@ EventQueue::executeOwned(const EventItem &item)
 void
 EventQueue::discardPending()
 {
-    if (_backend)
-        _backend->clear();
-    else
-        _heap.clear();
-    for (std::size_t i = 0; i < _slotCount; ++i)
-        if (slotAt(static_cast<std::uint32_t>(i)).allocated)
-            releaseSlot(static_cast<std::uint32_t>(i));
+    // Only weak payload events remain, and owned keys are never weak,
+    // so every key names a slot.
+    while (!keysEmpty()) {
+        const std::uint32_t index = peekKey().slot;
+        popKey();
+        recycleSlot(index);
+    }
     _live = 0;
     _weakLive = 0;
 }
@@ -418,35 +362,29 @@ EventQueue::discardPending()
 bool
 EventQueue::step()
 {
-    while (!keysEmpty()) {
-        const EventItem head = peekKey();
-        if (head.slot & kOwnedTag) {
-            // Never cancelled, never weak: a pending owned key keeps
-            // _live above _weakLive, so it always runs.
-            popKey();
-            --_live;
-            executeOwned(head);
-            return true;
-        }
-        if (slotAt(head.slot).cancelled) {
-            popKey();
-            releaseSlot(head.slot);
-            continue;
-        }
-        if (_live == _weakLive) {
-            // Only weak (background) events remain: the simulation
-            // proper is over. Drop them without advancing time.
-            discardPending();
-            return false;
-        }
+    if (keysEmpty())
+        return false;
+    const EventItem head = peekKey();
+    if (head.slot & kOwnedTag) {
+        // Never weak: a pending owned key keeps _live above
+        // _weakLive, so it always runs.
         popKey();
         --_live;
-        if (slotAt(head.slot).weak)
-            --_weakLive;
-        executeItem(head);
+        executeOwned(head);
         return true;
     }
-    return false;
+    if (_live == _weakLive) {
+        // Only weak (background) events remain: the simulation proper
+        // is over. Drop them without advancing time.
+        discardPending();
+        return false;
+    }
+    popKey();
+    --_live;
+    if (slotAt(head.slot).weak)
+        --_weakLive;
+    executeItem(head);
+    return true;
 }
 
 std::uint64_t
@@ -456,15 +394,6 @@ EventQueue::run()
     while (step())
         ++n;
     return n;
-}
-
-void
-EventQueue::reset()
-{
-    discardPending();
-    _now = 0;
-    _nextSeq = 0;
-    _executed = 0;
 }
 
 } // namespace mcdla

@@ -7,24 +7,24 @@
  * scheduling order, which keeps component behaviour deterministic without
  * requiring explicit priorities.
  *
+ * Runs are forward-only: every scheduled event runs, except weak
+ * (background) events still pending when the simulation proper ends,
+ * and there is no cancellation and no rewind.
+ *
  * The hot path is allocation-free: event payloads (an SBO callback, a
- * lazy label, flags) live in a free-list slot pool, the priority
+ * lazy label, flags) live in a free-list slot pool and the priority
  * structure orders POD (when, seq, slot) keys (see
  * event_queue_backend.hh for the heap and calendar backends; the
  * default radix heap is a member called directly, not through the
- * backend interface), and
- * cancellation is a tombstone flag in the slot — no per-event heap
- * traffic, no hash-set side-tables. A callback runs where it sits in
- * its slot (slots never move); the slot's generation is bumped before
- * the call, so a stale EventId (already executing, executed or
- * cancelled) fails a generation check and deschedule() correctly
- * refuses it, and the slot is recycled once the call returns.
+ * backend interface) — no per-event heap traffic, no hash-set
+ * side-tables. A callback runs where it sits in its slot (slots never
+ * move), and the slot is recycled once the call returns.
  *
  * The busiest components skip the payload altogether. An EventOwner
  * (every Channel) registers once and schedules *owned* events: the
  * key's slot field carries a tag bit, the owner's index and an event
  * kind, and dispatch is one virtual call on the owner — no slot, no
- * callback or label move, no generation bump. An owned key takes the
+ * callback or label move. An owned key takes the
  * next seq like any other, so the (when, seq) stream, and with it
  * every result and audit hash, is the one a callback would give.
  *
@@ -61,17 +61,6 @@ namespace mcdla
 class CausalRecorder;
 class DesProfiler;
 class TraceSink;
-
-/**
- * Opaque handle identifying a scheduled event (for cancellation).
- * Encodes (generation << 32 | slot); generations start at 1, so no
- * valid handle is ever 0 and handles of retired slots go stale
- * instead of aliasing their successors.
- */
-using EventId = std::uint64_t;
-
-/** Sentinel returned for invalid events. */
-constexpr EventId invalidEventId = 0;
 
 /**
  * A component whose events the queue runs by key rather than by stored
@@ -151,16 +140,14 @@ class EventQueue
      *             otherwise clamped to now() with a warning.
      * @param cb Callback invoked when the event fires.
      * @param label Optional debug label (lazy; see event_label.hh).
-     * @return A handle usable with deschedule().
      */
-    EventId schedule(Tick when, Callback &&cb, EventLabel &&label = {});
+    void schedule(Tick when, Callback &&cb, EventLabel &&label = {});
 
     /** Schedule a callback @p delta ticks in the future. */
-    EventId
+    void
     scheduleAfter(Tick delta, Callback &&cb, EventLabel &&label = {})
     {
-        return schedule(_now + delta, std::move(cb),
-                        std::move(label));
+        schedule(_now + delta, std::move(cb), std::move(label));
     }
 
     /**
@@ -172,8 +159,7 @@ class EventQueue
      * event. This lets observers self-reschedule unconditionally
      * without wedging the drain or distorting makespans.
      */
-    EventId scheduleWeak(Tick when, Callback &&cb,
-                         EventLabel &&label = {});
+    void scheduleWeak(Tick when, Callback &&cb, EventLabel &&label = {});
 
     /**
      * Register @p owner for owned events: O(1), once per owner (a
@@ -186,8 +172,8 @@ class EventQueue
      * Schedule event @p kind of owner @p owner at an absolute tick. It
      * takes the next seq, orders and counts (pendingCount(), the
      * profiler's schedules) like schedule(), and fires as
-     * `owner.fireOwnedEvent(kind)`. Owned events are never weak and
-     * cannot be cancelled, so there is no EventId. A tick in the past
+     * `owner.fireOwnedEvent(kind)`. Owned events are never weak. A
+     * tick in the past
      * is handled as in schedule(). While a CausalRecorder is attached
      * the event borrows a payload slot to carry its provenance node;
      * order and dispatch are the same.
@@ -236,23 +222,13 @@ class EventQueue
 
     /** schedule() at a (tick, seq) key whose seq came from
         reserveSeq(), under the rule of scheduleOwnedAt(). */
-    EventId scheduleAt(Tick when, std::uint64_t seq, Callback &&cb,
-                       EventLabel &&label = {});
-
-    /**
-     * Cancel a pending event.
-     *
-     * @param id Handle returned by schedule().
-     * @return true if the event was pending and is now cancelled;
-     *         false for stale handles (already executed or cancelled).
-     */
-    bool deschedule(EventId id);
+    void scheduleAt(Tick when, std::uint64_t seq, Callback &&cb,
+                    EventLabel &&label = {});
 
     /** Whether any events remain pending (weak ones included). */
     bool empty() const { return _live == 0; }
 
-    /** Number of pending (non-cancelled) events, weak and owned ones
-        included. */
+    /** Number of pending events, weak and owned ones included. */
     std::size_t pendingCount() const { return _live; }
 
     /** Number of pending weak (background) events. */
@@ -268,23 +244,23 @@ class EventQueue
     /** Execute only the next pending event, if any. */
     bool step();
 
-    /** Total events executed since construction or reset(). */
+    /** Total events executed since construction. */
     std::uint64_t executedCount() const { return _executed; }
 
     /**
      * Size of the payload slot pool (high-water mark of concurrently
      * pending callback events; owned events take no slot unless a
      * CausalRecorder is attached). Slots are recycled through a free
-     * list, so this stays flat across reset()s and arbitrarily long
-     * drains — the regression test for the pool pins exactly that.
+     * list, so this stays flat across arbitrarily long drains — the
+     * regression test for the pool pins exactly that.
      */
     std::size_t poolSlots() const { return _slotCount; }
 
     /**
      * Attach a wall-clock profiler (nullptr detaches). While attached,
      * executeHead times every callback and attributes the host time to
-     * the event's label; schedule/deschedule counts and peak heap
-     * depth are tracked too. Off by default — the hot path pays only a
+     * the event's label; schedule counts and peak heap depth are
+     * tracked too. Off by default — the hot path pays only a
      * branch when no profiler is attached.
      */
     void setProfiler(DesProfiler *profiler) { _profiler = profiler; }
@@ -317,9 +293,6 @@ class EventQueue
 
     TraceSink *trace() const { return _trace; }
 
-    /** Clear all pending events and rewind time to zero. */
-    void reset();
-
   private:
     /** Pooled event payload; keys live in the backend. */
     struct Slot
@@ -331,11 +304,7 @@ class EventQueue
         std::uint32_t owned = 0;
         /** CausalRecorder node index; -1 = not recorded. */
         std::int64_t causalNode = -1;
-        /** Bumped on release; stale EventIds fail the match. */
-        std::uint32_t gen = 1;
         bool weak = false;
-        bool cancelled = false;
-        bool allocated = false;
     };
 
     /** Slots live in fixed-size chunks, so growing the pool never
@@ -349,25 +318,6 @@ class EventQueue
     {
         return _slotChunks[index >> kSlotChunkShift]
                           [index & (kSlotChunkSize - 1)];
-    }
-
-    static std::uint32_t
-    slotOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id & 0xffffffffu);
-    }
-
-    static std::uint32_t
-    genOf(EventId id)
-    {
-        return static_cast<std::uint32_t>(id >> 32);
-    }
-
-    static EventId
-    makeId(std::uint32_t gen, std::uint32_t slot)
-    {
-        return (static_cast<EventId>(gen) << 32)
-               | static_cast<EventId>(slot);
     }
 
     /** An EventItem::slot with this bit set is an owned key: owner
@@ -441,20 +391,14 @@ class EventQueue
     void noteScheduled();
 
     /** Fill a payload slot and push it at (@p when, @p seq). */
-    EventId scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
-                          EventLabel &&label, bool weak);
+    void scheduleEntry(Tick when, std::uint64_t seq, Callback &&cb,
+                       EventLabel &&label, bool weak);
 
     std::uint32_t allocSlot();
-    /** Make every id of the slot stale: clear `allocated` and bump
-        the generation (skipping 0). */
-    static void retireSlot(Slot &slot);
-    /** Destroy the payload and put a retired slot on the free list. */
+    /** Destroy the payload and put the slot on the free list. */
     void recycleSlot(std::uint32_t index);
-    /** retireSlot() then recycleSlot(). */
-    void releaseSlot(std::uint32_t index);
 
-    /** Execute a popped item in place. Precondition: live,
-        non-cancelled. */
+    /** Execute a popped payload item in place. */
     void executeItem(const EventItem &item);
 
     /** Execute a popped owned key. */
@@ -473,7 +417,8 @@ class EventQueue
             slot.cb();
     }
 
-    /** Drop every remaining (weak) entry without executing it. */
+    /** Drop every remaining entry, all weak, without executing it,
+        recycling its slot. */
     void discardPending();
 
     // The priority structure: the heap inline, any other backend

@@ -130,7 +130,7 @@ class HeapEventQueueBackend final : public EventQueueBackend
     {
         // An emptied heap restarts from tick 0: its next pushes may
         // come in any tick order, and its old base may be the tick of
-        // a popped key past now(), a cancelled event's.
+        // a popped key past now(), a discarded weak event's.
         if (_size == 0)
             _base = 0;
         assert(item.when >= _base);

@@ -35,7 +35,6 @@ DesProfiler::report(std::ostream &os, std::size_t top) const
     os << "---------- DES profile ----------\n";
     os << "events executed   : " << _executed << '\n';
     os << "schedules         : " << _schedules << '\n';
-    os << "deschedules       : " << _deschedules << '\n';
     os << "peak heap depth   : " << _peakHeapDepth << '\n';
     os << "callback wall time: " << std::fixed << std::setprecision(3)
        << wallSeconds() * 1e3 << " ms\n";
@@ -65,7 +64,6 @@ DesProfiler::reportJson(std::ostream &os) const
     os << "{\n";
     os << "  \"events_executed\": " << _executed << ",\n";
     os << "  \"schedules\": " << _schedules << ",\n";
-    os << "  \"deschedules\": " << _deschedules << ",\n";
     os << "  \"peak_heap_depth\": " << _peakHeapDepth << ",\n";
     os << "  \"callback_wall_ms\": ";
     jsonNumber(os, wallSeconds() * 1e3);
@@ -87,20 +85,6 @@ DesProfiler::reportJson(std::ostream &os) const
         first = false;
     }
     os << "\n  ]\n}\n";
-}
-
-void
-DesProfiler::reset()
-{
-    _executed = 0;
-    _schedules = 0;
-    _deschedules = 0;
-    _wallNs = 0;
-    _streamHash = 14695981039346656037ULL;
-    _peakHeapDepth = 0;
-    _labels.clear();
-    _lastKey.clear();
-    _last = nullptr;
 }
 
 } // namespace mcdla

@@ -5,7 +5,7 @@
  * Attached to an EventQueue (EventQueue::setProfiler), it attributes
  * *host* time — not simulated time — to event labels by timing each
  * callback inside executeHead, and tracks kernel health counters:
- * events/sec, peak heap depth, schedule/deschedule counts.
+ * events/sec, peak heap depth, schedule counts.
  * `mcdla_sim --profile` prints the report; `mcdla_sim
  * --audit-determinism` pins its event count, peak depth and stream hash
  * (the golden_audit test); and perfbench's `observer.profiler_x`
@@ -32,19 +32,12 @@ struct ProfiledLabel
 {
     std::uint64_t count = 0;
     std::uint64_t wallNs = 0;
-
-    double
-    meanNs() const
-    {
-        return count > 0
-            ? static_cast<double>(wallNs) / static_cast<double>(count)
-            : 0.0;
-    }
 };
 
 /**
  * Collects per-label wall time and kernel counters from an EventQueue.
- * Attach before run(); all counters accumulate until reset().
+ * Attach before run(); all counters accumulate for the profiler's
+ * lifetime.
  */
 class DesProfiler
 {
@@ -95,8 +88,6 @@ class DesProfiler
             _peakHeapDepth = heap_depth;
     }
 
-    void noteDeschedule() { ++_deschedules; }
-
     /** Record one executed callback and its measured host time. */
     void
     noteExecute(const std::string &label, Tick when,
@@ -137,7 +128,6 @@ class DesProfiler
     /// @{
     std::uint64_t eventsExecuted() const { return _executed; }
     std::uint64_t schedules() const { return _schedules; }
-    std::uint64_t deschedules() const { return _deschedules; }
     std::size_t peakHeapDepth() const { return _peakHeapDepth; }
     /** Total host time spent inside event callbacks. */
     double wallSeconds() const { return 1e-9 * static_cast<double>(_wallNs); }
@@ -179,15 +169,12 @@ class DesProfiler
      */
     void reportJson(std::ostream &os) const;
 
-    void reset();
-
   private:
     void
     copyCounters(const DesProfiler &other)
     {
         _executed = other._executed;
         _schedules = other._schedules;
-        _deschedules = other._deschedules;
         _wallNs = other._wallNs;
         _streamHash = other._streamHash;
         _peakHeapDepth = other._peakHeapDepth;
@@ -195,7 +182,6 @@ class DesProfiler
 
     std::uint64_t _executed = 0;
     std::uint64_t _schedules = 0;
-    std::uint64_t _deschedules = 0;
     std::uint64_t _wallNs = 0;
     /** FNV-1a offset basis. */
     std::uint64_t _streamHash = 14695981039346656037ULL;

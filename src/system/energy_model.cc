@@ -6,6 +6,9 @@
 #include "system/energy_model.hh"
 
 #include <algorithm>
+#include <map>
+
+#include "sim/logging.hh"
 
 namespace mcdla
 {
@@ -29,28 +32,37 @@ estimateEnergy(System &system, const IterationResult &r,
             + (span - busy) * cfg.deviceIdleWatts;
     }
 
+    // The channel counters are lifetime totals; the iteration's own
+    // bytes are its ChannelUsage rows, in fabric channel order.
+    const Fabric &fabric = system.fabric();
+    const std::vector<Channel *> channels = fabric.channels();
+    if (r.channels.size() != channels.size())
+        panic("estimateEnergy: %zu channel rows for %zu channels",
+              r.channels.size(), channels.size());
+    std::map<const Channel *, double> bytes;
+    for (std::size_t c = 0; c < channels.size(); ++c)
+        bytes[channels[c]] = r.channels[c].bytes;
+
     // Memory-nodes: power follows measured DIMM-bus utilization.
     const MemoryNodeConfig &node = system.config().memNode;
-    for (const auto &[index, channel] :
-         system.fabric().memNodeChannels()) {
+    for (const auto &[index, channel] : fabric.memNodeChannels()) {
         (void)index;
         const double util = std::clamp(
-            channel->bytesTransferred() / (node.bandwidth() * span),
-            0.0, 1.0);
+            bytes.at(channel) / (node.bandwidth() * span), 0.0, 1.0);
         report.memNodeJoules += node.operatingWatts(util) * span;
     }
 
     // Device-side links: energy per byte on every non-host channel.
     double link_bytes = 0.0;
-    for (const Channel *ch : system.fabric().channels())
-        link_bytes += ch->bytesTransferred();
+    for (const ChannelUsage &usage : r.channels)
+        link_bytes += usage.bytes;
     // Socket and DIMM-bus channels are accounted separately; remove
     // their contribution from the link total.
-    for (const Channel *ch : system.fabric().socketChannels())
-        link_bytes -= ch->bytesTransferred();
-    for (const auto &[index, ch] : system.fabric().memNodeChannels()) {
+    for (const Channel *ch : fabric.socketChannels())
+        link_bytes -= bytes.at(ch);
+    for (const auto &[index, ch] : fabric.memNodeChannels()) {
         (void)index;
-        link_bytes -= ch->bytesTransferred();
+        link_bytes -= bytes.at(ch);
     }
     report.linkJoules = std::max(link_bytes, 0.0)
         * cfg.linkJoulesPerByte;

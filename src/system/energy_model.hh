@@ -69,12 +69,12 @@ struct EnergyReport
 };
 
 /**
- * Integrate the energy of the iteration just simulated on @p system.
+ * Integrate the energy of iteration @p r, just simulated on @p system.
  *
- * Uses per-device compute-busy statistics, per-channel byte counts, and
- * memory-node DIMM-bus utilization accumulated during the run; call
- * immediately after TrainingSession::run() (statistics reset at the
- * next iteration's start).
+ * Uses the devices' per-iteration compute-busy counters and the
+ * iteration's own per-channel bytes (IterationResult::channels), from
+ * which it derives memory-node DIMM-bus utilization; call it before
+ * the next iteration starts, which clears the device counters.
  */
 EnergyReport estimateEnergy(System &system, const IterationResult &r,
                             const EnergyConfig &cfg = {});

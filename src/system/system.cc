@@ -133,14 +133,4 @@ System::totalExposedMemory() const
     return total;
 }
 
-void
-System::resetStats()
-{
-    _fabric->resetStats();
-    for (auto &dev : _devices) {
-        dev->resetStats();
-        dev->resetOccupancy();
-    }
-}
-
 } // namespace mcdla

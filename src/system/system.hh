@@ -57,10 +57,6 @@ class System
     /** Total memory capacity exposed to all devices (local + remote). */
     std::uint64_t totalExposedMemory() const;
 
-    /** Reset the channels' and devices' statistics and the devices'
-        occupancy; DMA and collective counters are lifetime totals. */
-    void resetStats();
-
   private:
     EventQueue &_eq;
     SystemConfig _cfg;

@@ -779,13 +779,12 @@ TrainingSession::tryIssue(int dev)
             now - ctx.readyAt);
     }
     const auto udev = static_cast<std::size_t>(dev);
-    _computeTicks[udev] += op.duration;
     if (ctx.waitedCat == 1)
         _stallSync[udev] += now - ctx.readyAt;
     else if (ctx.waitedCat == 2)
         _stallVmem[udev] += now - ctx.readyAt;
     ctx.waitedCat = 0;
-    _system.device(sysDev(dev)).occupyCompute(now, op.duration);
+    _system.device(sysDev(dev)).occupyCompute(op.duration);
     CausalScope causal_scope(
         _system.eventQueue().causalRecorder(), WaitKind::Compute,
         "dev" + std::to_string(sysDev(dev)));
@@ -839,8 +838,7 @@ TrainingSession::reportDevice() const
         return 0;
     int best = 0;
     for (int d = 1; d < deviceCount(); ++d)
-        if (_computeTicks[static_cast<std::size_t>(d)]
-            > _computeTicks[static_cast<std::size_t>(best)])
+        if (computeTicks(d) > computeTicks(best))
             best = d;
     return best;
 }
@@ -914,9 +912,7 @@ TrainingSession::completeOp(int dev)
 void
 TrainingSession::deviceFinished()
 {
-    if (--_devicesRemaining > 0)
-        return;
-    if (_onIterationDone)
+    if (--_devicesRemaining == 0)
         finishWhenQuiescent();
 }
 
@@ -924,9 +920,7 @@ void
 TrainingSession::finishWhenQuiescent()
 {
     // Trailing writeback DMAs outlive the compute programs; the
-    // iteration (and the devices) are only done when they drain —
-    // which is also what the standalone run()'s full queue drain
-    // measures.
+    // iteration (and the devices) are only done when they drain.
     for (auto &pager : _pagers) {
         if (!pager->dmaIdle()) {
             pager->whenDmaIdle([this] { finishWhenQuiescent(); });
@@ -962,22 +956,22 @@ TrainingSession::launchCollective(const SyncOp &sync,
 IterationResult
 TrainingSession::run()
 {
-    allocateBuffers();
-    _system.resetStats();
-    setupIteration();
+    std::optional<IterationResult> result;
+    startIteration(
+        [&result](const IterationResult &done) { result = done; });
+    _system.eventQueue().run();
+    if (result)
+        return *std::move(result);
 
-    EventQueue &eq = _system.eventQueue();
-    eq.run();
-
-    // Deadlock check: every device must have drained its program.
+    // Deadlock: the queue drained before the iteration completed.
     for (int d = 0; d < deviceCount(); ++d) {
-        if (_devs[static_cast<std::size_t>(d)].nextOp
-            != program(d).size())
+        const std::size_t next = _devs[static_cast<std::size_t>(d)].nextOp;
+        if (next != program(d).size())
             panic("device %d stalled at op %zu/%zu — scheduling deadlock",
-                  d, _devs[static_cast<std::size_t>(d)].nextOp,
-                  program(d).size());
+                  d, next, program(d).size());
     }
-    return collectResult();
+    panic("iteration drained without completing — a pager's DMA never "
+          "went idle");
 }
 
 void
@@ -986,13 +980,10 @@ TrainingSession::startIteration(
 {
     allocateBuffers();
 
-    // The fabric (and any co-located session's devices) are shared —
-    // reset only what this session owns.
-    for (int d = 0; d < deviceCount(); ++d) {
-        DeviceNode &device = _system.device(sysDev(d));
-        device.resetStats();
-        device.resetOccupancy();
-    }
+    // The fabric (and any co-located session's devices) are shared:
+    // clear only the owned devices' per-iteration compute counters.
+    for (int d = 0; d < deviceCount(); ++d)
+        _system.device(sysDev(d)).resetStats();
 
     _onIterationDone = std::move(on_done);
     setupIteration();
@@ -1013,7 +1004,6 @@ TrainingSession::setupIteration()
         _p2pLatches.push_back(std::make_unique<Latch>());
     _syncTracker.reset();
     _vmemTracker.reset();
-    _computeTicks.assign(static_cast<std::size_t>(n), 0);
     _stallSync.assign(static_cast<std::size_t>(n), 0);
     _stallVmem.assign(static_cast<std::size_t>(n), 0);
     _startTick = eq.now();
@@ -1113,8 +1103,7 @@ TrainingSession::collectResult()
 
     IterationResult result;
     result.makespan = eq.now() - _startTick;
-    result.breakdown.computeSec =
-        ticksToSeconds(_computeTicks[ureport]);
+    result.breakdown.computeSec = ticksToSeconds(computeTicks(report));
     result.breakdown.syncSec =
         ticksToSeconds(_syncTracker.total(eq.now()));
     result.breakdown.vmemSec =

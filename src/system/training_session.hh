@@ -80,10 +80,9 @@ struct ChannelUsage
     double busySec = 0.0;     ///< Occupied time this iteration.
     double utilization = 0.0; ///< busySec over the iteration makespan.
     /**
-     * Deepest FIFO backlog since the last stats reset — NOT a
-     * per-iteration delta like the fields above (a max cannot be
-     * delta'd): per-iteration for standalone runs (stats reset every
-     * iteration), cumulative machine view under cluster multi-tenancy.
+     * Deepest FIFO backlog of the whole run so far — NOT a
+     * per-iteration delta like the fields above: a max cannot be
+     * delta'd.
      */
     std::size_t peakQueueDepth = 0;
 };
@@ -91,13 +90,15 @@ struct ChannelUsage
 /**
  * Results of one simulated training iteration.
  *
- * The machine-global fields — hostBytes, the host-bandwidth pair, and
- * eventsExecuted — are per-iteration deltas of shared counters: on a
- * multi-tenant cluster they include co-located jobs' traffic/events
- * during this job's iteration window (the machine's view, not an
- * attribution). Per-device fields (breakdown, paging, offload bytes)
- * are exact for the owning session either way; all of them cover this
- * iteration alone.
+ * The machine's counters only grow, so every field but two is a delta
+ * over this iteration alone. The machine-global ones — hostBytes,
+ * hostAvgBwPerSocket, eventsExecuted and the channels' bytes and busy
+ * time — include, on a multi-tenant cluster, co-located jobs'
+ * traffic/events during this job's iteration window (the machine's
+ * view, not an attribution). Per-device fields (breakdown, paging,
+ * offload bytes) are exact for the owning session. The two peaks,
+ * hostPeakBwPerSocket and ChannelUsage::peakQueueDepth, cover the
+ * whole run so far.
  */
 struct IterationResult
 {
@@ -105,7 +106,9 @@ struct IterationResult
     LatencyBreakdown breakdown;    ///< Figure 11 inputs.
     double hostBytes = 0.0;        ///< Traffic through host sockets.
     double hostAvgBwPerSocket = 0.0;  ///< Figure 12 "avg" series.
-    double hostPeakBwPerSocket = 0.0; ///< Figure 12 "max" series.
+    /** Figure 12 "max" series: the run-wide peak, not this
+        iteration's. */
+    double hostPeakBwPerSocket = 0.0;
     /** Bytes the reported device's DMA engine offloaded plus
         prefetched during this iteration. */
     double offloadBytesPerDevice = 0.0;
@@ -201,10 +204,12 @@ class TrainingSession
 
     /**
      * Begin one iteration without draining the event queue — the
-     * cluster path, where many sessions share one EventQueue. Only the
-     * owned devices' statistics are reset (the fabric is shared);
-     * @p on_done fires, with the iteration metrics, when the last
-     * owned device drains its program. The caller drives the queue.
+     * cluster path, where many sessions share one EventQueue; run() is
+     * this plus a drain. Only the owned devices' per-iteration compute
+     * counters are cleared (the fabric is shared); @p on_done fires,
+     * with the iteration metrics, once the last owned device has
+     * drained its program and every pager's DMA is idle. The caller
+     * drives the queue.
      */
     void
     startIteration(std::function<void(const IterationResult &)> on_done);
@@ -301,12 +306,12 @@ class TrainingSession
     /// Assemble the metrics of the iteration that just drained.
     IterationResult collectResult();
 
-    /// One owned device drained its program; fires the async callback
-    /// on the last one.
+    /// One owned device drained its program; fires the completion
+    /// callback on the last one.
     void deviceFinished();
 
-    /// Fire the async callback once every pager's DMA is quiescent
-    /// (trailing writebacks outlive the compute programs).
+    /// Fire the completion callback once every pager's DMA is
+    /// quiescent (trailing writebacks outlive the compute programs).
     void finishWhenQuiescent();
 
     /// Launch one collective over this session's rings (the fabric's
@@ -402,10 +407,16 @@ class TrainingSession
 
     ActivityTracker _syncTracker;
     ActivityTracker _vmemTracker;
-    /// Per-device compute/stall totals; dp/mp report device 0 (the
-    /// SPMD program makes it representative), pipeline reports the
-    /// busiest stage.
-    std::vector<Tick> _computeTicks;
+    /// Local device @p dev's compute-busy ticks this iteration.
+    Tick
+    computeTicks(int dev) const
+    {
+        return _system.device(sysDev(dev)).computeBusyTicks();
+    }
+
+    /// Per-device stall totals; dp/mp report device 0 (the SPMD
+    /// program makes it representative), pipeline reports the busiest
+    /// stage.
     std::vector<Tick> _stallSync;
     std::vector<Tick> _stallVmem;
     Tick _startTick = 0;
@@ -425,8 +436,7 @@ class TrainingSession
     double _iterSyncBytes = 0.0;
     /// Owned devices still draining the current iteration.
     int _devicesRemaining = 0;
-    /// Async-iteration completion callback (cluster mode; empty under
-    /// the classic run()).
+    /// The current iteration's completion callback (startIteration()).
     std::function<void(const IterationResult &)> _onIterationDone;
 };
 

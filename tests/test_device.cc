@@ -226,33 +226,17 @@ TEST_F(ComputeModelTest, InvalidScalingIsFatal)
 
 // ---------------------------------------------------------- device node
 
-TEST(DeviceNode, SerialComputeOccupancy)
-{
-    EventQueue eq;
-    DeviceNode dev(eq, "dev0", DeviceConfig{});
-    EXPECT_EQ(dev.occupyCompute(0, 100), 100u);
-    // Second op queues behind the first even if requested earlier.
-    EXPECT_EQ(dev.occupyCompute(50, 100), 200u);
-    // Idle gap honored.
-    EXPECT_EQ(dev.occupyCompute(500, 100), 600u);
-    EXPECT_EQ(dev.computeFreeAt(), 600u);
-    dev.resetOccupancy();
-    EXPECT_EQ(dev.computeFreeAt(), 0u);
-}
-
 TEST(DeviceNode, TracksBusyStats)
 {
     EventQueue eq;
     DeviceNode dev(eq, "dev0", DeviceConfig{});
-    dev.occupyCompute(0, 100);
-    dev.occupyCompute(0, 50);
+    dev.occupyCompute(100);
+    dev.occupyCompute(50);
     EXPECT_EQ(dev.computeBusyTicks(), 150u);
     EXPECT_EQ(dev.opsExecuted(), 2u);
     dev.resetStats();
     EXPECT_EQ(dev.computeBusyTicks(), 0u);
     EXPECT_EQ(dev.opsExecuted(), 0u);
-    // Occupancy is not a statistic.
-    EXPECT_EQ(dev.computeFreeAt(), 150u);
 }
 
 } // anonymous namespace

@@ -6,7 +6,7 @@
  * event order — not merely the same final state — because the
  * determinism audit hashes the executed (tick, label) stream. The
  * differential fuzzer here drives both backends through identical
- * randomized schedule/cancel/weak workloads (same-tick bursts, dense
+ * randomized schedule/weak workloads (same-tick bursts, dense
  * ranges, sparse jumps that force the calendar's year scan and
  * resize machinery) and requires bit-identical stream hashes.
  */
@@ -32,7 +32,6 @@ struct FuzzResult
 {
     std::uint64_t streamHash = 0;
     std::uint64_t executed = 0;
-    std::uint64_t descheduled = 0;
     std::uint64_t weakFired = 0;
     Tick finalNow = 0;
 
@@ -41,7 +40,6 @@ struct FuzzResult
     {
         return streamHash == other.streamHash
                && executed == other.executed
-               && descheduled == other.descheduled
                && weakFired == other.weakFired
                && finalNow == other.finalNow;
     }
@@ -71,7 +69,6 @@ class Fuzzer
         FuzzResult result;
         result.streamHash = _prof.streamHash();
         result.executed = _eq.executedCount();
-        result.descheduled = _descheduled;
         result.weakFired = _weakFired;
         result.finalNow = _eq.now();
         return result;
@@ -127,35 +124,16 @@ class Fuzzer
     {
         for (std::uint64_t i = 0; i < fanout && _budget > 0; ++i) {
             --_budget;
-            const EventId id =
-                _eq.schedule(_eq.now() + randomDelta(),
-                             [this] { step(); },
-                             labelFor(_rng.next()));
-            _ids.push_back(id);
+            _eq.schedule(_eq.now() + randomDelta(),
+                         [this] { spawn(_rng.below(4)); },
+                         labelFor(_rng.next()));
         }
-    }
-
-    void
-    step()
-    {
-        // Cancel a random earlier handle now and then; many are stale
-        // (already executed or cancelled) and must be refused — the
-        // refusal pattern is part of the cross-backend contract.
-        if (!_ids.empty() && _rng.below(4) == 0) {
-            const EventId victim =
-                _ids[static_cast<std::size_t>(_rng.below(_ids.size()))];
-            if (_eq.deschedule(victim))
-                ++_descheduled;
-        }
-        spawn(_rng.below(4));
     }
 
     EventQueue _eq;
     DesProfiler _prof;
     Random _rng;
     std::uint64_t _budget = 20000;
-    std::vector<EventId> _ids;
-    std::uint64_t _descheduled = 0;
     std::uint64_t _weakFired = 0;
 };
 
@@ -173,7 +151,6 @@ TEST(EventBackendDifferential, HeapAndCalendarProduceIdenticalStreams)
             << " events)";
         // A degenerate run would vacuously pass; require real work.
         EXPECT_GT(heap.executed, 10000u) << "seed " << seed;
-        EXPECT_GT(heap.descheduled, 0u) << "seed " << seed;
         EXPECT_GT(heap.weakFired, 0u) << "seed " << seed;
     }
 }
@@ -428,7 +405,7 @@ TEST(HeapBackendReference, HoldPatternMatchesSortedOrder)
 
 // ------------------------------------------------------------ slot pool
 
-TEST(EventQueuePool, PoolStaysFlatAcrossDrainsAndResets)
+TEST(EventQueuePool, PoolStaysFlatAcrossDrains)
 {
     EventQueue eq;
     const auto burst = [&eq] {
@@ -445,51 +422,25 @@ TEST(EventQueuePool, PoolStaysFlatAcrossDrainsAndResets)
     for (int round = 0; round < 200; ++round)
         burst();
     EXPECT_EQ(eq.poolSlots(), high_water);
-    // ...and reset() releases into the same pool rather than growing.
+    // ...and so do the weak events a drain discards unexecuted.
+    int weak_fired = 0;
     for (int round = 0; round < 200; ++round) {
+        const Tick last = eq.now() + 1;
+        eq.schedule(last, [] {});
         for (Tick i = 0; i < 50; ++i)
-            eq.scheduleAfter(100 + i, [] {});
-        // Stop mid-run, with 29 events pending.
-        for (int i = 0; i < 21; ++i)
-            ASSERT_TRUE(eq.step());
-        eq.reset();
+            eq.scheduleWeak(last + 1 + i, [&weak_fired] {
+                ++weak_fired;
+            });
+        eq.run();
+        ASSERT_EQ(eq.now(), last);
     }
+    EXPECT_EQ(weak_fired, 0);
     EXPECT_EQ(eq.poolSlots(), high_water);
-    EXPECT_EQ(eq.now(), 0u);
     EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueuePool, DescheduleOfExecutedIdIsRefused)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId executed = eq.schedule(10, [&fired] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    // The slot retired at pop time: the stale handle is refused...
-    EXPECT_FALSE(eq.deschedule(executed));
-    // ...even after the slot is recycled by a new event (the bumped
-    // generation keeps the stale id from aliasing its successor).
-    const EventId successor = eq.schedule(20, [&fired] { ++fired; });
-    EXPECT_FALSE(eq.deschedule(executed));
-    EXPECT_TRUE(eq.deschedule(successor));
-    EXPECT_FALSE(eq.deschedule(successor)); // already cancelled
-    eq.run();
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.weakCount(), 0u);
 }
 
 // ------------------------------------------------- in-place execution
-
-TEST(EventQueueInPlace, SelfDescheduleIsRefused)
-{
-    EventQueue eq;
-    EventId self = invalidEventId;
-    bool refused = false;
-    self = eq.schedule(10, [&] { refused = !eq.deschedule(self); });
-    eq.run();
-    EXPECT_TRUE(refused);
-    EXPECT_EQ(eq.executedCount(), 1u);
-}
 
 /** Counts destructions of live (not moved-from) copies. */
 struct Tracked
@@ -535,30 +486,6 @@ TEST(EventQueueInPlace, CaptureOutlivesPoolGrowthDuringItsCall)
     EXPECT_EQ(destroyed, 1);
     EXPECT_EQ(fired, 5000);
     EXPECT_GT(eq.poolSlots(), 4096u);
-}
-
-TEST(EventQueueInPlace, ResetFromInsideACallbackKeepsThePoolFlat)
-{
-    EventQueue eq;
-    int fired = 0;
-    const auto round = [&eq, &fired] {
-        for (Tick i = 0; i < 20; ++i)
-            eq.scheduleAfter(i, [&fired] { ++fired; });
-        eq.scheduleAfter(5, [&eq] { eq.reset(); });
-        eq.run();
-        // The slot that ran reset() is recycled once: every slot
-        // handed out next is distinct, so all of these fire.
-        fired = 0;
-        for (Tick i = 0; i < 30; ++i)
-            eq.scheduleAfter(i, [&fired] { ++fired; });
-        eq.run();
-        EXPECT_EQ(fired, 30);
-    };
-    round();
-    const std::size_t high_water = eq.poolSlots();
-    for (int i = 0; i < 50; ++i)
-        round();
-    EXPECT_EQ(eq.poolSlots(), high_water);
 }
 
 } // anonymous namespace

@@ -146,20 +146,6 @@ TEST(Channel, PeakTrackingMeasuresSaturatedWindow)
     EXPECT_NEAR(ch.peakBandwidth(), 10.0 * kGB, 0.15 * 10.0 * kGB);
 }
 
-TEST(Channel, ResetStatsClearsCounters)
-{
-    EventQueue eq;
-    Channel ch(eq, "c", 1e9, 0);
-    TestPaths paths;
-    paths.send({&ch}, 1e3);
-    eq.run();
-    EXPECT_EQ(ch.transfers(), 1u);
-    ch.resetStats();
-    EXPECT_DOUBLE_EQ(ch.bytesTransferred(), 0.0);
-    EXPECT_EQ(ch.transfers(), 0u);
-    EXPECT_EQ(ch.busyTicks(), 0u);
-}
-
 TEST(Channel, QueueDepthVisible)
 {
     EventQueue eq;
@@ -703,19 +689,22 @@ TEST(Flow, ParallelRoutesSplitTraffic)
 
 TEST(Flow, TwoRoutesHalveCompletionTime)
 {
-    EventQueue eq;
-    Channel a(eq, "a", 1e9, 0);
-    Channel b(eq, "b", 1e9, 0);
-    FlowPool flows;
-    Tick one_route = 0, two_routes = 0;
-    flows.send({Route{{&a}}}, 1e6, 1e4, [&] { one_route = eq.now(); });
-    eq.run();
-    eq.reset();
-    Channel c(eq, "c", 1e9, 0);
-    Channel d(eq, "d", 1e9, 0);
-    flows.send({Route{{&c}}, Route{{&d}}}, 1e6, 1e4,
-               [&] { two_routes = eq.now(); });
-    eq.run();
+    // Each measurement runs on a fresh queue.
+    const auto completion = [](int routes) {
+        EventQueue eq;
+        Channel a(eq, "a", 1e9, 0);
+        Channel b(eq, "b", 1e9, 0);
+        FlowPool flows;
+        std::vector<Route> paths{Route{{&a}}};
+        if (routes == 2)
+            paths.push_back(Route{{&b}});
+        Tick done = 0;
+        flows.send(paths, 1e6, 1e4, [&] { done = eq.now(); });
+        eq.run();
+        return done;
+    };
+    const Tick one_route = completion(1);
+    const Tick two_routes = completion(2);
     EXPECT_NEAR(static_cast<double>(two_routes),
                 static_cast<double>(one_route) / 2.0,
                 static_cast<double>(one_route) * 0.05);
@@ -751,12 +740,11 @@ TEST(Flow, LegsCompleteOnceAtTheLastDelivery)
 {
     // Alone, each leg finishes at its own tick; as two legs of one flow
     // on separate channels, the single completion lands where the
-    // larger leg finishes.
-    EventQueue eq;
-    FlowPool flows;
-    auto alone = [&](double bytes) {
-        eq.reset();
+    // larger leg finishes. Each measurement runs on a fresh queue.
+    auto alone = [](double bytes) {
+        EventQueue eq;
         Channel c(eq, "c", 1e9, 0);
+        FlowPool flows;
         Tick done = 0;
         flows.send({Route{{&c}}}, bytes, 1e4, [&] { done = eq.now(); });
         eq.run();
@@ -766,12 +754,13 @@ TEST(Flow, LegsCompleteOnceAtTheLastDelivery)
     const Tick large_alone = alone(6e5);
     ASSERT_LT(small_alone, large_alone);
 
-    eq.reset();
+    EventQueue eq;
     Channel a(eq, "a", 1e9, 0);
     Channel b(eq, "b", 1e9, 0);
     const std::vector<Route> small{Route{{&a}}};
     const std::vector<Route> large{Route{{&b}}};
     const FlowLeg legs[] = {{&large, 6e5}, {&small, 2e5}};
+    FlowPool flows;
     int fired = 0;
     Tick done = 0;
     flows.send(legs, 2, 1e4, [&] {

@@ -124,31 +124,13 @@ TEST(EventQueue, EventsCanScheduleEvents)
     EXPECT_EQ(eq.now(), 15u);
 }
 
-TEST(EventQueue, DescheduleCancelsPendingEvent)
-{
-    EventQueue eq;
-    bool fired = false;
-    const EventId id = eq.schedule(10, [&] { fired = true; });
-    EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_FALSE(eq.deschedule(id)); // double-cancel is a no-op
-    eq.run();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, DescheduleOfInvalidIdFails)
-{
-    EventQueue eq;
-    EXPECT_FALSE(eq.deschedule(invalidEventId));
-    EXPECT_FALSE(eq.deschedule(9999));
-}
-
 TEST(EventQueue, PendingCountTracksLiveEvents)
 {
     EventQueue eq;
-    const EventId a = eq.schedule(10, [] {});
+    eq.schedule(10, [] {});
     eq.schedule(20, [] {});
     EXPECT_EQ(eq.pendingCount(), 2u);
-    eq.deschedule(a);
+    EXPECT_TRUE(eq.step());
     EXPECT_EQ(eq.pendingCount(), 1u);
     eq.run();
     EXPECT_EQ(eq.pendingCount(), 0u);
@@ -164,18 +146,6 @@ TEST(EventQueue, StepExecutesSingleEvent)
     EXPECT_EQ(fired, 1);
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
-    eq.schedule(50, [] {});
-    eq.reset();
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.executedCount(), 0u);
 }
 
 TEST_F(ThrowingErrors, SchedulingInThePastClampsToNow)

@@ -139,18 +139,5 @@ TEST(System, FabricLinkParametersFollowDeviceConfig)
     EXPECT_DOUBLE_EQ(sys.config().fabric.linkBandwidth, 50.0 * kGB);
 }
 
-TEST(System, ResetStatsClearsChannels)
-{
-    EventQueue eq;
-    System sys = makeSystem(eq, SystemDesign::DcDla);
-    FlowPool flows;
-    flows.send(sys.fabric().vmemPaths(0)[0].writeRoutes, 1e6, 1e5,
-               nullptr);
-    eq.run();
-    EXPECT_GT(sys.fabric().hostBytes(), 0.0);
-    sys.resetStats();
-    EXPECT_DOUBLE_EQ(sys.fabric().hostBytes(), 0.0);
-}
-
 } // anonymous namespace
 } // namespace mcdla
