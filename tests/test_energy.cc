@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simulator.hh"
 #include "system/energy_model.hh"
 #include "workloads/benchmarks.hh"
 
@@ -155,6 +156,43 @@ TEST(Energy, PipelineStageImbalanceShowsInDeviceEnergy)
               8.0 * span * cfg.deviceIdleWatts);
     EXPECT_LT(run.energy.deviceJoules,
               8.0 * span * cfg.deviceTdpWatts);
+}
+
+TEST(Energy, EachIterationIsMeasuredAlone)
+{
+    // The channel counters are lifetime totals, so the energy of the
+    // last of three identical iterations must read the iteration's
+    // own channel bytes to equal that of a lone iteration.
+    auto last_energy = [](SystemDesign design, int iterations) {
+        Scenario sc;
+        sc.design = design;
+        sc.workload = "AlexNet";
+        sc.globalBatch = 512;
+        sc.iterations = iterations;
+        EnergyReport energy;
+        Simulator::Hooks hooks;
+        hooks.postRun = [&energy](System &system,
+                                  const IterationResult &result) {
+            energy = estimateEnergy(system, result);
+        };
+        Simulator().run(sc, hooks);
+        return energy;
+    };
+    for (SystemDesign design :
+         {SystemDesign::McDlaB, SystemDesign::DcDla}) {
+        SCOPED_TRACE(systemDesignToken(design));
+        const EnergyReport one = last_energy(design, 1);
+        const EnergyReport three = last_energy(design, 3);
+        ASSERT_GT(one.totalJoules(), 0.0);
+        const auto expect_close = [](double got, double want) {
+            EXPECT_NEAR(got, want, 1e-9 * want);
+        };
+        expect_close(three.deviceJoules, one.deviceJoules);
+        expect_close(three.memNodeJoules, one.memNodeJoules);
+        expect_close(three.linkJoules, one.linkJoules);
+        expect_close(three.hostJoules, one.hostJoules);
+        expect_close(three.totalJoules(), one.totalJoules());
+    }
 }
 
 TEST(Energy, ZeroSpanYieldsEmptyReport)

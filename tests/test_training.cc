@@ -141,6 +141,47 @@ TEST(Training, OffloadBytesAreCountedPerIteration)
     EXPECT_DOUBLE_EQ(offload(2), one);
 }
 
+TEST(Training, ChannelCountersAreLifetimeTotals)
+{
+    // A channel's counters only grow; each iteration reports its own
+    // delta. Three identical iterations leave three times the delta
+    // on every channel, and each delta equals a lone iteration's.
+    struct Run
+    {
+        IterationResult result;
+        std::vector<double> lifetimeBytes;
+    };
+    auto run = [](int iterations) {
+        Scenario sc;
+        sc.design = SystemDesign::McDlaB;
+        sc.workload = "AlexNet";
+        sc.globalBatch = 512;
+        sc.iterations = iterations;
+        Run out;
+        Simulator::Hooks hooks;
+        hooks.postRun = [&out](System &system, const IterationResult &) {
+            for (const Channel *ch : system.fabric().channels())
+                out.lifetimeBytes.push_back(ch->bytesTransferred());
+        };
+        out.result = Simulator().run(sc, hooks);
+        return out;
+    };
+    const Run one = run(1);
+    const Run three = run(3);
+    const std::vector<ChannelUsage> &usage = three.result.channels;
+    ASSERT_EQ(usage.size(), three.lifetimeBytes.size());
+    ASSERT_EQ(usage.size(), one.result.channels.size());
+    double moved = 0.0;
+    for (std::size_t c = 0; c < usage.size(); ++c) {
+        SCOPED_TRACE(usage[c].channel);
+        const double delta = usage[c].bytes;
+        EXPECT_NEAR(three.lifetimeBytes[c], 3.0 * delta, 1e-9 * delta);
+        EXPECT_NEAR(delta, one.result.channels[c].bytes, 1e-9 * delta);
+        moved += delta;
+    }
+    EXPECT_GT(moved, 0.0);
+}
+
 TEST(Training, ComputeTimeIsDesignInvariant)
 {
     const Network net = buildBenchmark("GoogLeNet");
