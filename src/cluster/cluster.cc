@@ -537,16 +537,6 @@ ClusterReport::meanJctSec() const
 }
 
 double
-ClusterReport::maxJctSec() const
-{
-    double worst = 0.0;
-    for (const JobOutcome &job : jobs)
-        if (job.completed)
-            worst = std::max(worst, job.jctSec());
-    return worst;
-}
-
-double
 ClusterReport::meanQueueSec() const
 {
     double total = 0.0;

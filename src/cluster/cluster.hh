@@ -182,7 +182,6 @@ class ClusterReport
     /// @{
     std::size_t completedJobs() const;
     double meanJctSec() const;
-    double maxJctSec() const;
     double meanQueueSec() const;
     double meanSlowdown() const;
     /** JCT tail percentile (core/report percentile()), seconds. */

@@ -139,12 +139,6 @@ class MemoryPoolAllocator
     void simcheckVerifyTiling(
         const std::map<std::uint64_t, std::uint64_t> &free_spans) const;
 
-    /** Live (allocated, unreleased) blocks, addr -> reserved bytes. */
-    const std::map<std::uint64_t, std::uint64_t> &liveBlocks() const
-    {
-        return _liveBlocks;
-    }
-
   private:
     std::uint64_t _capacity;
     std::uint64_t _used = 0;

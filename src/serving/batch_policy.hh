@@ -77,8 +77,6 @@ class BatchPolicy
      */
     virtual double maxWaitSec() const { return -1.0; }
 
-    int maxBatchSamples() const { return _maxBatch; }
-
   protected:
     explicit BatchPolicy(int max_batch) : _maxBatch(max_batch) {}
 

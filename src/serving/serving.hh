@@ -226,8 +226,6 @@ class ServingCluster
     /// @{
     System &system() { return *_system; }
     std::uint64_t poolCapacityBytes() const { return _poolCapacity; }
-    /** Pool bytes pinned per replica for the whole run. */
-    std::uint64_t replicaPoolBytes() const { return _replicaPool; }
     /// @}
 
   private:
