@@ -32,7 +32,7 @@ Five repo hazards that clang-tidy cannot know about:
 A finding can be waived on its line with `// lint:allow(<rule>)`.
 Exit status is the number of findings (0 = clean).
 
-Usage: check_sources.py [root ...]   (default: src tools)
+Usage: check_sources.py [root ...]   (default: src tools bench examples)
 """
 
 import re
@@ -147,7 +147,7 @@ def lint_file(path: Path, rel: str) -> list:
 
 def main(argv: list) -> int:
     repo = Path(__file__).resolve().parents[2]
-    roots = argv[1:] or ["src", "tools"]
+    roots = argv[1:] or ["src", "tools", "bench", "examples"]
     findings = []
     for root in roots:
         base = repo / root
