@@ -110,18 +110,6 @@ HeapEventQueueBackend::insertFront(const EventItem &item)
     _front.insert(at, item);
 }
 
-void
-HeapEventQueueBackend::clear()
-{
-    _front.clear();
-    _frontHead = 0;
-    for (std::vector<EventItem> &bucket : _buckets)
-        bucket.clear();
-    _mask = 0;
-    _base = 0;
-    _size = 0;
-}
-
 // ---------------------------------------------------------------------
 // CalendarEventQueueBackend
 
@@ -131,19 +119,12 @@ CalendarEventQueueBackend::CalendarEventQueueBackend()
 }
 
 void
-CalendarEventQueueBackend::clear()
-{
-    _buckets.assign(kMinBuckets, {});
-    _mask = kMinBuckets - 1;
-    _width = 1;
-    _count = 0;
-    _lastWhen = 0;
-    _minBucket = SIZE_MAX;
-}
-
-void
 CalendarEventQueueBackend::push(const EventItem &item)
 {
+    // The scan starts at _lastWhen, so no pending item may lie before
+    // it. Only a push into an emptied calendar can: it takes any tick,
+    // and the kernel empties it by popping weak events past now().
+    _lastWhen = std::min(_lastWhen, item.when);
     maybeGrow();
     std::vector<EventItem> &bucket = _buckets[bucketOf(item.when)];
     bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), item,

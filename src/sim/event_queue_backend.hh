@@ -83,7 +83,6 @@ class EventQueueBackend
     virtual EventItem pop() = 0;
     virtual bool empty() const = 0;
     virtual std::size_t size() const = 0;
-    virtual void clear() = 0;
 };
 
 /** Selects the EventQueue's priority structure (`--event-queue`). */
@@ -162,7 +161,6 @@ class HeapEventQueueBackend final : public EventQueueBackend
 
     bool empty() const override { return _size == 0; }
     std::size_t size() const override { return _size; }
-    void clear() override;
 
   private:
     /** 0 for the base tick, else 1 + the highest bit in which
@@ -237,7 +235,6 @@ class CalendarEventQueueBackend final : public EventQueueBackend
     EventItem pop() override;
     bool empty() const override { return _count == 0; }
     std::size_t size() const override { return _count; }
-    void clear() override;
 
   private:
     std::size_t bucketOf(Tick when) const
@@ -259,7 +256,9 @@ class CalendarEventQueueBackend final : public EventQueueBackend
     std::size_t _mask = 0;       ///< bucket count - 1 (power of two)
     std::uint64_t _width = 1;    ///< bucket tick width (>= 1)
     std::size_t _count = 0;      ///< total pending items
-    Tick _lastWhen = 0;          ///< last popped tick (scan start)
+    /** Scan start: the last popped tick, or an earlier tick pushed
+        into the emptied calendar since. */
+    Tick _lastWhen = 0;
     /** Cached result of the last peek()'s search, reused by pop(). */
     std::size_t _minBucket = SIZE_MAX;
 };
