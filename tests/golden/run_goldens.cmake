@@ -142,6 +142,12 @@ elseif(SUITE STREQUAL "mcdla_sim")
            --job-trace ${golden_dir}/cluster_mix.trace)
   endforeach()
 
+  # Pipeline jobs on subsets of the machine beside dp and mp jobs.
+  golden_case(cluster_pp
+    OUTPUTS cluster_pp.csv
+    ARGS --cluster --design mc-b --scheduler backfill
+         --job-trace ${golden_dir}/cluster_pp.trace --csv cluster_pp.csv)
+
   # The observers: trace, metrics and critical path of one iteration,
   # then trace and metrics of a cluster and a serve run.
   golden_case(dp_observed
