@@ -395,6 +395,59 @@ TEST_F(ClusterTest, SingleJobReproducesStandaloneExactly)
     EXPECT_DOUBLE_EQ(outcome.queueSec(), 0.0);
 }
 
+TEST_F(ClusterTest, JobPoolBytesEqualTheSessionsRemoteBytes)
+{
+    // The scheduler sizes a job's pool block without building its
+    // session; the block must hold exactly what the session allocates.
+    struct PoolCase
+    {
+        const char *workload;
+        ParallelMode mode;
+        int devices;
+        int stages;
+        int microbatches;
+    };
+    const PoolCase cases[] = {
+        {"ResNet", ParallelMode::DataParallel, 4, 0, 4},
+        {"RNN-LSTM-1", ParallelMode::ModelParallel, 2, 0, 4},
+        {"ResNet", ParallelMode::Pipeline, 4, 4, 4},
+        {"GoogLeNet", ParallelMode::Pipeline, 2, 2, 4},
+    };
+    Simulator sim;
+    for (SystemDesign design :
+         {SystemDesign::McDlaB, SystemDesign::DcDla}) {
+        for (const PoolCase &c : cases) {
+            JobSpec spec = makeJob("pool", c.workload, 256, c.devices, 0.0);
+            spec.mode = c.mode;
+            spec.pipelineStages = c.stages;
+            spec.microbatches = c.microbatches;
+            SCOPED_TRACE(spec.label() + " on "
+                         + kSystemDesigns.token(design));
+
+            SystemConfig cfg;
+            cfg.design = design;
+            EventQueue eq;
+            System system(eq, cfg);
+            std::vector<int> devices;
+            for (int d = 0; d < c.devices; ++d)
+                devices.push_back(d);
+            const Network &net = *sim.network(c.workload);
+            TrainingSession session(system, net, c.mode, spec.batch,
+                                    c.stages, c.microbatches, devices);
+            session.run();
+            std::uint64_t allocated = 0;
+            for (int d : devices)
+                allocated += system.addressSpace(d).remoteUsed();
+
+            EXPECT_GT(allocated, 0u);
+            EXPECT_EQ(Cluster::jobPoolBytes(
+                          spec, net, cfg,
+                          system.addressSpace(0).pageBytes()),
+                      allocated);
+        }
+    }
+}
+
 TEST_F(ClusterTest, OffloadBytesIgnoreAnEarlierJobOnTheSameDevices)
 {
     // The second job queues behind the first for all eight devices and

@@ -547,6 +547,61 @@ TEST(PipelineSession, PagersAreStageLocal)
     EXPECT_EQ(r.paging.fills, r.paging.writebacks);
 }
 
+TEST(PipelineSession, OneStageOneMicrobatchRunsTheSpmdProgram)
+{
+    // On one device, dp, mp and a one-stage, one-microbatch pipeline
+    // are the same program: no collectives, no boundary transfers, the
+    // whole batch in one wave. The event streams must be identical.
+    LogConfig::verbose = false;
+    struct Run
+    {
+        IterationResult result;
+        std::uint64_t streamHash = 0;
+    };
+    Simulator sim;
+    for (const char *workload : {"GoogLeNet", "RNN-LSTM-1"}) {
+        for (SystemDesign design :
+             {SystemDesign::DcDla, SystemDesign::McDlaB}) {
+            auto run = [&](ParallelMode mode) {
+                Scenario sc;
+                sc.design = design;
+                sc.base.fabric.numDevices = 1;
+                EventQueue eq;
+                DesProfiler profiler;
+                eq.setProfiler(&profiler);
+                System system(eq, sc.config());
+                TrainingSession session(system, *sim.network(workload),
+                                        mode, 256, 1, 1);
+                Run out{session.run(), 0};
+                eq.setProfiler(nullptr);
+                out.streamHash = profiler.streamHash();
+                return out;
+            };
+            const Run pp = run(ParallelMode::Pipeline);
+            for (ParallelMode mode : {ParallelMode::DataParallel,
+                                      ParallelMode::ModelParallel}) {
+                SCOPED_TRACE(std::string(workload) + " "
+                             + kSystemDesigns.token(design) + " "
+                             + kParallelModes.token(mode));
+                const Run spmd = run(mode);
+                EXPECT_EQ(spmd.result.makespan, pp.result.makespan);
+                EXPECT_EQ(spmd.result.eventsExecuted,
+                          pp.result.eventsExecuted);
+                EXPECT_DOUBLE_EQ(spmd.result.offloadBytesPerDevice,
+                                 pp.result.offloadBytesPerDevice);
+                ASSERT_EQ(spmd.result.channels.size(),
+                          pp.result.channels.size());
+                for (std::size_t c = 0; c < pp.result.channels.size();
+                     ++c)
+                    EXPECT_DOUBLE_EQ(spmd.result.channels[c].bytes,
+                                     pp.result.channels[c].bytes)
+                        << pp.result.channels[c].channel;
+                EXPECT_EQ(spmd.streamHash, pp.streamHash);
+            }
+        }
+    }
+}
+
 TEST(PipelineSession, SessionMatchesSimulatorFacade)
 {
     LogConfig::verbose = false;
