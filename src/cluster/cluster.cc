@@ -35,26 +35,24 @@ Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
         PipelineConfig{spec.pipelineStages, spec.microbatches,
                        cfg.device});
 
+    // Every device running a stage allocates each of its stash tensors
+    // once per microbatch (dp/mp: one stage on every device, one
+    // microbatch).
+    std::vector<std::uint64_t> stage_devices(
+        static_cast<std::size_t>(strategy.pipelineStages()), 0);
+    for (int d = 0; d < spec.devices; ++d)
+        if (const int s = strategy.stageOfDevice(d); s >= 0)
+            ++stage_devices[static_cast<std::size_t>(s)];
+    const auto waves = static_cast<std::uint64_t>(strategy.microbatches());
     std::uint64_t total = 0;
-    if (strategy.isPipeline()) {
-        const auto waves =
-            static_cast<std::uint64_t>(strategy.microbatches());
-        for (int s = 0; s < strategy.pipelineStages(); ++s)
-            for (LayerId layer : strategy.stageStashLayers(s, plan))
-                total += waves
-                    * roundToPoolPages(strategy.offloadBytesPerDevice(
-                        net.layer(layer)));
-        return total;
+    for (int s = 0; s < strategy.pipelineStages(); ++s) {
+        std::uint64_t stash = 0;
+        for (LayerId layer : strategy.stageStashLayers(s, plan))
+            stash += roundToPoolPages(
+                strategy.offloadBytesPerDevice(net.layer(layer)));
+        total += stage_devices[static_cast<std::size_t>(s)] * waves * stash;
     }
-
-    std::uint64_t per_device = 0;
-    for (LayerId id = 0; id < static_cast<LayerId>(net.size()); ++id) {
-        if (plan.entry(id).action != TensorAction::Offload)
-            continue;
-        per_device += roundToPoolPages(
-            strategy.offloadBytesPerDevice(net.layer(id)));
-    }
-    return per_device * static_cast<std::uint64_t>(spec.devices);
+    return total;
 }
 
 Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)

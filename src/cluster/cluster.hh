@@ -325,11 +325,11 @@ class Cluster
 
     /**
      * Backing-store pool demand of @p spec on machine @p cfg: the
-     * remote bytes its TrainingSession will allocate — rounded to
-     * @p page_bytes, the device address spaces' placement granularity
-     * — summed over its devices (zero for designs without a backing
-     * store). Mirrors the remote mallocs of
-     * TrainingSession::allocateBuffers().
+     * remote bytes its TrainingSession will allocate (each device's
+     * stage stash tensors, once per microbatch), rounded to
+     * @p page_bytes, the device address spaces' placement
+     * granularity, and summed over its devices. Zero for designs
+     * without a backing store.
      */
     static std::uint64_t jobPoolBytes(const JobSpec &spec,
                                       const Network &net,

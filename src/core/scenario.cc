@@ -172,6 +172,11 @@ Scenario::fromOptions(const OptionParser &opts)
     sc.iterations = opts.getInt<int>("iterations", 1);
     sc.pipelineStages = opts.getInt<int>("pipeline-stages", 0);
     sc.microbatches = opts.getInt<int>("microbatches", 1);
+    for (const char *knob : {"pipeline-stages", "microbatches"}) {
+        if (sc.mode != ParallelMode::Pipeline && opts.wasSet(knob))
+            fatal("--%s applies to --mode pp only (got --mode %s)", knob,
+                  kParallelModes.token(sc.mode));
+    }
     if (sc.mode == ParallelMode::Pipeline) {
         if (sc.globalBatch % sc.microbatches != 0)
             fatal("--batch %lld is not divisible by --microbatches %d",

@@ -26,8 +26,13 @@ ParallelStrategy::ParallelStrategy(const Network &net, ParallelMode mode,
     if (num_devices < 1)
         fatal("parallel strategy requires at least one device");
 
+    // dp/mp run every layer as one stage on every device; pipeline
+    // stages are balanced by the roofline forward+backward time of one
+    // microbatch on the configured device.
+    int stages = 1;
+    std::vector<double> cost(net.size(), 0.0);
     if (mode == ParallelMode::Pipeline) {
-        const int stages = pipe.stages > 0 ? pipe.stages : num_devices;
+        stages = pipe.stages > 0 ? pipe.stages : num_devices;
         if (stages > num_devices)
             fatal("%d pipeline stages exceed the %d devices",
                   stages, num_devices);
@@ -50,47 +55,41 @@ ParallelStrategy::ParallelStrategy(const Network &net, ParallelMode mode,
         }
         _microbatches = pipe.microbatches;
 
-        // Balance stages by the roofline forward+backward time of one
-        // microbatch on the configured device.
         const ComputeModel model(pipe.device);
         LayerScaling scaling;
         scaling.batch = microbatchSize();
-        std::vector<double> cost;
-        cost.reserve(net.size());
         for (LayerId id = 0; id < static_cast<LayerId>(net.size());
              ++id) {
             const LayerTiming t =
                 model.layerTiming(net.layer(id), scaling);
-            cost.push_back(static_cast<double>(t.forward + t.backward));
+            cost[static_cast<std::size_t>(id)] =
+                static_cast<double>(t.forward + t.backward);
         }
-        _partition = PipelinePartition(net, cost, stages);
-
-        // Cut bytes per sample for each boundary: distinct producers
-        // on or before the boundary with a consumer beyond it.
-        _boundaryBytesPerSample.assign(
-            static_cast<std::size_t>(stages > 0 ? stages - 1 : 0), 0.0);
-        for (LayerId id = 0; id < static_cast<LayerId>(net.size());
-             ++id) {
-            const int src = _partition.stageOf(id);
-            int furthest = src;
-            for (LayerId c : net.consumersOf(id))
-                furthest = std::max(furthest, _partition.stageOf(c));
-            for (int b = src; b < furthest; ++b)
-                _boundaryBytesPerSample[static_cast<std::size_t>(b)] +=
-                    static_cast<double>(
-                        net.layer(id).outBytesPerSample());
+    } else {
+        if (global_batch < num_devices)
+            fatal("global batch %lld smaller than device count %d",
+                  static_cast<long long>(global_batch), num_devices);
+        if (mode == ParallelMode::DataParallel
+            && global_batch % num_devices != 0) {
+            warn("global batch %lld not divisible by %d devices; using "
+                 "floor division",
+                 static_cast<long long>(global_batch), num_devices);
         }
-        return;
     }
+    _partition = PipelinePartition(net, cost, stages);
 
-    if (global_batch < num_devices)
-        fatal("global batch %lld smaller than device count %d",
-              static_cast<long long>(global_batch), num_devices);
-    if (mode == ParallelMode::DataParallel
-        && global_batch % num_devices != 0) {
-        warn("global batch %lld not divisible by %d devices; using "
-             "floor division",
-             static_cast<long long>(global_batch), num_devices);
+    // Cut bytes per sample for each boundary: distinct producers on or
+    // before the boundary with a consumer beyond it.
+    _boundaryBytesPerSample.assign(static_cast<std::size_t>(stages - 1),
+                                   0.0);
+    for (LayerId id = 0; id < static_cast<LayerId>(net.size()); ++id) {
+        const int src = _partition.stageOf(id);
+        int furthest = src;
+        for (LayerId c : net.consumersOf(id))
+            furthest = std::max(furthest, _partition.stageOf(c));
+        for (int b = src; b < furthest; ++b)
+            _boundaryBytesPerSample[static_cast<std::size_t>(b)] +=
+                static_cast<double>(net.layer(id).outBytesPerSample());
     }
 }
 
@@ -239,9 +238,11 @@ ParallelStrategy::offloadBytesPerDevice(const Layer &layer) const
 }
 
 int
-ParallelStrategy::pipelineStages() const
+ParallelStrategy::stageOfDevice(int dev) const
 {
-    return isPipeline() ? _partition.numStages() : 1;
+    if (!isPipeline())
+        return 0;
+    return dev < pipelineStages() ? dev : -1;
 }
 
 std::int64_t
@@ -250,27 +251,15 @@ ParallelStrategy::microbatchSize() const
     return _globalBatch / static_cast<std::int64_t>(_microbatches);
 }
 
-const PipelinePartition &
-ParallelStrategy::partition() const
-{
-    if (!isPipeline())
-        panic("stage partition requested for %s training",
-              kParallelModes.name(_mode));
-    return _partition;
-}
-
 int
 ParallelStrategy::stageOfLayer(LayerId id) const
 {
-    return partition().stageOf(id);
+    return _partition.stageOf(id);
 }
 
 double
 ParallelStrategy::boundaryBytesPerMicrobatch(int boundary) const
 {
-    if (!isPipeline())
-        panic("boundary bytes requested for %s training",
-              kParallelModes.name(_mode));
     if (boundary < 0
         || static_cast<std::size_t>(boundary)
             >= _boundaryBytesPerSample.size())
@@ -283,30 +272,32 @@ ParallelStrategy::boundaryBytesPerMicrobatch(int boundary) const
 std::vector<LayerId>
 ParallelStrategy::stageStashLayers(int s, const OffloadPlan &plan) const
 {
-    const PipelineStage &stage = partition().stage(s);
+    const PipelineStage &stage = _partition.stage(s);
     std::vector<LayerId> out;
-    std::set<LayerId> seen;
-    auto add = [&](LayerId id) {
-        if (plan.entry(id).action == TensorAction::Offload
-            && seen.insert(id).second)
-            out.push_back(id);
-    };
     for (LayerId id : stage.layers)
-        add(id);
+        if (plan.entry(id).action == TensorAction::Offload)
+            out.push_back(id);
     // Boundary inputs: offloaded activations produced upstream that
     // this stage's backward pass re-reads (the stage keeps the copy it
-    // received during forward).
+    // received during forward). Stage 0 has none.
+    if (s == 0)
+        return out;
+    std::set<LayerId> seen;
     for (LayerId id : stage.layers)
         for (LayerId p : _net.effectiveProducers(id))
-            if (_partition.stageOf(p) < s)
-                add(p);
+            if (_partition.stageOf(p) < s
+                && plan.entry(p).action == TensorAction::Offload
+                && seen.insert(p).second)
+                out.push_back(p);
     return out;
 }
 
 std::uint64_t
 ParallelStrategy::stageWeightBytes(int s) const
 {
-    const PipelineStage &stage = partition().stage(s);
+    if (!isPipeline())
+        return weightBytesPerDevice(_net);
+    const PipelineStage &stage = _partition.stage(s);
     std::uint64_t bytes = 0;
     // Tied recurrent cells share one weight tensor; a stage holding
     // any cell of a tie group needs one resident copy, counted via the
@@ -335,7 +326,6 @@ ParallelStrategy::stageWeightBytes(int s) const
 std::map<LayerId, std::vector<int>>
 ParallelStrategy::tieGroupStages() const
 {
-    partition(); // isPipeline() guard
     std::map<LayerId, std::set<int>> stages;
     for (LayerId id = 0; id < static_cast<LayerId>(_net.size()); ++id) {
         const Layer &layer = _net.layer(id);

@@ -153,12 +153,14 @@ class ParallelStrategy
      */
     double offloadBytesPerDevice(const Layer &layer) const;
 
-    /// @name Pipeline queries (meaningful only when isPipeline())
+    /// @name Stage queries
+    /// dp/mp are the one-stage, one-microbatch case: a single stage
+    /// holds every layer in topological order and every device runs it.
     /// @{
     bool isPipeline() const { return _mode == ParallelMode::Pipeline; }
 
     /** Resolved stage count (1 for dp/mp). */
-    int pipelineStages() const;
+    int pipelineStages() const { return _partition.numStages(); }
 
     /** Microbatches per iteration (1 for dp/mp). */
     int microbatches() const { return _microbatches; }
@@ -166,11 +168,18 @@ class ParallelStrategy
     /** Samples per microbatch (globalBatch / microbatches). */
     std::int64_t microbatchSize() const;
 
-    /** The balanced stage partition; panics unless isPipeline(). */
-    const PipelinePartition &partition() const;
+    /** The stage partition (balanced by roofline cost under pp). */
+    const PipelinePartition &partition() const { return _partition; }
 
-    /** Stage owning @p id; panics unless isPipeline(). */
+    /** Stage owning @p id. */
     int stageOfLayer(LayerId id) const;
+
+    /**
+     * Stage that worker @p dev runs: stage 0 on every dp/mp device,
+     * stage dev under pp, -1 for a pp device beyond the stage count
+     * (idle).
+     */
+    int stageOfDevice(int dev) const;
 
     /**
      * Activation bytes crossing the cut between stage @p boundary and
@@ -192,7 +201,7 @@ class ParallelStrategy
     /**
      * Weight bytes resident on stage @p s's device: untied stage
      * weights plus one copy per tied weight group whose owning cell
-     * lives on another stage.
+     * lives on another stage (weightBytesPerDevice() for dp/mp).
      */
     std::uint64_t stageWeightBytes(int s) const;
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "interconnect/flow.hh"
@@ -52,10 +53,15 @@ TrainingSession::TrainingSession(System &system, const Network &net,
     }
     _ownsAllDevices = static_cast<int>(_deviceSet.size()) == total;
 
+    buildSchedule();
+
     // Subset sessions ring their collectives over just the owned
     // devices; the restricted rings still walk the full physical loop.
-    if (!_ownsAllDevices && !_strategy.isPipeline()
-        && deviceCount() > 1) {
+    bool collectives = false;
+    for (const StageProgram &stage : _stages)
+        for (const OpSpec &op : stage.ops)
+            collectives |= op.syncAfter.has_value();
+    if (!_ownsAllDevices && collectives) {
         for (const RingPath &ring : _system.fabric().rings()) {
             RingPath sub = restrictRingToDevices(ring, _deviceSet);
             if (sub.stageCount() >= 2)
@@ -67,16 +73,13 @@ TrainingSession::TrainingSession(System &system, const Network &net,
         for (const RingPath &ring : _jobRings)
             _jobRingPtrs.push_back(&ring);
     }
-
-    buildSchedule();
 }
 
-const std::vector<TrainingSession::OpSpec> &
+const TrainingSession::StageProgram &
 TrainingSession::program(int dev) const
 {
-    if (_strategy.isPipeline())
-        return _stagePrograms.at(static_cast<std::size_t>(dev));
-    return _ops;
+    const int stage = _deviceStage[static_cast<std::size_t>(dev)];
+    return stage < 0 ? _idle : _stages[static_cast<std::size_t>(stage)];
 }
 
 LayerId
@@ -117,128 +120,20 @@ TrainingSession::buildSchedule()
         }
     }
 
-    if (_strategy.isPipeline()) {
-        buildPipelineSchedule();
-        return;
-    }
-
-    // Map each offloaded tensor to the op after which its last forward
-    // use completes (the static plan's writeback trigger).
-    std::map<LayerId, std::vector<LayerId>> offload_after; // trigger->ps
-    for (LayerId id = 0; id < layer_count; ++id) {
-        if (_plan.entry(id).action != TensorAction::Offload)
-            continue;
-        LayerId trigger = id;
-        for (LayerId c : _net.effectiveConsumers(id))
-            trigger = std::max(trigger, c);
-        offload_after[trigger].push_back(id);
-    }
-
-    _ops.clear();
-    _pagingSchedule.clear();
-
-    // Forward pass.
-    for (LayerId id : _net.topoOrder()) {
-        OpSpec op;
-        op.kind = OpSpec::Kind::Fwd;
-        op.layer = id;
-        op.duration = _timings[static_cast<std::size_t>(id)].forward;
-        op.syncAfter = _strategy.forwardSync(id);
-
-        PageAccess access;
-        if (_plan.entry(id).action == TensorAction::Offload)
-            access.produces.push_back(id);
-        if (auto it = offload_after.find(id); it != offload_after.end())
-            access.planWritebacks = it->second;
-
-        _ops.push_back(std::move(op));
-        _pagingSchedule.push_back(std::move(access));
-    }
-
-    // Inference stops here: no backward pass, no weight updates, no dW
-    // all-reduce. The forward ops above keep their produces/writeback
-    // actions, so a serving replica still drives real paging DMA; its
-    // stashes are never read back — the session is torn down per batch.
-    if (_forwardOnly)
-        return;
-
-    // Backward pass in reverse topological order.
-    const auto &topo = _net.topoOrder();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        const LayerId id = *it;
-        const LayerTiming &t = _timings[static_cast<std::size_t>(id)];
-
-        OpSpec op;
-        op.kind = OpSpec::Kind::Bwd;
-        op.layer = id;
-        op.duration = t.backward;
-        // Recomputed cheap layers re-run their forward during backprop.
-        if (_plan.entry(id).action == TensorAction::Recompute)
-            op.duration += t.forward;
-        op.syncAfter = _strategy.backwardSync(id);
-
-        // Backward consumes the stashes of this layer and its effective
-        // producers; anything offloaded must be paged in first.
-        PageAccess access;
-        auto need = [&](LayerId p) {
-            if (_plan.entry(p).action == TensorAction::Offload)
-                access.reads.push_back(p);
-        };
-        need(id);
-        for (LayerId p : _net.effectiveProducers(id))
-            need(p);
-
-        if (op.duration == 0 && !op.syncAfter && access.reads.empty())
-            continue; // structural no-op
-        _ops.push_back(std::move(op));
-        _pagingSchedule.push_back(std::move(access));
-    }
-
-    // Weight updates (gated by dW all-reduce under data parallelism).
-    const bool dp_sync =
-        _strategy.mode() == ParallelMode::DataParallel
-        && _strategy.numDevices() > 1;
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        const LayerId id = *it;
-        const Layer &layer = _net.layer(id);
-        if (!layer.hasWeights() || layer.weightsTied())
-            continue;
-        OpSpec op;
-        op.kind = OpSpec::Kind::Wup;
-        op.layer = id;
-        op.duration =
-            _timings[static_cast<std::size_t>(id)].weightUpdate;
-        op.needsDwLatch = dp_sync;
-        _ops.push_back(std::move(op));
-        _pagingSchedule.emplace_back();
-    }
-
-    // Each stash dies at its last reader; the pager frees its frames
-    // when that op retires.
-    std::map<LayerId, std::size_t> last_reader;
-    for (std::size_t i = 0; i < _pagingSchedule.size(); ++i)
-        for (LayerId layer : _pagingSchedule[i].reads)
-            last_reader[layer] = i;
-    for (const auto &[layer, op_index] : last_reader)
-        _pagingSchedule[op_index].releases.push_back(layer);
-}
-
-void
-TrainingSession::buildPipelineSchedule()
-{
     const PipelinePartition &part = _strategy.partition();
     const int P = part.numStages();
     const int M = _strategy.microbatches();
     const int n = deviceCount();
 
-    if (n > P)
+    _deviceStage.clear();
+    for (int d = 0; d < n; ++d)
+        _deviceStage.push_back(_strategy.stageOfDevice(d));
+    if (std::count(_deviceStage.begin(), _deviceStage.end(), -1) > 0)
         warn("%s: %d pipeline stages on %d devices; devices %d..%d "
              "idle",
              _net.name().c_str(), P, n, P, n - 1);
 
-    _stagePrograms.assign(static_cast<std::size_t>(n), {});
-    _stageSchedules.assign(static_cast<std::size_t>(n), {});
-    _stageTensors.assign(static_cast<std::size_t>(n), {});
+    _stages.assign(static_cast<std::size_t>(P), {});
     _p2pRoutes.clear();
     _p2pBytesTotal = 0.0;
 
@@ -290,39 +185,50 @@ TrainingSession::buildPipelineSchedule()
         ensure_route(key.second, _strategy.stageOfLayer(key.first));
     }
 
+    // Weight updates wait for their dW all-reduce under data
+    // parallelism.
+    const bool dp_sync =
+        _strategy.mode() == ParallelMode::DataParallel
+        && _strategy.numDevices() > 1;
     for (int s = 0; s < P; ++s) {
-        auto &ops = _stagePrograms[static_cast<std::size_t>(s)];
-        auto &sched = _stageSchedules[static_cast<std::size_t>(s)];
+        StageProgram &stage = _stages[static_cast<std::size_t>(s)];
+        auto &ops = stage.ops;
+        auto &sched = stage.paging;
         const std::vector<LayerId> &stage_layers = part.stage(s).layers;
 
-        std::vector<LayerId> tensors =
-            _strategy.stageStashLayers(s, _plan);
-        _stageTensors[static_cast<std::size_t>(s)] = tensors;
-        const std::set<LayerId> tensor_set(tensors.begin(),
-                                           tensors.end());
-        std::map<LayerId, std::size_t> wave_index;
+        stage.stash = _strategy.stageStashLayers(s, _plan);
+        const std::vector<LayerId> &tensors = stage.stash;
+        std::vector<bool> stashed(_net.size(), false);
+        for (LayerId t : tensors)
+            stashed[static_cast<std::size_t>(t)] = true;
+        // Position of each stage layer within one wave.
+        constexpr std::size_t outside =
+            std::numeric_limits<std::size_t>::max();
+        std::vector<std::size_t> wave_index(_net.size(), outside);
         for (std::size_t i = 0; i < stage_layers.size(); ++i)
-            wave_index[stage_layers[i]] = i;
+            wave_index[static_cast<std::size_t>(stage_layers[i])] = i;
 
         // Within one forward wave, each stashed tensor's writeback
-        // triggers at its last local forward use.
-        std::map<LayerId, std::size_t> trigger_offset;
-        for (LayerId t : tensors) {
-            std::size_t off = 0;
-            if (auto it = wave_index.find(t); it != wave_index.end())
-                off = it->second;
-            for (LayerId c : _net.effectiveConsumers(t))
-                if (auto it = wave_index.find(c);
-                    it != wave_index.end())
-                    off = std::max(off, it->second);
-            trigger_offset[t] = off;
-        }
-        // Boundary inputs become resident when the wave's first op can
-        // run (their activations arrived with the recv).
+        // triggers at its last local forward use; writebacks after one
+        // op go in tensor order. Boundary inputs become resident when
+        // the wave's first op can run (their activations arrived with
+        // the recv).
+        std::vector<std::pair<LayerId, std::size_t>> trigger_offset;
         std::vector<LayerId> boundary_inputs;
-        for (LayerId t : tensors)
-            if (wave_index.count(t) == 0)
+        for (LayerId t : tensors) {
+            std::size_t off = wave_index[static_cast<std::size_t>(t)];
+            if (off == outside) {
                 boundary_inputs.push_back(t);
+                off = 0;
+            }
+            for (LayerId c : _net.effectiveConsumers(t))
+                if (const std::size_t at =
+                        wave_index[static_cast<std::size_t>(c)];
+                    at != outside)
+                    off = std::max(off, at);
+            trigger_offset.emplace_back(t, off);
+        }
+        std::sort(trigger_offset.begin(), trigger_offset.end());
 
         // Forward waves, one per microbatch.
         for (int m = 0; m < M; ++m) {
@@ -333,9 +239,10 @@ TrainingSession::buildPipelineSchedule()
                 op.layer = id;
                 op.duration =
                     _timings[static_cast<std::size_t>(id)].forward;
+                op.syncAfter = _strategy.forwardSync(id);
 
                 PageAccess access;
-                if (tensor_set.count(id))
+                if (stashed[static_cast<std::size_t>(id)])
                     access.produces.push_back(groupId(id, m));
                 ops.push_back(std::move(op));
                 sched.push_back(std::move(access));
@@ -357,6 +264,14 @@ TrainingSession::buildPipelineSchedule()
             }
         }
 
+        // Inference stops here: no backward pass, no weight updates, no
+        // dW all-reduce. The forward ops keep their produces/writeback
+        // actions, so a serving replica still drives real paging DMA;
+        // its stashes are never read back — the session is torn down
+        // per batch.
+        if (_forwardOnly)
+            continue;
+
         // Backward waves in reverse microbatch order (GPipe drains the
         // last-filled microbatch first).
         for (int m = M - 1; m >= 0; --m) {
@@ -371,24 +286,31 @@ TrainingSession::buildPipelineSchedule()
                 op.kind = OpSpec::Kind::Bwd;
                 op.layer = id;
                 op.duration = t.backward;
+                // Recomputed cheap layers re-run their forward during
+                // backprop.
                 if (_plan.entry(id).action == TensorAction::Recompute)
                     op.duration += t.forward;
+                op.syncAfter = _strategy.backwardSync(id);
 
+                // Backward consumes the stashes of this layer and its
+                // effective producers; anything offloaded must be
+                // paged in first.
                 PageAccess access;
                 auto need = [&](LayerId p) {
-                    if (tensor_set.count(p))
+                    if (stashed[static_cast<std::size_t>(p)])
                         access.reads.push_back(groupId(p, m));
                 };
                 need(id);
                 for (LayerId p : _net.effectiveProducers(id))
                     need(p);
 
-                if (op.duration == 0 && access.reads.empty())
+                if (op.duration == 0 && !op.syncAfter
+                    && access.reads.empty())
                     continue; // structural no-op
                 ops.push_back(std::move(op));
                 sched.push_back(std::move(access));
             }
-            if (ops.size() == wave_start) {
+            if (ops.size() == wave_start && P > 1) {
                 // All-structural stage: keep a zero-cost op so the
                 // boundary tokens have a carrier.
                 OpSpec op;
@@ -423,9 +345,9 @@ TrainingSession::buildPipelineSchedule()
             _p2pBytesTotal += bytes;
         }
 
-        // Stage-local weight updates. No dW collective to gate on, but
-        // the owner of a stage-spanning tied weight tensor waits for
-        // the other member stages' dW contributions.
+        // Stage-local weight updates. The owner of a stage-spanning
+        // tied weight tensor waits for the other member stages' dW
+        // contributions.
         const auto &topo = _net.topoOrder();
         for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
             const LayerId id = *it;
@@ -439,6 +361,7 @@ TrainingSession::buildPipelineSchedule()
             op.layer = id;
             op.duration =
                 _timings[static_cast<std::size_t>(id)].weightUpdate;
+            op.needsDwLatch = dp_sync;
             if (auto group = tie_groups.find(id);
                 group != tie_groups.end()) {
                 for (int member : group->second)
@@ -464,8 +387,8 @@ std::uint64_t
 TrainingSession::stageFootprintBytes(int s) const
 {
     const PipelineStage &stage = _strategy.partition().stage(s);
-    const auto mb =
-        static_cast<std::uint64_t>(_strategy.microbatchSize());
+    const auto batch =
+        static_cast<std::uint64_t>(_strategy.perDeviceBatch());
     const auto waves =
         static_cast<std::uint64_t>(_strategy.microbatches());
     std::uint64_t resident = 0;
@@ -474,53 +397,14 @@ TrainingSession::stageFootprintBytes(int s) const
     for (LayerId id : stage.layers) {
         const Layer &layer = _net.layer(id);
         const TensorPlan &entry = _plan.entry(id);
+        const auto shards = static_cast<std::uint64_t>(
+            _strategy.scaling(layer).modelShards);
         // Every microbatch's kept stash is live across the fwd->bwd
         // turn of the pipeline.
         if (entry.action == TensorAction::KeepLocal) {
             resident += (entry.outBytesPerSample
-                         + entry.auxBytesPerSample)
-                * mb * waves;
-        }
-        const std::uint64_t working =
-            (layer.inBytesPerSample() + layer.outBytesPerSample()
-             + layer.auxStashBytesPerSample())
-            * mb;
-        largest = std::max(largest, working);
-        // Received boundary activations the plan does not page stay
-        // resident until their backward wave.
-        for (LayerId p : _net.effectiveProducers(id)) {
-            if (_strategy.stageOfLayer(p) < s
-                && _plan.entry(p).action != TensorAction::Offload)
-                kept_inputs.insert(p);
-        }
-    }
-    for (LayerId p : kept_inputs)
-        resident += _net.layer(p).outBytesPerSample() * mb * waves;
-    return _strategy.stageWeightBytes(s) + resident + largest;
-}
-
-std::uint64_t
-TrainingSession::footprintBytesPerDevice() const
-{
-    if (_strategy.isPipeline()) {
-        std::uint64_t worst = 0;
-        for (int s = 0; s < _strategy.pipelineStages(); ++s)
-            worst = std::max(worst, stageFootprintBytes(s));
-        return worst;
-    }
-
-    const std::int64_t batch = _strategy.perDeviceBatch();
-    std::uint64_t resident = 0;
-    std::uint64_t largest = 0;
-    for (LayerId id = 0; id < static_cast<LayerId>(_net.size()); ++id) {
-        const Layer &layer = _net.layer(id);
-        const TensorPlan &entry = _plan.entry(id);
-        const auto shards = static_cast<std::uint64_t>(
-            _strategy.scaling(layer).modelShards);
-        if (entry.action == TensorAction::KeepLocal) {
-            resident += (entry.outBytesPerSample
                          + entry.auxBytesPerSample / shards)
-                * static_cast<std::uint64_t>(batch);
+                * batch * waves;
         }
         // Working set of the layer while executing: full input plus the
         // shard of output/aux this device produces.
@@ -528,12 +412,32 @@ TrainingSession::footprintBytesPerDevice() const
             (layer.inBytesPerSample()
              + (layer.outBytesPerSample()
                 + layer.auxStashBytesPerSample()) / shards)
-            * static_cast<std::uint64_t>(batch);
+            * batch;
         largest = std::max(largest, working);
+        // Received boundary activations the plan does not page stay
+        // resident until their backward wave (stage 0 receives none).
+        if (s == 0)
+            continue;
+        for (LayerId p : _net.effectiveProducers(id)) {
+            if (_strategy.stageOfLayer(p) < s
+                && _plan.entry(p).action != TensorAction::Offload)
+                kept_inputs.insert(p);
+        }
     }
+    for (LayerId p : kept_inputs)
+        resident += _net.layer(p).outBytesPerSample() * batch * waves;
     // Weights + resident stash + the largest live working set (vDNN
     // keeps only the executing layer's buffers resident).
-    return _strategy.weightBytesPerDevice(_net) + resident + largest;
+    return _strategy.stageWeightBytes(s) + resident + largest;
+}
+
+std::uint64_t
+TrainingSession::footprintBytesPerDevice() const
+{
+    std::uint64_t worst = 0;
+    for (int s = 0; s < _strategy.pipelineStages(); ++s)
+        worst = std::max(worst, stageFootprintBytes(s));
+    return worst;
 }
 
 void
@@ -567,75 +471,51 @@ TrainingSession::allocateBuffers()
     _remotePtrs.assign(static_cast<std::size_t>(n), {});
     _localPlacements.clear();
 
-    if (_strategy.isPipeline()) {
-        const int P = _strategy.pipelineStages();
-        const int M = _strategy.microbatches();
-        for (int d = 0; d < n; ++d) {
-            DeviceAddressSpace &space = _system.addressSpace(sysDev(d));
-            const std::uint64_t footprint =
-                d < P ? stageFootprintBytes(d) : 0;
-            if (!space.fitsLocal(footprint)) {
-                fatal("%s: stage-%d footprint %s exceeds devicelocal "
-                      "capacity %s for %s (batch %lld, %s, %d stages x "
-                      "%d microbatches) — the memory capacity wall; "
-                      "raise --microbatches or --pipeline-stages",
-                      kSystemDesigns.name(_system.config().design), d,
-                      formatBytes(
-                          static_cast<double>(footprint)).c_str(),
-                      formatBytes(static_cast<double>(
-                          space.localCapacity())).c_str(),
-                      _net.name().c_str(),
-                      static_cast<long long>(_strategy.globalBatch()),
-                      kParallelModes.name(_strategy.mode()), P, M);
-            }
-            _localPlacements.push_back(space.mallocLocal(footprint));
-            if (d >= P)
-                continue;
-            for (LayerId layer :
-                 _stageTensors[static_cast<std::size_t>(d)]) {
-                const double bytes = _strategy.offloadBytesPerDevice(
-                    _net.layer(layer));
-                for (int m = 0; m < M; ++m) {
-                    _remotePtrs[static_cast<std::size_t>(d)]
-                               [groupId(layer, m)] =
-                        _system.runtime(sysDev(d)).mallocRemote(
-                            static_cast<std::uint64_t>(bytes) + 1);
-                }
-            }
-        }
-        createPagers();
-        return;
-    }
-
+    const int P = _strategy.pipelineStages();
+    const int M = _strategy.microbatches();
     for (int d = 0; d < n; ++d) {
         DeviceAddressSpace &space = _system.addressSpace(sysDev(d));
-        const std::uint64_t footprint = footprintBytesPerDevice();
+        const int stage = _deviceStage[static_cast<std::size_t>(d)];
+        const std::uint64_t footprint =
+            stage < 0 ? 0 : stageFootprintBytes(stage);
         if (!space.fitsLocal(footprint)) {
-            fatal("%s: per-device footprint %s exceeds devicelocal "
-                  "capacity %s for %s (batch %lld, %s) — the memory "
-                  "capacity wall; reduce the batch size or enable a "
-                  "larger backing store",
+            std::string where = "per-device";
+            std::string shape;
+            const char *remedy = "reduce the batch size or enable a "
+                                 "larger backing store";
+            if (_strategy.isPipeline()) {
+                where = "stage-" + std::to_string(d);
+                shape = ", " + std::to_string(P) + " stages x "
+                    + std::to_string(M) + " microbatches";
+                remedy = "raise --microbatches or --pipeline-stages";
+            }
+            fatal("%s: %s footprint %s exceeds devicelocal capacity %s "
+                  "for %s (batch %lld, %s%s) — the memory capacity "
+                  "wall; %s",
                   kSystemDesigns.name(_system.config().design),
+                  where.c_str(),
                   formatBytes(static_cast<double>(footprint)).c_str(),
                   formatBytes(static_cast<double>(
                       space.localCapacity())).c_str(),
                   _net.name().c_str(),
                   static_cast<long long>(_strategy.globalBatch()),
-                  kParallelModes.name(_strategy.mode()));
+                  kParallelModes.name(_strategy.mode()), shape.c_str(),
+                  remedy);
         }
         _localPlacements.push_back(space.mallocLocal(footprint));
 
         // Table I: allocate deviceremote backing buffers for every
-        // offloaded tensor through the runtime API.
-        for (LayerId id = 0; id < static_cast<LayerId>(_net.size());
-             ++id) {
-            if (_plan.entry(id).action != TensorAction::Offload)
-                continue;
+        // page group of the stage's offloaded tensors through the
+        // runtime API.
+        for (LayerId layer : program(d).stash) {
             const double bytes =
-                _strategy.offloadBytesPerDevice(_net.layer(id));
-            _remotePtrs[static_cast<std::size_t>(d)][id] =
-                _system.runtime(sysDev(d)).mallocRemote(
-                    static_cast<std::uint64_t>(bytes) + 1);
+                _strategy.offloadBytesPerDevice(_net.layer(layer));
+            for (int m = 0; m < M; ++m) {
+                _remotePtrs[static_cast<std::size_t>(d)]
+                           [groupId(layer, m)] =
+                    _system.runtime(sysDev(d)).mallocRemote(
+                        static_cast<std::uint64_t>(bytes) + 1);
+            }
         }
     }
 
@@ -648,20 +528,11 @@ TrainingSession::createPagers()
     const int n = deviceCount();
     const SystemConfig &cfg = _system.config();
     const auto layer_count = static_cast<std::size_t>(_net.size());
-    const bool pipeline = _strategy.isPipeline();
-    const auto waves = pipeline
-        ? static_cast<std::size_t>(_strategy.microbatches())
-        : std::size_t{1};
+    const auto waves = static_cast<std::size_t>(_strategy.microbatches());
     const std::size_t group_count = layer_count * waves;
 
     std::vector<double> wire_bytes(group_count, 0.0);
     std::vector<std::uint64_t> frame_bytes(group_count, 0);
-    std::vector<LayerId> group_layer;
-    if (pipeline) {
-        group_layer.resize(group_count);
-        for (std::size_t g = 0; g < group_count; ++g)
-            group_layer[g] = static_cast<LayerId>(g / waves);
-    }
     for (LayerId id = 0; id < static_cast<LayerId>(_net.size()); ++id) {
         if (_plan.entry(id).action != TensorAction::Offload)
             continue;
@@ -680,12 +551,10 @@ TrainingSession::createPagers()
         wiring.runtime = &_system.runtime(sysDev(d));
         wiring.remotePtrs = &_remotePtrs[static_cast<std::size_t>(d)];
         wiring.net = &_net;
-        wiring.schedule = pipeline
-            ? &_stageSchedules[static_cast<std::size_t>(d)]
-            : &_pagingSchedule;
+        wiring.schedule = &program(d).paging;
         wiring.wireBytes = wire_bytes;
         wiring.frameBytes = frame_bytes;
-        wiring.groupLayer = group_layer;
+        wiring.waves = _strategy.microbatches();
         // HBM left after weights, keep-local stash, and working
         // buffers is the stash frame budget.
         const DeviceAddressSpace &space =
@@ -695,8 +564,9 @@ TrainingSession::createPagers()
         wiring.config = cfg.paging;
         // SPMD modes track device 0's DMA (every device is the same);
         // pipeline unions all stages so vmemSec reflects the machine.
-        wiring.tracker =
-            (pipeline || d == 0) ? &_vmemTracker : nullptr;
+        wiring.tracker = (_strategy.isPipeline() || d == 0)
+            ? &_vmemTracker
+            : nullptr;
         _pagers.push_back(std::make_unique<DevicePager>(
             "dev" + std::to_string(sysDev(d)) + ".pager",
             std::move(wiring)));
@@ -724,7 +594,7 @@ void
 TrainingSession::tryIssue(int dev)
 {
     DeviceCtx &ctx = _devs[static_cast<std::size_t>(dev)];
-    const std::vector<OpSpec> &ops = program(dev);
+    const std::vector<OpSpec> &ops = program(dev).ops;
     if (ctx.running || ctx.nextOp >= ops.size())
         return;
     const OpSpec &op = ops[ctx.nextOp];
@@ -848,7 +718,7 @@ TrainingSession::completeOp(int dev)
 {
     DeviceCtx &ctx = _devs[static_cast<std::size_t>(dev)];
     const std::size_t op_index = ctx.nextOp;
-    const OpSpec &op = program(dev)[op_index];
+    const OpSpec &op = program(dev).ops[op_index];
     ctx.running = false;
     ctx.readyAt = _system.eventQueue().now();
 
@@ -892,7 +762,8 @@ TrainingSession::completeOp(int dev)
         issueP2p(dev, send);
 
     if (op.syncAfter) {
-        auto it = _syncPoints.find(op_index);
+        auto it = _syncPoints.find(
+            {_deviceStage[static_cast<std::size_t>(dev)], op_index});
         if (it == _syncPoints.end())
             panic("op %zu lacks its sync point", op_index);
         if (op.syncAfter->blocking)
@@ -903,7 +774,7 @@ TrainingSession::completeOp(int dev)
     ++ctx.nextOp;
     _pagers[static_cast<std::size_t>(dev)]->frontierAdvanced(
         ctx.nextOp);
-    if (ctx.nextOp == program(dev).size())
+    if (ctx.nextOp == program(dev).ops.size())
         deviceFinished();
     else
         tryIssue(dev);
@@ -966,9 +837,9 @@ TrainingSession::run()
     // Deadlock: the queue drained before the iteration completed.
     for (int d = 0; d < deviceCount(); ++d) {
         const std::size_t next = _devs[static_cast<std::size_t>(d)].nextOp;
-        if (next != program(d).size())
+        if (next != program(d).ops.size())
             panic("device %d stalled at op %zu/%zu — scheduling deadlock",
-                  d, next, program(d).size());
+                  d, next, program(d).ops.size());
     }
     panic("iteration drained without completing — a pager's DMA never "
           "went idle");
@@ -1027,22 +898,24 @@ TrainingSession::setupIteration()
         _pagers[static_cast<std::size_t>(d)]->beginIteration(
             d == 0 ? eq.trace() : nullptr);
 
-    _iterSyncBytes = 0.0;
-    if (_strategy.isPipeline()) {
-        // Boundary activations forward + gradients backward; no
-        // collectives to set up.
-        _iterSyncBytes = _p2pBytesTotal;
-    } else {
-        for (std::size_t i = 0; i < _ops.size(); ++i) {
-            if (!_ops[i].syncAfter)
+    // Pipeline boundary transfers plus the collectives of the stage
+    // programs (only dp/mp, one stage, launch any).
+    _iterSyncBytes = _p2pBytesTotal;
+    for (std::size_t s = 0; s < _stages.size(); ++s) {
+        const std::vector<OpSpec> &ops = _stages[s].ops;
+        const auto stage = static_cast<int>(s);
+        const auto arrivals = static_cast<int>(std::count(
+            _deviceStage.begin(), _deviceStage.end(), stage));
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (!ops[i].syncAfter)
                 continue;
-            const SyncOp sync = *_ops[i].syncAfter;
+            const SyncOp sync = *ops[i].syncAfter;
             _iterSyncBytes += sync.bytes;
             const std::string sync_label =
                 std::string(collectiveKindName(sync.kind)) + " "
-                + _net.layer(_ops[i].layer).name();
+                + _net.layer(ops[i].layer).name();
             auto point = std::make_unique<SyncPoint>(
-                n, [this, sync, sync_label](Latch &latch) {
+                arrivals, [this, sync, sync_label](Latch &latch) {
                     const Tick launched = _system.eventQueue().now();
                     _syncTracker.begin(launched);
                     launchCollective(
@@ -1071,12 +944,13 @@ TrainingSession::setupIteration()
                             latch.complete();
                         });
                 });
-            if (_ops[i].kind == OpSpec::Kind::Bwd
-                && _ops[i].syncAfter->kind == CollectiveKind::AllReduce
-                && !_ops[i].syncAfter->blocking) {
-                _dwSync[_ops[i].layer] = point.get();
+            if (ops[i].kind == OpSpec::Kind::Bwd
+                && sync.kind == CollectiveKind::AllReduce
+                && !sync.blocking) {
+                _dwSync[ops[i].layer] = point.get();
             }
-            _syncPoints.emplace(i, std::move(point));
+            _syncPoints.emplace(std::make_pair(stage, i),
+                                std::move(point));
         }
     }
 
@@ -1085,7 +959,7 @@ TrainingSession::setupIteration()
     for (int d = 0; d < n; ++d) {
         _pagers[static_cast<std::size_t>(d)]->frontierAdvanced(0);
         tryIssue(d);
-        if (program(d).empty())
+        if (program(d).ops.empty())
             deviceFinished();
     }
 }

@@ -25,6 +25,10 @@
  * fabric — no collectives — and each stage drives a stage-local pager
  * whose page groups are (tensor, microbatch) pairs.
  *
+ * One builder makes both: dp and mp are the one-stage, one-microbatch
+ * pipeline whose single stage program every device runs, with the
+ * collectives attached to its ops.
+ *
  * All traffic shares the fabric's channels, so the contention between
  * collectives/boundary transfers and virtualization DMA — the crux of
  * the MC-DLA trade-off — is captured by construction. The session
@@ -161,8 +165,8 @@ class TrainingSession
      * @param microbatches GPipe microbatches per iteration (pp only).
      * @param device_set System device indices this session owns (empty
      *        = all of them, the classic whole-machine run). A subset
-     *        session — the cluster's multi-tenant path — runs its SPMD
-     *        or stage programs on just those devices; its collectives
+     *        session — the cluster's multi-tenant path — runs its
+     *        stage programs on just those devices; its collectives
      *        ring over the owned subset (restrictRingToDevices) but
      *        still traverse the full physical loop, so co-located
      *        jobs' traffic contends on the shared channels.
@@ -288,7 +292,6 @@ class TrainingSession
     };
 
     void buildSchedule();
-    void buildPipelineSchedule();
     void allocateBuffers();
     void createPagers();
 
@@ -320,11 +323,24 @@ class TrainingSession
     void launchCollective(const SyncOp &sync,
                           EventQueue::Callback on_done);
 
-    /// Device @p dev's op program (the shared SPMD program for dp/mp,
-    /// the stage program for pipeline).
-    const std::vector<OpSpec> &program(int dev) const;
+    /// One stage's device program.
+    struct StageProgram
+    {
+        std::vector<OpSpec> ops;
+        /// Paging actions per op (produced stashes, plan writebacks,
+        /// stash reads, releases), consumed by the stage's pagers.
+        PagingSchedule paging;
+        /// Offloaded stash tensors the stage's pagers own, each one
+        /// page group per microbatch.
+        std::vector<LayerId> stash;
+    };
 
-    /// (tensor, microbatch) page-group id under pipeline parallelism.
+    /// Local device @p dev's program: its stage's (every dp/mp device
+    /// shares stage 0's), empty for an idle pipeline device.
+    const StageProgram &program(int dev) const;
+
+    /// Page-group id of one microbatch's copy of a stash tensor (the
+    /// layer id itself under dp/mp, which run one microbatch).
     LayerId groupId(LayerId layer, int microbatch) const;
 
     /// HBM demand of stage @p s (weights + kept stash + working set).
@@ -354,24 +370,19 @@ class TrainingSession
     std::vector<RingPath> _jobRings;
     std::vector<const RingPath *> _jobRingPtrs;
 
-    /// Shared SPMD program (dp/mp modes).
-    std::vector<OpSpec> _ops;
-    /// Paging actions per op (produced stashes, plan writebacks, stash
-    /// reads, releases), consumed by the per-device pagers (dp/mp).
-    PagingSchedule _pagingSchedule;
-    /// Per-device stage programs and paging schedules (pipeline mode;
-    /// devices beyond the stage count idle with empty programs).
-    std::vector<std::vector<OpSpec>> _stagePrograms;
-    std::vector<PagingSchedule> _stageSchedules;
-    /// Offloaded stash tensors owned by each stage's pager.
-    std::vector<std::vector<LayerId>> _stageTensors;
+    /// Stage programs, indexed by stage (one stage for dp/mp).
+    std::vector<StageProgram> _stages;
+    /// Stage each local device runs (ParallelStrategy::stageOfDevice;
+    /// -1 idle).
+    std::vector<int> _deviceStage;
+    /// The empty program of idle pipeline devices.
+    StageProgram _idle;
     std::vector<LayerTiming> _timings;
     bool _allocated = false;
     /// Devicelocal footprint allocations, one per owned device, so
     /// releaseBuffers() can return them.
     std::vector<Placement> _localPlacements;
-    /// Remote allocations per device, by layer (dp/mp) or page-group
-    /// id (pipeline).
+    /// Remote allocations per device, by page-group id (groupId()).
     std::vector<std::map<LayerId, RemotePtr>> _remotePtrs;
     /// Paged device-memory managers, one per device (persistent across
     /// iterations so history-based policies can learn).
@@ -385,7 +396,9 @@ class TrainingSession
 
     // Per-iteration state.
     std::vector<DeviceCtx> _devs;
-    std::map<std::size_t, std::unique_ptr<SyncPoint>> _syncPoints;
+    /// Collective sync points by (stage, op index).
+    std::map<std::pair<int, std::size_t>, std::unique_ptr<SyncPoint>>
+        _syncPoints;
     std::map<LayerId, SyncPoint *> _dwSync;
     /// Pipeline boundary-transfer latches, indexed by token.
     std::vector<std::unique_ptr<Latch>> _p2pLatches;

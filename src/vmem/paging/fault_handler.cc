@@ -17,10 +17,10 @@ FaultHandler::FaultHandler(
     VmemRuntime &runtime,
     const std::map<LayerId, RemotePtr> &remote_ptrs,
     const std::vector<double> &wire_bytes,
-    const std::vector<LayerId> &group_layer, const Network &net,
+    int waves, const Network &net,
     ActivityTracker *tracker)
     : _runtime(runtime), _remotePtrs(remote_ptrs),
-      _wireBytes(wire_bytes), _groupLayer(group_layer), _net(net),
+      _wireBytes(wire_bytes), _waves(waves), _net(net),
       _tracker(tracker)
 {}
 
@@ -85,10 +85,7 @@ FaultHandler::transfer(LayerId layer, DmaDirection direction,
                               layer,
                               static_cast<unsigned long long>(issued),
                               static_cast<unsigned long long>(now));
-                    const LayerId owner = _groupLayer.empty()
-                        ? layer
-                        : _groupLayer.at(
-                              static_cast<std::size_t>(layer));
+                    const LayerId owner = layer / _waves;
                     _trace->addSpan("vmem", _traceTrack,
                                     label + _net.layer(owner).name(),
                                     issued, now - issued, "dma");

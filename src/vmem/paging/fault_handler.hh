@@ -50,8 +50,8 @@ class FaultHandler
      * @param runtime The device's Table I runtime.
      * @param remote_ptrs Backing-store allocation per page group.
      * @param wire_bytes Post-compression transfer size per page group.
-     * @param group_layer Group id -> producing layer (empty = groups
-     *                    are layer ids); trace-label decode only.
+     * @param waves Page groups per layer: group g belongs to layer
+     *              g / waves; trace-label decode only.
      * @param net Network (trace span labels).
      * @param tracker Figure 11 vmem activity tracker (device 0 only;
      *                nullptr elsewhere).
@@ -59,8 +59,7 @@ class FaultHandler
     FaultHandler(VmemRuntime &runtime,
                  const std::map<LayerId, RemotePtr> &remote_ptrs,
                  const std::vector<double> &wire_bytes,
-                 const std::vector<LayerId> &group_layer,
-                 const Network &net, ActivityTracker *tracker);
+                 int waves, const Network &net, ActivityTracker *tracker);
 
     /**
      * Reset latches for a new iteration.
@@ -155,7 +154,7 @@ class FaultHandler
     VmemRuntime &_runtime;
     const std::map<LayerId, RemotePtr> &_remotePtrs;
     const std::vector<double> &_wireBytes;
-    const std::vector<LayerId> &_groupLayer;
+    int _waves;
     const Network &_net;
     ActivityTracker *_tracker;
     TraceSink *_trace = nullptr;

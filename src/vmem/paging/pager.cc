@@ -30,11 +30,11 @@ DevicePager::DevicePager(std::string name, Wiring wiring)
     : _name(std::move(name)), _runtime(wiring.runtime),
       _schedule(wiring.schedule),
       _wireBytes(std::move(wiring.wireBytes)),
-      _groupLayer(std::move(wiring.groupLayer)), _cfg(wiring.config),
+      _cfg(wiring.config),
       _table(wiring.frameCapacity,
              wiring.config.prefetch != PrefetchPolicyKind::StaticPlan),
       _fault(*wiring.runtime, *wiring.remotePtrs, _wireBytes,
-             _groupLayer, *wiring.net, wiring.tracker),
+             wiring.waves, *wiring.net, wiring.tracker),
       _policy(makePrefetchPolicy(wiring.config.prefetch)),
       _evict(makeEvictionPolicy(wiring.config.eviction))
 {

@@ -82,11 +82,10 @@ class DevicePager
         /** HBM frame bytes (uncompressed), indexed by page group. */
         std::vector<std::uint64_t> frameBytes;
         /**
-         * Page-group id -> producing layer, for trace labels. Empty
-         * means groups are layer ids (dp/mp); pipeline sessions key
-         * groups by (layer, microbatch) and supply the decode here.
+         * Page groups per layer: group g holds one microbatch of layer
+         * g / waves (the decode of trace labels).
          */
-        std::vector<LayerId> groupLayer;
+        int waves = 1;
         /** HBM left for stash frames after weights/working buffers. */
         std::uint64_t frameCapacity = 0;
         PagingConfig config;
@@ -167,7 +166,6 @@ class DevicePager
     VmemRuntime *_runtime;
     const PagingSchedule *_schedule;
     std::vector<double> _wireBytes;
-    std::vector<LayerId> _groupLayer;
     PagingConfig _cfg;
     PageTable _table;
     FaultHandler _fault;

@@ -83,9 +83,9 @@ struct PagingConfig
 };
 
 /**
- * Paging actions attached to one op of the SPMD program. Built once per
- * schedule by TrainingSession; policies and the pager interpret the
- * subset they care about.
+ * Paging actions attached to one op of a stage program, keyed by page
+ * group. Built once per schedule by TrainingSession; policies and the
+ * pager interpret the subset they care about.
  */
 struct PageAccess
 {

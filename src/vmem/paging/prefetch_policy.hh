@@ -2,7 +2,7 @@
  * @file
  * PrefetchPolicy: when page traffic is scheduled.
  *
- * The pager calls the policy at three points of the SPMD program — an
+ * The pager calls the policy at three points of its stage program — an
  * op retired, the program frontier advanced, a stash was demanded —
  * and the policy answers by asking the pager for writebacks and fills:
  *

@@ -246,6 +246,37 @@ TEST(PipelineStrategy, StageStashLayersIncludeBoundaryInputs)
     EXPECT_TRUE(found_boundary_input);
 }
 
+TEST(PipelineStrategy, DpAndMpAreOneStageOfOneMicrobatch)
+{
+    const Network net = builders::buildRnnGemv(10, 128); // tied cells
+    SystemConfig cfg;
+    const OffloadPlan plan(net, cfg.offloadPolicy());
+    PipelineConfig pipe;
+    pipe.stages = 4;       // ignored outside pp
+    pipe.microbatches = 4; // likewise
+    for (ParallelMode mode :
+         {ParallelMode::DataParallel, ParallelMode::ModelParallel}) {
+        const ParallelStrategy st(net, mode, 8, 512, pipe);
+        EXPECT_EQ(st.pipelineStages(), 1);
+        EXPECT_EQ(st.microbatches(), 1);
+        for (int d = 0; d < 8; ++d)
+            EXPECT_EQ(st.stageOfDevice(d), 0);
+        // The one stage holds every layer in LayerId order.
+        const std::vector<LayerId> &layers =
+            st.partition().stage(0).layers;
+        ASSERT_EQ(layers.size(), net.size());
+        for (std::size_t i = 0; i < layers.size(); ++i)
+            EXPECT_EQ(layers[i], static_cast<LayerId>(i));
+        EXPECT_EQ(st.stageWeightBytes(0), st.weightBytesPerDevice(net));
+        EXPECT_TRUE(st.tieGroupStages().empty());
+        std::vector<LayerId> offloaded;
+        for (LayerId id = 0; id < static_cast<LayerId>(net.size()); ++id)
+            if (plan.entry(id).action == TensorAction::Offload)
+                offloaded.push_back(id);
+        EXPECT_EQ(st.stageStashLayers(0, plan), offloaded);
+    }
+}
+
 TEST(PipelineStrategy, RejectsDegenerateConfigs)
 {
     LogConfig::throwOnError = true;
@@ -340,6 +371,25 @@ TEST(PipelineScenario, FromOptionsRejectsBadPipelineKnobs)
         std::ostringstream err;
         ASSERT_TRUE(opts.parse(7, argv, err));
         EXPECT_THROW(Scenario::fromOptions(opts), FatalError);
+    }
+    // dp and mp are one stage of one microbatch: the pipeline knobs
+    // would be silently ignored, so naming them is an error.
+    for (const char *mode : {"dp", "mp"}) {
+        for (const char *knob : {"--pipeline-stages", "--microbatches"}) {
+            OptionParser opts("t", "test");
+            Scenario::addOptions(opts);
+            const char *argv[] = {"t", "--mode", mode, knob, "2"};
+            std::ostringstream err;
+            ASSERT_TRUE(opts.parse(5, argv, err));
+            try {
+                Scenario::fromOptions(opts);
+                ADD_FAILURE() << mode << " accepted " << knob;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(knob),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
     }
     LogConfig::throwOnError = false;
 }

@@ -169,9 +169,8 @@ TEST_F(SimCheckTest, LeakedDmaNamesTheFaultHandler)
     std::map<LayerId, RemotePtr> remote_ptrs;
     remote_ptrs.emplace(0, rt.mallocRemote(64 * kMiB));
     const std::vector<double> wire_bytes{64.0 * kMiB};
-    const std::vector<LayerId> group_layer;
     Network net("empty");
-    FaultHandler fault(rt, remote_ptrs, wire_bytes, group_layer, net,
+    FaultHandler fault(rt, remote_ptrs, wire_bytes, /*waves=*/1, net,
                        /*tracker=*/nullptr);
 
     fault.issueFillDma(0, /*demand=*/true, nullptr);
