@@ -10,7 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <iomanip>
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "cluster/cluster.hh"
 #include "core/report.hh"
@@ -638,6 +643,213 @@ TEST_F(TopologyTest, IterationResultSurfacesChannelUsage)
     appendChannelUsageRows(table, sc.label(), result);
     EXPECT_EQ(table.rowCount(), result.channels.size());
     EXPECT_EQ(std::get<std::string>(table.cell(0, 0)), sc.label());
+}
+
+// ------------------------------------------------------- fabric census
+
+/**
+ * The whole wiring of @p fab as text: every channel in creation order
+ * (name, bandwidth, latency, graph endpoints, routability), every
+ * collective ring (stages and the channels of each hop), every
+ * device's vmem paths, and deviceRoute() for every ordered device
+ * pair. Two fabrics with equal censuses simulate identically.
+ */
+std::string
+fabricCensus(const Fabric &fab)
+{
+    const Topology &topo = fab.topology();
+    std::map<const Channel *, const TopoLink *> linkOf;
+    for (const TopoLink &link : topo.links())
+        linkOf.emplace(link.channel, &link);
+
+    std::ostringstream os;
+    os << std::setprecision(17);
+    for (const Channel *ch : fab.channels()) {
+        os << "channel " << ch->name() << " bw=" << ch->bandwidth()
+           << " lat=" << ch->latency();
+        auto it = linkOf.find(ch);
+        if (it == linkOf.end())
+            os << " unlinked\n";
+        else
+            os << ' ' << topo.nodeName(it->second->src) << "->"
+               << topo.nodeName(it->second->dst)
+               << (it->second->routable ? " routable\n" : " local\n");
+    }
+    auto route = [&os](const Route &r) {
+        for (const Channel *ch : r.hops)
+            os << ' ' << ch->name();
+    };
+    for (std::size_t i = 0; i < fab.rings().size(); ++i) {
+        const RingPath &ring = fab.rings()[i];
+        os << "ring " << i << '\n';
+        for (std::size_t s = 0; s < ring.stages.size(); ++s) {
+            os << "  " << (ring.stages[s].isDevice ? 'D' : 'M')
+               << ring.stages[s].index << " ->";
+            if (s < ring.hops.size())
+                route(ring.hops[s]);
+            os << '\n';
+        }
+    }
+    const int devices = topo.count(NodeKind::Device);
+    for (int d = 0; d < devices; ++d) {
+        for (const VmemPath &path : fab.vmemPaths(d)) {
+            os << "vmem D" << d << " target " << path.targetIndex
+               << '\n';
+            for (const Route &w : path.writeRoutes) {
+                os << "  write";
+                route(w);
+                os << '\n';
+            }
+            for (const Route &r : path.readRoutes) {
+                os << "  read";
+                route(r);
+                os << '\n';
+            }
+        }
+    }
+    for (int s = 0; s < devices; ++s) {
+        for (int d = 0; d < devices; ++d) {
+            if (s == d)
+                continue;
+            os << "route D" << s << "->D" << d << ':';
+            route(fab.deviceRoute(s, d));
+            os << '\n';
+        }
+    }
+    return os.str();
+}
+
+/** 64-bit FNV-1a of @p text. */
+std::uint64_t
+censusDigest(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** One pinned fabric: its builder token, device count and digest. */
+struct CensusCase
+{
+    const char *fabric;
+    int devices;
+    std::uint64_t digest;
+};
+
+/** Build the fabric a census case names (design or --topology token). */
+std::unique_ptr<Fabric>
+buildCensusFabric(EventQueue &eq, const std::string &fabric, int devices)
+{
+    FabricConfig cfg = testConfig(devices);
+    // The switch planes seat every node; the default radix stops at 9
+    // devices.
+    if (fabric == "mc-x" || fabric == "full-switch")
+        cfg.switchRadix = std::max(cfg.switchRadix, 2 * devices);
+    const std::map<std::string,
+                   std::function<std::unique_ptr<Fabric>()>>
+        builders = {
+            {"dc", [&] { return buildDcdlaFabric(eq, cfg, true); }},
+            {"oracle", [&] { return buildDcdlaFabric(eq, cfg, false); }},
+            {"hc", [&] { return buildHcdlaFabric(eq, cfg); }},
+            {"mc-s", [&] { return buildMcdlaStarFabric(eq, cfg); }},
+            {"mc-sa", [&] { return buildMcdlaStarAFabric(eq, cfg); }},
+            {"mc-b", [&] { return buildMcdlaRingFabric(eq, cfg); }},
+            {"mc-x", [&] { return buildMcdlaSwitchFabric(eq, cfg); }},
+        };
+    auto it = builders.find(fabric);
+    if (it != builders.end())
+        return it->second();
+    return buildTopologyFabric(eq, cfg, kTopologyKinds.parse(fabric));
+}
+
+void
+expectCensus(const std::vector<CensusCase> &cases)
+{
+    for (const CensusCase &c : cases) {
+        EventQueue eq;
+        const auto fab = buildCensusFabric(eq, c.fabric, c.devices);
+        const std::string census = fabricCensus(*fab);
+        const std::uint64_t digest = censusDigest(census);
+        if (digest != c.digest)
+            ADD_FAILURE() << c.fabric << " x" << c.devices
+                          << " census digest 0x" << std::hex << digest
+                          << " (pinned 0x" << c.digest << std::dec
+                          << "):\n" << census;
+    }
+}
+
+TEST(FabricCensus, DesignFabricsKeepTheirWiring)
+{
+    expectCensus({
+        {"dc", 1, 0x1b01ba9f48fc5615ull},
+        {"dc", 2, 0x82ce54b6f449fbc0ull},
+        {"dc", 4, 0xcd4386b1dd690621ull},
+        {"dc", 8, 0x4b2eb9a88e606b95ull},
+        {"dc", 16, 0x315889f3d1945ce9ull},
+        {"dc", 32, 0x977df8f34f354c4bull},
+        {"oracle", 1, 0x6a141c6abb92d3d1ull},
+        {"oracle", 2, 0x9e029c3e4b4dc83bull},
+        {"oracle", 4, 0xab3073f2b395aee9ull},
+        {"oracle", 8, 0xa0251889f16c1dedull},
+        {"oracle", 16, 0xc870f2df5f29e36full},
+        {"oracle", 32, 0x495f832bc39497d9ull},
+        {"hc", 2, 0x7c80a9e68e7b12cbull},
+        {"hc", 4, 0x18556a6510182c44ull},
+        {"hc", 8, 0xdb6c0d602e6efeeeull},
+        {"hc", 16, 0x16415ae633e815daull},
+        {"hc", 32, 0x444776619dc6f8f6ull},
+        {"mc-s", 2, 0xe6f3fd8a2d91bd98ull},
+        {"mc-s", 4, 0xde5e1b0ca53944e8ull},
+        {"mc-s", 8, 0xd042dc9894e1c9f4ull},
+        {"mc-s", 16, 0xd2d114bc6a24afaeull},
+        {"mc-s", 32, 0x4332f65b19f4bff6ull},
+        {"mc-sa", 2, 0x5c5b0a867020360cull},
+        {"mc-sa", 4, 0xe35de57c703ba5cull},
+        {"mc-sa", 8, 0xda1144d739120074ull},
+        {"mc-sa", 16, 0x86eabc406e799c38ull},
+        {"mc-sa", 32, 0x15eaa213f1a2040aull},
+        {"mc-b", 1, 0xcf6b1146493f93a9ull},
+        {"mc-b", 2, 0xfe25f88143aead69ull},
+        {"mc-b", 4, 0xc754f3864437b64ull},
+        {"mc-b", 8, 0x4bc91c12f20f1cccull},
+        {"mc-b", 16, 0xb1fb6c540c4ba526ull},
+        {"mc-b", 32, 0x7267c90e13f5d2f0ull},
+        {"mc-x", 1, 0x75a6162cf81a70e1ull},
+        {"mc-x", 2, 0x7f93c4323a668b1dull},
+        {"mc-x", 4, 0x87342e4e04d2b648ull},
+        {"mc-x", 8, 0xe92af39e99b14d5cull},
+        {"mc-x", 16, 0x6f68f8ae07323250ull},
+        {"mc-x", 32, 0x9453962cc484a2f2ull},
+    });
+}
+
+TEST(FabricCensus, TopologyFabricsKeepTheirWiring)
+{
+    expectCensus({
+        {"ring", 2, 0xfe25f88143aead69ull},
+        {"ring", 4, 0xc754f3864437b64ull},
+        {"ring", 8, 0x4bc91c12f20f1cccull},
+        {"ring", 16, 0xb1fb6c540c4ba526ull},
+        {"full-switch", 2, 0x7f93c4323a668b1dull},
+        {"full-switch", 4, 0x87342e4e04d2b648ull},
+        {"full-switch", 8, 0xe92af39e99b14d5cull},
+        {"full-switch", 16, 0x6f68f8ae07323250ull},
+        {"mesh2d", 2, 0x86afe163178950c5ull},
+        {"mesh2d", 4, 0x898ab66756d2c33cull},
+        {"mesh2d", 8, 0x663cb713769b3520ull},
+        {"mesh2d", 16, 0xccf0b1d91130872cull},
+        {"torus2d", 2, 0xee53955cd3703fbfull},
+        {"torus2d", 4, 0x55bb17f892554190ull},
+        {"torus2d", 8, 0x3b77bbf9187c7550ull},
+        {"torus2d", 16, 0x828c109c604cb594ull},
+        {"fat-tree", 2, 0xbf940bbcf40d5409ull},
+        {"fat-tree", 4, 0xb6a079381c88b380ull},
+        {"fat-tree", 8, 0xda1914621c304e18ull},
+        {"fat-tree", 16, 0x73c5e2244177b034ull},
+    });
 }
 
 } // anonymous namespace
