@@ -13,6 +13,53 @@ namespace mcdla
 {
 
 RingPath
+forwardRing(const std::vector<RingLeg> &legs)
+{
+    RingPath ring;
+    ring.stages.reserve(legs.size());
+    ring.hops.reserve(legs.size());
+    for (const RingLeg &leg : legs) {
+        ring.stages.push_back(leg.from);
+        Route &hop = ring.hops.emplace_back();
+        for (const DuplexLink &link : leg.links)
+            hop.hops.push_back(link.out);
+    }
+    return ring;
+}
+
+RingPath
+reverseRing(const std::vector<RingLeg> &legs)
+{
+    RingPath ring;
+    const std::size_t n = legs.size();
+    ring.stages.reserve(n);
+    ring.hops.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        // Stage s is forward stage (n - s) % n; its hop retraces the
+        // forward leg that arrives there.
+        ring.stages.push_back(legs[(n - s) % n].from);
+        const std::vector<DuplexLink> &links = legs[n - 1 - s].links;
+        Route &hop = ring.hops.emplace_back();
+        for (auto it = links.rbegin(); it != links.rend(); ++it)
+            hop.hops.push_back(it->back);
+    }
+    return ring;
+}
+
+void
+VmemPath::addLane(const std::vector<DuplexLink> &lane, Channel *storage)
+{
+    Route &write = writeRoutes.emplace_back();
+    for (const DuplexLink &link : lane)
+        write.hops.push_back(link.out);
+    write.hops.push_back(storage);
+    Route &read = readRoutes.emplace_back();
+    read.hops.push_back(storage);
+    for (auto it = lane.rbegin(); it != lane.rend(); ++it)
+        read.hops.push_back(it->back);
+}
+
+RingPath
 restrictRingToDevices(const RingPath &ring,
                       const std::vector<int> &devices)
 {

@@ -90,6 +90,27 @@ struct RingPath
     }
 };
 
+/**
+ * One hop of a ring as a builder declares it: the stage it leaves and
+ * the physical links it crosses, in travel order.
+ */
+struct RingLeg
+{
+    RingStage from;
+    std::vector<DuplexLink> links;
+};
+
+/** The ring over @p legs: each leg's stage, hopping on its out channels. */
+RingPath forwardRing(const std::vector<RingLeg> &legs);
+
+/**
+ * The backward twin of forwardRing(@p legs) on the opposite channel of
+ * every link: it starts at stage 0, runs the stages in reverse order,
+ * and each hop crosses the back channels of the leg it retraces, last
+ * link first.
+ */
+RingPath reverseRing(const std::vector<RingLeg> &legs);
+
 /** Backing-store attachment of one device. */
 struct VmemPath
 {
@@ -99,6 +120,14 @@ struct VmemPath
     std::vector<Route> writeRoutes;
     /** Parallel storage -> device routes (reads/prefetch). */
     std::vector<Route> readRoutes;
+
+    /**
+     * Add one parallel lane over @p lane (links listed from the device
+     * out) to the storage channel @p storage: writes cross the out
+     * channels and then @p storage, reads @p storage and then the back
+     * channels, last link first.
+     */
+    void addLane(const std::vector<DuplexLink> &lane, Channel *storage);
 };
 
 /**
@@ -149,6 +178,14 @@ class Fabric
     /// @name Construction API (used by fabric builders)
     /// @{
     void addRing(RingPath ring) { _rings.push_back(std::move(ring)); }
+
+    /** Add forwardRing(@p legs), then its reverseRing(). */
+    void
+    addRingPair(const std::vector<RingLeg> &legs)
+    {
+        addRing(forwardRing(legs));
+        addRing(reverseRing(legs));
+    }
 
     void
     setVmemPaths(int device, std::vector<VmemPath> paths)
@@ -251,7 +288,8 @@ class Fabric
     /// @}
 
   private:
-    /** Legacy ring-walk routing (hand-assembled fabrics only). */
+    /** Shortest walk along the rings: deviceRoute()'s tie-break and
+        the only routing of fabrics built without a graph. */
     Route ringWalkRoute(int src, int dst) const;
 
     EventQueue &_eq;

@@ -66,33 +66,18 @@ addDeviceRings(Fabric &fab, const FabricConfig &cfg)
         return;
     Topology &topo = fab.topology();
     for (int r = 0; r < cfg.numRings; ++r) {
-        std::vector<Channel *> fwd(static_cast<std::size_t>(n));
-        std::vector<Channel *> bwd(static_cast<std::size_t>(n));
+        std::vector<RingLeg> legs;
         for (int i = 0; i < n; ++i) {
             const int j = (i + 1) % n;
             const std::string base = "r" + std::to_string(r) + ".d"
-                + std::to_string(i) + (i < j ? "-d" : "-d")
-                + std::to_string(j);
-            fwd[static_cast<std::size_t>(i)] = &topo.link(
-                topo.device(i), topo.device(j), base + ".fwd",
-                cfg.linkBandwidth, cfg.linkLatency);
-            bwd[static_cast<std::size_t>(i)] = &topo.link(
-                topo.device(j), topo.device(i), base + ".bwd",
-                cfg.linkBandwidth, cfg.linkLatency);
+                + std::to_string(i) + "-d" + std::to_string(j);
+            legs.push_back({{true, i},
+                            {topo.duplex(topo.device(i), topo.device(j),
+                                         base + ".fwd", base + ".bwd",
+                                         cfg.linkBandwidth,
+                                         cfg.linkLatency)}});
         }
-        RingPath f;
-        RingPath b;
-        for (int i = 0; i < n; ++i) {
-            f.stages.push_back(RingStage{true, i});
-            f.hops.push_back(Route{{fwd[static_cast<std::size_t>(i)]}});
-            // Reverse ring: 0, n-1, n-2, ..., 1.
-            const int m = (n - i) % n;
-            const int prev = (m - 1 + n) % n;
-            b.stages.push_back(RingStage{true, m});
-            b.hops.push_back(Route{{bwd[static_cast<std::size_t>(prev)]}});
-        }
-        fab.addRing(std::move(f));
-        fab.addRing(std::move(b));
+        fab.addRingPair(legs);
     }
 }
 
@@ -119,23 +104,16 @@ buildDcdlaFabric(EventQueue &eq, const FabricConfig &cfg,
     std::vector<Channel *> sockets = makeSockets(*fab, cfg, socket_bw);
 
     for (int d = 0; d < cfg.numDevices; ++d) {
-        const int host = topo.hostNode(
-            socketOf(d, cfg.numDevices, cfg.numSockets));
-        Channel &up = topo.link(
-            topo.device(d), host, "d" + std::to_string(d) + ".pcie.up",
-            cfg.pcieBandwidth(), cfg.pcieLatency, /*routable=*/false);
-        Channel &down = topo.link(
-            host, topo.device(d),
-            "d" + std::to_string(d) + ".pcie.down", cfg.pcieBandwidth(),
-            cfg.pcieLatency, /*routable=*/false);
+        const int s = socketOf(d, cfg.numDevices, cfg.numSockets);
+        const std::string pcie = "d" + std::to_string(d) + ".pcie";
+        const DuplexLink lane = topo.duplex(
+            topo.device(d), topo.hostNode(s), pcie + ".up",
+            pcie + ".down", cfg.pcieBandwidth(), cfg.pcieLatency,
+            /*routable=*/false);
         if (!with_host_vmem)
             continue;
-        Channel *sock = sockets[static_cast<std::size_t>(
-            socketOf(d, cfg.numDevices, cfg.numSockets))];
         VmemPath path;
-        path.targetIndex = -1;
-        path.writeRoutes.push_back(Route{{&up, sock}});
-        path.readRoutes.push_back(Route{{sock, &down}});
+        path.addLane({lane}, sockets[static_cast<std::size_t>(s)]);
         fab->setVmemPaths(d, {std::move(path)});
     }
     return fab;
@@ -157,54 +135,25 @@ buildHcdlaFabric(EventQueue &eq, const FabricConfig &cfg)
     // Half the links (numRings of them) go to the host; the device side
     // keeps 12 links for n=8: double links on even ring edges, single on
     // odd edges.
-    std::vector<Channel *> fa(static_cast<std::size_t>(n));
-    std::vector<Channel *> fb(static_cast<std::size_t>(n));
-    std::vector<Channel *> ba(static_cast<std::size_t>(n));
-    std::vector<Channel *> bb(static_cast<std::size_t>(n));
+    std::vector<RingLeg> a_legs;
+    std::vector<RingLeg> b_legs;
     for (int i = 0; i < n; ++i) {
         const int j = (i + 1) % n;
         const std::string base = "ring.d" + std::to_string(i) + "-d"
             + std::to_string(j);
-        fa[static_cast<std::size_t>(i)] = &topo.link(
-            topo.device(i), topo.device(j), base + ".a.fwd",
-            cfg.linkBandwidth, cfg.linkLatency);
-        ba[static_cast<std::size_t>(i)] = &topo.link(
-            topo.device(j), topo.device(i), base + ".a.bwd",
-            cfg.linkBandwidth, cfg.linkLatency);
-        if (i % 2 == 0) {
-            fb[static_cast<std::size_t>(i)] = &topo.link(
-                topo.device(i), topo.device(j), base + ".b.fwd",
-                cfg.linkBandwidth, cfg.linkLatency);
-            bb[static_cast<std::size_t>(i)] = &topo.link(
-                topo.device(j), topo.device(i), base + ".b.bwd",
-                cfg.linkBandwidth, cfg.linkLatency);
-        } else {
-            // Odd edges have a single physical link; the second logical
-            // ring multiplexes onto it (no extra graph edge).
-            fb[static_cast<std::size_t>(i)] =
-                fa[static_cast<std::size_t>(i)];
-            bb[static_cast<std::size_t>(i)] =
-                ba[static_cast<std::size_t>(i)];
-        }
+        auto edge = [&](const char *lane) {
+            return topo.duplex(topo.device(i), topo.device(j),
+                               base + lane + ".fwd", base + lane + ".bwd",
+                               cfg.linkBandwidth, cfg.linkLatency);
+        };
+        const DuplexLink a = edge(".a");
+        a_legs.push_back({{true, i}, {a}});
+        // Odd edges have a single physical link; the second logical
+        // ring multiplexes onto it (no extra graph edge).
+        b_legs.push_back({{true, i}, {i % 2 == 0 ? edge(".b") : a}});
     }
-
-    auto add_rings = [&](const std::vector<Channel *> &fwd,
-                         const std::vector<Channel *> &rev) {
-        RingPath f;
-        RingPath b;
-        for (int i = 0; i < n; ++i) {
-            f.stages.push_back(RingStage{true, i});
-            f.hops.push_back(Route{{fwd[static_cast<std::size_t>(i)]}});
-            const int m = (n - i) % n;
-            const int prev = (m - 1 + n) % n;
-            b.stages.push_back(RingStage{true, m});
-            b.hops.push_back(Route{{rev[static_cast<std::size_t>(prev)]}});
-        }
-        fab->addRing(std::move(f));
-        fab->addRing(std::move(b));
-    };
-    add_rings(fa, ba);
-    add_rings(fb, bb);
+    fab->addRingPair(a_legs);
+    fab->addRingPair(b_legs);
 
     // Host attachment: numRings (=3) links per device to its socket.
     const int devices_per_socket =
@@ -217,23 +166,15 @@ buildHcdlaFabric(EventQueue &eq, const FabricConfig &cfg)
 
     for (int d = 0; d < n; ++d) {
         const int s = socketOf(d, n, cfg.numSockets);
-        Channel *sock = sockets[static_cast<std::size_t>(s)];
-        const int host = topo.hostNode(s);
         VmemPath path;
-        path.targetIndex = -1;
         for (int l = 0; l < cfg.numRings; ++l) {
-            Channel &up = topo.link(
-                topo.device(d), host,
-                "d" + std::to_string(d) + ".host" + std::to_string(l)
-                    + ".up",
-                cfg.linkBandwidth, cfg.linkLatency, /*routable=*/false);
-            Channel &down = topo.link(
-                host, topo.device(d),
-                "d" + std::to_string(d) + ".host" + std::to_string(l)
-                    + ".down",
-                cfg.linkBandwidth, cfg.linkLatency, /*routable=*/false);
-            path.writeRoutes.push_back(Route{{&up, sock}});
-            path.readRoutes.push_back(Route{{sock, &down}});
+            const std::string host =
+                "d" + std::to_string(d) + ".host" + std::to_string(l);
+            path.addLane({topo.duplex(topo.device(d), topo.hostNode(s),
+                                      host + ".up", host + ".down",
+                                      cfg.linkBandwidth, cfg.linkLatency,
+                                      /*routable=*/false)},
+                         sockets[static_cast<std::size_t>(s)]);
         }
         fab->setVmemPaths(d, {std::move(path)});
     }

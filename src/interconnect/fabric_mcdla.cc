@@ -28,6 +28,36 @@ segName(const char *kind, int ring, int i, const char *dir)
         + std::to_string(i) + "." + dir;
 }
 
+/**
+ * The star designs' physical link @p kind at position @p i, from
+ * node @p a (channel "<kind>0.seg<i>.<out>") to @p b ("...<back>").
+ */
+DuplexLink
+segLink(Topology &topo, const FabricConfig &cfg, int a, int b,
+        const char *kind, int i, const char *out, const char *back)
+{
+    return topo.duplex(a, b, segName(kind, 0, i, out),
+                       segName(kind, 0, i, back), cfg.linkBandwidth,
+                       cfg.linkLatency);
+}
+
+/**
+ * vmem of the star designs: each device reaches only its designated
+ * memory-node, over the two dm links (2 x 25 = 50 GB/s).
+ */
+void
+setDesignatedVmemPaths(Fabric &fab, const std::vector<DuplexLink> &dm1,
+                       const std::vector<DuplexLink> &dm2,
+                       const std::vector<Channel *> &mem)
+{
+    for (std::size_t d = 0; d < mem.size(); ++d) {
+        VmemPath path{static_cast<int>(d), {}, {}};
+        path.addLane({dm1[d]}, mem[d]);
+        path.addLane({dm2[d]}, mem[d]);
+        fab.setVmemPaths(static_cast<int>(d), {std::move(path)});
+    }
+}
+
 } // anonymous namespace
 
 std::vector<Channel *>
@@ -47,6 +77,21 @@ makeMemoryNodeBuses(Fabric &fab, const FabricConfig &cfg, int count)
     return mem;
 }
 
+void
+setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
+                     VmemPath left)
+{
+    if (left.targetIndex != right.targetIndex) {
+        fab.setVmemPaths(device, {std::move(right), std::move(left)});
+        return;
+    }
+    for (Route &route : left.writeRoutes)
+        right.writeRoutes.push_back(std::move(route));
+    for (Route &route : left.readRoutes)
+        right.readRoutes.push_back(std::move(route));
+    fab.setVmemPaths(device, {std::move(right)});
+}
+
 std::unique_ptr<Fabric>
 buildMcdlaRingFabric(EventQueue &eq, const FabricConfig &cfg)
 {
@@ -60,36 +105,30 @@ buildMcdlaRingFabric(EventQueue &eq, const FabricConfig &cfg)
 
     std::vector<Channel *> mem = makeMemoryNodeBuses(*fab, cfg, n);
 
-    // Per ring r and position i, four channels around memory-node M_i:
-    //   d2m[r][i]    : D_i     -> M_i      (right-bound write / ring fwd)
-    //   m2dn[r][i]   : M_i     -> D_{i+1}  (ring fwd)
-    //   dn2m[r][i]   : D_{i+1} -> M_i      (left-bound write / ring bwd)
-    //   m2d[r][i]    : M_i     -> D_i      (right read / ring bwd)
+    // Per ring r and position i, two physical links around memory-node
+    // M_i, their four channels created in the order
+    //   toMem.out  : D_i     -> M_i      (right-bound write / ring fwd)
+    //   toNext.out : M_i     -> D_{i+1}  (ring fwd)
+    //   toNext.back: D_{i+1} -> M_i      (left-bound write / ring bwd)
+    //   toMem.back : M_i     -> D_i      (right read / ring bwd)
     const auto R = static_cast<std::size_t>(cfg.numRings);
-    const auto N = static_cast<std::size_t>(n);
-    std::vector<std::vector<Channel *>> d2m(R), m2dn(R), dn2m(R), m2d(R);
+    std::vector<std::vector<DuplexLink>> toMem(R), toNext(R);
     for (std::size_t r = 0; r < R; ++r) {
-        d2m[r].resize(N);
-        m2dn[r].resize(N);
-        dn2m[r].resize(N);
-        m2d[r].resize(N);
+        const auto ri = static_cast<int>(r);
         for (int i = 0; i < n; ++i) {
-            const auto ri = static_cast<int>(r);
             const int di = topo.device(i);
             const int dn = topo.device((i + 1) % n);
             const int mi = topo.memoryNode(i);
-            d2m[r][static_cast<std::size_t>(i)] = &topo.link(
-                di, mi, segName("ring", ri, i, "d2m"),
-                cfg.linkBandwidth, cfg.linkLatency);
-            m2dn[r][static_cast<std::size_t>(i)] = &topo.link(
-                mi, dn, segName("ring", ri, i, "m2dn"),
-                cfg.linkBandwidth, cfg.linkLatency);
-            dn2m[r][static_cast<std::size_t>(i)] = &topo.link(
-                dn, mi, segName("ring", ri, i, "dn2m"),
-                cfg.linkBandwidth, cfg.linkLatency);
-            m2d[r][static_cast<std::size_t>(i)] = &topo.link(
-                mi, di, segName("ring", ri, i, "m2d"),
-                cfg.linkBandwidth, cfg.linkLatency);
+            auto seg = [&](int src, int dst, const char *dir) {
+                return &topo.link(src, dst, segName("ring", ri, i, dir),
+                                  cfg.linkBandwidth, cfg.linkLatency);
+            };
+            DuplexLink &mem_link = toMem[r].emplace_back();
+            DuplexLink &next_link = toNext[r].emplace_back();
+            mem_link.out = seg(di, mi, "d2m");
+            next_link.out = seg(mi, dn, "m2dn");
+            next_link.back = seg(dn, mi, "dn2m");
+            mem_link.back = seg(mi, di, "m2d");
         }
     }
 
@@ -98,69 +137,31 @@ buildMcdlaRingFabric(EventQueue &eq, const FabricConfig &cfg)
     // (2n stages), which is the paper's Figure 9 cost model.
     if (n >= 2) {
         for (std::size_t r = 0; r < R; ++r) {
-            RingPath f;
+            std::vector<RingLeg> legs;
             for (int i = 0; i < n; ++i) {
                 const auto ui = static_cast<std::size_t>(i);
-                f.stages.push_back(RingStage{true, i});
-                f.hops.push_back(Route{{d2m[r][ui]}});
-                f.stages.push_back(RingStage{false, i});
-                f.hops.push_back(Route{{m2dn[r][ui]}});
+                legs.push_back({{true, i}, {toMem[r][ui]}});
+                legs.push_back({{false, i}, {toNext[r][ui]}});
             }
-            fab->addRing(std::move(f));
-
-            // Reverse traversal: D0, M_{n-1}, D_{n-1}, M_{n-2}, ...
-            RingPath b;
-            for (int s = 0; s < n; ++s) {
-                const int d = (n - s) % n;
-                const int m = (d - 1 + n) % n;
-                const auto um = static_cast<std::size_t>(m);
-                b.stages.push_back(RingStage{true, d});
-                b.hops.push_back(Route{{dn2m[r][um]}});
-                b.stages.push_back(RingStage{false, m});
-                b.hops.push_back(Route{{m2d[r][um]}});
-            }
-            fab->addRing(std::move(b));
+            fab->addRingPair(legs);
         }
     }
 
-    // Memory-virtualization paths: right target M_i, left target M_{i-1}.
+    // Memory-virtualization paths: right target M_d over the toMem
+    // links, left target M_{d-1} over the toNext links at d-1 walked
+    // backward.
     for (int d = 0; d < n; ++d) {
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-
-        VmemPath right;
-        right.targetIndex = d;
+        VmemPath right{d, {}, {}};
+        VmemPath left_path{left, {}, {}};
         for (std::size_t r = 0; r < R; ++r) {
-            right.writeRoutes.push_back(
-                Route{{d2m[r][ud], mem[ud]}});
-            right.readRoutes.push_back(
-                Route{{mem[ud], m2d[r][ud]}});
+            right.addLane({toMem[r][ud]}, mem[ud]);
+            left_path.addLane({toNext[r][ul].flipped()}, mem[ul]);
         }
-
-        if (left == d) {
-            // Single-device degenerate system: all N links land on the
-            // one memory-node, so both channel groups serve it.
-            for (std::size_t r = 0; r < R; ++r) {
-                right.writeRoutes.push_back(
-                    Route{{dn2m[r][ud], mem[ud]}});
-                right.readRoutes.push_back(
-                    Route{{mem[ud], m2dn[r][ud]}});
-            }
-            fab->setVmemPaths(d, {std::move(right)});
-            continue;
-        }
-
-        VmemPath left_path;
-        left_path.targetIndex = left;
-        for (std::size_t r = 0; r < R; ++r) {
-            // D_d -> M_{d-1} is the "dn2m" channel at position d-1.
-            left_path.writeRoutes.push_back(
-                Route{{dn2m[r][ul], mem[ul]}});
-            left_path.readRoutes.push_back(
-                Route{{mem[ul], m2dn[r][ul]}});
-        }
-        fab->setVmemPaths(d, {std::move(right), std::move(left_path)});
+        setNeighborVmemPaths(*fab, d, std::move(right),
+                             std::move(left_path));
     }
     return fab;
 }
@@ -179,159 +180,53 @@ buildMcdlaStarFabric(EventQueue &eq, const FabricConfig &cfg)
 
     std::vector<Channel *> mem = makeMemoryNodeBuses(*fab, cfg, n);
 
-    // Ring 1: direct device ring.
-    std::vector<Channel *> r1f(N), r1b(N);
-    // Gray direct links exist on odd edges only.
-    std::vector<Channel *> gf(N, nullptr), gb(N, nullptr);
-    // Designated device<->memory links (x2 per pair).
-    std::vector<Channel *> dm1f(N), dm1b(N), dm2f(N), dm2b(N);
-    // Cross links M_i <-> D_{i+1}.
-    std::vector<Channel *> xf(N), xb(N);
-    // Memory-to-memory links M_i <-> M_{i+1}.
-    std::vector<Channel *> mmf(N), mmb(N);
-
+    // Physical links: ring 1's direct device links, gray direct links
+    // on odd edges only, designated device<->memory links (x2 per
+    // pair), cross links M_i <-> D_{i+1} and memory-to-memory links
+    // M_i <-> M_{i+1}.
+    std::vector<DuplexLink> r1(N), gray(N), dm1(N), dm2(N), x(N), mm(N);
     for (int i = 0; i < n; ++i) {
         const auto ui = static_cast<std::size_t>(i);
         const int di = topo.device(i);
         const int dn = topo.device((i + 1) % n);
         const int mi = topo.memoryNode(i);
         const int mn = topo.memoryNode((i + 1) % n);
-        r1f[ui] = &topo.link(di, dn, segName("r1", 0, i, "fwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        r1b[ui] = &topo.link(dn, di, segName("r1", 0, i, "bwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        if (i % 2 == 1) {
-            gf[ui] = &topo.link(di, dn, segName("gray", 0, i, "fwd"),
-                                cfg.linkBandwidth, cfg.linkLatency);
-            gb[ui] = &topo.link(dn, di, segName("gray", 0, i, "bwd"),
-                                cfg.linkBandwidth, cfg.linkLatency);
-        }
-        dm1f[ui] = &topo.link(di, mi, segName("dm1", 0, i, "d2m"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm1b[ui] = &topo.link(mi, di, segName("dm1", 0, i, "m2d"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm2f[ui] = &topo.link(di, mi, segName("dm2", 0, i, "d2m"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm2b[ui] = &topo.link(mi, di, segName("dm2", 0, i, "m2d"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        xf[ui] = &topo.link(mi, dn, segName("x", 0, i, "m2dn"),
-                            cfg.linkBandwidth, cfg.linkLatency);
-        xb[ui] = &topo.link(dn, mi, segName("x", 0, i, "dn2m"),
-                            cfg.linkBandwidth, cfg.linkLatency);
-        mmf[ui] = &topo.link(mi, mn, segName("mm", 0, i, "fwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        mmb[ui] = &topo.link(mn, mi, segName("mm", 0, i, "bwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
+        r1[ui] = segLink(topo, cfg, di, dn, "r1", i, "fwd", "bwd");
+        if (i % 2 == 1)
+            gray[ui] = segLink(topo, cfg, di, dn, "gray", i, "fwd", "bwd");
+        dm1[ui] = segLink(topo, cfg, di, mi, "dm1", i, "d2m", "m2d");
+        dm2[ui] = segLink(topo, cfg, di, mi, "dm2", i, "d2m", "m2d");
+        x[ui] = segLink(topo, cfg, mi, dn, "x", i, "m2dn", "dn2m");
+        mm[ui] = segLink(topo, cfg, mi, mn, "mm", i, "fwd", "bwd");
     }
 
-    auto next = [n](int i) { return (i + 1) % n; };
-
-    // Ring 1 (8 stages): direct device ring.
-    {
-        RingPath f;
-        RingPath b;
-        for (int i = 0; i < n; ++i) {
-            f.stages.push_back(RingStage{true, i});
-            f.hops.push_back(Route{{r1f[static_cast<std::size_t>(i)]}});
-            const int m = (n - i) % n;
-            const int prev = (m - 1 + n) % n;
-            b.stages.push_back(RingStage{true, m});
-            b.hops.push_back(Route{{r1b[static_cast<std::size_t>(prev)]}});
+    // Ring 1 (8 stages): direct device ring. Ring 2 (gray, 12 stages):
+    // even hops route through M_i, odd hops use the direct gray link.
+    // Ring 3 (dotted, 20 stages): even hops D->M->M->D, odd hops D->M->D
+    // (sharing the designated and cross links).
+    std::vector<RingLeg> ring1, ring2, ring3;
+    for (int i = 0; i < n; ++i) {
+        const auto ui = static_cast<std::size_t>(i);
+        const int in = (i + 1) % n;
+        ring1.push_back({{true, i}, {r1[ui]}});
+        if (i % 2 == 0) {
+            ring2.push_back({{true, i}, {dm1[ui]}});
+            ring2.push_back({{false, i}, {x[ui]}});
+            ring3.push_back({{true, i}, {dm2[ui]}});
+            ring3.push_back({{false, i}, {mm[ui]}});
+            ring3.push_back(
+                {{false, in}, {dm2[static_cast<std::size_t>(in)].flipped()}});
+        } else {
+            ring2.push_back({{true, i}, {gray[ui]}});
+            ring3.push_back({{true, i}, {dm1[ui]}});
+            ring3.push_back({{false, i}, {x[ui]}});
         }
-        fab->addRing(std::move(f));
-        fab->addRing(std::move(b));
     }
+    fab->addRingPair(ring1);
+    fab->addRingPair(ring2);
+    fab->addRingPair(ring3);
 
-    // Ring 2 (gray, 12 stages): even hops route through M_i, odd hops
-    // use the direct gray link.
-    {
-        RingPath f;
-        for (int i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            f.stages.push_back(RingStage{true, i});
-            if (i % 2 == 0) {
-                f.hops.push_back(Route{{dm1f[ui]}});
-                f.stages.push_back(RingStage{false, i});
-                f.hops.push_back(Route{{xf[ui]}});
-            } else {
-                f.hops.push_back(Route{{gf[ui]}});
-            }
-        }
-        fab->addRing(std::move(f));
-
-        RingPath b;
-        for (int s = 0; s < n; ++s) {
-            const int d = (n - s) % n;       // 0, n-1, n-2, ...
-            const int prev = (d - 1 + n) % n;
-            const auto up = static_cast<std::size_t>(prev);
-            b.stages.push_back(RingStage{true, d});
-            if (prev % 2 == 0) {
-                b.hops.push_back(Route{{xb[up]}});
-                b.stages.push_back(RingStage{false, prev});
-                b.hops.push_back(Route{{dm1b[up]}});
-            } else {
-                b.hops.push_back(Route{{gb[up]}});
-            }
-        }
-        fab->addRing(std::move(b));
-    }
-
-    // Ring 3 (dotted, 20 stages): even hops D->M->M->D, odd hops
-    // D->M->D (sharing the designated and cross links).
-    {
-        RingPath f;
-        for (int i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            const auto un = static_cast<std::size_t>(next(i));
-            f.stages.push_back(RingStage{true, i});
-            if (i % 2 == 0) {
-                f.hops.push_back(Route{{dm2f[ui]}});
-                f.stages.push_back(RingStage{false, i});
-                f.hops.push_back(Route{{mmf[ui]}});
-                f.stages.push_back(RingStage{false, next(i)});
-                f.hops.push_back(Route{{dm2b[un]}});
-            } else {
-                f.hops.push_back(Route{{dm1f[ui]}});
-                f.stages.push_back(RingStage{false, i});
-                f.hops.push_back(Route{{xf[ui]}});
-            }
-        }
-        fab->addRing(std::move(f));
-
-        RingPath b;
-        for (int s = 0; s < n; ++s) {
-            const int d = (n - s) % n;
-            const int prev = (d - 1 + n) % n;
-            const auto up = static_cast<std::size_t>(prev);
-            const auto upn = static_cast<std::size_t>(next(prev));
-            b.stages.push_back(RingStage{true, d});
-            if (prev % 2 == 0) {
-                b.hops.push_back(Route{{dm2f[upn]}});
-                b.stages.push_back(RingStage{false, next(prev)});
-                b.hops.push_back(Route{{mmb[up]}});
-                b.stages.push_back(RingStage{false, prev});
-                b.hops.push_back(Route{{dm2b[up]}});
-            } else {
-                b.hops.push_back(Route{{xb[up]}});
-                b.stages.push_back(RingStage{false, prev});
-                b.hops.push_back(Route{{dm1b[up]}});
-            }
-        }
-        fab->addRing(std::move(b));
-    }
-
-    // vmem: each device reaches only its designated memory-node over the
-    // two dm links (2 x 25 = 50 GB/s).
-    for (int d = 0; d < n; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        VmemPath path;
-        path.targetIndex = d;
-        path.writeRoutes.push_back(Route{{dm1f[ud], mem[ud]}});
-        path.writeRoutes.push_back(Route{{dm2f[ud], mem[ud]}});
-        path.readRoutes.push_back(Route{{mem[ud], dm1b[ud]}});
-        path.readRoutes.push_back(Route{{mem[ud], dm2b[ud]}});
-        fab->setVmemPaths(d, {std::move(path)});
-    }
+    setDesignatedVmemPaths(*fab, dm1, dm2, mem);
     return fab;
 }
 
@@ -349,109 +244,55 @@ buildMcdlaStarAFabric(EventQueue &eq, const FabricConfig &cfg)
 
     std::vector<Channel *> mem = makeMemoryNodeBuses(*fab, cfg, n);
 
-    // Two direct device rings (gray, dotted).
-    std::vector<Channel *> g1f(N), g1b(N), g2f(N), g2b(N);
-    // Designated device<->memory links (x2) and M<->M links.
-    std::vector<Channel *> dm1f(N), dm1b(N), dm2f(N), dm2b(N);
-    std::vector<Channel *> mmf(N), mmb(N);
-    // Second M<->M link set: forms the unused memory-only 4th ring.
-    std::vector<Channel *> mm2f(N), mm2b(N);
-
+    // Physical links: two direct device rings (gray, dotted),
+    // designated device<->memory links (x2) and M<->M links, plus a
+    // second M<->M link set ("mm2") that forms the unused memory-only
+    // 4th ring.
+    std::vector<DuplexLink> g1(N), g2(N), dm1(N), dm2(N), mm(N);
     for (int i = 0; i < n; ++i) {
         const auto ui = static_cast<std::size_t>(i);
         const int di = topo.device(i);
         const int dn = topo.device((i + 1) % n);
         const int mi = topo.memoryNode(i);
         const int mn = topo.memoryNode((i + 1) % n);
-        g1f[ui] = &topo.link(di, dn, segName("g1", 0, i, "fwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        g1b[ui] = &topo.link(dn, di, segName("g1", 0, i, "bwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        g2f[ui] = &topo.link(di, dn, segName("g2", 0, i, "fwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        g2b[ui] = &topo.link(dn, di, segName("g2", 0, i, "bwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        dm1f[ui] = &topo.link(di, mi, segName("dm1", 0, i, "d2m"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm1b[ui] = &topo.link(mi, di, segName("dm1", 0, i, "m2d"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm2f[ui] = &topo.link(di, mi, segName("dm2", 0, i, "d2m"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        dm2b[ui] = &topo.link(mi, di, segName("dm2", 0, i, "m2d"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        mmf[ui] = &topo.link(mi, mn, segName("mm", 0, i, "fwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        mmb[ui] = &topo.link(mn, mi, segName("mm", 0, i, "bwd"),
-                             cfg.linkBandwidth, cfg.linkLatency);
-        mm2f[ui] = &topo.link(mi, mn, segName("mm2", 0, i, "fwd"),
-                              cfg.linkBandwidth, cfg.linkLatency);
-        mm2b[ui] = &topo.link(mn, mi, segName("mm2", 0, i, "bwd"),
-                              cfg.linkBandwidth, cfg.linkLatency);
+        g1[ui] = segLink(topo, cfg, di, dn, "g1", i, "fwd", "bwd");
+        g2[ui] = segLink(topo, cfg, di, dn, "g2", i, "fwd", "bwd");
+        dm1[ui] = segLink(topo, cfg, di, mi, "dm1", i, "d2m", "m2d");
+        dm2[ui] = segLink(topo, cfg, di, mi, "dm2", i, "d2m", "m2d");
+        mm[ui] = segLink(topo, cfg, mi, mn, "mm", i, "fwd", "bwd");
+        segLink(topo, cfg, mi, mn, "mm2", i, "fwd", "bwd");
     }
 
-    auto add_direct_rings = [&](const std::vector<Channel *> &fwd,
-                                const std::vector<Channel *> &rev) {
-        RingPath f;
-        RingPath b;
-        for (int i = 0; i < n; ++i) {
-            f.stages.push_back(RingStage{true, i});
-            f.hops.push_back(Route{{fwd[static_cast<std::size_t>(i)]}});
-            const int m = (n - i) % n;
-            const int prev = (m - 1 + n) % n;
-            b.stages.push_back(RingStage{true, m});
-            b.hops.push_back(Route{{rev[static_cast<std::size_t>(prev)]}});
-        }
-        fab->addRing(std::move(f));
-        fab->addRing(std::move(b));
+    auto direct = [n](const std::vector<DuplexLink> &links) {
+        std::vector<RingLeg> legs;
+        for (int i = 0; i < n; ++i)
+            legs.push_back({{true, i}, {links[static_cast<std::size_t>(i)]}});
+        return legs;
     };
-    add_direct_rings(g1f, g1b);
-    add_direct_rings(g2f, g2b);
+    fab->addRingPair(direct(g1));
+    fab->addRingPair(direct(g2));
 
-    // Black ring (24 stages): descending device order, each device hop
-    // D_i -> M_i -> M_{i-1} -> D_{i-1} (footnote 1: every memory-node is
-    // visited twice around the full traversal).
-    {
-        RingPath f;
-        for (int s = 0; s < n; ++s) {
-            const int i = (n - s) % n;          // 0, n-1, n-2, ...
-            const int prev = (i - 1 + n) % n;
-            const auto ui = static_cast<std::size_t>(i);
-            const auto up = static_cast<std::size_t>(prev);
-            f.stages.push_back(RingStage{true, i});
-            f.hops.push_back(Route{{dm1f[ui]}});
-            f.stages.push_back(RingStage{false, i});
-            f.hops.push_back(Route{{mmb[up]}});
-            f.stages.push_back(RingStage{false, prev});
-            f.hops.push_back(Route{{dm1b[up]}});
-        }
-        fab->addRing(std::move(f));
-
-        // Reverse black ring: ascending, D_j -> M_j -> M_{j+1} -> D_{j+1}.
-        RingPath b;
+    // Black ring (24 stages), one ring per direction over different
+    // designated lanes: ascending device order, each device hop
+    // D_j -> M_j -> M_{j+1} -> D_{j+1} (footnote 1: every memory-node
+    // is visited twice around the full traversal).
+    auto ascending = [n, &mm](const std::vector<DuplexLink> &dm) {
+        std::vector<RingLeg> legs;
         for (int j = 0; j < n; ++j) {
             const auto uj = static_cast<std::size_t>(j);
             const int jn = (j + 1) % n;
-            const auto ujn = static_cast<std::size_t>(jn);
-            b.stages.push_back(RingStage{true, j});
-            b.hops.push_back(Route{{dm2f[uj]}});
-            b.stages.push_back(RingStage{false, j});
-            b.hops.push_back(Route{{mmf[uj]}});
-            b.stages.push_back(RingStage{false, jn});
-            b.hops.push_back(Route{{dm2b[ujn]}});
+            legs.push_back({{true, j}, {dm[uj]}});
+            legs.push_back({{false, j}, {mm[uj]}});
+            legs.push_back(
+                {{false, jn}, {dm[static_cast<std::size_t>(jn)].flipped()}});
         }
-        fab->addRing(std::move(b));
-    }
+        return legs;
+    };
+    // Descending over dm1 first, then ascending over dm2.
+    fab->addRing(reverseRing(ascending(dm1)));
+    fab->addRing(forwardRing(ascending(dm2)));
 
-    for (int d = 0; d < n; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        VmemPath path;
-        path.targetIndex = d;
-        path.writeRoutes.push_back(Route{{dm1f[ud], mem[ud]}});
-        path.writeRoutes.push_back(Route{{dm2f[ud], mem[ud]}});
-        path.readRoutes.push_back(Route{{mem[ud], dm1b[ud]}});
-        path.readRoutes.push_back(Route{{mem[ud], dm2b[ud]}});
-        fab->setVmemPaths(d, {std::move(path)});
-    }
+    setDesignatedVmemPaths(*fab, dm1, dm2, mem);
     return fab;
 }
 

@@ -45,71 +45,46 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
     std::vector<Channel *> mem = makeMemoryNodeBuses(*fab, cfg, n);
 
     // One plane per physical link (the DGX-2 pattern: N=6 links, six
-    // switch planes). Per plane and node: an up (node -> switch) and a
-    // down (switch -> node) channel; the switch's forwarding latency is
+    // switch planes). Per plane and node one link: up (node -> switch)
+    // and down (switch -> node); the switch's forwarding latency is
     // charged on the down channel.
     const auto P = static_cast<std::size_t>(2 * cfg.numRings);
-    const auto N = static_cast<std::size_t>(n);
-    std::vector<std::vector<Channel *>> dUp(P), dDown(P), mUp(P),
-        mDown(P);
+    std::vector<std::vector<DuplexLink>> dLink(P), mLink(P);
     for (std::size_t p = 0; p < P; ++p) {
-        dUp[p].resize(N);
-        dDown[p].resize(N);
-        mUp[p].resize(N);
-        mDown[p].resize(N);
         const int sw = topo.switchNode(static_cast<int>(p));
         for (int i = 0; i < n; ++i) {
             const std::string plane = "plane" + std::to_string(p);
-            const auto ui = static_cast<std::size_t>(i);
-            const int di = topo.device(i);
-            const int mi = topo.memoryNode(i);
-            dUp[p][ui] = &topo.link(
-                di, sw, plane + ".d" + std::to_string(i) + ".up",
-                cfg.linkBandwidth, cfg.linkLatency);
-            dDown[p][ui] = &topo.link(
-                sw, di, plane + ".d" + std::to_string(i) + ".down",
-                cfg.linkBandwidth, cfg.linkLatency + cfg.switchLatency);
-            mUp[p][ui] = &topo.link(
-                mi, sw, plane + ".m" + std::to_string(i) + ".up",
-                cfg.linkBandwidth, cfg.linkLatency);
-            mDown[p][ui] = &topo.link(
-                sw, mi, plane + ".m" + std::to_string(i) + ".down",
-                cfg.linkBandwidth, cfg.linkLatency + cfg.switchLatency);
+            auto seat = [&](int node, const std::string &name) {
+                Channel &up = topo.link(node, sw, name + ".up",
+                                        cfg.linkBandwidth, cfg.linkLatency);
+                return DuplexLink{
+                    &up, &topo.link(sw, node, name + ".down",
+                                    cfg.linkBandwidth,
+                                    cfg.linkLatency + cfg.switchLatency)};
+            };
+            dLink[p].push_back(
+                seat(topo.device(i), plane + ".d" + std::to_string(i)));
+            mLink[p].push_back(
+                seat(topo.memoryNode(i), plane + ".m" + std::to_string(i)));
         }
     }
 
-    // Logical rings: one unidirectional ring per plane, forward on even
-    // planes and reverse on odd planes, stages alternating D and M.
+    // Logical rings: one unidirectional ring per plane, stages
+    // alternating D and M, each hop up to the plane and down again:
+    // forward on even planes and reverse on odd planes.
     if (n >= 2) {
         for (std::size_t p = 0; p < P; ++p) {
-            RingPath ring;
-            if (p % 2 == 0) {
-                for (int i = 0; i < n; ++i) {
-                    const auto ui = static_cast<std::size_t>(i);
-                    const auto un =
-                        static_cast<std::size_t>((i + 1) % n);
-                    ring.stages.push_back(RingStage{true, i});
-                    ring.hops.push_back(
-                        Route{{dUp[p][ui], mDown[p][ui]}});
-                    ring.stages.push_back(RingStage{false, i});
-                    ring.hops.push_back(
-                        Route{{mUp[p][ui], dDown[p][un]}});
-                }
-            } else {
-                for (int s = 0; s < n; ++s) {
-                    const int d = (n - s) % n;
-                    const int m = (d - 1 + n) % n;
-                    const auto ud = static_cast<std::size_t>(d);
-                    const auto um = static_cast<std::size_t>(m);
-                    ring.stages.push_back(RingStage{true, d});
-                    ring.hops.push_back(
-                        Route{{dUp[p][ud], mDown[p][um]}});
-                    ring.stages.push_back(RingStage{false, m});
-                    ring.hops.push_back(
-                        Route{{mUp[p][um], dDown[p][um]}});
-                }
+            std::vector<RingLeg> legs;
+            for (int i = 0; i < n; ++i) {
+                const auto ui = static_cast<std::size_t>(i);
+                const auto un = static_cast<std::size_t>((i + 1) % n);
+                legs.push_back(
+                    {{true, i}, {dLink[p][ui], mLink[p][ui].flipped()}});
+                legs.push_back(
+                    {{false, i}, {mLink[p][ui], dLink[p][un].flipped()}});
             }
-            fab->addRing(std::move(ring));
+            fab->addRing(p % 2 == 0 ? forwardRing(legs)
+                                    : reverseRing(legs));
         }
     }
 
@@ -122,34 +97,18 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-
-        VmemPath right;
-        right.targetIndex = d;
-        for (std::size_t p = 0; p < half; ++p) {
-            right.writeRoutes.push_back(
-                Route{{dUp[p][ud], mDown[p][ud], mem[ud]}});
-            right.readRoutes.push_back(
-                Route{{mem[ud], mUp[p][ud], dDown[p][ud]}});
+        VmemPath right{d, {}, {}};
+        VmemPath left_path{left, {}, {}};
+        for (std::size_t p = 0; p < P; ++p) {
+            if (p < half)
+                right.addLane({dLink[p][ud], mLink[p][ud].flipped()},
+                              mem[ud]);
+            else
+                left_path.addLane({dLink[p][ud], mLink[p][ul].flipped()},
+                                  mem[ul]);
         }
-        if (left == d) {
-            for (std::size_t p = half; p < P; ++p) {
-                right.writeRoutes.push_back(
-                    Route{{dUp[p][ud], mDown[p][ud], mem[ud]}});
-                right.readRoutes.push_back(
-                    Route{{mem[ud], mUp[p][ud], dDown[p][ud]}});
-            }
-            fab->setVmemPaths(d, {std::move(right)});
-            continue;
-        }
-        VmemPath left_path;
-        left_path.targetIndex = left;
-        for (std::size_t p = half; p < P; ++p) {
-            left_path.writeRoutes.push_back(
-                Route{{dUp[p][ud], mDown[p][ul], mem[ul]}});
-            left_path.readRoutes.push_back(
-                Route{{mem[ul], mUp[p][ul], dDown[p][ud]}});
-        }
-        fab->setVmemPaths(d, {std::move(right), std::move(left_path)});
+        setNeighborVmemPaths(*fab, d, std::move(right),
+                             std::move(left_path));
     }
     return fab;
 }

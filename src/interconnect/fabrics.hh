@@ -2,6 +2,24 @@
  * @file
  * Fabric builders for every system design point in the evaluation.
  *
+ * Every design is wired from bidirectional physical links. A builder
+ * declares each link once, as a DuplexLink (Topology::duplex, or two
+ * Topology::link calls where the directions differ in latency or
+ * creation order), in a fixed creation order: the channel graph and
+ * the Router's tie-breaks, which follow link insertion order, depend
+ * on it. From the links the shared helpers derive the rest:
+ *  - a ring is a list of RingLegs (the stage a hop leaves and the links
+ *    it crosses); Fabric::addRingPair adds forwardRing() and its
+ *    reverseRing(), which runs the stages backward on the back
+ *    channels;
+ *  - VmemPath::addLane makes a lane's write route (out channels, then
+ *    the storage channel) and its read route (the storage channel,
+ *    then the back channels).
+ * Only the generic generators' addRoutedRings routes both directions on
+ * the Router, because the reverse of a routed hop need not be the
+ * Router's pick. FabricCensus.* (tests/test_topology.cc) pins every
+ * builder's channels, rings, vmem paths and device routes.
+ *
  * Hop-count properties asserted by the test suite (paper Section III-B):
  *  - DC-DLA (Fig 5): 3 bidirectional device rings, 8 physical hops each.
  *  - MC-DLA star-A (Fig 7a): device rings of 8/8 hops plus a 24-hop ring
@@ -88,6 +106,15 @@ std::unique_ptr<Fabric> buildMcdlaSwitchFabric(EventQueue &eq,
 std::vector<Channel *> makeMemoryNodeBuses(Fabric &fab,
                                            const FabricConfig &cfg,
                                            int count);
+
+/**
+ * Publish @p right (to M_d) and @p left (to M_{d-1}) as the vmem paths
+ * of @p device, the neighbor pattern of the Fig 7(c) and Fig 15
+ * designs. On a single-device system both target the one memory-node,
+ * which then gets every lane as one path.
+ */
+void setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
+                          VmemPath left);
 
 /// @name Generic topology generators (topology_gen.cc)
 /// @{

@@ -49,22 +49,26 @@ Channel &
 Topology::link(int src, int dst, const std::string &name,
                double bandwidth, Tick latency, bool routable)
 {
-    Channel &ch = _fabric.makeChannel(name, bandwidth, latency);
-    linkExisting(src, dst, &ch, routable);
-    return ch;
-}
-
-void
-Topology::linkExisting(int src, int dst, Channel *channel, bool routable)
-{
     if (src < 0 || dst < 0
         || src >= static_cast<int>(_nodes.size())
         || dst >= static_cast<int>(_nodes.size()))
         panic("topology link endpoints %d -> %d outside %zu nodes", src,
               dst, _nodes.size());
+    Channel &ch = _fabric.makeChannel(name, bandwidth, latency);
     const int id = static_cast<int>(_links.size());
-    _links.push_back(TopoLink{src, dst, channel, routable});
+    _links.push_back(TopoLink{src, dst, &ch, routable});
     _outLinks[static_cast<std::size_t>(src)].push_back(id);
+    return ch;
+}
+
+DuplexLink
+Topology::duplex(int a, int b, const std::string &out,
+                 const std::string &back, double bandwidth, Tick latency,
+                 bool routable)
+{
+    Channel &there = link(a, b, out, bandwidth, latency, routable);
+    return DuplexLink{&there, &link(b, a, back, bandwidth, latency,
+                                    routable)};
 }
 
 int

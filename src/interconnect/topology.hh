@@ -7,7 +7,7 @@
  * every link owns the Channel that simulates it. Fabric builders
  * construct their channels *through* the topology, so the graph and the
  * simulated channel set can never drift apart, and generic graph
- * machinery — the Router's shortest-path/ECMP tables, collective
+ * machinery — the Router's shortest-path tables, collective
  * tree/sub-ring extraction, cluster placement hop costs — works on any
  * wiring, not just the hand-enumerated rings of the paper's figures.
  *
@@ -67,12 +67,27 @@ struct TopoLink
 };
 
 /**
+ * One bidirectional physical link as its two channels. Every wiring in
+ * the paper is built from such links, so a builder declares each link
+ * once and the Fabric helpers derive the reverse ring hops and the
+ * vmem read routes from the back channels.
+ */
+struct DuplexLink
+{
+    Channel *out = nullptr;  ///< The direction the builder travels.
+    Channel *back = nullptr; ///< The opposite channel of the link.
+
+    /** The same link travelled the other way. */
+    DuplexLink flipped() const { return DuplexLink{back, out}; }
+};
+
+/**
  * The interconnect graph of one Fabric.
  *
  * Nodes and links are created in builder order; that order is part of
  * the contract — the Router's deterministic tie-breaking follows link
- * insertion order, which reproduces the legacy ring-walk route choice
- * on the paper's fabrics (asserted by tests/test_topology.cc).
+ * insertion order, so reordering a builder's links can change which
+ * of two equal-length routes a transfer takes.
  */
 class Topology
 {
@@ -105,15 +120,13 @@ class Topology
                   double bandwidth, Tick latency, bool routable = true);
 
     /**
-     * Record a directed link over a channel that already exists —
-     * the primitive link() builds on. Useful for wiring a channel
-     * created outside the topology into the graph; note that a
-     * physical link multiplexing several logical roles (HC-DLA's
-     * shared odd-edge channels) needs no second edge, since the
-     * endpoints and channel are already recorded.
+     * Create a physical link between @p a and @p b: the channel
+     * a -> b named @p out, then b -> a named @p back, each at
+     * @p bandwidth and @p latency.
      */
-    void linkExisting(int src, int dst, Channel *channel,
-                      bool routable = true);
+    DuplexLink duplex(int a, int b, const std::string &out,
+                      const std::string &back, double bandwidth,
+                      Tick latency, bool routable = true);
 
     /// @name Queries
     /// @{

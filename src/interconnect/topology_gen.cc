@@ -92,10 +92,8 @@ buildMesh2dFabric(EventQueue &eq, const FabricConfig &cfg, bool wrap)
     const auto [rows, cols] = gridShape(n);
     auto at = [cols = cols](int r, int c) { return r * cols + c; };
     auto pair_link = [&](int a, int b, const std::string &base) {
-        topo.link(topo.device(a), topo.device(b), base + ".fwd",
-                  cfg.linkBandwidth, cfg.linkLatency);
-        topo.link(topo.device(b), topo.device(a), base + ".bwd",
-                  cfg.linkBandwidth, cfg.linkLatency);
+        topo.duplex(topo.device(a), topo.device(b), base + ".fwd",
+                    base + ".bwd", cfg.linkBandwidth, cfg.linkLatency);
     };
     auto edge_name = [](int a, int b) {
         return "grid.d" + std::to_string(a) + "-d" + std::to_string(b);
@@ -125,25 +123,15 @@ buildMesh2dFabric(EventQueue &eq, const FabricConfig &cfg, bool wrap)
     // numRings links; the remainder (>= 1) are dedicated device <->
     // memory-node lanes.
     const int lanes = std::max(1, 2 * cfg.numRings - 4);
-    std::vector<VmemPath> paths;
     for (int d = 0; d < n; ++d) {
-        VmemPath path;
-        path.targetIndex = d;
+        VmemPath path{d, {}, {}};
         for (int l = 0; l < lanes; ++l) {
-            Channel &w = topo.link(
-                topo.device(d), topo.memoryNode(d),
-                "d" + std::to_string(d) + ".mem" + std::to_string(l)
-                    + ".d2m",
-                cfg.linkBandwidth, cfg.linkLatency);
-            Channel &r = topo.link(
-                topo.memoryNode(d), topo.device(d),
-                "d" + std::to_string(d) + ".mem" + std::to_string(l)
-                    + ".m2d",
-                cfg.linkBandwidth, cfg.linkLatency);
-            path.writeRoutes.push_back(
-                Route{{&w, mem[static_cast<std::size_t>(d)]}});
-            path.readRoutes.push_back(
-                Route{{mem[static_cast<std::size_t>(d)], &r}});
+            const std::string lane =
+                "d" + std::to_string(d) + ".mem" + std::to_string(l);
+            path.addLane({topo.duplex(topo.device(d), topo.memoryNode(d),
+                                      lane + ".d2m", lane + ".m2d",
+                                      cfg.linkBandwidth, cfg.linkLatency)},
+                         mem[static_cast<std::size_t>(d)]);
         }
         fab->setVmemPaths(d, {std::move(path)});
     }
@@ -196,76 +184,52 @@ buildFatTreeFabric(EventQueue &eq, const FabricConfig &cfg)
     auto device_slot = [](int d) { return 2 * d; };
     auto mem_slot = [](int d) { return 2 * d + 1; };
 
-    // Node <-> leaf channels; the switch's store-and-forward latency is
+    // Node <-> leaf links; the switch's store-and-forward latency is
     // charged on every down channel, as in the Fig 15 planes.
-    std::vector<Channel *> dUp(static_cast<std::size_t>(n)),
-        dDown(static_cast<std::size_t>(n)),
-        mUp(static_cast<std::size_t>(n)),
-        mDown(static_cast<std::size_t>(n));
+    auto seat = [&](int node, int sw, const std::string &name) {
+        Channel &up = topo.link(node, sw, name + ".up", cfg.linkBandwidth,
+                                cfg.linkLatency);
+        return DuplexLink{&up, &topo.link(sw, node, name + ".down",
+                                          cfg.linkBandwidth,
+                                          cfg.linkLatency
+                                              + cfg.switchLatency)};
+    };
+    std::vector<DuplexLink> dLink, mLink;
     for (int d = 0; d < n; ++d) {
-        const auto ud = static_cast<std::size_t>(d);
-        const int dleaf = topo.switchNode(leaf_of_slot(device_slot(d)));
-        const int mleaf = topo.switchNode(leaf_of_slot(mem_slot(d)));
-        const std::string dn = "d" + std::to_string(d);
-        const std::string mn = "m" + std::to_string(d);
-        dUp[ud] = &topo.link(topo.device(d), dleaf, dn + ".up",
-                             cfg.linkBandwidth, cfg.linkLatency);
-        dDown[ud] = &topo.link(dleaf, topo.device(d), dn + ".down",
-                               cfg.linkBandwidth,
-                               cfg.linkLatency + cfg.switchLatency);
-        mUp[ud] = &topo.link(topo.memoryNode(d), mleaf, mn + ".up",
-                             cfg.linkBandwidth, cfg.linkLatency);
-        mDown[ud] = &topo.link(mleaf, topo.memoryNode(d), mn + ".down",
-                               cfg.linkBandwidth,
-                               cfg.linkLatency + cfg.switchLatency);
+        dLink.push_back(
+            seat(topo.device(d),
+                 topo.switchNode(leaf_of_slot(device_slot(d))),
+                 "d" + std::to_string(d)));
+        mLink.push_back(
+            seat(topo.memoryNode(d),
+                 topo.switchNode(leaf_of_slot(mem_slot(d))),
+                 "m" + std::to_string(d)));
     }
 
-    // Leaf <-> spine channels: one uplink pair per (leaf, spine).
-    std::vector<std::vector<Channel *>> leafUp(
-        static_cast<std::size_t>(num_leaves)),
-        leafDown(static_cast<std::size_t>(num_leaves));
-    for (int l = 0; l < num_leaves; ++l) {
-        const auto ul = static_cast<std::size_t>(l);
-        leafUp[ul].resize(static_cast<std::size_t>(num_spines));
-        leafDown[ul].resize(static_cast<std::size_t>(num_spines));
-        for (int s = 0; s < num_spines; ++s) {
-            const int leaf = topo.switchNode(l);
-            const int spine = topo.switchNode(num_leaves + s);
-            const std::string base = "l" + std::to_string(l) + "-s"
-                + std::to_string(s);
-            leafUp[ul][static_cast<std::size_t>(s)] = &topo.link(
-                leaf, spine, base + ".up", cfg.linkBandwidth,
-                cfg.linkLatency);
-            leafDown[ul][static_cast<std::size_t>(s)] = &topo.link(
-                spine, leaf, base + ".down", cfg.linkBandwidth,
-                cfg.linkLatency + cfg.switchLatency);
-        }
-    }
+    // Leaf <-> spine links: one uplink pair per (leaf, spine).
+    std::vector<std::vector<DuplexLink>> uplink(
+        static_cast<std::size_t>(num_leaves));
+    for (int l = 0; l < num_leaves; ++l)
+        for (int s = 0; s < num_spines; ++s)
+            uplink[static_cast<std::size_t>(l)].push_back(
+                seat(topo.switchNode(l), topo.switchNode(num_leaves + s),
+                     "l" + std::to_string(l) + "-s" + std::to_string(s)));
 
     // vmem paths: device d to its own memory-node — two channel hops
     // on a shared leaf, four through spine 0 otherwise.
     for (int d = 0; d < n; ++d) {
         const auto ud = static_cast<std::size_t>(d);
-        const int dleaf = leaf_of_slot(device_slot(d));
-        const int mleaf = leaf_of_slot(mem_slot(d));
-        VmemPath path;
-        path.targetIndex = d;
-        if (dleaf == mleaf) {
-            path.writeRoutes.push_back(
-                Route{{dUp[ud], mDown[ud], mem[ud]}});
-            path.readRoutes.push_back(
-                Route{{mem[ud], mUp[ud], dDown[ud]}});
-        } else {
-            const auto udl = static_cast<std::size_t>(dleaf);
-            const auto uml = static_cast<std::size_t>(mleaf);
-            path.writeRoutes.push_back(Route{{dUp[ud], leafUp[udl][0],
-                                              leafDown[uml][0],
-                                              mDown[ud], mem[ud]}});
-            path.readRoutes.push_back(Route{{mem[ud], mUp[ud],
-                                             leafUp[uml][0],
-                                             leafDown[udl][0],
-                                             dDown[ud]}});
-        }
+        const auto dleaf =
+            static_cast<std::size_t>(leaf_of_slot(device_slot(d)));
+        const auto mleaf =
+            static_cast<std::size_t>(leaf_of_slot(mem_slot(d)));
+        VmemPath path{d, {}, {}};
+        if (dleaf == mleaf)
+            path.addLane({dLink[ud], mLink[ud].flipped()}, mem[ud]);
+        else
+            path.addLane({dLink[ud], uplink[dleaf][0],
+                          uplink[mleaf][0].flipped(), mLink[ud].flipped()},
+                         mem[ud]);
         fab->setVmemPaths(d, {std::move(path)});
     }
 
