@@ -17,7 +17,7 @@
  *    history prefetching over a capacity-tracked HBM frame budget);
  *  - mcdla::Topology / Router — the interconnect graph layer: typed
  *    nodes and channel-owning links, generic generators (ring, switch,
- *    mesh, torus, fat-tree), and shortest-path/ECMP routing tables;
+ *    mesh, torus, fat-tree), and shortest-path routing tables;
  *  - mcdla::CollectiveEngine — topology-aware collectives with
  *    selectable algorithms (ring / tree / hierarchical);
  *  - mcdla::Scenario / Simulator / SweepRunner — declarative run

@@ -1,7 +1,7 @@
 /**
  * @file
  * Router implementation: per-source BFS with deterministic
- * tie-breaking and equal-cost parent retention.
+ * tie-breaking.
  */
 
 #include "interconnect/router.hh"
@@ -50,12 +50,8 @@ Router::bfs(int src_node) const
                 table[static_cast<std::size_t>(link.dst)];
             if (entry.dist < 0) {
                 entry.dist = du + 1;
-                entry.parents.push_back(link_id);
+                entry.parent = link_id;
                 frontier.push_back(link.dst);
-            } else if (entry.dist == du + 1) {
-                // Equal-cost alternative (ECMP); canonical BFS-first
-                // parent stays at the front.
-                entry.parents.push_back(link_id);
             }
         }
     }
@@ -74,69 +70,15 @@ Router::route(int src, int dst) const
     if (node < 0 || table[static_cast<std::size_t>(node)].dist < 0)
         return out;
 
-    // Backtrack along canonical (BFS-first) parents, then reverse.
+    // Backtrack along the BFS-first parents, then reverse.
     while (table[static_cast<std::size_t>(node)].dist > 0) {
-        const int link_id =
-            table[static_cast<std::size_t>(node)].parents.front();
+        const int link_id = table[static_cast<std::size_t>(node)].parent;
         const TopoLink &link =
             _topo.links()[static_cast<std::size_t>(link_id)];
         out.hops.push_back(link.channel);
         node = link.src;
     }
     std::reverse(out.hops.begin(), out.hops.end());
-    return out;
-}
-
-std::vector<Route>
-Router::routes(int src, int dst, std::size_t max_paths) const
-{
-    std::vector<Route> out;
-    if (src == dst || src < 0 || dst < 0 || src >= _numDevices
-        || dst >= _numDevices || max_paths == 0)
-        return out;
-    const auto &table = _tables[static_cast<std::size_t>(src)];
-    const int dst_node = _deviceNodes[static_cast<std::size_t>(dst)];
-    if (dst_node < 0
-        || table[static_cast<std::size_t>(dst_node)].dist < 0)
-        return out;
-
-    // Depth-first enumeration over the equal-cost parent DAG, parents
-    // in BFS-discovery order so the canonical route comes out first.
-    struct Frame
-    {
-        int node;
-        std::size_t next_parent;
-    };
-    std::vector<Frame> stack{{dst_node, 0}};
-    std::vector<int> links; // reversed link ids along the current path
-    while (!stack.empty() && out.size() < max_paths) {
-        Frame &top = stack.back();
-        const NodeEntry &entry =
-            table[static_cast<std::size_t>(top.node)];
-        if (entry.dist == 0) {
-            Route route;
-            for (auto it = links.rbegin(); it != links.rend(); ++it)
-                route.hops.push_back(
-                    _topo.links()[static_cast<std::size_t>(*it)]
-                        .channel);
-            out.push_back(std::move(route));
-            stack.pop_back();
-            if (!links.empty())
-                links.pop_back();
-            continue;
-        }
-        if (top.next_parent >= entry.parents.size()) {
-            stack.pop_back();
-            if (!links.empty())
-                links.pop_back();
-            continue;
-        }
-        const int link_id = entry.parents[top.next_parent++];
-        const TopoLink &link =
-            _topo.links()[static_cast<std::size_t>(link_id)];
-        links.push_back(link_id);
-        stack.push_back(Frame{link.src, 0});
-    }
     return out;
 }
 

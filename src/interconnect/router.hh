@@ -2,14 +2,13 @@
  * @file
  * Router: precomputed device-to-device routing over a Topology.
  *
- * Replaces the ad-hoc ring-walk that Fabric::deviceRoute used to
- * perform: a breadth-first search per source device over the routable
- * links of the graph yields shortest paths in physical channel
- * traversals, with deterministic tie-breaking by link insertion order
- * (which reproduces the legacy ring-walk's route choice on the paper's
- * fabrics — asserted in tests/test_topology.cc). Equal-cost parents
- * are retained, so ECMP route sets can be enumerated for multi-path
- * transfers and diagnostics.
+ * A breadth-first search per source device over the routable links of
+ * the graph yields shortest paths in physical channel traversals, with
+ * deterministic tie-breaking by link insertion order: each node keeps
+ * the link it was first reached over. Among equal-length routes that
+ * pick need not be the ring walk's (on DC-DLA at 8 devices, 1 -> 5
+ * goes backward over r0.*.bwd), so Fabric::deviceRoute keeps the walk
+ * on ties and takes the Router's route only when it is shorter.
  *
  * Routes are channel sequences traversed store-and-forward; memory
  * nodes and switches along the way forward without participating.
@@ -26,7 +25,7 @@
 namespace mcdla
 {
 
-/** Shortest-path/ECMP routing tables over one topology. */
+/** Shortest-path routing tables over one topology. */
 class Router
 {
   public:
@@ -39,13 +38,6 @@ class Router
      * device is absent, or no routable path exists.
      */
     Route route(int src, int dst) const;
-
-    /**
-     * Up to @p max_paths equal-cost shortest routes, canonical first,
-     * enumerated deterministically over the parent DAG.
-     */
-    std::vector<Route> routes(int src, int dst,
-                              std::size_t max_paths = 4) const;
 
     /**
      * Shortest-path length in physical channel traversals from device
@@ -62,8 +54,8 @@ class Router
     struct NodeEntry
     {
         int dist = -1;
-        /** Equal-cost incoming link ids, BFS-first order. */
-        std::vector<int> parents;
+        /** The link id this node was first reached over. */
+        int parent = -1;
     };
 
     /** BFS state of one source device, indexed by node id. */
