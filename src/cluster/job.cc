@@ -52,6 +52,13 @@ parseJobTrace(std::istream &in)
         },
         [](const JobSpec &spec, const TraceReader &trace) {
             trace.require("workload");
+            if (spec.mode != ParallelMode::Pipeline)
+                for (const TraceReader::Field &field : trace.fields())
+                    if (field.key == "stages"
+                        || field.key == "microbatches")
+                        trace.fail(std::string(field.key)
+                                   + "= applies to mode=pp only (got mode="
+                                   + kParallelModes.token(spec.mode) + ")");
             if (spec.batch < 1 || spec.devices < 1 || spec.iterations < 1
                 || spec.microbatches < 1 || spec.pipelineStages < 0)
                 trace.fail("non-positive job shape");

@@ -50,11 +50,13 @@ struct JobSpec
 /**
  * One job per line, `key=value` tokens separated by whitespace:
  *
- *   arrival=0.5 workload=ResNet mode=dp batch=256 devices=4 \
+ *   arrival=0.5 workload=ResNet mode=pp batch=256 devices=4 \
  *       iterations=2 name=resnet-a stages=0 microbatches=4
  *
  * Every key except `arrival` and `workload` is optional; '#' starts a
- * comment (readTrace in sim/text.hh). Values must be finite numbers
+ * comment (readTrace in sim/text.hh). `stages` and `microbatches`
+ * apply to mode=pp only; on a dp or mp job either is one fatal line
+ * naming the key. Values must be finite numbers
  * that fit their field; anything else is one fatal line naming the
  * trace line and key. Jobs are returned sorted by arrival time.
  */

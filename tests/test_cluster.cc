@@ -256,6 +256,11 @@ TEST_F(ClusterTest, JobTraceParsesAndRoundTrips)
          "line 2: stages=2147483648"},
         {"arrival=0 workload=X microbatches=-4294967295",
          "line 2: microbatches=-4294967295"},
+        // The pipeline knobs of a dp or mp job would be ignored.
+        {"arrival=0 workload=X mode=dp microbatches=8",
+         "line 2: microbatches= applies to mode=pp only (got mode=dp)"},
+        {"arrival=0 workload=X stages=2 mode=mp",
+         "line 2: stages= applies to mode=pp only (got mode=mp)"},
         {"arrival=0 workload=X batch=99999999999999999999",
          "line 2: batch=99999999999999999999"},
         {"arrival=0 workload", "line 2: token 'workload'"},
