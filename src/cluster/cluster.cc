@@ -56,11 +56,8 @@ Cluster::jobPoolBytes(const JobSpec &spec, const Network &net,
 }
 
 Cluster::Cluster(ClusterConfig cfg, std::vector<JobSpec> jobs)
-    : _cfg(std::move(cfg))
+    : _cfg(std::move(cfg)), _eq(_cfg.base.base.eventQueueBackend)
 {
-    // Before any schedule: the member queue default-constructs as a
-    // heap and may only be re-backed while pristine.
-    _eq.setBackend(_cfg.base.base.eventQueueBackend);
     _system = std::make_unique<System>(_eq, _cfg.base.config());
     _poolCapacity = sharedPoolCapacityBytes(*_system);
     _pool = makePoolAllocator(_cfg.allocator, _poolCapacity);

@@ -46,16 +46,14 @@ simcheckVerifyRequestOutcomes(
 
 ServingCluster::ServingCluster(ServingConfig cfg,
                                std::vector<Request> stream)
-    : _cfg(std::move(cfg)), _stream(std::move(stream))
+    : _cfg(std::move(cfg)), _stream(std::move(stream)),
+      _eq(_cfg.base.base.eventQueueBackend)
 {
     std::stable_sort(_stream.begin(), _stream.end(),
                      [](const Request &a, const Request &b) {
                          return a.arrivalSec < b.arrivalSec;
                      });
 
-    // Before any schedule: the member queue default-constructs as a
-    // heap and may only be re-backed while pristine.
-    _eq.setBackend(_cfg.base.base.eventQueueBackend);
     _system = std::make_unique<System>(_eq, _cfg.base.config());
     _sloSec = _cfg.base.sloMs / 1e3;
     if (_sloSec <= 0.0)

@@ -24,21 +24,6 @@ EventQueue::EventQueue(EventQueueBackendKind kind) : _backendKind(kind)
 
 EventQueue::~EventQueue() = default;
 
-void
-EventQueue::setBackend(EventQueueBackendKind kind)
-{
-    if (!keysEmpty() || _executed != 0 || _now != 0 || _live != 0)
-        panic("EventQueue::setBackend(%s) on a non-pristine queue "
-              "(%zu pending, %llu executed, now=%llu)",
-              eventQueueBackendToken(kind), _live,
-              static_cast<unsigned long long>(_executed),
-              static_cast<unsigned long long>(_now));
-    _backendKind = kind;
-    _backend = kind == EventQueueBackendKind::Heap
-        ? nullptr
-        : makeEventQueueBackend(kind);
-}
-
 namespace
 {
 

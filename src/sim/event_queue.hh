@@ -118,15 +118,6 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
 
-    /**
-     * Swap the priority-structure backend. Only legal on a pristine
-     * queue (nothing pending, nothing executed, now() == 0): both
-     * backends order identically, but swapping mid-run would strand
-     * pending items. Lets members constructed as `EventQueue _eq;`
-     * apply a configured backend first thing in the owner's body.
-     */
-    void setBackend(EventQueueBackendKind kind);
-
     EventQueueBackendKind backend() const { return _backendKind; }
 
     /** Current simulated time. */
