@@ -78,18 +78,22 @@ makeMemoryNodeBuses(Fabric &fab, const FabricConfig &cfg, int count)
 }
 
 void
-setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
-                     VmemPath left)
+setNeighborVmemPaths(Fabric &fab, int device, int left,
+                     const std::vector<Channel *> &mem,
+                     const std::vector<std::vector<DuplexLink>> &right_lanes,
+                     const std::vector<std::vector<DuplexLink>> &left_lanes)
 {
-    if (left.targetIndex != right.targetIndex) {
-        fab.setVmemPaths(device, {std::move(right), std::move(left)});
-        return;
-    }
-    for (Route &route : left.writeRoutes)
-        right.writeRoutes.push_back(std::move(route));
-    for (Route &route : left.readRoutes)
-        right.readRoutes.push_back(std::move(route));
-    fab.setVmemPaths(device, {std::move(right)});
+    VmemPath right{device, {}, {}};
+    VmemPath left_path{left, {}, {}};
+    VmemPath &via_left = left == device ? right : left_path;
+    for (const std::vector<DuplexLink> &lane : right_lanes)
+        right.addLane(lane, mem[static_cast<std::size_t>(device)]);
+    for (const std::vector<DuplexLink> &lane : left_lanes)
+        via_left.addLane(lane, mem[static_cast<std::size_t>(left)]);
+    if (left == device)
+        fab.setVmemPaths(device, {std::move(right)});
+    else
+        fab.setVmemPaths(device, {std::move(right), std::move(left_path)});
 }
 
 std::unique_ptr<Fabric>
@@ -154,14 +158,12 @@ buildMcdlaRingFabric(EventQueue &eq, const FabricConfig &cfg)
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-        VmemPath right{d, {}, {}};
-        VmemPath left_path{left, {}, {}};
+        std::vector<std::vector<DuplexLink>> right_lanes, left_lanes;
         for (std::size_t r = 0; r < R; ++r) {
-            right.addLane({toMem[r][ud]}, mem[ud]);
-            left_path.addLane({toNext[r][ul].flipped()}, mem[ul]);
+            right_lanes.push_back({toMem[r][ud]});
+            left_lanes.push_back({toNext[r][ul].flipped()});
         }
-        setNeighborVmemPaths(*fab, d, std::move(right),
-                             std::move(left_path));
+        setNeighborVmemPaths(*fab, d, left, mem, right_lanes, left_lanes);
     }
     return fab;
 }

@@ -24,6 +24,17 @@
 namespace mcdla
 {
 
+DuplexLink
+seatOnSwitch(Topology &topo, const FabricConfig &cfg, int node, int sw,
+             const std::string &name)
+{
+    Channel &up = topo.link(node, sw, name + ".up", cfg.linkBandwidth,
+                            cfg.linkLatency);
+    return DuplexLink{&up, &topo.link(sw, node, name + ".down",
+                                      cfg.linkBandwidth,
+                                      cfg.linkLatency + cfg.switchLatency)};
+}
+
 std::unique_ptr<Fabric>
 buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
 {
@@ -45,27 +56,18 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
     std::vector<Channel *> mem = makeMemoryNodeBuses(*fab, cfg, n);
 
     // One plane per physical link (the DGX-2 pattern: N=6 links, six
-    // switch planes). Per plane and node one link: up (node -> switch)
-    // and down (switch -> node); the switch's forwarding latency is
-    // charged on the down channel.
+    // switch planes), and on each plane one link per node.
     const auto P = static_cast<std::size_t>(2 * cfg.numRings);
     std::vector<std::vector<DuplexLink>> dLink(P), mLink(P);
     for (std::size_t p = 0; p < P; ++p) {
         const int sw = topo.switchNode(static_cast<int>(p));
+        const std::string plane = "plane" + std::to_string(p);
         for (int i = 0; i < n; ++i) {
-            const std::string plane = "plane" + std::to_string(p);
-            auto seat = [&](int node, const std::string &name) {
-                Channel &up = topo.link(node, sw, name + ".up",
-                                        cfg.linkBandwidth, cfg.linkLatency);
-                return DuplexLink{
-                    &up, &topo.link(sw, node, name + ".down",
-                                    cfg.linkBandwidth,
-                                    cfg.linkLatency + cfg.switchLatency)};
-            };
-            dLink[p].push_back(
-                seat(topo.device(i), plane + ".d" + std::to_string(i)));
+            dLink[p].push_back(seatOnSwitch(topo, cfg, topo.device(i), sw,
+                                            plane + ".d" + std::to_string(i)));
             mLink[p].push_back(
-                seat(topo.memoryNode(i), plane + ".m" + std::to_string(i)));
+                seatOnSwitch(topo, cfg, topo.memoryNode(i), sw,
+                             plane + ".m" + std::to_string(i)));
         }
     }
 
@@ -97,18 +99,16 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-        VmemPath right{d, {}, {}};
-        VmemPath left_path{left, {}, {}};
+        std::vector<std::vector<DuplexLink>> right_lanes, left_lanes;
         for (std::size_t p = 0; p < P; ++p) {
             if (p < half)
-                right.addLane({dLink[p][ud], mLink[p][ud].flipped()},
-                              mem[ud]);
+                right_lanes.push_back(
+                    {dLink[p][ud], mLink[p][ud].flipped()});
             else
-                left_path.addLane({dLink[p][ud], mLink[p][ul].flipped()},
-                                  mem[ul]);
+                left_lanes.push_back(
+                    {dLink[p][ud], mLink[p][ul].flipped()});
         }
-        setNeighborVmemPaths(*fab, d, std::move(right),
-                             std::move(left_path));
+        setNeighborVmemPaths(*fab, d, left, mem, right_lanes, left_lanes);
     }
     return fab;
 }

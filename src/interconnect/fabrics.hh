@@ -108,13 +108,25 @@ std::vector<Channel *> makeMemoryNodeBuses(Fabric &fab,
                                            int count);
 
 /**
- * Publish @p right (to M_d) and @p left (to M_{d-1}) as the vmem paths
- * of @p device, the neighbor pattern of the Fig 7(c) and Fig 15
- * designs. On a single-device system both target the one memory-node,
- * which then gets every lane as one path.
+ * Seat @p node on switch @p sw (fabric_scaleout.cc): the link's out
+ * channel "<name>.up" runs node -> switch, its back channel
+ * "<name>.down" switch -> node and carries the switch's
+ * store-and-forward latency.
  */
-void setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
-                          VmemPath left);
+DuplexLink seatOnSwitch(Topology &topo, const FabricConfig &cfg,
+                        int node, int sw, const std::string &name);
+
+/**
+ * Publish the vmem paths of @p device in the neighbor pattern of the
+ * Fig 7(c) and Fig 15 designs: @p right_lanes to its own memory-node
+ * M_device and @p left_lanes to M_left (the bus channels are @p mem).
+ * On a single-device system left == device, and the one memory-node
+ * gets every lane as one path.
+ */
+void setNeighborVmemPaths(
+    Fabric &fab, int device, int left, const std::vector<Channel *> &mem,
+    const std::vector<std::vector<DuplexLink>> &right_lanes,
+    const std::vector<std::vector<DuplexLink>> &left_lanes);
 
 /// @name Generic topology generators (topology_gen.cc)
 /// @{

@@ -184,36 +184,27 @@ buildFatTreeFabric(EventQueue &eq, const FabricConfig &cfg)
     auto device_slot = [](int d) { return 2 * d; };
     auto mem_slot = [](int d) { return 2 * d + 1; };
 
-    // Node <-> leaf links; the switch's store-and-forward latency is
-    // charged on every down channel, as in the Fig 15 planes.
-    auto seat = [&](int node, int sw, const std::string &name) {
-        Channel &up = topo.link(node, sw, name + ".up", cfg.linkBandwidth,
-                                cfg.linkLatency);
-        return DuplexLink{&up, &topo.link(sw, node, name + ".down",
-                                          cfg.linkBandwidth,
-                                          cfg.linkLatency
-                                              + cfg.switchLatency)};
-    };
+    // Node <-> leaf links, then one leaf <-> spine link per (leaf,
+    // spine), each seated as on the Fig 15 planes.
     std::vector<DuplexLink> dLink, mLink;
     for (int d = 0; d < n; ++d) {
-        dLink.push_back(
-            seat(topo.device(d),
-                 topo.switchNode(leaf_of_slot(device_slot(d))),
-                 "d" + std::to_string(d)));
-        mLink.push_back(
-            seat(topo.memoryNode(d),
-                 topo.switchNode(leaf_of_slot(mem_slot(d))),
-                 "m" + std::to_string(d)));
+        dLink.push_back(seatOnSwitch(
+            topo, cfg, topo.device(d),
+            topo.switchNode(leaf_of_slot(device_slot(d))),
+            "d" + std::to_string(d)));
+        mLink.push_back(seatOnSwitch(
+            topo, cfg, topo.memoryNode(d),
+            topo.switchNode(leaf_of_slot(mem_slot(d))),
+            "m" + std::to_string(d)));
     }
-
-    // Leaf <-> spine links: one uplink pair per (leaf, spine).
     std::vector<std::vector<DuplexLink>> uplink(
         static_cast<std::size_t>(num_leaves));
     for (int l = 0; l < num_leaves; ++l)
         for (int s = 0; s < num_spines; ++s)
-            uplink[static_cast<std::size_t>(l)].push_back(
-                seat(topo.switchNode(l), topo.switchNode(num_leaves + s),
-                     "l" + std::to_string(l) + "-s" + std::to_string(s)));
+            uplink[static_cast<std::size_t>(l)].push_back(seatOnSwitch(
+                topo, cfg, topo.switchNode(l),
+                topo.switchNode(num_leaves + s),
+                "l" + std::to_string(l) + "-s" + std::to_string(s)));
 
     // vmem paths: device d to its own memory-node — two channel hops
     // on a shared leaf, four through spine 0 otherwise.
