@@ -6,6 +6,7 @@
 #include "interconnect/fabric.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -22,7 +23,8 @@ forwardRing(const std::vector<RingLeg> &legs)
         ring.stages.push_back(leg.from);
         Route &hop = ring.hops.emplace_back();
         for (const DuplexLink &link : leg.links)
-            hop.hops.push_back(link.out);
+            if (link.out)
+                hop.hops.push_back(link.out);
     }
     return ring;
 }
@@ -38,16 +40,17 @@ reverseRing(const std::vector<RingLeg> &legs)
         // Stage s is forward stage (n - s) % n; its hop retraces the
         // forward leg that arrives there.
         ring.stages.push_back(legs[(n - s) % n].from);
-        const std::vector<DuplexLink> &links = legs[n - 1 - s].links;
+        const auto &links = legs[n - 1 - s].links;
         Route &hop = ring.hops.emplace_back();
         for (auto it = links.rbegin(); it != links.rend(); ++it)
-            hop.hops.push_back(it->back);
+            if (it->back)
+                hop.hops.push_back(it->back);
     }
     return ring;
 }
 
 void
-VmemPath::addLane(const std::vector<DuplexLink> &lane, Channel *storage)
+VmemPath::addLane(std::initializer_list<DuplexLink> lane, Channel *storage)
 {
     Route &write = writeRoutes.emplace_back();
     for (const DuplexLink &link : lane)
@@ -55,7 +58,7 @@ VmemPath::addLane(const std::vector<DuplexLink> &lane, Channel *storage)
     write.hops.push_back(storage);
     Route &read = readRoutes.emplace_back();
     read.hops.push_back(storage);
-    for (auto it = lane.rbegin(); it != lane.rend(); ++it)
+    for (auto it = std::rbegin(lane); it != std::rend(lane); ++it)
         read.hops.push_back(it->back);
 }
 

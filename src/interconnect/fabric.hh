@@ -19,6 +19,8 @@
 #ifndef MCDLA_INTERCONNECT_FABRIC_HH
 #define MCDLA_INTERCONNECT_FABRIC_HH
 
+#include <array>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,12 +94,13 @@ struct RingPath
 
 /**
  * One hop of a ring as a builder declares it: the stage it leaves and
- * the physical links it crosses, in travel order.
+ * the physical links it crosses in travel order, one or (through a
+ * switch plane) two; an unused slot stays null.
  */
 struct RingLeg
 {
     RingStage from;
-    std::vector<DuplexLink> links;
+    std::array<DuplexLink, 2> links;
 };
 
 /** The ring over @p legs: each leg's stage, hopping on its out channels. */
@@ -127,7 +130,7 @@ struct VmemPath
      * channels and then @p storage, reads @p storage and then the back
      * channels, last link first.
      */
-    void addLane(const std::vector<DuplexLink> &lane, Channel *storage);
+    void addLane(std::initializer_list<DuplexLink> lane, Channel *storage);
 };
 
 /**

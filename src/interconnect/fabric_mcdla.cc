@@ -78,22 +78,18 @@ makeMemoryNodeBuses(Fabric &fab, const FabricConfig &cfg, int count)
 }
 
 void
-setNeighborVmemPaths(Fabric &fab, int device, int left,
-                     const std::vector<Channel *> &mem,
-                     const std::vector<std::vector<DuplexLink>> &right_lanes,
-                     const std::vector<std::vector<DuplexLink>> &left_lanes)
+setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
+                     VmemPath left)
 {
-    VmemPath right{device, {}, {}};
-    VmemPath left_path{left, {}, {}};
-    VmemPath &via_left = left == device ? right : left_path;
-    for (const std::vector<DuplexLink> &lane : right_lanes)
-        right.addLane(lane, mem[static_cast<std::size_t>(device)]);
-    for (const std::vector<DuplexLink> &lane : left_lanes)
-        via_left.addLane(lane, mem[static_cast<std::size_t>(left)]);
-    if (left == device)
-        fab.setVmemPaths(device, {std::move(right)});
-    else
-        fab.setVmemPaths(device, {std::move(right), std::move(left_path)});
+    if (left.targetIndex != right.targetIndex) {
+        fab.setVmemPaths(device, {std::move(right), std::move(left)});
+        return;
+    }
+    for (Route &route : left.writeRoutes)
+        right.writeRoutes.push_back(std::move(route));
+    for (Route &route : left.readRoutes)
+        right.readRoutes.push_back(std::move(route));
+    fab.setVmemPaths(device, {std::move(right)});
 }
 
 std::unique_ptr<Fabric>
@@ -158,12 +154,14 @@ buildMcdlaRingFabric(EventQueue &eq, const FabricConfig &cfg)
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-        std::vector<std::vector<DuplexLink>> right_lanes, left_lanes;
+        VmemPath right{d, {}, {}};
+        VmemPath left_path{left, {}, {}};
         for (std::size_t r = 0; r < R; ++r) {
-            right_lanes.push_back({toMem[r][ud]});
-            left_lanes.push_back({toNext[r][ul].flipped()});
+            right.addLane({toMem[r][ud]}, mem[ud]);
+            left_path.addLane({toNext[r][ul].flipped()}, mem[ul]);
         }
-        setNeighborVmemPaths(*fab, d, left, mem, right_lanes, left_lanes);
+        setNeighborVmemPaths(*fab, d, std::move(right),
+                             std::move(left_path));
     }
     return fab;
 }
@@ -209,15 +207,14 @@ buildMcdlaStarFabric(EventQueue &eq, const FabricConfig &cfg)
     std::vector<RingLeg> ring1, ring2, ring3;
     for (int i = 0; i < n; ++i) {
         const auto ui = static_cast<std::size_t>(i);
-        const int in = (i + 1) % n;
+        const auto un = static_cast<std::size_t>((i + 1) % n);
         ring1.push_back({{true, i}, {r1[ui]}});
         if (i % 2 == 0) {
             ring2.push_back({{true, i}, {dm1[ui]}});
             ring2.push_back({{false, i}, {x[ui]}});
             ring3.push_back({{true, i}, {dm2[ui]}});
             ring3.push_back({{false, i}, {mm[ui]}});
-            ring3.push_back(
-                {{false, in}, {dm2[static_cast<std::size_t>(in)].flipped()}});
+            ring3.push_back({{false, (i + 1) % n}, {dm2[un].flipped()}});
         } else {
             ring2.push_back({{true, i}, {gray[ui]}});
             ring3.push_back({{true, i}, {dm1[ui]}});
@@ -268,7 +265,8 @@ buildMcdlaStarAFabric(EventQueue &eq, const FabricConfig &cfg)
     auto direct = [n](const std::vector<DuplexLink> &links) {
         std::vector<RingLeg> legs;
         for (int i = 0; i < n; ++i)
-            legs.push_back({{true, i}, {links[static_cast<std::size_t>(i)]}});
+            legs.push_back(
+                {{true, i}, {links[static_cast<std::size_t>(i)]}});
         return legs;
     };
     fab->addRingPair(direct(g1));
@@ -282,11 +280,10 @@ buildMcdlaStarAFabric(EventQueue &eq, const FabricConfig &cfg)
         std::vector<RingLeg> legs;
         for (int j = 0; j < n; ++j) {
             const auto uj = static_cast<std::size_t>(j);
-            const int jn = (j + 1) % n;
+            const auto ujn = static_cast<std::size_t>((j + 1) % n);
             legs.push_back({{true, j}, {dm[uj]}});
             legs.push_back({{false, j}, {mm[uj]}});
-            legs.push_back(
-                {{false, jn}, {dm[static_cast<std::size_t>(jn)].flipped()}});
+            legs.push_back({{false, (j + 1) % n}, {dm[ujn].flipped()}});
         }
         return legs;
     };

@@ -63,8 +63,9 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
         const int sw = topo.switchNode(static_cast<int>(p));
         const std::string plane = "plane" + std::to_string(p);
         for (int i = 0; i < n; ++i) {
-            dLink[p].push_back(seatOnSwitch(topo, cfg, topo.device(i), sw,
-                                            plane + ".d" + std::to_string(i)));
+            dLink[p].push_back(
+                seatOnSwitch(topo, cfg, topo.device(i), sw,
+                             plane + ".d" + std::to_string(i)));
             mLink[p].push_back(
                 seatOnSwitch(topo, cfg, topo.memoryNode(i), sw,
                              plane + ".m" + std::to_string(i)));
@@ -99,16 +100,16 @@ buildMcdlaSwitchFabric(EventQueue &eq, const FabricConfig &cfg)
         const auto ud = static_cast<std::size_t>(d);
         const int left = (d - 1 + n) % n;
         const auto ul = static_cast<std::size_t>(left);
-        std::vector<std::vector<DuplexLink>> right_lanes, left_lanes;
-        for (std::size_t p = 0; p < P; ++p) {
-            if (p < half)
-                right_lanes.push_back(
-                    {dLink[p][ud], mLink[p][ud].flipped()});
-            else
-                left_lanes.push_back(
-                    {dLink[p][ud], mLink[p][ul].flipped()});
-        }
-        setNeighborVmemPaths(*fab, d, left, mem, right_lanes, left_lanes);
+        VmemPath right{d, {}, {}};
+        VmemPath left_path{left, {}, {}};
+        for (std::size_t p = 0; p < half; ++p)
+            right.addLane({dLink[p][ud], mLink[p][ud].flipped()},
+                          mem[ud]);
+        for (std::size_t p = half; p < P; ++p)
+            left_path.addLane({dLink[p][ud], mLink[p][ul].flipped()},
+                              mem[ul]);
+        setNeighborVmemPaths(*fab, d, std::move(right),
+                             std::move(left_path));
     }
     return fab;
 }

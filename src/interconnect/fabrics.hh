@@ -117,16 +117,14 @@ DuplexLink seatOnSwitch(Topology &topo, const FabricConfig &cfg,
                         int node, int sw, const std::string &name);
 
 /**
- * Publish the vmem paths of @p device in the neighbor pattern of the
- * Fig 7(c) and Fig 15 designs: @p right_lanes to its own memory-node
- * M_device and @p left_lanes to M_left (the bus channels are @p mem).
- * On a single-device system left == device, and the one memory-node
- * gets every lane as one path.
+ * Publish @p right (to M_device) and @p left (to M_{device-1}) as the
+ * vmem paths of @p device, the neighbor pattern of the Fig 7(c) and
+ * Fig 15 designs. On a single-device system both target the one
+ * memory-node, which then gets every lane, right lanes first, as one
+ * path.
  */
-void setNeighborVmemPaths(
-    Fabric &fab, int device, int left, const std::vector<Channel *> &mem,
-    const std::vector<std::vector<DuplexLink>> &right_lanes,
-    const std::vector<std::vector<DuplexLink>> &left_lanes);
+void setNeighborVmemPaths(Fabric &fab, int device, VmemPath right,
+                          VmemPath left);
 
 /// @name Generic topology generators (topology_gen.cc)
 /// @{
