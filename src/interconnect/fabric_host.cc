@@ -141,9 +141,9 @@ buildHcdlaFabric(EventQueue &eq, const FabricConfig &cfg)
         const int j = (i + 1) % n;
         const std::string base = "ring.d" + std::to_string(i) + "-d"
             + std::to_string(j);
-        auto edge = [&](const char *lane) {
+        auto edge = [&](const char *ring) {
             return topo.duplex(topo.device(i), topo.device(j),
-                               base + lane + ".fwd", base + lane + ".bwd",
+                               base + ring + ".fwd", base + ring + ".bwd",
                                cfg.linkBandwidth, cfg.linkLatency);
         };
         const DuplexLink a = edge(".a");
